@@ -23,7 +23,7 @@ from equilab import hesslab
 from equilab.bench.config import ExperimentConfig
 from equilab.bench.manifest import RunManifest, atomic_write_text
 from equilab.bench.svgplot import LineSeries, emit_svg
-from equilab.errors import ConfigError, EquilabError, RankDeficientError
+from equilab.errors import ArmMismatchError, ConfigError, EquilabError, RankDeficientError
 from equilab.net.data import teacher_student_regression, two_moons
 from equilab.net.layers import DenseSpec
 from equilab.net.network import Network
@@ -184,8 +184,10 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
     # cross-arm fairness: identical raw init and identical data order
     digests = set(shared_digests.values())
     data_digests = {t.data_digest for t in traces.values()}
-    assert len(digests) <= 1, f"arms started from different weights: {shared_digests}"
-    assert len(data_digests) <= 1, "arms saw different data"
+    if len(digests) > 1:
+        raise ArmMismatchError(f"arms started from different weights: {shared_digests}")
+    if len(data_digests) > 1:
+        raise ArmMismatchError("arms saw different data")
 
     series = []
     rows = ["arm,diverged,epochs_run,final_train_loss,final_eval_loss,final_accuracy,"

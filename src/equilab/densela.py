@@ -15,6 +15,7 @@ from equilab import _kernels
 from equilab.errors import (
     ConvergenceError,
     DimensionError,
+    InaccurateSolveError,
     NonFiniteError,
     NotPositiveDefiniteError,
     NotSymmetricError,
@@ -253,11 +254,19 @@ def condition_number(a, rank_tol=1e-12):
     sigma_min <= rank_tol * sigma_max, including for the zero matrix.
     rank_tol must lie in (0, 1).
     """
+    _check_rank_tol(rank_tol)
+    return _strict_condition_number(svd(a).sigma, rank_tol)
+
+
+def _check_rank_tol(rank_tol):
     if not (0.0 < rank_tol < 1.0):
         raise DimensionError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
-    res = svd(a)
-    s_max = float(res.sigma[0])
-    s_min = float(res.sigma[-1])
+
+
+def _strict_condition_number(sigma, rank_tol):
+    """sigma[0] / sigma[-1] of a descending spectrum, or RankDeficientError."""
+    s_max = float(sigma[0])
+    s_min = float(sigma[-1])
     if s_min <= rank_tol * s_max or s_max == 0.0:
         raise RankDeficientError(s_max, s_min, rank_tol)
     return s_max / s_min
@@ -266,17 +275,18 @@ def condition_number(a, rank_tol=1e-12):
 def pseudo_condition_number(sigma, rank_tol):
     """sigma_max over the smallest singular value above rank_tol*sigma_max.
 
-    Helper for rank-aware comparisons; returns (value, n_surviving).
-    For an all-zero spectrum returns (nan, 0).
+    sigma must be sorted descending and rank_tol must lie in (0, 1).
+    Returns (value, n_surviving, sigma_min_surviving); for an all-zero
+    spectrum returns (nan, 0, 0.0).
     """
+    _check_rank_tol(rank_tol)
     sig = np.asarray(sigma, dtype=np.float64)
     s_max = float(sig[0]) if sig.size else 0.0
     if s_max == 0.0:
-        return float("nan"), 0
-    keep = sig > rank_tol * s_max
-    n_keep = int(np.count_nonzero(keep))
-    s_min = float(sig[keep][-1])
-    return s_max / s_min, n_keep
+        return float("nan"), 0, 0.0
+    n_keep = int(np.count_nonzero(sig > rank_tol * s_max))
+    s_min = float(sig[n_keep - 1])
+    return s_max / s_min, n_keep, s_min
 
 
 def matmul(a, b):
@@ -293,6 +303,13 @@ def transpose(a):
 
 def frobenius_norm(a):
     return float(np.sqrt(np.sum(_validated(a) ** 2)))
+
+
+def check_symmetric(arr, name="matrix", sym_tol=1e-12):
+    """Raise NotSymmetricError unless ||A - A^T||_F <= sym_tol * ||A||_F."""
+    asym = np.linalg.norm(arr - arr.T)
+    if asym > sym_tol * max(np.linalg.norm(arr), np.finfo(np.float64).tiny):
+        raise NotSymmetricError(f"{name} is not symmetric: ||{name}-{name}^T||={asym!r}")
 
 
 def row_norms2(a):
@@ -312,8 +329,8 @@ def solve_spd(a, b, sym_tol=1e-12):
 
     Checks symmetry to sym_tol (relative, Frobenius), factors by Cholesky
     (failure raises NotPositiveDefiniteError), and applies one step of
-    iterative refinement.  In test builds the residual is asserted to be
-    <= 1e-9 * max(1, ||b||).
+    iterative refinement.  A residual above 1e-9 * max(1, ||b||) raises
+    InaccurateSolveError.
     """
     av = _validated(a, "A")
     n, m = av.shape
@@ -327,9 +344,7 @@ def solve_spd(a, b, sym_tol=1e-12):
         raise DimensionError(f"b has {bv.shape[0]} rows, A is {n}x{n}")
     if not np.isfinite(bv).all():
         raise NonFiniteError("b contains non-finite entries")
-    asym = np.linalg.norm(av - av.T)
-    if asym > sym_tol * max(np.linalg.norm(av), np.finfo(np.float64).tiny):
-        raise NotSymmetricError(f"A is not symmetric: ||A-A^T||={asym!r}")
+    check_symmetric(av, "A", sym_tol)
     av = 0.5 * (av + av.T)
     try:
         factor = cho_factor(av, lower=True, check_finite=False)
@@ -340,7 +355,6 @@ def solve_spd(a, b, sym_tol=1e-12):
     r = bv - av @ x
     x = x + cho_solve(factor, r, check_finite=False)
     resid = float(np.linalg.norm(bv - av @ x))
-    assert resid <= 1e-9 * max(1.0, float(np.linalg.norm(bv))), (
-        f"solve_spd residual {resid!r} exceeds tolerance"
-    )
+    if resid > 1e-9 * max(1.0, float(np.linalg.norm(bv))):
+        raise InaccurateSolveError(f"solve_spd residual {resid!r} exceeds tolerance")
     return x[:, 0] if squeeze else x

@@ -55,6 +55,10 @@ class NotPositiveDefiniteError(EquilabError):
     pass
 
 
+class InaccurateSolveError(EquilabError):
+    """A linear solve's residual exceeded its tolerance."""
+
+
 class NonFiniteActivationError(EquilabError):
     """Forward pass produced NaN/inf; carries the offending layer index."""
 
@@ -70,6 +74,10 @@ class GradientCheckError(EquilabError):
 
 class EmptyResultError(EquilabError):
     """An experiment produced no usable data points (all excluded)."""
+
+
+class ArmMismatchError(EquilabError):
+    """Training arms that must share initial weights or data order did not."""
 
 
 class ConfigError(EquilabError, ValueError):

@@ -2,10 +2,12 @@
 
 The Hessian of a loss is estimated column by column from central
 differences of the analytic gradient, symmetrized, and condition numbers
-are taken over the numerically surviving spectrum (singular values above
-rank_tol * sigma_max), since reparametrized losses have exact null
-directions (one radial direction per equilibrated row) that would make
-the strict condition number meaningless.
+are taken over the numerically surviving spectrum (eigenvalue magnitudes
+from LAPACK eigvalsh above rank_tol * sigma_max), since reparametrized
+losses have exact null directions (one radial direction per equilibrated
+row) that would make the strict condition number meaningless.  The
+finite-difference noise floor makes the Jacobi SVD's relative accuracy
+moot here; weight matrices keep using it (see densela).
 
 fd_hessian_loss_only is an independent second-difference estimator that
 never touches the gradient code; it exists to cross-check fd_hessian.
@@ -169,24 +171,24 @@ class KappaSummary:
 def hessian_kappa(h, rank_tol=1e-8):
     """Spectrum-aware condition number for (estimated) Hessians.
 
-    rank_tol defaults to 1e-8, well above the finite-difference noise
-    floor.  Accepts a HessianEstimate or a raw square matrix.
+    The spectrum is the sorted eigenvalue magnitudes from LAPACK eigvalsh,
+    which for a symmetric matrix are its singular values.  rank_tol
+    defaults to 1e-8, well above the finite-difference noise floor and so
+    far above eigvalsh's eps * ||H|| error.  Accepts a HessianEstimate or
+    a raw square matrix; a matrix that is not symmetric to 1e-12
+    (relative, Frobenius) raises NotSymmetricError.
     """
     if isinstance(h, HessianEstimate):
         h = h.h
     arr = densela._validated(h, "hessian")
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"hessian must be square, got {arr.shape}")
-    sig = densela.svd(arr).sigma
-    s_max = float(sig[0])
-    if s_max == 0.0:
-        return KappaSummary(kappa=float("nan"), full_rank=False, n_surviving=0,
-                            sigma_max=0.0, sigma_min_surviving=0.0, rank_tol=rank_tol)
-    keep = sig > rank_tol * s_max
-    n_keep = int(np.count_nonzero(keep))
-    s_min = float(sig[keep][-1])
-    return KappaSummary(kappa=s_max / s_min, full_rank=bool(keep.all()),
-                        n_surviving=n_keep, sigma_max=s_max,
+    densela.check_symmetric(arr, "hessian")
+    # eigvalsh reads one triangle, hence the symmetry check above
+    sig = np.sort(np.abs(np.linalg.eigvalsh(arr)))[::-1]
+    kappa, n_keep, s_min = densela.pseudo_condition_number(sig, rank_tol)
+    return KappaSummary(kappa=kappa, full_rank=n_keep == sig.size,
+                        n_surviving=n_keep, sigma_max=float(sig[0]),
                         sigma_min_surviving=s_min, rank_tol=rank_tol)
 
 

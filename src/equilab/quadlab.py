@@ -36,7 +36,8 @@ class QuadraticProblem:
     """L(theta) = 1/2 theta^T A theta - b^T theta, A symmetric full rank.
 
     Construction verifies symmetry (1e-12 relative) and numerical full
-    rank.  The SVD and the minimizer are cached.
+    rank.  The SVD and the minimizer are cached; kappa comes from the
+    cached SVD, so each problem runs one SVD.
     """
 
     a: np.ndarray
@@ -47,11 +48,7 @@ class QuadraticProblem:
         n, m = arr.shape
         if n != m:
             raise DimensionError(f"A must be square, got {arr.shape}")
-        asym = np.linalg.norm(arr - arr.T)
-        if asym > 1e-12 * max(np.linalg.norm(arr), np.finfo(np.float64).tiny):
-            from equilab.errors import NotSymmetricError
-
-            raise NotSymmetricError(f"A is not symmetric: ||A-A^T||={asym!r}")
+        densela.check_symmetric(arr, "A")
         arr = 0.5 * (arr + arr.T)
         vec = _check_vector(self.b, n)
         arr.flags.writeable = False
@@ -70,7 +67,7 @@ class QuadraticProblem:
 
     @cached_property
     def kappa(self):
-        return densela.condition_number(self.a)
+        return densela._strict_condition_number(self.svd.sigma, 1e-12)
 
     @cached_property
     def theta_star(self):
@@ -184,7 +181,7 @@ def hessian(problem):
 
 def max_stable_lr(problem):
     """2 / sigma_max of the curvature matrix the GD iteration actually sees."""
-    return 2.0 / float(densela.svd(problem.gd_matrix).sigma[0])
+    return 2.0 / float(problem.svd.sigma[0])
 
 
 def predicted_modes(problem, theta0, eta, t):

@@ -176,11 +176,15 @@ class TestConditionNumber:
             densela.condition_number(np.eye(2), rank_tol=0.0)
         with pytest.raises(DimensionError):
             densela.condition_number(np.eye(2), rank_tol=1.5)
+        for bad in (0.0, 1.5):
+            with pytest.raises(DimensionError):
+                densela.pseudo_condition_number([2.0, 1.0], rank_tol=bad)
 
     def test_pseudo_condition_number(self):
         sigma = np.array([1e3, 1.0, 1e-14])
-        val, surviving = densela.pseudo_condition_number(sigma, 1e-8)
+        val, surviving, s_min = densela.pseudo_condition_number(sigma, 1e-8)
         assert surviving == 2
+        assert s_min == 1.0
         assert val == pytest.approx(1e3)
 
 

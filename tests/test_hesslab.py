@@ -1,9 +1,10 @@
+import mpmath
 import numpy as np
 import pytest
 
 from equilab import hesslab
 from equilab.errors import (DimensionError, EmptyResultError,
-                            GradientCheckError)
+                            GradientCheckError, NotSymmetricError)
 from equilab.net import DenseSpec, Network
 from equilab.net.data import teacher_student_regression
 
@@ -105,6 +106,42 @@ class TestHessianKappa:
         assert hesslab.hessian_kappa(est).kappa == pytest.approx(10.0, rel=1e-6)
         with pytest.raises(DimensionError):
             hesslab.hessian_kappa(np.zeros((2, 3)))
+
+
+class TestHessianKappaOracle:
+    """hessian_kappa against 40-digit mpmath eigenvalues of the same matrix."""
+
+    @staticmethod
+    def graded_indefinite(seed, n=24):
+        rng = np.random.default_rng(seed)
+        q, _ = np.linalg.qr(rng.standard_normal((n, n)))
+        # 20 surviving magnitudes over five decades, four far below
+        # rank_tol * sigma_max = 1e-8, alternating signs throughout
+        mags = np.concatenate([np.geomspace(10.0, 1e-4, n - 4),
+                               [1e-10, 3e-12, 1e-13, 0.0]])
+        signs = np.where(np.arange(n) % 2 == 0, 1.0, -1.0)
+        h = (q * (signs * mags)) @ q.T
+        return 0.5 * (h + h.T)
+
+    @pytest.mark.parametrize("seed", [0, 1, 2])
+    def test_matches_mpmath_eigsy(self, seed):
+        h = self.graded_indefinite(seed)
+        rank_tol = 1e-8
+        with mpmath.workdps(40):
+            ev = mpmath.eigsy(mpmath.matrix(h.tolist()), eigvals_only=True)
+            mags = sorted((abs(ev[i]) for i in range(h.shape[0])), reverse=True)
+            keep = [m for m in mags if m > rank_tol * mags[0]]
+            kappa_oracle = float(keep[0] / keep[-1])
+        ks = hesslab.hessian_kappa(h, rank_tol=rank_tol)
+        assert ks.n_surviving == len(keep) == h.shape[0] - 4
+        assert not ks.full_rank
+        assert ks.kappa == pytest.approx(kappa_oracle, rel=1e-9)
+
+    def test_nonsymmetric_raw_input_raises(self):
+        h = np.diag([3.0, 2.0, 1.0])
+        h[0, 2] = 1e-6
+        with pytest.raises(NotSymmetricError):
+            hesslab.hessian_kappa(h)
 
 
 class TestNetLossFunctions:

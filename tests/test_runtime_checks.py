@@ -1,0 +1,73 @@
+"""Runtime checks must survive `python -O`, which strips assert statements.
+
+Each case runs in a fresh `python -O` interpreter, triggers one check and
+must end in the named EquilabError subclass.
+"""
+
+import os
+import subprocess
+import sys
+import textwrap
+from pathlib import Path
+
+import pytest
+
+SRC = Path(__file__).resolve().parents[1] / "src"
+
+TRAIN_COMPARE = """
+import tempfile
+from equilab.bench import experiments
+from equilab.bench.config import default_config
+cfg = default_config("train_compare", arms=["none", "e-reparam"], epochs=1,
+                     n_samples=16, seed=0)
+with tempfile.TemporaryDirectory() as out:
+    experiments.run_experiment(cfg, out)
+"""
+
+CASES = {
+    # Hilbert(13) factors by Cholesky but its solve residual is ~5e-7
+    "solve_spd_residual": ("InaccurateSolveError", """
+import numpy as np
+from scipy.linalg import hilbert
+from equilab import densela
+densela.solve_spd(hilbert(13), np.ones(13))
+"""),
+    "arms_different_weights": ("ArmMismatchError", """
+import itertools
+from equilab.bench import experiments
+counter = itertools.count()
+experiments._shared_init_digest = lambda net: str(next(counter))
+""" + TRAIN_COMPARE),
+    "arms_different_data": ("ArmMismatchError", """
+import dataclasses, itertools
+from equilab.bench import experiments
+counter = itertools.count()
+_train = experiments.train
+experiments.train = lambda *a, **k: dataclasses.replace(
+    _train(*a, **k), data_digest=str(next(counter)))
+""" + TRAIN_COMPARE),
+}
+
+RUNNER = """
+from equilab.errors import EquilabError
+print("debug", __debug__)
+try:
+{body}
+except EquilabError as exc:
+    print("raised", type(exc).__name__)
+else:
+    print("raised nothing")
+"""
+
+
+@pytest.mark.parametrize("case", sorted(CASES))
+def test_check_survives_python_O(case):
+    expected, body = CASES[case]
+    script = RUNNER.format(body=textwrap.indent(body.strip(), "    "))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(SRC), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-O", "-c", script], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split("\n")[:2] == ["debug False", f"raised {expected}"]
