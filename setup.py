@@ -1,6 +1,16 @@
-"""Build script: compiles the Jacobi sweep kernel when a C toolchain is
-available, otherwise installs pure-Python only (the package falls back to
-the numpy kernel at import time)."""
+"""Build script: compiles the shipped Jacobi sweep kernel when a C compiler
+is available, otherwise installs pure-Python only (the package falls back
+to the numpy kernel at import time).
+
+The kernel's C source, src/equilab/_kernels/_jacobi.c, is generated from
+_jacobi.pyx and tracked, so a build needs a C compiler and nothing else.
+No build runs Cython: after editing the .pyx, regenerate the C file with
+
+    cython -3 src/equilab/_kernels/_jacobi.pyx
+
+and commit both.  tests/test_kernels.py compares the built kernel with
+the numpy reference, which catches a stale C file.
+"""
 
 import warnings
 
@@ -24,21 +34,8 @@ class OptionalBuildExt(build_ext):
             warnings.warn(f"skipping {ext.name}: {exc}")
 
 
-def _extensions():
-    try:
-        import numpy as np
-        from Cython.Build import cythonize
-    except ImportError:
-        return []
-    ext = Extension(
-        "equilab._kernels._jacobi",
-        sources=["src/equilab/_kernels/_jacobi.pyx"],
-        include_dirs=[np.get_include()],
-    )
-    return cythonize([ext], language_level=3)
-
-
 setup(
-    ext_modules=_extensions(),
+    ext_modules=[Extension("equilab._kernels._jacobi",
+                           sources=["src/equilab/_kernels/_jacobi.c"])],
     cmdclass={"build_ext": OptionalBuildExt},
 )

@@ -335,16 +335,17 @@ def run_quad(cfg: ExperimentConfig, out_dir) -> RunManifest:
     problem, theta0 = _spd_problem(cfg.seed, p["dim"], p["kappa"])
     loss_star = problem.loss(problem.theta_star)
 
-    arms = [("none", np.ones(problem.n))]
+    # the unscaled arm is `problem` itself, so its SVD is not run twice
+    arms = [("none", np.ones(problem.n), problem)]
     for kind in p["preconditioners"]:
-        arms.append((kind, _quad_scaling(kind, problem.a)))
+        d = _quad_scaling(kind, problem.a)
+        a_arm = problem.a * np.outer(d, d)
+        a_arm = 0.5 * (a_arm + a_arm.T)
+        arms.append((kind, d, quadlab.QuadraticProblem(a_arm, d * problem.b)))
 
     series = []
     rows = ["arm,kappa,eta,diverged,iters_to_tolerance,final_excess"]
-    for name, d in arms:
-        a_arm = problem.a * np.outer(d, d)
-        a_arm = 0.5 * (a_arm + a_arm.T)
-        prob = quadlab.QuadraticProblem(a_arm, d * problem.b)
+    for name, d, prob in arms:
         eta = p["rho"] * quadlab.max_stable_lr(prob)
         trace = quadlab.run_gd(prob, theta0 / d, eta, p["iters"])
         excess = np.array([problem.loss(d * u) - loss_star for u in trace.iterates])

@@ -9,7 +9,6 @@ deterministic for a given input.
 from dataclasses import dataclass
 
 import numpy as np
-from scipy.linalg import cho_factor, cho_solve
 
 from equilab import _kernels
 from equilab.errors import (
@@ -289,22 +288,6 @@ def pseudo_condition_number(sigma, rank_tol):
     return s_max / s_min, n_keep, s_min
 
 
-def matmul(a, b):
-    av = _validated(a, "left operand")
-    bv = _validated(b, "right operand")
-    if av.shape[1] != bv.shape[0]:
-        raise DimensionError(f"cannot multiply {av.shape} by {bv.shape}")
-    return av @ bv
-
-
-def transpose(a):
-    return _validated(a).T.copy()
-
-
-def frobenius_norm(a):
-    return float(np.sqrt(np.sum(_validated(a) ** 2)))
-
-
 def check_symmetric(arr, name="matrix", sym_tol=1e-12):
     """Raise NotSymmetricError unless ||A - A^T||_F <= sym_tol * ||A||_F."""
     asym = np.linalg.norm(arr - arr.T)
@@ -332,6 +315,9 @@ def solve_spd(a, b, sym_tol=1e-12):
     iterative refinement.  A residual above 1e-9 * max(1, ||b||) raises
     InaccurateSolveError.
     """
+    # imported here: scipy.linalg is about half of the package import time
+    from scipy.linalg import cho_factor, cho_solve
+
     av = _validated(a, "A")
     n, m = av.shape
     if n != m:

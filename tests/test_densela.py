@@ -193,14 +193,6 @@ class TestHelpers:
         a = np.array([[3.0, 4.0], [0.0, 5.0]])
         np.testing.assert_allclose(densela.row_norms2(a), [5.0, 5.0])
         np.testing.assert_allclose(densela.col_norms2(a), [3.0, np.sqrt(41.0)])
-        assert densela.frobenius_norm(a) == pytest.approx(np.sqrt(50.0))
-
-    def test_matmul_transpose(self):
-        a, b = random_matrix(1, 3, 4), random_matrix(2, 4, 2)
-        np.testing.assert_allclose(densela.matmul(a, b), a @ b)
-        np.testing.assert_allclose(densela.transpose(a), a.T)
-        with pytest.raises(DimensionError):
-            densela.matmul(a, random_matrix(3, 3, 2))
 
 
 class TestSolveSpd:
