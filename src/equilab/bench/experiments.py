@@ -11,7 +11,6 @@ results do not depend on execution order.
 """
 
 import hashlib
-import io
 import re
 import time
 
@@ -55,10 +54,7 @@ def _arm_filename(arm):
 
 
 def _write_trace_csv(trace, path):
-    # traces stream to any writer; buffer so the on-disk write is atomic
-    buf = io.StringIO()
-    trace.to_csv(buf)
-    atomic_write_text(path, buf.getvalue())
+    atomic_write_text(path, trace.to_csv())
 
 
 def _finish(manifest, out_dir, t0):
@@ -170,7 +166,6 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
     t0 = time.perf_counter()
     p = cfg.params
     x, y, loss, out_act = _task_data(cfg)
-    eval_data = (x, y)
 
     traces = {}
     shared_digests = {}
@@ -179,7 +174,7 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
         shared_digests[arm] = shared
         traces[arm] = train(net, x, y, loss=loss, lr=p["lr"], momentum=p["momentum"],
                             epochs=p["epochs"], batch_size=p["batch_size"],
-                            seed=cfg.seed, eval_data=eval_data)
+                            seed=cfg.seed)
 
     # cross-arm fairness: identical raw init and identical data order
     digests = set(shared_digests.values())

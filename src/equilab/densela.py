@@ -1,9 +1,9 @@
 """Dense linear-algebra core.
 
-Validated float64 matrices, a one-sided Jacobi SVD (the basis for every
-condition number in the package), and a checked SPD solver.  Everything is
-desk scale: dimensions are capped at 4096 and all routines are
-deterministic for a given input.
+Input validation for float64 matrices, a text matrix reader, a one-sided
+Jacobi SVD (the basis for every condition number in the package), and a
+checked SPD solver.  Everything is desk scale: dimensions are capped at
+4096 and all routines are deterministic for a given input.
 """
 
 from dataclasses import dataclass
@@ -31,14 +31,14 @@ _ABS_TOL_SCALE = 1e-14
 # compared to ||A||_F.  32*eps*len(column) sits safely above the rounding
 # noise of the pair dot products.
 _REL_TOL_FLOOR = 1e-14
+# Relative Frobenius asymmetry allowed of a matrix treated as symmetric.
+_SYM_TOL = 1e-12
 
 KERNEL_BACKEND = _kernels.BACKEND
 
 
 def _validated(a, name="matrix"):
     """Coerce to a fresh validated float64 2-d array."""
-    if isinstance(a, Matrix):
-        return a.array.copy()
     arr = np.array(a, dtype=np.float64, order="C", copy=True)
     if arr.ndim != 2:
         raise DimensionError(f"{name} must be 2-d, got ndim={arr.ndim}")
@@ -52,76 +52,9 @@ def _validated(a, name="matrix"):
     return arr
 
 
-class Matrix:
-    """Immutable dense float64 matrix with validated construction.
-
-    Rejects non-finite entries, empty axes, and anything larger than
-    4096 on a side.  The underlying array is read-only; use .array for
-    numpy interop.
-    """
-
-    __slots__ = ("_a",)
-
-    def __init__(self, data):
-        arr = _validated(data)
-        arr.flags.writeable = False
-        object.__setattr__(self, "_a", arr)
-
-    @property
-    def array(self):
-        return self._a
-
-    @property
-    def rows(self):
-        return self._a.shape[0]
-
-    @property
-    def cols(self):
-        return self._a.shape[1]
-
-    @property
-    def shape(self):
-        return self._a.shape
-
-    def __array__(self, dtype=None, copy=None):
-        if dtype is None:
-            return self._a if not copy else self._a.copy()
-        return self._a.astype(dtype)
-
-    def __getitem__(self, key):
-        return self._a[key]
-
-    def __eq__(self, other):
-        if not isinstance(other, Matrix):
-            return NotImplemented
-        return self._a.shape == other._a.shape and bool(np.all(self._a == other._a))
-
-    def __repr__(self):
-        return f"Matrix({self.rows}x{self.cols})"
-
-    def to_text(self, path):
-        write_matrix_text(path, self._a)
-
-    @classmethod
-    def from_text(cls, path):
-        return cls(read_matrix_text(path))
-
-
-def write_matrix_text(path, a):
-    """Write a matrix as text: 'rows cols' header line, one row per line.
-
-    Floats are written with repr so a read-back round-trips exactly.
-    """
-    arr = _validated(a)
-    lines = [f"{arr.shape[0]} {arr.shape[1]}"]
-    for row in arr:
-        lines.append(" ".join(repr(float(x)) for x in row))
-    with open(path, "w", encoding="ascii") as fh:
-        fh.write("\n".join(lines) + "\n")
-
-
 def read_matrix_text(path):
-    """Read the text format written by write_matrix_text.
+    """Read a text matrix: a 'rows cols' header line, then one row per line
+    of whitespace-separated floats.
 
     Rejects ragged rows, bad headers, and non-finite values.
     """
@@ -157,9 +90,6 @@ class SvdResult:
     u: np.ndarray
     sigma: np.ndarray
     vt: np.ndarray
-
-    def reconstruct(self):
-        return (self.u * self.sigma) @ self.vt
 
 
 def _complete_zero_columns(u, sigma):
@@ -288,10 +218,10 @@ def pseudo_condition_number(sigma, rank_tol):
     return s_max / s_min, n_keep, s_min
 
 
-def check_symmetric(arr, name="matrix", sym_tol=1e-12):
-    """Raise NotSymmetricError unless ||A - A^T||_F <= sym_tol * ||A||_F."""
+def check_symmetric(arr, name="matrix"):
+    """Raise NotSymmetricError unless ||A - A^T||_F <= 1e-12 * ||A||_F."""
     asym = np.linalg.norm(arr - arr.T)
-    if asym > sym_tol * max(np.linalg.norm(arr), np.finfo(np.float64).tiny):
+    if asym > _SYM_TOL * max(np.linalg.norm(arr), np.finfo(np.float64).tiny):
         raise NotSymmetricError(f"{name} is not symmetric: ||{name}-{name}^T||={asym!r}")
 
 
@@ -307,10 +237,10 @@ def col_norms2(a):
     return np.sqrt(np.einsum("ij,ij->j", arr, arr))
 
 
-def solve_spd(a, b, sym_tol=1e-12):
+def solve_spd(a, b):
     """Solve A x = b for symmetric positive definite A.
 
-    Checks symmetry to sym_tol (relative, Frobenius), factors by Cholesky
+    Checks symmetry to 1e-12 (relative, Frobenius), factors by Cholesky
     (failure raises NotPositiveDefiniteError), and applies one step of
     iterative refinement.  A residual above 1e-9 * max(1, ||b||) raises
     InaccurateSolveError.
@@ -330,7 +260,7 @@ def solve_spd(a, b, sym_tol=1e-12):
         raise DimensionError(f"b has {bv.shape[0]} rows, A is {n}x{n}")
     if not np.isfinite(bv).all():
         raise NonFiniteError("b contains non-finite entries")
-    check_symmetric(av, "A", sym_tol)
+    check_symmetric(av, "A")
     av = 0.5 * (av + av.T)
     try:
         factor = cho_factor(av, lower=True, check_finite=False)

@@ -31,6 +31,9 @@ FD_STEP_SCALE = _EPS ** (1.0 / 3.0)  # ~6.06e-6, optimal for central differences
 
 CSV_HEADER = "seed,phase,kappa_plain,kappa_eq,rank_ok_plain,rank_ok_eq"
 
+# epoch fractions of a reference SGD run at which snapshot points are taken
+SNAPSHOT_FRACS = (0.25, 0.5, 0.75)
+
 
 def fd_step_sizes(theta):
     """Per-coordinate central-difference steps: cbrt(eps) * max(1, |theta_i|)."""
@@ -264,21 +267,19 @@ def compare_curvature_at(net, x, y, theta, loss="mse", rank_tol=1e-8,
 
 
 def compare_curvature_sweep(specs, x, y, *, loss="mse", n_points=40, seed=0,
-                     rank_tol=1e-8, conditioned="all",
-                     snapshot_fracs=(0.25, 0.5, 0.75),
-                     reference_epochs=40, reference_lr=0.05,
-                     reference_batch=16, input_shape=None):
+                            rank_tol=1e-8, conditioned="all", reference_epochs=40):
     """Sample parameter points and compare plain vs equilibrated curvature.
 
     Half the points are fresh seeded initializations; the other half are
-    snapshots of reference SGD runs of the plain network, taken at the
-    given epoch fractions.  Returns (comparisons, summary).  Points where
-    either side has no surviving spectrum, or where the FD gradient
-    self-check fails, are skipped and counted.
+    snapshots of reference SGD runs of the plain network (lr 0.05, batch
+    16), taken at SNAPSHOT_FRACS of reference_epochs.  Returns
+    (comparisons, summary).  Points where either side has no surviving
+    spectrum, or where the FD gradient self-check fails, are skipped and
+    counted.
     """
     if n_points < 1:
         raise DimensionError("n_points must be >= 1")
-    base = Network(specs, seed=seed, input_shape=input_shape)
+    base = Network(specs, seed=seed)
     if base.parameter_count() > MAX_HESSIAN_DIM:
         raise DimensionError(
             f"{base.parameter_count()} parameters exceed the Hessian cap {MAX_HESSIAN_DIM}")
@@ -287,23 +288,22 @@ def compare_curvature_sweep(specs, x, y, *, loss="mse", n_points=40, seed=0,
 
     thetas = []
     for i in range(n_init):
-        net_i = Network(specs, seed=int(np.random.SeedSequence((seed, 10, i)).generate_state(1)[0]),
-                        input_shape=input_shape)
+        init_seed = int(np.random.SeedSequence((seed, 10, i)).generate_state(1)[0])
+        net_i = Network(specs, seed=init_seed)
         thetas.append(("init", i, net_i.get_params_vector()))
 
-    snaps_per_run = len(snapshot_fracs)
+    snaps_per_run = len(SNAPSHOT_FRACS)
+    marks = sorted(set(max(1, int(round(f * reference_epochs))) for f in SNAPSHOT_FRACS))
     run = -1
     collected = 0
     while collected < n_snap:
         run += 1
         run_seed = int(np.random.SeedSequence((seed, 20, run)).generate_state(1)[0])
-        net_r = Network(specs, seed=run_seed, input_shape=input_shape)
-        marks = sorted(set(max(1, int(round(f * reference_epochs)))
-                           for f in snapshot_fracs))
+        net_r = Network(specs, seed=run_seed)
         done = 0
         for m_i, mark in enumerate(marks):
-            train(net_r, x, y, loss=loss, lr=reference_lr, epochs=mark - done,
-                  batch_size=reference_batch, seed=run_seed + m_i,
+            train(net_r, x, y, loss=loss, lr=0.05, epochs=mark - done,
+                  batch_size=16, seed=run_seed + m_i,
                   record_kappa=False)
             thetas.append(("snapshot", run * snaps_per_run + m_i,
                            net_r.get_params_vector()))

@@ -1,20 +1,14 @@
-"""Datasets: teacher-student regression, two moons, and an IDX reader.
+"""Datasets: teacher-student regression and two moons.
 
 Generators are deterministic functions of their seed and return float64
 arrays shaped (n_samples, features) / (n_samples, targets).
 """
 
-import struct
-
 import numpy as np
 
-from equilab import densela
-from equilab.errors import DimensionError, NonFiniteError
+from equilab.errors import DimensionError
 from equilab.net import layers as L
 from equilab.net.network import Network
-
-IDX_MAGIC_IMAGES = 0x00000803
-IDX_MAGIC_LABELS = 0x00000801
 
 
 def make_teacher(widths=(2, 8, 1), kappa=1e3, activation="tanh", seed=0):
@@ -68,84 +62,3 @@ def two_moons(n_samples, noise=0.1, seed=0):
     x = x + noise * rng.standard_normal(x.shape)
     perm = rng.permutation(n_samples)
     return x[perm], y[perm]
-
-
-def whitened_inputs(n_samples, dim, seed=0):
-    """Inputs with exactly orthogonal, equal-norm columns: X^T X = n * I.
-
-    Useful for constructing fixed points of the equilibration map.
-    """
-    if n_samples < dim:
-        raise DimensionError("need n_samples >= dim for whitening")
-    rng = np.random.default_rng(np.random.SeedSequence((seed, 3)))
-    g = rng.standard_normal((n_samples, dim))
-    q, _ = np.linalg.qr(g)
-    return q * np.sqrt(n_samples)
-
-
-def read_idx_images(path):
-    """Read an IDX image file (magic 0x00000803) into uint8 (n, rows, cols)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 16:
-        raise DimensionError(f"{path}: truncated IDX header")
-    magic, n, rows, cols = struct.unpack(">IIII", raw[:16])
-    if magic != IDX_MAGIC_IMAGES:
-        raise DimensionError(f"{path}: bad magic {magic:#010x}, expected image file")
-    want = n * rows * cols
-    body = raw[16:]
-    if len(body) != want:
-        raise DimensionError(f"{path}: expected {want} pixels, found {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).reshape(n, rows, cols).copy()
-
-
-def read_idx_labels(path):
-    """Read an IDX label file (magic 0x00000801) into uint8 (n,)."""
-    with open(path, "rb") as fh:
-        raw = fh.read()
-    if len(raw) < 8:
-        raise DimensionError(f"{path}: truncated IDX header")
-    magic, n = struct.unpack(">II", raw[:8])
-    if magic != IDX_MAGIC_LABELS:
-        raise DimensionError(f"{path}: bad magic {magic:#010x}, expected label file")
-    body = raw[8:]
-    if len(body) != n:
-        raise DimensionError(f"{path}: expected {n} labels, found {len(body)}")
-    return np.frombuffer(body, dtype=np.uint8).copy()
-
-
-def load_idx_dataset(images_path, labels_path, normalize=True, flatten=False):
-    """Pair an IDX image file with its labels; pixel values scaled to [0,1]
-    when normalize is set."""
-    images = read_idx_images(images_path)
-    labels = read_idx_labels(labels_path)
-    if images.shape[0] != labels.shape[0]:
-        raise DimensionError(
-            f"{images.shape[0]} images vs {labels.shape[0]} labels")
-    x = images.astype(np.float64)
-    if normalize:
-        x /= 255.0
-    if flatten:
-        x = x.reshape(x.shape[0], -1)
-    else:
-        x = x[:, None, :, :]  # single channel
-    return x, labels
-
-
-def write_idx_images(path, images):
-    """Inverse of read_idx_images, for fixtures and round-trip tests."""
-    arr = np.asarray(images, dtype=np.uint8)
-    if arr.ndim != 3:
-        raise DimensionError(f"images must be (n, rows, cols), got {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">IIII", IDX_MAGIC_IMAGES, *arr.shape))
-        fh.write(arr.tobytes())
-
-
-def write_idx_labels(path, labels):
-    arr = np.asarray(labels, dtype=np.uint8)
-    if arr.ndim != 1:
-        raise DimensionError(f"labels must be 1-d, got {arr.shape}")
-    with open(path, "wb") as fh:
-        fh.write(struct.pack(">II", IDX_MAGIC_LABELS, arr.shape[0]))
-        fh.write(arr.tobytes())

@@ -96,14 +96,14 @@ def rows_standardize_vjp(cache, g):
     return (g - gm - mhat * gx) / s
 
 
-def rows_normalize(m, floor=NORM_FLOOR):
-    """Unit-norm rows; rows with norm below floor are divided by floor."""
+def rows_normalize(m):
+    """Unit-norm rows; rows with norm below NORM_FLOOR are divided by it."""
     norms = np.sqrt(np.einsum("ij,ij->i", m, m))
-    clamped = norms < floor
+    clamped = norms < NORM_FLOOR
     if clamped.any():
         log.warning("%d row norm(s) below %g clamped during equilibration",
-                    int(clamped.sum()), floor)
-    eff = np.maximum(norms, floor)
+                    int(clamped.sum()), NORM_FLOOR)
+    eff = np.maximum(norms, NORM_FLOOR)
     mhat = m / eff[:, None]
     return mhat, (mhat, eff, clamped)
 
@@ -118,11 +118,11 @@ def rows_normalize_vjp(cache, g):
     return dm
 
 
-def rows_weightnorm(v, g_scale, floor=NORM_FLOOR):
-    """w_i = g_i * v_i / ||v_i|| per row."""
+def rows_weightnorm(v, g_scale):
+    """w_i = g_i * v_i / max(||v_i||, NORM_FLOOR) per row."""
     norms = np.sqrt(np.einsum("ij,ij->i", v, v))
-    clamped = norms < floor
-    eff = np.maximum(norms, floor)
+    clamped = norms < NORM_FLOOR
+    eff = np.maximum(norms, NORM_FLOOR)
     vhat = v / eff[:, None]
     w = g_scale[:, None] * vhat
     return w, (vhat, eff, g_scale, clamped)

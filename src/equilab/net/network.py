@@ -2,18 +2,14 @@
 
 Handles shape chaining (including conv -> dense flattening), Glorot
 initialization from a single seed, flat parameter-vector access for the
-Hessian tooling, checkpointing, and whole-network static conditioning.
+Hessian tooling, and whole-network static conditioning.
 """
-
-import json
 
 import numpy as np
 
 from equilab import densela
 from equilab.errors import DimensionError, RankDeficientError
 from equilab.net import layers as L
-
-CHECKPOINT_VERSION = 1
 
 
 def _spec_to_dict(spec):
@@ -220,43 +216,6 @@ class Network:
                 out.append(float("nan"))
         return out
 
-    def predict_proba(self, x):
-        """Sigmoid of the output logits (for sigmoid_output nets)."""
-        z = self.forward(x, training=False)
-        return _sigmoid(z)
-
-    # -- checkpointing ----------------------------------------------------
-
-    def save(self, path):
-        arch = {
-            "format_version": CHECKPOINT_VERSION,
-            "seed": self.seed,
-            "input_shape": self.input_shape,
-            "specs": [_spec_to_dict(s) for s in self.specs],
-        }
-        arrays = {"arch": np.frombuffer(json.dumps(arch).encode("ascii"), dtype=np.uint8)}
-        for i, layer in enumerate(self.layers):
-            for name, arr in layer.param_items() + layer.buffer_items():
-                arrays[f"layer{i}/{name}"] = arr
-        with open(path, "wb") as fh:  # keep the exact path (savez appends .npz)
-            np.savez(fh, **arrays)
-
-    @classmethod
-    def load(cls, path):
-        with np.load(path) as data:
-            arch = json.loads(bytes(data["arch"]).decode("ascii"))
-            if arch.get("format_version") != CHECKPOINT_VERSION:
-                raise DimensionError(
-                    f"unsupported checkpoint version {arch.get('format_version')!r}")
-            specs = [_spec_from_dict(d) for d in arch["specs"]]
-            shape = arch["input_shape"]
-            net = cls(specs, seed=arch["seed"],
-                      input_shape=tuple(shape) if shape else None)
-            for i, layer in enumerate(net.layers):
-                for name, arr in layer.param_items() + layer.buffer_items():
-                    setattr(layer, name, data[f"layer{i}/{name}"].copy())
-        return net
-
 
 def _sigmoid(z):
     out = np.empty_like(z)
@@ -265,17 +224,3 @@ def _sigmoid(z):
     ez = np.exp(z[~pos])
     out[~pos] = ez / (1.0 + ez)
     return out
-
-
-def condition_weights(net, mode="static", which="all"):
-    """Return a conditioned twin of net.
-
-    mode "static" rewrites each selected weight as its row-equilibrated
-    version once; mode "reparam" switches the layers to the reparametrized
-    forward pass that re-equilibrates on every evaluation.
-    """
-    if mode == "static":
-        return net.with_conditioning("equilibrate_static", which=which)
-    if mode == "reparam":
-        return net.with_conditioning("equilibrate_reparam", which=which)
-    raise DimensionError(f"unknown conditioning mode {mode!r}")

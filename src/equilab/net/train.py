@@ -84,7 +84,8 @@ class TrainTrace:
     def epochs_completed(self):
         return len(self.train_loss)
 
-    def to_csv(self, path):
+    def to_csv(self):
+        """CSV text, one row per completed epoch (CRLF line ends)."""
         n_layers = self.kappa_weights.shape[1] if self.kappa_weights.size else 0
         cols = ["epoch", "train_loss", "eval_loss"]
         if self.accuracy is not None:
@@ -99,12 +100,7 @@ class TrainTrace:
             row += [repr(float(v)) for v in self.kappa_weights[e]]
             row += [repr(float(v)) for v in self.kappa_effective[e]]
             lines.append(",".join(row))
-        payload = "\r\n".join(lines) + "\r\n"
-        if hasattr(path, "write"):
-            path.write(payload)
-        else:
-            with open(path, "w", encoding="ascii", newline="") as fh:
-                fh.write(payload)
+        return "\r\n".join(lines) + "\r\n"
 
 
 def params_digest(net):
@@ -116,8 +112,10 @@ def params_digest(net):
 
 
 def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
-          batch_size=32, seed=0, eval_data=None, record_kappa=True):
+          batch_size=32, seed=0, record_kappa=True):
     """Train net in place with minibatch SGD; returns a TrainTrace.
+
+    The per-epoch eval loss is the full-batch eval-mode loss on (x, y).
 
     Divergence (non-finite activations/loss, or parameter norm beyond
     1e12) stops the run at the end of the offending batch and flags the
@@ -136,7 +134,6 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
     n = x.shape[0]
     if y.shape[0] != n:
         raise DimensionError(f"{n} inputs vs {y.shape[0]} targets")
-    ex, ey = eval_data if eval_data is not None else (x, y)
 
     has_bn = any(layer.batch_norm for layer in net.layers)
     init_digest = params_digest(net)
@@ -203,7 +200,7 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         if diverged:
             break
         tl.append(float(np.average(batch_losses, weights=batch_sizes)))
-        ev, a = evaluate(net, ex, ey, loss=loss)
+        ev, a = evaluate(net, x, y, loss=loss)
         el.append(ev)
         if a is not None:
             acc.append(a)

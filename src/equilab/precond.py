@@ -7,15 +7,12 @@ DiagonalPreconditioner values so experiments can report and reproduce the
 exact scaling applied.
 """
 
-import logging
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from equilab import densela
 from equilab.errors import DimensionError, NonFiniteError, ZeroRowError
-
-log = logging.getLogger(__name__)
 
 CSV_HEADER = "kind,rows,cols,kappa_before,kappa_after,seed"
 
@@ -49,9 +46,6 @@ class DiagonalPreconditioner:
         d.flags.writeable = False
         object.__setattr__(self, "diag", d)
 
-    def as_matrix(self):
-        return np.diag(self.diag)
-
     def apply(self, a):
         arr = densela._validated(a)
         if self.side == "left":
@@ -67,46 +61,39 @@ class DiagonalPreconditioner:
         return arr * self.diag[None, :]
 
 
-def _inverse_norms(norms, axis, floor):
-    if floor is not None:
-        if floor < 0.0:
-            raise DimensionError(f"floor must be >= 0, got {floor!r}")
-        if floor > 0.0 and np.any(norms < floor):
-            n_clamped = int(np.count_nonzero(norms < floor))
-            log.warning("%d %s norm(s) clamped to floor %g", n_clamped, axis, floor)
-        norms = np.maximum(norms, floor)
+def _inverse_norms(norms, axis):
     zero = np.flatnonzero(norms == 0.0)
     if zero.size:
         raise ZeroRowError(int(zero[0]), axis=axis)
     return 1.0 / norms
 
 
-def row_equilibrate(a, floor=None):
+def row_equilibrate(a):
     """Return (E, EA) where E = diag(1/||row_i||_2).
 
-    Zero rows raise ZeroRowError unless a positive floor clamps them.
+    Zero rows raise ZeroRowError.
     """
     arr = densela._validated(a)
-    inv = _inverse_norms(densela.row_norms2(arr), "row", floor)
+    inv = _inverse_norms(densela.row_norms2(arr), "row")
     e = DiagonalPreconditioner(inv, side="left", kind="row_equilibration")
     return e, inv[:, None] * arr
 
 
-def column_equilibrate(a, floor=None):
+def column_equilibrate(a):
     """Return (AC, C) where C = diag(1/||col_j||_2)."""
     arr = densela._validated(a)
-    inv = _inverse_norms(densela.col_norms2(arr), "column", floor)
+    inv = _inverse_norms(densela.col_norms2(arr), "column")
     c = DiagonalPreconditioner(inv, side="right", kind="column_equilibration")
     return arr * inv[None, :], c
 
 
-def row_column_equilibrate(a, floor=None):
+def row_column_equilibrate(a):
     """Row equilibrate, then column equilibrate the result.
 
     Returns (E, EAC, C).  Errors carry which stage hit a zero norm.
     """
-    e, ea = row_equilibrate(a, floor=floor)
-    eac, c = column_equilibrate(ea, floor=floor)
+    e, ea = row_equilibrate(a)
+    eac, c = column_equilibrate(ea)
     return e, eac, c
 
 

@@ -5,9 +5,9 @@ definite A, plain GD decouples along the singular directions of A: the
 coefficient of mode i contracts by (1 - eta * sigma_i) each step, so the
 whole trajectory is predictable in closed form and the stable step-size
 range is exactly eta < 2 / sigma_max.  This module implements the model,
-the prediction, and a left-preconditioned variant whose objective is
-theta^T PA theta - (Pb)^T theta (note: no 1/2, so curvature doubles when
-PA is symmetric).
+the stable step-size bound and a recorded GD run.  Diagonal
+preconditioning is done by the caller, as a new QuadraticProblem in
+scaled coordinates (see bench.experiments.run_quad).
 """
 
 from dataclasses import dataclass
@@ -73,15 +73,6 @@ class QuadraticProblem:
     def theta_star(self):
         return densela.solve_spd(self.a, self.b)
 
-    # hooks shared with PreconditionedQuadratic so run_gd treats both alike
-    @property
-    def gd_matrix(self):
-        return self.a
-
-    @property
-    def gd_vector(self):
-        return self.b
-
     def loss(self, theta):
         t = np.asarray(theta, dtype=np.float64)
         return float(0.5 * t @ self.a @ t - self.b @ t)
@@ -91,108 +82,9 @@ class QuadraticProblem:
         return self.a @ t - self.b
 
 
-@dataclass(frozen=True)
-class PreconditionedQuadratic:
-    """L_P(theta) = theta^T (PA) theta - (Pb)^T theta for a left scaling P.
-
-    The gradient uses the symmetrized curvature M = PA + (PA)^T, since
-    only the symmetric part of PA contributes to the objective.  When PA
-    is symmetric this doubles the curvature of the 1/2-weighted plain
-    form, so matching step sizes must be halved.
-    """
-
-    pa: np.ndarray
-    pb: np.ndarray
-    kappa_plain: float
-    kappa_pa: float
-
-    def __post_init__(self):
-        arr = densela._validated(self.pa, "PA")
-        if arr.shape[0] != arr.shape[1]:
-            raise DimensionError(f"PA must be square, got {arr.shape}")
-        vec = _check_vector(self.pb, arr.shape[0], "Pb")
-        arr.flags.writeable = False
-        vec.flags.writeable = False
-        object.__setattr__(self, "pa", arr)
-        object.__setattr__(self, "pb", vec)
-
-    @cached_property
-    def sym(self):
-        return self.pa + self.pa.T
-
-    @cached_property
-    def svd(self):
-        return densela.svd(self.sym)
-
-    @cached_property
-    def theta_star(self):
-        # minimizer of the quadratic when M is positive definite
-        return densela.solve_spd(self.sym, self.pb)
-
-    @property
-    def n(self):
-        return self.pa.shape[0]
-
-    @property
-    def gd_matrix(self):
-        return self.sym
-
-    @property
-    def gd_vector(self):
-        return self.pb
-
-    def loss(self, theta):
-        t = np.asarray(theta, dtype=np.float64)
-        return float(t @ self.pa @ t - self.pb @ t)
-
-    def gradient(self, theta):
-        t = np.asarray(theta, dtype=np.float64)
-        return self.sym @ t - self.pb
-
-
-def preconditioned_problem(problem, p):
-    """Build the preconditioned objective from a QuadraticProblem and a
-    DiagonalPreconditioner (or raw diagonal vector)."""
-    from equilab.precond import DiagonalPreconditioner
-
-    if not isinstance(p, DiagonalPreconditioner):
-        p = DiagonalPreconditioner(np.asarray(p, dtype=np.float64), side="left")
-    pa = p.apply(problem.a)
-    pb = p.diag * problem.b
-    return PreconditionedQuadratic(
-        pa=pa,
-        pb=pb,
-        kappa_plain=problem.kappa,
-        kappa_pa=densela.condition_number(pa),
-    )
-
-
-def loss(problem, theta):
-    return problem.loss(theta)
-
-
-def gradient(problem, theta):
-    return problem.gradient(theta)
-
-
-def hessian(problem):
-    return problem.gd_matrix
-
-
 def max_stable_lr(problem):
-    """2 / sigma_max of the curvature matrix the GD iteration actually sees."""
+    """2 / sigma_max of A: GD diverges along the top mode for any larger eta."""
     return 2.0 / float(problem.svd.sigma[0])
-
-
-def predicted_modes(problem, theta0, eta, t):
-    """Closed-form mode coefficients after t steps: (1 - eta sigma_i)^t x0_i,
-    where x0 = V^T (theta0 - theta_star)."""
-    if t < 0:
-        raise DimensionError(f"t must be >= 0, got {t}")
-    t0 = _check_vector(theta0, problem.n, "theta0")
-    res = problem.svd
-    x0 = res.vt @ (t0 - problem.theta_star)
-    return (1.0 - eta * res.sigma) ** t * x0
 
 
 @dataclass(frozen=True)
@@ -215,15 +107,12 @@ class GDTrace:
     diverged: bool
 
     @property
-    def steps(self):
-        return self.iterates.shape[0] - 1
-
-    @property
     def kappa(self):
         return float(self.sigma[0] / self.sigma[-1])
 
-    def to_csv(self, path):
-        """Metadata comment line, then RFC-4180 rows (CRLF line ends)."""
+    def to_csv(self):
+        """CSV text: a metadata comment line, then RFC-4180 rows (CRLF line
+        ends)."""
         n_modes = self.mode_coeffs.shape[1]
         buf = [
             "# eta=%r kappa=%r diverged=%s sigma=[%s]"
@@ -241,20 +130,15 @@ class GDTrace:
             cells = [str(t), repr(float(self.losses[t])), repr(float(norms[t]))]
             cells += [repr(float(x)) for x in self.mode_coeffs[t]]
             buf.append(",".join(cells))
-        data = "\r\n".join(buf) + "\r\n"
-        if hasattr(path, "write"):
-            path.write(data)
-        else:
-            with open(path, "w", encoding="ascii", newline="") as fh:
-                fh.write(data)
+        return "\r\n".join(buf) + "\r\n"
 
 
 def run_gd(problem, theta0, eta, iters):
-    """Run plain gradient descent and record the full trajectory.
+    """Run plain gradient descent on a QuadraticProblem and record the full
+    trajectory.
 
-    Works for QuadraticProblem and PreconditionedQuadratic.  Terminates
-    early with the diverged flag once the iterate norm exceeds 1e12 or
-    goes non-finite; the offending iterate is kept so traces stay
+    Terminates early with the diverged flag once the iterate norm exceeds
+    1e12 or goes non-finite; the offending iterate is kept so traces stay
     inspectable.
     """
     if eta <= 0.0 or not np.isfinite(eta):

@@ -1,5 +1,3 @@
-import struct
-
 import numpy as np
 import pytest
 
@@ -56,59 +54,3 @@ class TestTwoMoons:
         np.testing.assert_array_equal(a, b)
         with pytest.raises(DimensionError):
             D.two_moons(1)
-
-
-class TestWhitenedInputs:
-    def test_gram_is_scaled_identity(self):
-        x = D.whitened_inputs(40, 6, seed=2)
-        np.testing.assert_allclose(x.T @ x, 40.0 * np.eye(6), atol=1e-9)
-
-    def test_requires_enough_samples(self):
-        with pytest.raises(DimensionError):
-            D.whitened_inputs(3, 5)
-
-
-class TestIdx:
-    def test_roundtrip(self, tmp_path):
-        rng = np.random.default_rng(4)
-        images = rng.integers(0, 256, size=(7, 5, 4), dtype=np.uint8)
-        labels = rng.integers(0, 10, size=7, dtype=np.uint8)
-        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
-        D.write_idx_images(ip, images)
-        D.write_idx_labels(lp, labels)
-        np.testing.assert_array_equal(D.read_idx_images(ip), images)
-        np.testing.assert_array_equal(D.read_idx_labels(lp), labels)
-
-    def test_load_dataset_normalize_and_channel(self, tmp_path):
-        images = np.full((3, 4, 4), 255, dtype=np.uint8)
-        labels = np.array([0, 1, 2], dtype=np.uint8)
-        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
-        D.write_idx_images(ip, images)
-        D.write_idx_labels(lp, labels)
-        x, yy = D.load_idx_dataset(ip, lp)
-        assert x.shape == (3, 1, 4, 4)
-        np.testing.assert_allclose(x, 1.0)
-        xf, _ = D.load_idx_dataset(ip, lp, normalize=False, flatten=True)
-        assert xf.shape == (3, 16)
-        np.testing.assert_allclose(xf, 255.0)
-
-    def test_malformed_files(self, tmp_path):
-        p = tmp_path / "bad.idx"
-        p.write_bytes(b"\x00\x01")
-        with pytest.raises(DimensionError):
-            D.read_idx_images(p)
-        # right length header, wrong magic
-        p.write_bytes(struct.pack(">IIII", 0xdeadbeef, 1, 2, 2) + bytes(4))
-        with pytest.raises(DimensionError):
-            D.read_idx_images(p)
-        # truncated body
-        p.write_bytes(struct.pack(">IIII", D.IDX_MAGIC_IMAGES, 1, 2, 2) + bytes(3))
-        with pytest.raises(DimensionError):
-            D.read_idx_images(p)
-
-    def test_count_mismatch(self, tmp_path):
-        ip, lp = tmp_path / "im.idx", tmp_path / "lb.idx"
-        D.write_idx_images(ip, np.zeros((2, 3, 3), dtype=np.uint8))
-        D.write_idx_labels(lp, np.zeros(5, dtype=np.uint8))
-        with pytest.raises(DimensionError):
-            D.load_idx_dataset(ip, lp)

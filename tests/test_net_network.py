@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equilab.errors import DimensionError
-from equilab.net import DenseSpec, Conv2dSpec, Network, condition_weights
+from equilab.net import DenseSpec, Conv2dSpec, Network
 
 
 def fd_grad_check(net, x, rng, rel=1e-5, h=1e-6, n_dirs=3, training=True):
@@ -157,15 +157,6 @@ class TestConditioningTwins:
         x = np.random.default_rng(4).standard_normal((9, 2))
         np.testing.assert_allclose(rep.forward(x), sta.forward(x), rtol=1e-12)
 
-    def test_condition_weights_wrapper(self):
-        net = small_dense()
-        assert condition_weights(net, mode="static").specs[0].conditioning == \
-            "equilibrate_static"
-        assert condition_weights(net, mode="reparam").specs[1].conditioning == \
-            "equilibrate_reparam"
-        with pytest.raises(DimensionError):
-            condition_weights(net, mode="dynamic")
-
 
 class TestConditionNumbers:
     def test_effective_kappa_drops_under_reparam(self):
@@ -194,43 +185,3 @@ class TestCloneAndCheckpoint:
         np.testing.assert_array_equal(twin.forward(x), net.forward(x))
         twin.layers[0].w += 1.0
         assert not np.array_equal(twin.layers[0].w, net.layers[0].w)
-
-    def test_save_load_roundtrip(self, tmp_path):
-        net = small_dense(normalization="batch_norm")
-        net.forward(np.random.default_rng(7).standard_normal((8, 2)),
-                    training=True)
-        path = tmp_path / "ckpt.npz"
-        net.save(path)
-        back = Network.load(path)
-        x = np.random.default_rng(8).standard_normal((5, 2))
-        np.testing.assert_array_equal(back.forward(x), net.forward(x))
-        np.testing.assert_array_equal(back.layers[0].running_mean,
-                                      net.layers[0].running_mean)
-
-    def test_load_rejects_unknown_version(self, tmp_path):
-        import json
-
-        net = small_dense()
-        path = tmp_path / "ckpt.npz"
-        net.save(path)
-        with np.load(path) as data:
-            arrays = {k: data[k] for k in data.files}
-        arch = json.loads(bytes(arrays["arch"]).decode("ascii"))
-        arch["format_version"] = 99
-        arrays["arch"] = np.frombuffer(json.dumps(arch).encode("ascii"),
-                                       dtype=np.uint8)
-        with open(path, "wb") as fh:
-            np.savez(fh, **arrays)
-        with pytest.raises(DimensionError):
-            Network.load(path)
-
-
-class TestPredictProba:
-    def test_matches_sigmoid_of_logits(self):
-        net = Network([DenseSpec(2, 4, activation="tanh"),
-                       DenseSpec(4, 1, activation="sigmoid_output")], seed=9)
-        x = np.random.default_rng(10).standard_normal((6, 2))
-        z = net.forward(x)
-        p = net.predict_proba(x)
-        np.testing.assert_allclose(p, 1.0 / (1.0 + np.exp(-z)), rtol=1e-12)
-        assert np.all((p > 0) & (p < 1))

@@ -1,9 +1,7 @@
-import io
-
 import numpy as np
 import pytest
 
-from equilab import precond, quadlab
+from equilab import quadlab
 from equilab.errors import NotSymmetricError
 
 
@@ -66,13 +64,6 @@ class TestModeAnalysis:
                 np.testing.assert_allclose(trace.mode_coeffs[t], expect,
                                            rtol=1e-8, atol=1e-12)
 
-    def test_predicted_modes_agrees_with_simulation(self):
-        prob, theta0 = spd_problem(7)
-        eta = 0.3 * quadlab.max_stable_lr(prob)
-        trace = quadlab.run_gd(prob, theta0, eta, 12)
-        pred = quadlab.predicted_modes(prob, theta0, eta, 12)
-        np.testing.assert_allclose(trace.mode_coeffs[12], pred, rtol=1e-9)
-
     def test_converges_just_below_threshold(self):
         prob, theta0 = spd_problem(8, zero_b=True)
         eta = 0.99 * quadlab.max_stable_lr(prob)
@@ -94,16 +85,14 @@ class TestModeAnalysis:
         trace = quadlab.run_gd(prob, theta0, eta, 10_000)
         assert trace.diverged
         assert np.linalg.norm(trace.iterates[-1]) > quadlab.DIVERGENCE_NORM
-        assert trace.steps < 10_000
+        assert trace.iterates.shape[0] - 1 < 10_000
 
 
 class TestTraceCsv:
     def test_metadata_and_layout(self):
         prob, theta0 = spd_problem(11)
         trace = quadlab.run_gd(prob, theta0, 0.3 * quadlab.max_stable_lr(prob), 5)
-        buf = io.StringIO()
-        trace.to_csv(buf)
-        text = buf.getvalue()
+        text = trace.to_csv()
         lines = text.split("\r\n")
         assert lines[0].startswith("# eta=")
         assert lines[1].split(",")[:3] == ["iter", "loss", "theta_norm"]
@@ -115,33 +104,6 @@ class TestTraceCsv:
         def render():
             prob, theta0 = spd_problem(12)
             trace = quadlab.run_gd(prob, theta0, 0.2 * quadlab.max_stable_lr(prob), 7)
-            buf = io.StringIO()
-            trace.to_csv(buf)
-            return buf.getvalue()
+            return trace.to_csv()
 
         assert render() == render()
-
-
-class TestPreconditionedProblem:
-    def test_row_equilibration_reduces_kappa(self):
-        rng = np.random.default_rng(0)
-        q, _ = np.linalg.qr(rng.standard_normal((6, 6)))
-        core = (q * rng.uniform(1.0, 2.0, size=6)) @ q.T
-        s = np.geomspace(30.0, 1.0, 6)
-        a = 0.5 * ((core * np.outer(s, s)) + (core * np.outer(s, s)).T)
-        prob = quadlab.QuadraticProblem(a, rng.standard_normal(6))
-        e, _ = precond.row_equilibrate(a)
-        pre = quadlab.preconditioned_problem(prob, e)
-        assert pre.kappa_pa < pre.kappa_plain
-
-    def test_gradient_matches_fd(self):
-        prob, theta = spd_problem(13)
-        e, _ = precond.row_equilibrate(prob.a)
-        pre = quadlab.preconditioned_problem(prob, e)
-        g = pre.gradient(theta)
-        h = 1e-6
-        for i in range(pre.n):
-            step = np.zeros(pre.n)
-            step[i] = h
-            fd = (pre.loss(theta + step) - pre.loss(theta - step)) / (2.0 * h)
-            assert g[i] == pytest.approx(fd, rel=2e-6, abs=1e-8)
