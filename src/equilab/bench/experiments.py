@@ -396,6 +396,8 @@ def run_hessian_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
     atomic_write_text(summary_path, "\r\n".join(srow) + "\r\n")
     manifest.add_file(summary_path)
     manifest.notes["fraction_satisfied"] = summary.fraction_satisfied
+    manifest.notes["n_skipped_self_check"] = summary.n_skipped_self_check
+    manifest.notes["n_skipped_empty_spectrum"] = summary.n_skipped_empty_spectrum
     return _finish(manifest, out_dir, t0)
 
 

@@ -9,6 +9,13 @@ while equilibration acts on the fan-in rows of W directly.
 
 Everything is float64 and handwritten numpy; backward passes return exact
 vector-Jacobian products of the forward graph.
+
+Dense-layer parameters may carry a leading stack axis: w of shape
+(k, in_dim, out_dim) and b of shape (k, out_dim) hold k independent
+parameter sets, evaluated on the same input in one pass (the row
+transforms act on the last axis, so they serve both forms).  Each stack
+member gives the same bits as the unstacked layer.  Conv layers and
+batch norm take unstacked parameters only.
 """
 
 import logging
@@ -77,61 +84,61 @@ def activation_vjp(name, z, out, grad):
 
 
 # ---------------------------------------------------------------------------
-# row-wise weight transforms
+# row-wise weight transforms; rows are the last axis, leading axes broadcast
 
 
 def rows_standardize(m, eps=WS_EPS):
     """Zero-mean, unit-variance rows (population variance, eps inside sqrt)."""
-    mu = m.mean(axis=1, keepdims=True)
+    mu = m.mean(axis=-1, keepdims=True)
     xc = m - mu
-    s = np.sqrt((xc * xc).mean(axis=1, keepdims=True) + eps)
+    s = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
     mhat = xc / s
     return mhat, (mhat, s)
 
 
 def rows_standardize_vjp(cache, g):
     mhat, s = cache
-    gm = g.mean(axis=1, keepdims=True)
-    gx = (g * mhat).mean(axis=1, keepdims=True)
+    gm = g.mean(axis=-1, keepdims=True)
+    gx = (g * mhat).mean(axis=-1, keepdims=True)
     return (g - gm - mhat * gx) / s
 
 
 def rows_normalize(m):
     """Unit-norm rows; rows with norm below NORM_FLOOR are divided by it."""
-    norms = np.sqrt(np.einsum("ij,ij->i", m, m))
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", m, m))
     clamped = norms < NORM_FLOOR
     if clamped.any():
         log.warning("%d row norm(s) below %g clamped during equilibration",
                     int(clamped.sum()), NORM_FLOOR)
     eff = np.maximum(norms, NORM_FLOOR)
-    mhat = m / eff[:, None]
+    mhat = m / eff[..., None]
     return mhat, (mhat, eff, clamped)
 
 
 def rows_normalize_vjp(cache, g):
     mhat, eff, clamped = cache
-    dot = np.einsum("ij,ij->i", g, mhat)
-    dm = (g - mhat * dot[:, None]) / eff[:, None]
+    dot = np.einsum("...ij,...ij->...i", g, mhat)
+    dm = (g - mhat * dot[..., None]) / eff[..., None]
     if clamped.any():
         # below the floor the divisor is a constant, so no projection term
-        dm[clamped] = g[clamped] / eff[clamped, None]
+        dm[clamped] = g[clamped] / eff[clamped][:, None]
     return dm
 
 
 def rows_weightnorm(v, g_scale):
     """w_i = g_i * v_i / max(||v_i||, NORM_FLOOR) per row."""
-    norms = np.sqrt(np.einsum("ij,ij->i", v, v))
+    norms = np.sqrt(np.einsum("...ij,...ij->...i", v, v))
     clamped = norms < NORM_FLOOR
     eff = np.maximum(norms, NORM_FLOOR)
-    vhat = v / eff[:, None]
-    w = g_scale[:, None] * vhat
+    vhat = v / eff[..., None]
+    w = g_scale[..., None] * vhat
     return w, (vhat, eff, g_scale, clamped)
 
 
 def rows_weightnorm_vjp(cache, g):
     vhat, eff, g_scale, clamped = cache
-    dg = np.einsum("ij,ij->i", g, vhat)
-    dv = (g - vhat * dg[:, None]) * (g_scale / eff)[:, None]
+    dg = np.einsum("...ij,...ij->...i", g, vhat)
+    dv = (g - vhat * dg[..., None]) * (g_scale / eff)[..., None]
     if clamped.any():
         dv[clamped] = g[clamped] * (g_scale[clamped] / eff[clamped])[:, None]
     return dv, dg
@@ -348,7 +355,9 @@ class DenseLayer(_LayerBase):
     """x @ W + b with W of shape (in_dim, out_dim).
 
     Standardization/weight normalization act per output column;
-    equilibration acts per fan-in row of W.
+    equilibration acts per fan-in row of W.  With stacked parameters
+    (W of shape (k, in_dim, out_dim)) a 2-d input is broadcast over the
+    stack and outputs and gradients carry the leading k axis.
     """
 
     def __init__(self, spec, rng):
@@ -363,30 +372,33 @@ class DenseLayer(_LayerBase):
 
     # output-major view: columns of W become rows
     def _output_major(self, w):
-        return w.T
+        return w.swapaxes(-1, -2)
 
     def _from_output_major(self, m):
-        return m.T
+        return m.swapaxes(-1, -2)
 
     # equilibration is fan-in-indexed, i.e. rows of W itself
     def _reparam(self, m):
-        w_rows, cache = rows_normalize(m.T)
-        return w_rows.T, cache
+        w_rows, cache = rows_normalize(m.swapaxes(-1, -2))
+        return w_rows.swapaxes(-1, -2), cache
 
     def _reparam_vjp(self, cache, dm):
-        return rows_normalize_vjp(cache, dm.T).T
+        return rows_normalize_vjp(cache, dm.swapaxes(-1, -2)).swapaxes(-1, -2)
 
     _static_major = staticmethod(lambda w: w)
     _from_static_major = staticmethod(lambda m: m)
 
     def forward(self, x, training):
-        if x.ndim != 2:
+        stacked = self.w.ndim == 3
+        if stacked and self.batch_norm:
+            raise DimensionError("batch norm takes unstacked parameters only")
+        if x.ndim != 2 and not (stacked and x.ndim == 3):
             raise DimensionError(f"dense layer expects 2-d input, got {x.ndim}-d")
-        if x.shape[1] != self.spec.in_dim:
+        if x.shape[-1] != self.spec.in_dim:
             raise DimensionError(f"dense layer expects {self.spec.in_dim} features, "
-                                 f"got {x.shape[1]}")
+                                 f"got {x.shape[-1]}")
         w_eff_om, wcaches = self._effective_output_major()
-        z = x @ w_eff_om.T + self.b
+        z = x @ w_eff_om.swapaxes(-1, -2) + self.b[..., None, :]
         bncache = None
         if self.batch_norm:
             z, bncache = bn_forward(z, self.gamma, self.beta,
@@ -400,8 +412,8 @@ class DenseLayer(_LayerBase):
         grads = {}
         if bncache is not None:
             dz, grads["gamma"], grads["beta"] = bn_vjp(bncache, dz)
-        grads["b"] = dz.sum(axis=0)
-        dweff_om = dz.T @ x
+        grads["b"] = dz.sum(axis=-2)
+        dweff_om = dz.swapaxes(-1, -2) @ x
         dx = dz @ w_eff_om
         grads["w"], dg = self._weight_vjp(dweff_om, wcaches)
         if dg is not None:
@@ -450,6 +462,8 @@ class Conv2dLayer(_LayerBase):
         return m.reshape(self.w.shape)
 
     def forward(self, x, training):
+        if self.w.ndim != 4:
+            raise DimensionError("conv layers take unstacked parameters only")
         if x.ndim != 4:
             raise DimensionError(f"conv layer expects 4-d input, got {x.ndim}-d")
         if x.shape[1] != self.spec.in_channels:

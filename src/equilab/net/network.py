@@ -3,6 +3,10 @@
 Handles shape chaining (including conv -> dense flattening), Glorot
 initialization from a single seed, flat parameter-vector access for the
 Hessian tooling, and whole-network static conditioning.
+
+An all-dense network without batch norm also takes a (k, n) stack of
+parameter vectors; one forward/backward then evaluates the k parameter
+sets on the same batch (see net.layers).
 """
 
 import numpy as np
@@ -51,6 +55,12 @@ class Network:
         self._validate_chain()
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         self.layers = [L.build_layer(s, rng) for s in self.specs]
+        # (layer index, name, unstacked shape, size) of each parameter, in
+        # vector order
+        self._param_layout = [(i, name, arr.shape, arr.size)
+                              for i, layer in enumerate(self.layers)
+                              for name, arr in layer.param_items()]
+        self._stack = ()  # (k,) while the parameters hold a stack of k vectors
 
     def _validate_chain(self):
         if self.specs[0].kind == "conv2d" and self.input_shape is None:
@@ -137,31 +147,41 @@ class Network:
     # -- parameter vector interface -------------------------------------
 
     def parameter_count(self):
-        return sum(arr.size for layer in self.layers for _, arr in layer.param_items())
+        return sum(size for _, _, _, size in self._param_layout)
 
     def get_params_vector(self):
-        return np.concatenate(
-            [arr.reshape(-1) for layer in self.layers for _, arr in layer.param_items()])
+        """Flat parameters: (n,), or (k, n) while a stack is set."""
+        return np.concatenate([arr.reshape(self._stack + (-1,))
+                               for layer in self.layers for _, arr in layer.param_items()],
+                              axis=-1)
 
     def set_params_vector(self, theta):
+        """Set parameters from a vector of length n, or from a (k, n) stack.
+
+        Each parameter is stored as a contiguous copy, of shape (k, *shape)
+        for a stack.
+        """
         theta = np.asarray(theta, dtype=np.float64)
-        if theta.size != self.parameter_count():
-            raise DimensionError(f"parameter vector of length {theta.size}, "
-                                 f"expected {self.parameter_count()}")
+        n = self.parameter_count()
+        if theta.ndim not in (1, 2) or theta.shape[-1] != n:
+            raise DimensionError(f"parameter vector of shape {theta.shape}, "
+                                 f"expected ({n},) or (k, {n})")
+        stack = theta.shape[:-1]
         pos = 0
-        for layer in self.layers:
-            for name, arr in layer.param_items():
-                chunk = theta[pos:pos + arr.size].reshape(arr.shape)
-                setattr(layer, name, chunk.copy())
-                pos += arr.size
+        for i, name, shape, size in self._param_layout:
+            chunk = theta[..., pos:pos + size].reshape(stack + shape)
+            setattr(self.layers[i], name, chunk.copy())
+            pos += size
+        self._stack = stack
 
     def grads_to_vector(self, grads):
+        """Flat gradient: (n,), or (k, n) while a stack is set."""
         out = []
-        for layer, gdict in zip(self.layers, grads):
-            for name, arr in layer.param_items():
-                g = gdict.get(name)
-                out.append(np.zeros(arr.size) if g is None else np.asarray(g).reshape(-1))
-        return np.concatenate(out)
+        for i, name, _, size in self._param_layout:
+            g = grads[i].get(name)
+            out.append(np.zeros(self._stack + (size,)) if g is None
+                       else np.asarray(g).reshape(self._stack + (size,)))
+        return np.concatenate(out, axis=-1)
 
     # -- conditioning -----------------------------------------------------
 
@@ -203,15 +223,15 @@ class Network:
                 twin.layers[i].apply_static_conditioning()
         return twin
 
-    def weight_condition_numbers(self, effective=False, rank_tol=1e-12):
+    def weight_condition_numbers(self, effective=False):
         """kappa of each layer's weight (or effective weight) in the
-        output-major view; numerically rank deficient entries come back as
-        nan."""
+        output-major view; numerically rank deficient entries (at
+        condition_number's rank_tol 1e-12) come back as nan."""
         out = []
         for layer in self.layers:
             m = layer.effective_weight() if effective else layer._output_major(layer.w)
             try:
-                out.append(densela.condition_number(m, rank_tol=rank_tol))
+                out.append(densela.condition_number(m))
             except RankDeficientError:
                 out.append(float("nan"))
         return out

@@ -10,6 +10,7 @@ manifests); CSV output is fully deterministic for a given config/seed.
 """
 
 import hashlib
+import math
 import time
 from dataclasses import dataclass, field
 
@@ -23,9 +24,14 @@ DIVERGENCE_NORM = 1e12
 
 
 def mse_loss(pred, y):
-    """Mean squared error over all output entries; returns (loss, dpred)."""
+    """Mean squared error over all output entries; returns (loss, dpred).
+
+    pred may carry leading stack axes over y's shape (a Network holding a
+    parameter stack); dpred is then each member's own gradient, scaled by
+    one member's entry count, and the loss is averaged over the stack.
+    """
     d = pred - y
-    return float(np.mean(d * d)), 2.0 * d / d.size
+    return float(np.mean(d * d)), 2.0 * d / math.prod(d.shape[d.ndim - np.ndim(y):])
 
 
 def bce_loss(z, y):

@@ -142,13 +142,14 @@ _TRANSFORMS = {
 }
 
 
-def conditioning_report(a, kind, seed=None, rank_tol=1e-12):
-    """Apply one named transform and report kappa before/after."""
+def conditioning_report(a, kind, seed=None):
+    """Apply one named transform and report kappa before/after (strict
+    condition numbers at condition_number's rank_tol 1e-12)."""
     if kind not in _TRANSFORMS:
         raise DimensionError(f"unknown transform kind {kind!r}")
     arr = densela._validated(a)
-    before = densela.condition_number(arr, rank_tol=rank_tol)
-    after = densela.condition_number(_TRANSFORMS[kind](arr), rank_tol=rank_tol)
+    before = densela.condition_number(arr)
+    after = densela.condition_number(_TRANSFORMS[kind](arr))
     return ConditioningReport(
         kind=kind,
         rows=arr.shape[0],

@@ -78,8 +78,10 @@ class QuadraticProblem:
         return float(0.5 * t @ self.a @ t - self.b @ t)
 
     def gradient(self, theta):
+        """A theta - b; a (k, n) stack of rows gives the (k, n) gradients
+        from one matrix product (equal to per-row calls up to rounding)."""
         t = np.asarray(theta, dtype=np.float64)
-        return self.a @ t - self.b
+        return (self.a @ t.T).T - self.b
 
 
 def max_stable_lr(problem):

@@ -234,6 +234,9 @@ class TestHessianCompareRun:
         summary = rows_of(out / "summary.csv")
         vals = dict(zip(summary[0].split(","), summary[1].split(",")))
         assert int(vals["n_points"]) == 2
+        notes = load_manifest(out)["notes"]
+        assert (notes["n_skipped_self_check"] + notes["n_skipped_empty_spectrum"]
+                == int(vals["n_skipped"]))
 
 
 class TestCondReport:

@@ -7,14 +7,16 @@ from equilab.errors import (DimensionError, EmptyResultError,
                             GradientCheckError, NotSymmetricError)
 from equilab.net import DenseSpec, Network
 from equilab.net.data import teacher_student_regression
+from equilab.net.train import train
 
 
 def quad_fns(a, b):
+    """Loss of one theta; gradient of a theta or of a (k, n) row stack."""
     def loss(t):
         return float(0.5 * t @ a @ t + b @ t)
 
     def grad(t):
-        return a @ t + b
+        return (a @ t.T).T + b
 
     return loss, grad
 
@@ -41,7 +43,7 @@ class TestSelfCheck:
     def test_shape_mismatch(self):
         loss, grad = quad_fns(*spd(4, 10.0, 2))
         with pytest.raises(DimensionError):
-            hesslab.gradient_self_check(loss, lambda t: grad(t)[:2], np.ones(4))
+            hesslab.gradient_self_check(loss, lambda t: grad(t)[..., :2], np.ones(4))
 
     def test_step_sizes(self):
         t = np.array([0.0, 0.5, -3.0])
@@ -80,6 +82,64 @@ class TestFdHessian:
         loss, grad = quad_fns(a, b)
         with pytest.raises(GradientCheckError):
             hesslab.fd_hessian(loss, lambda t: 2.0 * grad(t), np.ones(4))
+
+    def test_gradient_of_wrong_shape_raises(self):
+        # each breaks the (n)->(n) row-stack contract in another way:
+        # a dropped stack axis, a transposed stack, one stack row too few
+        a, b = spd(10, 10.0, 9)
+        loss, grad = quad_fns(a, b)
+        n_rows = 2 * hesslab.FD_CHUNK
+        for bad in (lambda t: grad(t)[0], lambda t: grad(t).T,
+                    lambda t: grad(t)[:-1] if len(t) == n_rows else grad(t)):
+            with pytest.raises(DimensionError):
+                hesslab.fd_hessian(loss, bad, np.ones(10), self_check=False)
+
+
+def _hess121_fixture():
+    """The 2-16-4-1 tanh fixture of the hess121 workload and acceptance 08."""
+    widths = (2, 16, 4, 1)
+    x, y, _ = teacher_student_regression(128, seed=0, widths=widths, kappa=1e3,
+                                         activation="tanh")
+    specs = [DenseSpec(2, 16, activation="tanh"), DenseSpec(16, 4, activation="tanh"),
+             DenseSpec(4, 1)]
+    return specs, x, y
+
+
+def _column_loop_hessian(grad_fn, theta):
+    """Reference: one single-theta gradient per perturbed theta, column by
+    column, with the arithmetic of fd_hessian."""
+    n = theta.size
+    steps = hesslab.fd_step_sizes(theta)
+    h_raw = np.empty((n, n))
+    t = theta.copy()
+    for i in range(n):
+        e = t[i]
+        t[i] = e + steps[i]
+        gp = grad_fn(t)
+        t[i] = e - steps[i]
+        gm = grad_fn(t)
+        t[i] = e
+        h_raw[:, i] = (gp - gm) / (2.0 * steps[i])
+    return 0.5 * (h_raw + h_raw.T)
+
+
+class TestFdHessianReference:
+    """fd_hessian's stacked columns against the column-by-column loop."""
+
+    @pytest.mark.parametrize("conditioned", [False, True])
+    def test_hess121_fixture_bit_identical(self, conditioned):
+        specs, x, y = _hess121_fixture()
+        net = Network(specs, seed=0)
+        snap = Network(specs, seed=0)
+        train(snap, x, y, lr=0.05, epochs=10, batch_size=16, seed=0,
+              record_kappa=False)
+        if conditioned:
+            net = net.with_conditioning("equilibrate_reparam", which="all")
+        loss_fn, grad_fn = hesslab.net_loss_functions(net, x, y)
+        for theta in (net.get_params_vector(), snap.get_params_vector()):
+            est = hesslab.fd_hessian(loss_fn, grad_fn, theta)
+            np.testing.assert_array_equal(est.h, _column_loop_hessian(grad_fn, theta))
+            assert est.grad_norm == float(np.linalg.norm(grad_fn(theta)))
 
 
 class TestHessianKappa:
@@ -198,9 +258,37 @@ class TestCompare:
         assert summary.n_points == 4
         assert summary.n_comparable == len(comps)
         assert summary.n_comparable + summary.n_skipped == 4
+        assert summary.n_skipped == (summary.n_skipped_self_check
+                                     + summary.n_skipped_empty_spectrum)
         phases = {c.phase for c in comps}
         assert phases <= {"init", "snapshot"}
         assert 0.0 <= summary.fraction_satisfied <= 1.0
+
+    def test_skipped_points_counted_per_reason(self, monkeypatch):
+        real = hesslab.compare_curvature_at
+        empty = hesslab.KappaSummary(kappa=float("nan"), full_rank=False,
+                                     n_surviving=0, sigma_max=0.0,
+                                     sigma_min_surviving=float("nan"),
+                                     rank_tol=1e-8)
+        calls = []
+
+        def patched(net, x, y, theta, **kw):
+            calls.append(theta)
+            if len(calls) == 1:
+                raise GradientCheckError("forced")
+            if len(calls) in (2, 4):
+                return real(net, x, y, theta, **kw)[0], empty
+            return real(net, x, y, theta, **kw)
+
+        monkeypatch.setattr(hesslab, "compare_curvature_at", patched)
+        x, y, _ = teacher_student_regression(32, seed=0, widths=(2, 3, 1))
+        comps, summary = hesslab.compare_curvature_sweep(
+            [DenseSpec(2, 3, activation="tanh"), DenseSpec(3, 1)], x, y,
+            n_points=5, seed=0, reference_epochs=2)
+        assert summary.n_skipped_self_check == 1
+        assert summary.n_skipped_empty_spectrum == 2
+        assert summary.n_skipped == 3
+        assert summary.n_comparable == len(comps) == 2
 
     def test_all_points_skipped_raises(self, monkeypatch):
         def boom(*a, **kw):

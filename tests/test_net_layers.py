@@ -97,6 +97,26 @@ class TestRowTransforms:
         dm = L.rows_normalize_vjp(cache, g)
         np.testing.assert_allclose(dm[0], g[0] / L.NORM_FLOOR)
 
+    def test_stacked_rows_with_clamped_row_match_members(self):
+        # a leading stack axis gives each member's own bits, including the
+        # clamped-row branch of the normalizing transforms and their VJPs
+        rng = np.random.default_rng(7)
+        m = rng.standard_normal((3, 4, 5))
+        m[1, 2] = 1e-15
+        gains = rng.uniform(0.5, 2.0, size=(3, 4))
+        g = rng.standard_normal(m.shape)
+        stacked = (L.rows_normalize_vjp(L.rows_normalize(m)[1], g),
+                   L.rows_weightnorm_vjp(L.rows_weightnorm(m, gains)[1], g),
+                   L.rows_standardize_vjp(L.rows_standardize(m)[1], g))
+        for i in range(3):
+            single = (L.rows_normalize_vjp(L.rows_normalize(m[i])[1], g[i]),
+                      L.rows_weightnorm_vjp(L.rows_weightnorm(m[i], gains[i])[1], g[i]),
+                      L.rows_standardize_vjp(L.rows_standardize(m[i])[1], g[i]))
+            np.testing.assert_array_equal(stacked[0][i], single[0])
+            np.testing.assert_array_equal(stacked[1][0][i], single[1][0])
+            np.testing.assert_array_equal(stacked[1][1][i], single[1][1])
+            np.testing.assert_array_equal(stacked[2][i], single[2])
+
     def test_weightnorm_identity_at_setup_gains(self):
         rng = np.random.default_rng(5)
         v = rng.standard_normal((4, 6))

@@ -2,6 +2,7 @@ import numpy as np
 import pytest
 
 from equilab.errors import DimensionError
+from equilab.hesslab import net_loss_functions
 from equilab.net import DenseSpec, Conv2dSpec, Network
 
 
@@ -126,6 +127,59 @@ class TestParamsVector:
     def test_wrong_length(self):
         with pytest.raises(DimensionError):
             small_dense().set_params_vector(np.zeros(3))
+        n = small_dense().parameter_count()
+        with pytest.raises(DimensionError):
+            small_dense().set_params_vector(np.zeros((2, 3, n)))
+
+
+class TestStackedParameters:
+    """A (k, n) parameter stack against one parameter vector at a time."""
+
+    @pytest.mark.parametrize("k", [1, 3, 8])
+    @pytest.mark.parametrize("act", ["tanh", "relu", "identity"])
+    @pytest.mark.parametrize("transform", [
+        "plain", "weight_standardization", "weight_normalization",
+        "equilibrate_static", "equilibrate_reparam"])
+    def test_rows_equal_single_gradients(self, transform, act, k):
+        kw = {}
+        if transform.startswith("weight_"):
+            kw["normalization"] = transform
+        elif transform != "plain":
+            kw["conditioning"] = transform
+        net = Network([DenseSpec(2, 6, activation=act, **kw),
+                       DenseSpec(6, 4, activation=act, **kw),
+                       DenseSpec(4, 1, **kw)], seed=7)
+        rng = np.random.default_rng(k)
+        x = rng.standard_normal((32, 2))
+        y = rng.standard_normal((32, 1))
+        theta = net.get_params_vector()
+        stack = theta + 0.3 * rng.standard_normal((k, theta.size))
+        _, grad_fn = net_loss_functions(net, x, y)
+        g = grad_fn(stack)
+        assert g.shape == (k, theta.size)
+        for i in range(k):
+            np.testing.assert_array_equal(g[i], grad_fn(stack[i]))
+
+    def test_stack_roundtrip_is_contiguous(self):
+        net = small_dense(normalization="weight_normalization")
+        stack = np.arange(3.0 * net.parameter_count()).reshape(3, -1)
+        net.set_params_vector(stack)
+        np.testing.assert_array_equal(net.get_params_vector(), stack)
+        for layer in net.layers:
+            for _, arr in layer.param_items():
+                assert arr.shape[0] == 3 and arr.flags.c_contiguous
+
+    def test_conv_and_batch_norm_reject_stacks(self):
+        conv = Network([Conv2dSpec(1, 2, kernel_size=3), DenseSpec(2 * 3 * 3, 1)],
+                       seed=0, input_shape=(1, 5, 5))
+        x4 = np.zeros((4, 25))
+        bn = small_dense(normalization="batch_norm")
+        for net, x in ((conv, x4), (bn, np.zeros((4, 2)))):
+            _, grad_fn = net_loss_functions(net, x, np.zeros((4, 1)))
+            theta = net.get_params_vector()
+            grad_fn(theta)
+            with pytest.raises(DimensionError):
+                grad_fn(np.stack([theta, theta]))
 
 
 class TestConditioningTwins:
