@@ -1,15 +1,11 @@
-"""Build script: compiles the shipped Jacobi sweep kernel when a C compiler
-is available, otherwise installs pure-Python only (the package falls back
-to the numpy kernel at import time).
+"""Build script: compiles the Jacobi sweep kernel when a C compiler is
+available, otherwise installs pure-Python only (the package falls back to
+the numpy kernel at import time).
 
-The kernel's C source, src/equilab/_kernels/_jacobi.c, is generated from
-_jacobi.pyx and tracked, so a build needs a C compiler and nothing else.
-No build runs Cython: after editing the .pyx, regenerate the C file with
-
-    cython -3 src/equilab/_kernels/_jacobi.pyx
-
-and commit both.  tests/test_kernels.py compares the built kernel with
-the numpy reference, which catches a stale C file.
+The kernel, src/equilab/_kernels/_jacobi.c, is one hand-written C file that
+reads its arrays through the buffer protocol, so a build needs a C compiler
+and the Python headers, nothing else.  Edit it directly;
+tests/test_kernels.py compares the built kernel with the numpy reference.
 """
 
 import warnings

@@ -16,9 +16,6 @@ the gradient at row i (bit-identical to a call on row i alone for
 net_loss_functions).  Every gradient call here passes a stack (a one-row
 stack for a single theta), so a gradient function without that contract
 fails at once.  Loss functions take a single theta.
-
-fd_hessian_loss_only is an independent second-difference estimator that
-never touches the gradient code; it exists to cross-check fd_hessian.
 """
 
 import logging
@@ -34,8 +31,8 @@ from equilab.net.train import loss_and_gradients, train
 log = logging.getLogger(__name__)
 
 MAX_HESSIAN_DIM = 2000
-_EPS = np.finfo(np.float64).eps
-FD_STEP_SCALE = _EPS ** (1.0 / 3.0)  # ~6.06e-6, optimal for central differences
+# cbrt(eps) ~6.06e-6, optimal for central differences
+FD_STEP_SCALE = np.finfo(np.float64).eps ** (1.0 / 3.0)
 # Hessian columns per gradient call (a stack of 2 * FD_CHUNK rows), sized
 # by peak memory.  On the 121-parameter 2-16-4-1 fixture (2 vCPU Xeon, BLAS
 # on one thread), one plain plus one equilibrated Hessian took 57 ms at one
@@ -106,11 +103,6 @@ class HessianEstimate:
     def n(self):
         return self.h.shape[0]
 
-    @property
-    def relative_asymmetry(self):
-        hnorm = float(np.linalg.norm(self.h))
-        return self.asymmetry / hnorm if hnorm > 0 else 0.0
-
 
 def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
     """Central-difference Hessian from the analytic gradient.
@@ -149,38 +141,6 @@ def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
     gnorm = float(np.linalg.norm(_stacked_grad(grad_fn, theta[None, :])[0]))
     return HessianEstimate(h=h, theta=theta, step_sizes=steps,
                            grad_norm=gnorm, asymmetry=asym)
-
-
-def fd_hessian_loss_only(loss_fn, theta):
-    """Hessian from second differences of the loss alone (no gradient).
-
-    H_ii = (f(+h_i) - 2 f(0) + f(-h_i)) / h_i^2 and
-    H_ij = (f(+i+j) - f(+i-j) - f(-i+j) + f(-i-j)) / (4 h_i h_j),
-    with h_i = sqrt-of-eps-scaled steps.  Noisier than fd_hessian; used as
-    an independent cross-check.
-    """
-    theta = np.asarray(theta, dtype=np.float64).reshape(-1).copy()
-    n = theta.size
-    if n < 1 or n > MAX_HESSIAN_DIM:
-        raise DimensionError(f"theta size {n} outside [1, {MAX_HESSIAN_DIM}]")
-    steps = (_EPS ** 0.25) * np.maximum(1.0, np.abs(theta))
-    f0 = loss_fn(theta)
-    h = np.empty((n, n))
-
-    def probe(i, si, j, sj):
-        t = theta.copy()
-        t[i] += si * steps[i]
-        t[j] += sj * steps[j]
-        return loss_fn(t)
-
-    for i in range(n):
-        h[i, i] = (probe(i, 1, i, 0) - 2.0 * f0 + probe(i, -1, i, 0)) / steps[i] ** 2
-        for j in range(i + 1, n):
-            val = (probe(i, 1, j, 1) - probe(i, 1, j, -1)
-                   - probe(i, -1, j, 1) + probe(i, -1, j, -1)) / (4.0 * steps[i] * steps[j])
-            h[i, j] = val
-            h[j, i] = val
-    return h
 
 
 @dataclass(frozen=True)

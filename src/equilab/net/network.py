@@ -9,28 +9,13 @@ parameter vectors; one forward/backward then evaluates the k parameter
 sets on the same batch (see net.layers).
 """
 
+import dataclasses
+
 import numpy as np
 
 from equilab import densela
 from equilab.errors import DimensionError, RankDeficientError
 from equilab.net import layers as L
-
-
-def _spec_to_dict(spec):
-    d = {"kind": spec.kind}
-    for f in spec.__dataclass_fields__:
-        d[f] = getattr(spec, f)
-    return d
-
-
-def _spec_from_dict(d):
-    d = dict(d)
-    kind = d.pop("kind")
-    if kind == "dense":
-        return L.DenseSpec(**d)
-    if kind == "conv2d":
-        return L.Conv2dSpec(**d)
-    raise DimensionError(f"unknown layer kind {kind!r}")
 
 
 class Network:
@@ -52,7 +37,8 @@ class Network:
         if last not in ("identity", "sigmoid_output"):
             raise DimensionError(
                 f"final activation must be identity or sigmoid_output, got {last!r}")
-        self._validate_chain()
+        # output shape of each layer: (C, H, W) for conv, (out_dim,) for dense
+        self._out_shapes = self._chain_shapes()
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         self.layers = [L.build_layer(s, rng) for s in self.specs]
         # (layer index, name, unstacked shape, size) of each parameter, in
@@ -62,14 +48,17 @@ class Network:
                               for name, arr in layer.param_items()]
         self._stack = ()  # (k,) while the parameters hold a stack of k vectors
 
-    def _validate_chain(self):
+    def _chain_shapes(self):
+        """Validate the layer chain and return each layer's output shape."""
         if self.specs[0].kind == "conv2d" and self.input_shape is None:
             raise DimensionError("input_shape=(C, H, W) is required for a conv entry")
         shape = self.input_shape  # (C,H,W) or None for dense entry
+        shapes = []
         for i, s in enumerate(self.specs):
             if s.kind == "conv2d":
-                if shape is None:
-                    raise DimensionError(f"layer {i}: conv after flattened dense output")
+                # everything after the first dense layer stays flat
+                if i > 0 and self.specs[i - 1].kind == "dense":
+                    raise DimensionError("conv layers cannot follow dense layers")
                 c, h, w = shape
                 if c != s.in_channels:
                     raise DimensionError(f"layer {i}: expects {s.in_channels} channels, "
@@ -82,17 +71,9 @@ class Network:
                 if width != s.in_dim:
                     raise DimensionError(f"layer {i}: expects {s.in_dim} features, "
                                          f"chain provides {width}")
-                # everything after the first dense layer stays flat
-                prev_out = s.in_dim
-                for j, s2 in enumerate(self.specs[i:]):
-                    if s2.kind != "dense":
-                        raise DimensionError("conv layers cannot follow dense layers")
-                    if s2.in_dim != prev_out:
-                        raise DimensionError(
-                            f"layer {i + j}: in_dim {s2.in_dim} != previous width {prev_out}")
-                    prev_out = s2.out_dim
-                return
-        # all-conv network: output stays 4-d
+                shape = (s.out_dim,)
+            shapes.append(shape)
+        return shapes
 
     def _prepare(self, x, layer_kind):
         if layer_kind == "conv2d" and x.ndim == 2:
@@ -128,21 +109,8 @@ class Network:
             if layer.spec.kind == "dense" and i > 0:
                 prev = self.layers[i - 1]
                 if prev.spec.kind == "conv2d" and g.ndim == 2:
-                    c, h, w = self._shape_after(i - 1)
-                    g = g.reshape(g.shape[0], c, h, w)
+                    g = g.reshape((g.shape[0],) + self._out_shapes[i - 1])
         return grads
-
-    def _shape_after(self, layer_index):
-        shape = self.input_shape
-        for s in self.specs[: layer_index + 1]:
-            if s.kind == "conv2d":
-                c, h, w = shape
-                oh = L.conv_out_size(h, s.kernel_size, s.stride, s.padding)
-                ow = L.conv_out_size(w, s.kernel_size, s.stride, s.padding)
-                shape = (s.out_channels, oh, ow)
-            else:
-                shape = (s.out_dim,)
-        return shape
 
     # -- parameter vector interface -------------------------------------
 
@@ -207,14 +175,8 @@ class Network:
             idx = set(range(len(self.specs)))
         else:
             idx = set(int(i) for i in which)
-        new_specs = []
-        for i, s in enumerate(self.specs):
-            if i in idx:
-                d = _spec_to_dict(s)
-                d["conditioning"] = conditioning
-                new_specs.append(_spec_from_dict(d))
-            else:
-                new_specs.append(s)
+        new_specs = [dataclasses.replace(s, conditioning=conditioning) if i in idx else s
+                     for i, s in enumerate(self.specs)]
         twin = Network(new_specs, seed=self.seed, input_shape=self.input_shape)
         # conditioning tags add no parameters, so the vectors line up
         twin.set_params_vector(self.get_params_vector())

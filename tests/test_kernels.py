@@ -1,8 +1,9 @@
 """Kernel backends: the compiled Jacobi sweep agrees with the numpy
-reference, and EQUILAB_PURE_PYTHON selects the fallback.
+reference and rejects buffers it cannot sweep, and EQUILAB_PURE_PYTHON
+selects the fallback.
 
-The agreement test is what catches a _jacobi.c left stale after an edit to
-_jacobi.pyx or jacobi_py.py; it skips when the extension is not built
+The agreement test is what catches _jacobi.c and jacobi_py.py drifting
+apart; the compiled-kernel tests skip when the extension is not built
 (`python3 setup.py build_ext --inplace` builds it).
 """
 
@@ -32,15 +33,59 @@ def _sweep(kernel, a):
     return tuple(sweeps), np.sort(np.linalg.norm(bt, axis=1))
 
 
-@pytest.mark.skipif(_jacobi is None, reason="compiled Jacobi extension not built")
-@pytest.mark.parametrize("n", [16, 32, 64, 96])
-def test_compiled_kernel_matches_reference(n):
-    a = np.random.default_rng(n).standard_normal((n, n))
+needs_compiled = pytest.mark.skipif(_jacobi is None,
+                                    reason="compiled Jacobi extension not built")
+
+
+# tall shapes give bt rows (length n_rows) and vt rows (length n_cols) of
+# different lengths, so a kernel that swaps the two loop bounds fails
+@needs_compiled
+@pytest.mark.parametrize("shape", [(16, 16), (32, 32), (64, 64), (96, 96), (40, 7), (64, 16)],
+                         ids=["16", "32", "64", "96", "40x7", "64x16"])
+def test_compiled_kernel_matches_reference(shape):
+    a = np.random.default_rng(shape).standard_normal(shape)
     sweeps_py, sigma_py = _sweep(jacobi_py, a)
     sweeps_c, sigma_c = _sweep(_jacobi, a)
     assert sweeps_c == sweeps_py
     assert sweeps_c[1]
     np.testing.assert_allclose(sigma_c, sigma_py, rtol=1e-12, atol=0.0)
+
+
+# Each case must raise ValueError before the kernel touches memory.  Without
+# the row check the last one writes past vt and crashes the interpreter,
+# hence the subprocess.
+_BAD_INPUTS = """
+import numpy as np
+from equilab._kernels._jacobi import jacobi_sweeps
+
+read_only = np.eye(4)
+read_only.flags.writeable = False
+cases = {
+    "float32 bt": (np.eye(4, dtype=np.float32), np.eye(4)),
+    "non-contiguous bt": (np.eye(8)[::2, ::2], np.eye(4)),
+    "read-only bt": (read_only, np.eye(4)),
+    "3-d vt": (np.eye(4), np.eye(4)[:, :, None]),
+    "vt with fewer rows": (np.random.default_rng(0).standard_normal((6, 6)), np.eye(2)),
+}
+for name, (bt, vt) in cases.items():
+    try:
+        jacobi_sweeps(bt, vt, 1e-15, 0.0, 60)
+    except ValueError as exc:
+        print(f"{name}: {exc}")
+    else:
+        raise SystemExit(f"{name}: no ValueError")
+"""
+
+
+@needs_compiled
+def test_compiled_kernel_rejects_bad_buffers():
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(_jacobi.__file__).parents[2]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", _BAD_INPUTS],
+                          env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 5, proc.stdout
 
 
 def test_pure_python_env_selects_fallback():
