@@ -53,7 +53,6 @@ SCHEMAS = {
         "epochs": (int, 50),
         "batch_size": (int, 32),
         "init_row_spread": (float, 1.0),
-        "bn_e_mode": (str, "reparam"),
         "lr_grid": (list, []),
     },
     "hessian_compare": {

@@ -29,13 +29,12 @@ from equilab.net.network import Network
 from equilab.net.train import train
 
 # training-comparison arms: name -> (hidden normalization tag, conditioning)
-# conditioning "bn_e" resolves through the bn_e_mode config switch
 ARMS = {
     "none": ("none", "none"),
     "bn": ("batch_norm", "none"),
     "bn+ws": ("batch_norm+weight_standardization", "none"),
     "bn+w": ("batch_norm+weight_normalization", "none"),
-    "bn+e": ("batch_norm", "bn_e"),
+    "bn+e": ("batch_norm", "equilibrate_reparam"),
     "e-static": ("none", "equilibrate_static"),
     "e-reparam": ("none", "equilibrate_reparam"),
 }
@@ -123,10 +122,6 @@ def _arm_network(cfg, arm, out_activation):
     p = cfg.params
     widths = [int(w) for w in p["widths"]]
     norm, cond = ARMS[arm]
-    if cond == "bn_e":
-        if p["bn_e_mode"] not in ("reparam", "static"):
-            raise ConfigError(f"bn_e_mode must be 'reparam' or 'static', got {p['bn_e_mode']!r}")
-        cond = "equilibrate_" + p["bn_e_mode"]
     specs = []
     for i in range(len(widths) - 1):
         last = i == len(widths) - 2

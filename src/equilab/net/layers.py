@@ -1,5 +1,9 @@
 """Layers: dense and conv2d with optional weight transforms and batch norm.
 
+Both kinds run one forward/backward pipeline: a conv layer is a dense
+layer applied to im2col rows, and batch norm normalizes each output
+feature over those rows.
+
 Weight transforms (standardization, weight normalization, row
 equilibration) are all expressed as row-wise operations on an
 "output-major" matrix: for conv that is the unrolled kernel
@@ -108,7 +112,7 @@ def rows_normalize(m):
     norms = np.sqrt(np.einsum("...ij,...ij->...i", m, m))
     clamped = norms < NORM_FLOOR
     if clamped.any():
-        log.warning("%d row norm(s) below %g clamped during equilibration",
+        log.warning("%d row norm(s) below %g clamped during row normalization",
                     int(clamped.sum()), NORM_FLOOR)
     eff = np.maximum(norms, NORM_FLOOR)
     mhat = m / eff[..., None]
@@ -126,22 +130,16 @@ def rows_normalize_vjp(cache, g):
 
 
 def rows_weightnorm(v, g_scale):
-    """w_i = g_i * v_i / max(||v_i||, NORM_FLOOR) per row."""
-    norms = np.sqrt(np.einsum("...ij,...ij->...i", v, v))
-    clamped = norms < NORM_FLOOR
-    eff = np.maximum(norms, NORM_FLOOR)
-    vhat = v / eff[..., None]
-    w = g_scale[..., None] * vhat
-    return w, (vhat, eff, g_scale, clamped)
+    """w_i = g_i * v_i / max(||v_i||, NORM_FLOOR) per row: rows_normalize(v)
+    scaled by the gains."""
+    vhat, cache = rows_normalize(v)
+    return g_scale[..., None] * vhat, (cache, g_scale)
 
 
 def rows_weightnorm_vjp(cache, g):
-    vhat, eff, g_scale, clamped = cache
-    dg = np.einsum("...ij,...ij->...i", g, vhat)
-    dv = (g - vhat * dg[..., None]) * (g_scale / eff)[..., None]
-    if clamped.any():
-        dv[clamped] = g[clamped] * (g_scale[clamped] / eff[clamped])[:, None]
-    return dv, dg
+    ncache, g_scale = cache
+    dg = np.einsum("...ij,...ij->...i", g, ncache[0])
+    return rows_normalize_vjp(ncache, g_scale[..., None] * g), dg
 
 
 # ---------------------------------------------------------------------------
@@ -150,21 +148,21 @@ def rows_weightnorm_vjp(cache, g):
 
 def bn_forward(x, gamma, beta, running_mean, running_var, training,
                eps=BN_EPS, momentum=BN_MOMENTUM):
-    """Batch norm over axis 0 (dense) or axes (0,2,3) (conv).
+    """Batch norm of each column of a 2-d (rows, features) input over its rows.
 
-    Uses population variance in both the normalization and the running
-    buffers.  Training requires batch size >= 2; eval uses the running
-    stats.  Running buffers are updated in place during training.
+    A conv layer passes one row per (sample, output position), so each
+    channel is normalized over batch and space.  Uses population variance
+    in both the normalization and the running buffers.  Training requires
+    at least 2 rows; eval uses the running stats.  Running buffers are
+    updated in place during training.
     """
-    axes = (0,) if x.ndim == 2 else (0, 2, 3)
-    if x.ndim not in (2, 4):
-        raise DimensionError(f"batch norm expects 2-d or 4-d input, got {x.ndim}-d")
-    shape = (1, -1) if x.ndim == 2 else (1, -1, 1, 1)
+    if x.ndim != 2:
+        raise DimensionError(f"batch norm expects 2-d (rows, features) input, got {x.ndim}-d")
     if training:
         if x.shape[0] < 2:
-            raise DimensionError("batch norm needs batch size >= 2 in training")
-        mu = x.mean(axis=axes)
-        var = x.var(axis=axes)
+            raise DimensionError("batch norm needs at least 2 rows in training")
+        mu = x.mean(axis=0)
+        var = x.var(axis=0)
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
@@ -172,23 +170,23 @@ def bn_forward(x, gamma, beta, running_mean, running_var, training,
     else:
         mu, var = running_mean, running_var
     s = np.sqrt(var + eps)
-    xhat = (x - mu.reshape(shape)) / s.reshape(shape)
-    out = gamma.reshape(shape) * xhat + beta.reshape(shape)
-    return out, (xhat, s, gamma, axes, shape, training)
+    xhat = (x - mu) / s
+    out = gamma * xhat + beta
+    return out, (xhat, s, gamma, training)
 
 
 def bn_vjp(cache, g):
-    xhat, s, gamma, axes, shape, training = cache
-    dgamma = (g * xhat).sum(axis=axes)
-    dbeta = g.sum(axis=axes)
-    gi = g * gamma.reshape(shape)
+    xhat, s, gamma, training = cache
+    dgamma = (g * xhat).sum(axis=0)
+    dbeta = g.sum(axis=0)
+    gi = g * gamma
     if training:
-        m = g.size // gamma.size
-        gm = gi.sum(axis=axes) / m
-        gx = (gi * xhat).sum(axis=axes) / m
-        dx = (gi - gm.reshape(shape) - xhat * gx.reshape(shape)) / s.reshape(shape)
+        m = g.shape[0]
+        gm = gi.sum(axis=0) / m
+        gx = (gi * xhat).sum(axis=0) / m
+        dx = (gi - gm - xhat * gx) / s
     else:
-        dx = gi / s.reshape(shape)
+        dx = gi / s
     return dx, dgamma, dbeta
 
 
@@ -290,19 +288,63 @@ def _validate_common(spec):
 
 
 class _LayerBase:
-    """Shared effective-weight pipeline over the output-major view."""
+    """One pass for every kind: input -> rows, z = rows @ W_eff^T + b,
+    batch norm over the rows, activation, rows -> output.
 
-    def _init_norm_params(self):
-        self.batch_norm, self.weight_tag = parse_normalization(self.spec.normalization)
-        out = self.n_out_features
+    A kind supplies only its views: _input_rows/_input_rows_vjp and
+    _output/_output_rows for the data, _output_major/_from_output_major
+    and _reparam/_reparam_vjp for the weight.
+    """
+
+    def __init__(self, spec, w):
+        """w is the kind's Glorot-initialized weight."""
+        self.spec = spec
+        self.w = w
+        om = self._output_major(w)
+        out = om.shape[0]
+        self.b = np.zeros(out)
+        self.batch_norm, self.weight_tag = parse_normalization(spec.normalization)
         if self.batch_norm:
             self.gamma = np.ones(out)
             self.beta = np.zeros(out)
             self.running_mean = np.zeros(out)
             self.running_var = np.ones(out)
         if self.weight_tag == "weight_normalization":
-            om = self._output_major(self.w)
             self.g = np.sqrt(np.einsum("ij,ij->i", om, om))
+        if spec.conditioning == "equilibrate_static":
+            self.apply_static_conditioning()
+
+    def forward(self, x, training):
+        rows, view = self._input_rows(x)
+        w_eff_om, wcaches = self._effective_output_major()
+        z = rows @ w_eff_om.swapaxes(-1, -2) + self.b[..., None, :]
+        bncache = None
+        if self.batch_norm:
+            z, bncache = bn_forward(z, self.gamma, self.beta,
+                                    self.running_mean, self.running_var, training)
+        out = apply_activation(self.spec.activation, z)
+        return self._output(out, view), (rows, view, w_eff_om, wcaches, z, bncache, out)
+
+    def backward(self, grad, cache):
+        rows, view, w_eff_om, wcaches, z, bncache, out = cache
+        dz = activation_vjp(self.spec.activation, z, out, self._output_rows(grad))
+        grads = {}
+        if bncache is not None:
+            dz, grads["gamma"], grads["beta"] = bn_vjp(bncache, dz)
+        grads["b"] = dz.sum(axis=-2)
+        dweff_om = dz.swapaxes(-1, -2) @ rows
+        dx = self._input_rows_vjp(dz @ w_eff_om, view)
+        grads["w"], dg = self._weight_vjp(dweff_om, wcaches)
+        if dg is not None:
+            grads["g"] = dg
+        return dx, grads
+
+    # output rows are the output itself unless a kind maps them back
+    def _output(self, rows, view):
+        return rows
+
+    def _output_rows(self, grad):
+        return grad
 
     def effective_weight(self):
         """Output-major effective weight after transforms (no caches)."""
@@ -346,29 +388,23 @@ class _LayerBase:
     def apply_static_conditioning(self):
         """Overwrite w with its row-equilibrated version (fan-in rows for
         dense, filter rows for conv)."""
-        m = self._static_major(self.w)
-        m, _ = rows_normalize(m)
-        self.w = self._from_static_major(m)
+        m, _ = self._reparam(self._output_major(self.w))
+        self.w = self._from_output_major(m)
 
 
 class DenseLayer(_LayerBase):
     """x @ W + b with W of shape (in_dim, out_dim).
 
     Standardization/weight normalization act per output column;
-    equilibration acts per fan-in row of W.  With stacked parameters
-    (W of shape (k, in_dim, out_dim)) a 2-d input is broadcast over the
-    stack and outputs and gradients carry the leading k axis.
+    equilibration acts per fan-in row of W.  A 4-d (conv) input is
+    flattened to one row per sample.  With stacked parameters (W of shape
+    (k, in_dim, out_dim)) a 2-d input is broadcast over the stack and
+    outputs and gradients carry the leading k axis.
     """
 
     def __init__(self, spec, rng):
-        self.spec = spec
         limit = np.sqrt(6.0 / (spec.in_dim + spec.out_dim))
-        self.w = rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim))
-        self.b = np.zeros(spec.out_dim)
-        self.n_out_features = spec.out_dim
-        self._init_norm_params()
-        if spec.conditioning == "equilibrate_static":
-            self.apply_static_conditioning()
+        super().__init__(spec, rng.uniform(-limit, limit, size=(spec.in_dim, spec.out_dim)))
 
     # output-major view: columns of W become rows
     def _output_major(self, w):
@@ -385,62 +421,42 @@ class DenseLayer(_LayerBase):
     def _reparam_vjp(self, cache, dm):
         return rows_normalize_vjp(cache, dm.swapaxes(-1, -2)).swapaxes(-1, -2)
 
-    _static_major = staticmethod(lambda w: w)
-    _from_static_major = staticmethod(lambda m: m)
-
-    def forward(self, x, training):
+    def _input_rows(self, x):
         stacked = self.w.ndim == 3
         if stacked and self.batch_norm:
             raise DimensionError("batch norm takes unstacked parameters only")
+        x_shape = x.shape if x.ndim == 4 else None
+        if x_shape is not None:
+            x = x.reshape(x.shape[0], -1)
         if x.ndim != 2 and not (stacked and x.ndim == 3):
             raise DimensionError(f"dense layer expects 2-d input, got {x.ndim}-d")
         if x.shape[-1] != self.spec.in_dim:
             raise DimensionError(f"dense layer expects {self.spec.in_dim} features, "
                                  f"got {x.shape[-1]}")
-        w_eff_om, wcaches = self._effective_output_major()
-        z = x @ w_eff_om.swapaxes(-1, -2) + self.b[..., None, :]
-        bncache = None
-        if self.batch_norm:
-            z, bncache = bn_forward(z, self.gamma, self.beta,
-                                    self.running_mean, self.running_var, training)
-        out = apply_activation(self.spec.activation, z)
-        return out, (x, w_eff_om, wcaches, z, bncache, out)
+        return x, x_shape
 
-    def backward(self, grad, cache):
-        x, w_eff_om, wcaches, z, bncache, out = cache
-        dz = activation_vjp(self.spec.activation, z, out, grad)
-        grads = {}
-        if bncache is not None:
-            dz, grads["gamma"], grads["beta"] = bn_vjp(bncache, dz)
-        grads["b"] = dz.sum(axis=-2)
-        dweff_om = dz.swapaxes(-1, -2) @ x
-        dx = dz @ w_eff_om
-        grads["w"], dg = self._weight_vjp(dweff_om, wcaches)
-        if dg is not None:
-            grads["g"] = dg
-        return dx, grads
+    def _input_rows_vjp(self, drows, x_shape):
+        if x_shape is None:
+            return drows
+        return drows.reshape(drows.shape[:-2] + x_shape)
 
 
 class Conv2dLayer(_LayerBase):
-    """2-d convolution via im2col; kernel (out_c, in_c, kh, kw).
+    """2-d convolution as a dense pass over im2col rows; kernel (out_c,
+    in_c, kh, kw).
 
-    All weight transforms act on the unrolled (out_c, in_c*kh*kw) view,
-    one row per filter.
+    Each row is one (sample, output position) patch and each column of z
+    one output channel.  All weight transforms act on the unrolled
+    (out_c, in_c*kh*kw) view, one row per filter.
     """
 
     def __init__(self, spec, rng):
-        self.spec = spec
         k = spec.kernel_size
         fan_in = spec.in_channels * k * k
         fan_out = spec.out_channels * k * k
         limit = np.sqrt(6.0 / (fan_in + fan_out))
-        self.w = rng.uniform(-limit, limit,
-                             size=(spec.out_channels, spec.in_channels, k, k))
-        self.b = np.zeros(spec.out_channels)
-        self.n_out_features = spec.out_channels
-        self._init_norm_params()
-        if spec.conditioning == "equilibrate_static":
-            self.apply_static_conditioning()
+        super().__init__(spec, rng.uniform(-limit, limit,
+                                           size=(spec.out_channels, spec.in_channels, k, k)))
 
     def _output_major(self, w):
         return w.reshape(w.shape[0], -1)
@@ -455,13 +471,7 @@ class Conv2dLayer(_LayerBase):
     def _reparam_vjp(self, cache, dm):
         return rows_normalize_vjp(cache, dm)
 
-    def _static_major(self, w):
-        return w.reshape(w.shape[0], -1)
-
-    def _from_static_major(self, m):
-        return m.reshape(self.w.shape)
-
-    def forward(self, x, training):
+    def _input_rows(self, x):
         if self.w.ndim != 4:
             raise DimensionError("conv layers take unstacked parameters only")
         if x.ndim != 4:
@@ -470,35 +480,22 @@ class Conv2dLayer(_LayerBase):
             raise DimensionError(f"conv layer expects {self.spec.in_channels} channels, "
                                  f"got {x.shape[1]}")
         s = self.spec
-        u_eff, wcaches = self._effective_output_major()
         cols, (oh, ow) = im2col(x, s.kernel_size, s.kernel_size, s.stride, s.padding)
-        zmat = cols @ u_eff.T + self.b
-        n = x.shape[0]
-        z = zmat.reshape(n, oh, ow, s.out_channels).transpose(0, 3, 1, 2)
-        bncache = None
-        if self.batch_norm:
-            z, bncache = bn_forward(z, self.gamma, self.beta,
-                                    self.running_mean, self.running_var, training)
-        out = apply_activation(s.activation, z)
-        return out, (x.shape, cols, oh, ow, u_eff, wcaches, z, bncache, out)
+        return cols, (x.shape, oh, ow)
 
-    def backward(self, grad, cache):
-        x_shape, cols, oh, ow, u_eff, wcaches, z, bncache, out = cache
+    def _input_rows_vjp(self, dcols, view):
+        x_shape, oh, ow = view
         s = self.spec
-        dz = activation_vjp(s.activation, z, out, grad)
-        grads = {}
-        if bncache is not None:
-            dz, grads["gamma"], grads["beta"] = bn_vjp(bncache, dz)
-        dzmat = dz.transpose(0, 2, 3, 1).reshape(-1, s.out_channels)
-        grads["b"] = dzmat.sum(axis=0)
-        du_eff = dzmat.T @ cols
-        dcols = dzmat @ u_eff
-        dx = col2im(dcols, x_shape, s.kernel_size, s.kernel_size,
-                    s.stride, s.padding, oh, ow)
-        grads["w"], dg = self._weight_vjp(du_eff, wcaches)
-        if dg is not None:
-            grads["g"] = dg
-        return dx, grads
+        return col2im(dcols, x_shape, s.kernel_size, s.kernel_size,
+                      s.stride, s.padding, oh, ow)
+
+    # rows (n, oh, ow) x channels <-> NCHW
+    def _output(self, rows, view):
+        x_shape, oh, ow = view
+        return rows.reshape(x_shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
+
+    def _output_rows(self, grad):
+        return grad.transpose(0, 2, 3, 1).reshape(-1, self.spec.out_channels)
 
 
 def build_layer(spec, rng):

@@ -1,8 +1,8 @@
 """Network container: a validated stack of layers with shared plumbing.
 
-Handles shape chaining (including conv -> dense flattening), Glorot
-initialization from a single seed, flat parameter-vector access for the
-Hessian tooling, and whole-network static conditioning.
+Handles shape validation along the chain, Glorot initialization from a
+single seed, flat parameter-vector access for the Hessian tooling, and
+whole-network static conditioning.
 
 An all-dense network without batch norm also takes a (k, n) stack of
 parameter vectors; one forward/backward then evaluates the k parameter
@@ -37,8 +37,7 @@ class Network:
         if last not in ("identity", "sigmoid_output"):
             raise DimensionError(
                 f"final activation must be identity or sigmoid_output, got {last!r}")
-        # output shape of each layer: (C, H, W) for conv, (out_dim,) for dense
-        self._out_shapes = self._chain_shapes()
+        self._check_chain()
         rng = np.random.default_rng(np.random.SeedSequence(self.seed))
         self.layers = [L.build_layer(s, rng) for s in self.specs]
         # (layer index, name, unstacked shape, size) of each parameter, in
@@ -48,12 +47,11 @@ class Network:
                               for name, arr in layer.param_items()]
         self._stack = ()  # (k,) while the parameters hold a stack of k vectors
 
-    def _chain_shapes(self):
-        """Validate the layer chain and return each layer's output shape."""
+    def _check_chain(self):
+        """Validate that each layer's input matches the previous output."""
         if self.specs[0].kind == "conv2d" and self.input_shape is None:
             raise DimensionError("input_shape=(C, H, W) is required for a conv entry")
         shape = self.input_shape  # (C,H,W) or None for dense entry
-        shapes = []
         for i, s in enumerate(self.specs):
             if s.kind == "conv2d":
                 # everything after the first dense layer stays flat
@@ -72,16 +70,6 @@ class Network:
                     raise DimensionError(f"layer {i}: expects {s.in_dim} features, "
                                          f"chain provides {width}")
                 shape = (s.out_dim,)
-            shapes.append(shape)
-        return shapes
-
-    def _prepare(self, x, layer_kind):
-        if layer_kind == "conv2d" and x.ndim == 2:
-            c, h, w = self.input_shape
-            return x.reshape(x.shape[0], c, h, w)
-        if layer_kind == "dense" and x.ndim == 4:
-            return x.reshape(x.shape[0], -1)
-        return x
 
     def forward(self, x, training=False):
         out, _ = self.forward_with_caches(x, training, keep=False)
@@ -89,9 +77,11 @@ class Network:
 
     def forward_with_caches(self, x, training, keep=True):
         x = np.asarray(x, dtype=np.float64)
+        if x.ndim == 2 and self.specs[0].kind == "conv2d":
+            # flat samples enter a conv net through input_shape
+            x = x.reshape((x.shape[0],) + self.input_shape)
         caches = []
         for i, layer in enumerate(self.layers):
-            x = self._prepare(x, layer.spec.kind)
             x, cache = layer.forward(x, training)
             L.check_finite(x, i, "activation")
             caches.append(cache if keep else None)
@@ -103,13 +93,7 @@ class Network:
         grads = [None] * len(self.layers)
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
-            layer = self.layers[i]
-            g, grads[i] = layer.backward(g, caches[i])
-            # undo the flatten/reshape done on the way forward
-            if layer.spec.kind == "dense" and i > 0:
-                prev = self.layers[i - 1]
-                if prev.spec.kind == "conv2d" and g.ndim == 2:
-                    g = g.reshape((g.shape[0],) + self._out_shapes[i - 1])
+            g, grads[i] = self.layers[i].backward(g, caches[i])
         return grads
 
     # -- parameter vector interface -------------------------------------
@@ -153,17 +137,22 @@ class Network:
 
     # -- conditioning -----------------------------------------------------
 
-    def clone(self):
-        twin = Network(self.specs, seed=self.seed, input_shape=self.input_shape)
+    def _twin(self, specs):
+        """Network of specs holding copies of this one's parameters and
+        batch-norm buffers (specs must differ in conditioning tags only)."""
+        twin = Network(specs, seed=self.seed, input_shape=self.input_shape)
         twin.set_params_vector(self.get_params_vector())
         for mine, theirs in zip(self.layers, twin.layers):
             for name, arr in mine.buffer_items():
                 getattr(theirs, name)[...] = arr
         return twin
 
+    def clone(self):
+        return self._twin(self.specs)
+
     def with_conditioning(self, conditioning, which="hidden"):
         """Twin network with the conditioning tag switched on selected
-        layers, parameters copied over.
+        layers, parameters and buffers copied over.
 
         which: "hidden" (all but the last layer), "all", or an explicit
         list of layer indices.  For static conditioning the copied weights
@@ -177,9 +166,7 @@ class Network:
             idx = set(int(i) for i in which)
         new_specs = [dataclasses.replace(s, conditioning=conditioning) if i in idx else s
                      for i, s in enumerate(self.specs)]
-        twin = Network(new_specs, seed=self.seed, input_shape=self.input_shape)
-        # conditioning tags add no parameters, so the vectors line up
-        twin.set_params_vector(self.get_params_vector())
+        twin = self._twin(new_specs)
         if conditioning == "equilibrate_static":
             for i in idx:
                 twin.layers[i].apply_static_conditioning()

@@ -12,7 +12,7 @@ manifests); CSV output is fully deterministic for a given config/seed.
 import hashlib
 import math
 import time
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
@@ -84,7 +84,6 @@ class TrainTrace:
     data_digest: str
     seed: int
     lr: float
-    extras: dict = field(default_factory=dict)
 
     @property
     def epochs_completed(self):

@@ -2,9 +2,9 @@
 
 Row equilibration scales each row to unit Euclidean norm, column
 equilibration does the same for columns, and the Jacobi preconditioner
-divides by the diagonal.  All of them are represented as explicit
-DiagonalPreconditioner values so experiments can report and reproduce the
-exact scaling applied.
+divides by the diagonal.  Each transform returns its scaling as a plain
+read-only diagonal beside the scaled matrix, so experiments can report and
+reproduce the exact scaling applied.
 """
 
 from dataclasses import dataclass
@@ -17,48 +17,9 @@ from equilab.errors import DimensionError, NonFiniteError, ZeroRowError
 CSV_HEADER = "kind,rows,cols,kappa_before,kappa_after,seed"
 
 
-@dataclass(frozen=True)
-class DiagonalPreconditioner:
-    """Diagonal scaling D applied from one side of a matrix.
-
-    kind is one of "row_equilibration", "column_equilibration", "jacobi",
-    "custom".  Entries must be finite and nonzero; they must be strictly
-    positive except for the jacobi kind, whose entries inherit the sign of
-    the matrix diagonal.
-    """
-
-    diag: np.ndarray
-    side: str
-    kind: str = "custom"
-
-    def __post_init__(self):
-        d = np.asarray(self.diag, dtype=np.float64).reshape(-1).copy()
-        if d.size == 0:
-            raise DimensionError("empty preconditioner diagonal")
-        if not np.isfinite(d).all():
-            raise NonFiniteError("preconditioner diagonal has non-finite entries")
-        if np.any(d == 0.0):
-            raise ZeroRowError(int(np.flatnonzero(d == 0.0)[0]), axis="diagonal")
-        if self.kind != "jacobi" and np.any(d < 0.0):
-            raise DimensionError(f"kind={self.kind!r} requires positive entries")
-        if self.side not in ("left", "right"):
-            raise DimensionError(f"side must be 'left' or 'right', got {self.side!r}")
-        d.flags.writeable = False
-        object.__setattr__(self, "diag", d)
-
-    def apply(self, a):
-        arr = densela._validated(a)
-        if self.side == "left":
-            if arr.shape[0] != self.diag.size:
-                raise DimensionError(
-                    f"left preconditioner of size {self.diag.size} vs {arr.shape} matrix"
-                )
-            return self.diag[:, None] * arr
-        if arr.shape[1] != self.diag.size:
-            raise DimensionError(
-                f"right preconditioner of size {self.diag.size} vs {arr.shape} matrix"
-            )
-        return arr * self.diag[None, :]
+def _read_only(d):
+    d.flags.writeable = False
+    return d
 
 
 def _inverse_norms(norms, axis):
@@ -69,28 +30,27 @@ def _inverse_norms(norms, axis):
 
 
 def row_equilibrate(a):
-    """Return (E, EA) where E = diag(1/||row_i||_2).
+    """Return (e, EA) where e = 1/||row_i||_2 is the diagonal of E.
 
     Zero rows raise ZeroRowError.
     """
     arr = densela._validated(a)
     inv = _inverse_norms(densela.row_norms2(arr), "row")
-    e = DiagonalPreconditioner(inv, side="left", kind="row_equilibration")
-    return e, inv[:, None] * arr
+    return _read_only(inv), inv[:, None] * arr
 
 
 def column_equilibrate(a):
-    """Return (AC, C) where C = diag(1/||col_j||_2)."""
+    """Return (AC, c) where c = 1/||col_j||_2 is the diagonal of C."""
     arr = densela._validated(a)
     inv = _inverse_norms(densela.col_norms2(arr), "column")
-    c = DiagonalPreconditioner(inv, side="right", kind="column_equilibration")
-    return arr * inv[None, :], c
+    return arr * inv[None, :], _read_only(inv)
 
 
 def row_column_equilibrate(a):
     """Row equilibrate, then column equilibrate the result.
 
-    Returns (E, EAC, C).  Errors carry which stage hit a zero norm.
+    Returns (e, EAC, c) with e and c the diagonals.  Errors carry which
+    stage hit a zero norm.
     """
     e, ea = row_equilibrate(a)
     eac, c = column_equilibrate(ea)
@@ -98,9 +58,9 @@ def row_column_equilibrate(a):
 
 
 def jacobi_precondition(a):
-    """Return (D, DA) with D = diag(A)^-1 for square A with nonzero diagonal.
+    """Return (d, DA) with d = 1/diag(A) for square A with nonzero diagonal.
 
-    DA has unit diagonal.  Signs are preserved, so D may carry negative
+    DA has unit diagonal.  Signs are preserved, so d may carry negative
     entries.
     """
     arr = densela._validated(a)
@@ -111,8 +71,7 @@ def jacobi_precondition(a):
     if zero.size:
         raise ZeroRowError(int(zero[0]), axis="diagonal")
     inv = 1.0 / d
-    p = DiagonalPreconditioner(inv, side="left", kind="jacobi")
-    return p, inv[:, None] * arr
+    return _read_only(inv), inv[:, None] * arr
 
 
 @dataclass(frozen=True)
@@ -163,14 +122,21 @@ def conditioning_report(a, kind, seed=None):
 def vds_trial(a, p):
     """kappa(EA) vs kappa(PA) for one matrix and one competing left scaling.
 
-    E is the row equilibrator of a; p is a DiagonalPreconditioner or a raw
-    positive diagonal.  Returns (kappa_ea, kappa_pa).  Rank deficiency in
-    either product propagates as RankDeficientError so sweeps can exclude
-    the trial explicitly.
+    E is the row equilibrator of a; p is the diagonal of P, one finite,
+    strictly positive entry per row of a.  Returns (kappa_ea, kappa_pa).
+    Rank deficiency in either product propagates as RankDeficientError so
+    sweeps can exclude the trial explicitly.
     """
     arr = densela._validated(a)
-    if not isinstance(p, DiagonalPreconditioner):
-        p = DiagonalPreconditioner(np.asarray(p, dtype=np.float64), side="left")
+    p = np.asarray(p, dtype=np.float64).reshape(-1)
+    if not np.isfinite(p).all():
+        raise NonFiniteError("diagonal has non-finite entries")
+    zero = np.flatnonzero(p == 0.0)
+    if zero.size:
+        raise ZeroRowError(int(zero[0]), axis="diagonal")
+    if np.any(p < 0.0):
+        raise DimensionError("diagonal entries must be positive")
+    if p.size != arr.shape[0]:
+        raise DimensionError(f"diagonal of size {p.size} vs {arr.shape} matrix")
     _, ea = row_equilibrate(arr)
-    pa = p.apply(arr)
-    return densela.condition_number(ea), densela.condition_number(pa)
+    return densela.condition_number(ea), densela.condition_number(p[:, None] * arr)

@@ -1,3 +1,8 @@
+import os
+import subprocess
+import sys
+from pathlib import Path
+
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -217,3 +222,17 @@ class TestSolveSpd:
     def test_rejects_indefinite(self):
         with pytest.raises(NotPositiveDefiniteError):
             densela.solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
+
+
+def test_package_import_leaves_scipy_linalg_unloaded():
+    # solve_spd imports scipy.linalg on first use; loading it at import
+    # would roughly double every process's start-up time
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    code = ("import sys, equilab, equilab.bench.experiments, equilab.bench.cli; "
+            "print('scipy.linalg' in sys.modules)")
+    proc = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "False"

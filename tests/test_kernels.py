@@ -3,8 +3,8 @@ reference and rejects buffers it cannot sweep, and EQUILAB_PURE_PYTHON
 selects the fallback.
 
 The agreement test is what catches _jacobi.c and jacobi_py.py drifting
-apart; the compiled-kernel tests skip when the extension is not built
-(`python3 setup.py build_ext --inplace` builds it).
+apart; the compiled-kernel tests run in subprocesses and skip when the
+extension is not built (`python3 setup.py build_ext --inplace` builds it).
 """
 
 import os
@@ -12,11 +12,7 @@ import subprocess
 import sys
 from pathlib import Path
 
-import numpy as np
 import pytest
-
-from equilab import densela
-from equilab._kernels import jacobi_py
 
 try:
     from equilab._kernels import _jacobi
@@ -26,15 +22,41 @@ except ImportError:
 SRC = Path(__file__).resolve().parents[1] / "src"
 
 
-def _sweep(kernel, a):
+needs_compiled = pytest.mark.skipif(_jacobi is None,
+                                    reason="compiled Jacobi extension not built")
+
+
+def _run_compiled(script, *args):
+    """Run script in a fresh interpreter that imports the compiled kernel
+    found here, so a kernel that corrupts memory fails one test instead
+    of ending the session."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(_jacobi.__file__).parents[2]), env.get("PYTHONPATH")) if p)
+    return subprocess.run([sys.executable, "-c", script, *args],
+                          env=env, capture_output=True, text=True, timeout=120)
+
+
+_MATCH_REFERENCE = """
+import sys
+import numpy as np
+from equilab import densela
+from equilab._kernels import _jacobi, jacobi_py
+
+def sweep(kernel, a):
     bt, vt = np.ascontiguousarray(a.T), np.eye(a.shape[1])
     sweeps = kernel.jacobi_sweeps(bt, vt, densela._REL_TOL_FLOOR,
                                   1e-14 * float(np.sum(a * a)), densela.MAX_SWEEPS)
     return tuple(sweeps), np.sort(np.linalg.norm(bt, axis=1))
 
-
-needs_compiled = pytest.mark.skipif(_jacobi is None,
-                                    reason="compiled Jacobi extension not built")
+shape = tuple(int(n) for n in sys.argv[1:])
+a = np.random.default_rng(shape).standard_normal(shape)
+sweeps_py, sigma_py = sweep(jacobi_py, a)
+sweeps_c, sigma_c = sweep(_jacobi, a)
+assert sweeps_c == sweeps_py, (sweeps_c, sweeps_py)
+assert sweeps_c[1], "compiled kernel did not converge"
+np.testing.assert_allclose(sigma_c, sigma_py, rtol=1e-12, atol=0.0)
+"""
 
 
 # tall shapes give bt rows (length n_rows) and vt rows (length n_cols) of
@@ -43,17 +65,12 @@ needs_compiled = pytest.mark.skipif(_jacobi is None,
 @pytest.mark.parametrize("shape", [(16, 16), (32, 32), (64, 64), (96, 96), (40, 7), (64, 16)],
                          ids=["16", "32", "64", "96", "40x7", "64x16"])
 def test_compiled_kernel_matches_reference(shape):
-    a = np.random.default_rng(shape).standard_normal(shape)
-    sweeps_py, sigma_py = _sweep(jacobi_py, a)
-    sweeps_c, sigma_c = _sweep(_jacobi, a)
-    assert sweeps_c == sweeps_py
-    assert sweeps_c[1]
-    np.testing.assert_allclose(sigma_c, sigma_py, rtol=1e-12, atol=0.0)
+    proc = _run_compiled(_MATCH_REFERENCE, *map(str, shape))
+    assert proc.returncode == 0, proc.stderr
 
 
 # Each case must raise ValueError before the kernel touches memory.  Without
-# the row check the last one writes past vt and crashes the interpreter,
-# hence the subprocess.
+# the row check the last one writes past vt and crashes the interpreter.
 _BAD_INPUTS = """
 import numpy as np
 from equilab._kernels._jacobi import jacobi_sweeps
@@ -79,11 +96,7 @@ for name, (bt, vt) in cases.items():
 
 @needs_compiled
 def test_compiled_kernel_rejects_bad_buffers():
-    env = dict(os.environ)
-    env["PYTHONPATH"] = os.pathsep.join(
-        p for p in (str(Path(_jacobi.__file__).parents[2]), env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", _BAD_INPUTS],
-                          env=env, capture_output=True, text=True, timeout=120)
+    proc = _run_compiled(_BAD_INPUTS)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 5, proc.stdout
 

@@ -186,12 +186,29 @@ class TestBatchNorm:
 
         vjp_check(fwd, vjp, x, rng, rel=1e-5)
 
-    def test_conv_axes(self):
-        rng = np.random.default_rng(10)
-        x = rng.standard_normal((8, 3, 5, 5)) * 2.0 + 3.0
-        rm, rv = np.zeros(3), np.ones(3)
-        out, _ = L.bn_forward(x, np.ones(3), np.zeros(3), rm, rv, training=True)
+    def test_rejects_non_2d_input(self):
+        with pytest.raises(DimensionError):
+            L.bn_forward(np.ones((4, 3, 2, 2)), np.ones(3), np.zeros(3),
+                         np.zeros(3), np.ones(3), training=True)
+
+    def test_conv_layer_normalizes_each_channel(self):
+        # conv batch norm runs over im2col rows, i.e. per channel over
+        # batch and space; the reference normalizes the plain conv output
+        # over axes (0, 2, 3)
+        spec = L.Conv2dSpec(2, 3, kernel_size=3, padding=1, normalization="batch_norm")
+        layer = L.build_layer(spec, np.random.default_rng(10))
+        plain = L.build_layer(L.Conv2dSpec(2, 3, kernel_size=3, padding=1),
+                              np.random.default_rng(10))
+        layer.b += np.array([1.0, -2.0, 3.0])
+        plain.b = layer.b
+        x = np.random.default_rng(11).standard_normal((8, 2, 5, 5)) * 2.0 + 3.0
+        out, _ = layer.forward(x, training=True)
+        assert out.shape == (8, 3, 5, 5)
         np.testing.assert_allclose(out.mean(axis=(0, 2, 3)), 0.0, atol=1e-12)
+        z, _ = plain.forward(x, training=True)
+        ref = (z - z.mean(axis=(0, 2, 3), keepdims=True)) / np.sqrt(
+            z.var(axis=(0, 2, 3), keepdims=True) + L.BN_EPS)
+        np.testing.assert_allclose(out, ref, rtol=1e-12, atol=1e-12)
 
 
 class TestIm2col:

@@ -13,33 +13,11 @@ def imbalanced(seed, m=8, n=8):
     return a * 10.0 ** rng.uniform(-3.0, 3.0, size=m)[:, None]
 
 
-class TestDiagonalPreconditioner:
-    def test_apply_left_and_right(self):
-        a = np.arange(6.0).reshape(2, 3) + 1.0
-        left = precond.DiagonalPreconditioner(np.array([2.0, 3.0]), side="left")
-        right = precond.DiagonalPreconditioner(np.array([2.0, 3.0, 4.0]), side="right")
-        np.testing.assert_allclose(left.apply(a), np.diag([2.0, 3.0]) @ a)
-        np.testing.assert_allclose(right.apply(a), a @ np.diag([2.0, 3.0, 4.0]))
-
-    def test_rejects_zero_and_nonfinite(self):
-        with pytest.raises((DimensionError, ZeroRowError)):
-            precond.DiagonalPreconditioner(np.array([1.0, 0.0]), side="left")
-        with pytest.raises(NonFiniteError):
-            precond.DiagonalPreconditioner(np.array([1.0, np.inf]), side="left")
-
-    def test_sign_rule(self):
-        # negative entries are allowed only for the jacobi kind
-        with pytest.raises(DimensionError):
-            precond.DiagonalPreconditioner(np.array([1.0, -1.0]), side="left")
-        p = precond.DiagonalPreconditioner(np.array([1.0, -1.0]), side="left",
-                                           kind="jacobi")
-        assert p.diag[1] == -1.0
-
-
 class TestRowEquilibration:
     def test_oracle_3_4_0_5(self):
         e, ea = precond.row_equilibrate(np.array([[3.0, 4.0], [0.0, 5.0]]))
-        np.testing.assert_allclose(e.diag, [0.2, 0.2])
+        np.testing.assert_allclose(e, [0.2, 0.2])
+        assert not e.flags.writeable
         np.testing.assert_allclose(ea, [[0.6, 0.8], [0.0, 1.0]])
 
     def test_unit_rows(self):
@@ -74,22 +52,23 @@ class TestColumnAndJacobi:
     def test_column_unit_columns(self):
         ac, c = precond.column_equilibrate(imbalanced(1).T)
         np.testing.assert_allclose(np.linalg.norm(ac, axis=0), 1.0, rtol=1e-14)
-        assert c.side == "right"
+        np.testing.assert_allclose(ac, imbalanced(1).T * c, rtol=1e-14)
 
     def test_row_column_both(self):
         e, eac, c = precond.row_column_equilibrate(imbalanced(2))
-        np.testing.assert_allclose(eac, np.diag(e.diag) @ imbalanced(2) @ np.diag(c.diag),
+        np.testing.assert_allclose(eac, np.diag(e) @ imbalanced(2) @ np.diag(c),
                                    rtol=1e-12)
 
     def test_jacobi_oracle(self):
         a = np.array([[4.0, 1.0], [1.0, 3.0]])
         d, da = precond.jacobi_precondition(a)
-        np.testing.assert_allclose(d.diag, [0.25, 1.0 / 3.0])
+        np.testing.assert_allclose(d, [0.25, 1.0 / 3.0])
         np.testing.assert_allclose(da, [[1.0, 0.25], [1.0 / 3.0, 1.0]])
 
     def test_jacobi_keeps_diag_sign(self):
         a = np.array([[-2.0, 0.0], [0.0, 4.0]])
         d, da = precond.jacobi_precondition(a)
+        np.testing.assert_allclose(d, [-0.5, 0.25])
         np.testing.assert_allclose(np.diag(da), [1.0, 1.0])
 
     def test_jacobi_zero_diag_raises(self):
@@ -112,6 +91,30 @@ class TestVdsTrial:
         p = 10.0 ** rng.uniform(-2.0, 2.0, size=6)
         k_ea, k_pa = precond.vds_trial(a, p)
         assert k_ea <= np.sqrt(6.0) * k_pa * (1.0 + 1e-9)
+
+    def test_scales_rows_by_the_diagonal(self):
+        a = np.array([[3.0, 0.0], [0.0, 1.0]])
+        k_ea, k_pa = precond.vds_trial(a, [1.0, 6.0])
+        assert k_ea == pytest.approx(1.0, rel=1e-12)
+        assert k_pa == pytest.approx(2.0, rel=1e-12)
+
+    def test_rejects_zero_and_nonfinite_diagonal(self):
+        a = np.eye(2)
+        with pytest.raises(ZeroRowError):
+            precond.vds_trial(a, [1.0, 0.0])
+        with pytest.raises(NonFiniteError):
+            precond.vds_trial(a, [1.0, np.inf])
+        with pytest.raises(NonFiniteError):
+            precond.vds_trial(a, [np.nan, 1.0])
+
+    def test_rejects_negative_and_mismatched_diagonal(self):
+        a = np.eye(2)
+        with pytest.raises(DimensionError):
+            precond.vds_trial(a, [1.0, -1.0])
+        with pytest.raises(DimensionError):
+            precond.vds_trial(a, [1.0, 2.0, 3.0])
+        with pytest.raises(DimensionError):
+            precond.vds_trial(a, [1.0])
 
 
 class TestReports:
