@@ -9,6 +9,7 @@ output identity.
 
 import hashlib
 import json
+import sys
 from dataclasses import dataclass
 
 from equilab.errors import ConfigError
@@ -101,6 +102,14 @@ def _coerce(key, want, value):
     return value
 
 
+def _check_lr_grid(grid):
+    # entries stay as given (no float()), so config hashes do not move
+    for lr in grid:
+        if (isinstance(lr, bool) or not isinstance(lr, (int, float))
+                or not 0 < lr <= sys.float_info.max):
+            raise ConfigError(f"lr_grid entries must be positive finite numbers, got {lr!r}")
+
+
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object against its kind's schema."""
     if not isinstance(raw, dict):
@@ -120,8 +129,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
             raise ConfigError(f"config key {key!r} is required")
         else:
             params[key] = default
-    if kind == "train_compare" and params["task"] not in TASKS:
-        raise ConfigError(f"unknown task {params['task']!r}; expected one of {TASKS}")
+    if kind == "train_compare":
+        if params["task"] not in TASKS:
+            raise ConfigError(f"unknown task {params['task']!r}; expected one of {TASKS}")
+        _check_lr_grid(params["lr_grid"])
     seed = params.pop("seed")
     params.pop("kind")
     canon = json.dumps({"kind": kind, "seed": seed, **params},

@@ -141,19 +141,38 @@ def _first_epoch_at(losses, threshold):
     return int(hits[0]) if hits.size else None
 
 
+def _step_time_quantiles(step_times):
+    """Median and p90 of one run's per-step wall times (None without steps).
+
+    Linear interpolation between order statistics, np.percentile's default;
+    np.percentile and np.median themselves load numpy.ma, which adds about
+    1.5 MB to a run's peak RSS.
+    """
+    n = len(step_times)
+    if not n:
+        return {"median": None, "p90": None}
+    median, p90 = np.interp([0.5 * (n - 1), 0.9 * (n - 1)], np.arange(n),
+                            np.sort(step_times))
+    return {"median": float(median), "p90": float(p90)}
+
+
 def max_nondiverging_lr(cfg, arm, lr_grid):
-    """Largest grid lr at which the arm's full run stays finite, or None."""
+    """Largest grid lr at which the arm's full run stays finite, or None.
+
+    The distinct grid lrs are tried from the largest down and the first
+    finite run ends the sweep, so the answer does not depend on the grid's
+    order or on divergence being monotone in lr.
+    """
     x, y, loss, out_act = _task_data(cfg)
     p = cfg.params
-    best = None
-    for lr in lr_grid:
+    for lr in sorted({float(v) for v in lr_grid}, reverse=True):
         net, _ = _arm_network(cfg, arm, out_act)
-        trace = train(net, x, y, loss=loss, lr=float(lr), momentum=p["momentum"],
+        trace = train(net, x, y, loss=loss, lr=lr, momentum=p["momentum"],
                       epochs=p["epochs"], batch_size=p["batch_size"], seed=cfg.seed,
                       record_kappa=False)
         if not trace.diverged and np.isfinite(trace.train_loss[-1]):
-            best = float(lr)
-    return best
+            return lr
+    return None
 
 
 def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
@@ -192,6 +211,7 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
         manifest.add_file(path)
         manifest.diverged[arm] = bool(t.diverged)
         manifest.wall_time_per_step[arm] = float(np.mean(t.wall_time_per_step))
+        manifest.notes.setdefault("step_time_s", {})[arm] = _step_time_quantiles(t.step_times)
         epochs = np.arange(len(t.train_loss), dtype=float)
         series.append(LineSeries(arm, tuple(epochs), tuple(float(v) for v in t.train_loss)))
         reach = _first_epoch_at(t.train_loss, plain_final) if plain_final is not None else None
@@ -213,10 +233,9 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
     manifest.add_file(svg_path)
 
     if p["lr_grid"]:
-        grid = [float(v) for v in p["lr_grid"]]
         rows = ["arm,max_nondiverging_lr"]
         for arm in p["arms"]:
-            best = max_nondiverging_lr(cfg, arm, grid)
+            best = max_nondiverging_lr(cfg, arm, p["lr_grid"])
             rows.append(f"{arm},{'' if best is None else repr(best)}")
         sweep_path = f"{out_dir}/lr_sweep.csv"
         atomic_write_text(sweep_path, "\r\n".join(rows) + "\r\n")

@@ -68,14 +68,16 @@ class TrainTrace:
     """Per-epoch history of one training run.
 
     Arrays all have length epochs_completed; kappa columns are nan where a
-    weight matrix was numerically rank deficient.  wall_time_per_step is
-    measured and therefore excluded from to_csv output.
+    weight matrix was numerically rank deficient.  wall_time_per_step holds
+    each epoch's mean step time and step_times every completed step's time,
+    in order; both are measured and therefore excluded from to_csv output.
     """
 
     train_loss: np.ndarray
     eval_loss: np.ndarray
     accuracy: np.ndarray | None
     wall_time_per_step: np.ndarray
+    step_times: np.ndarray
     kappa_weights: np.ndarray      # (epochs, n_layers)
     kappa_effective: np.ndarray    # (epochs, n_layers)
     diverged: bool
@@ -149,7 +151,7 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         velocity = [{name: np.zeros_like(arr) for name, arr in layer.param_items()}
                     for layer in net.layers]
 
-    tl, el, acc, wts = [], [], [], []
+    tl, el, acc, wts, step_times = [], [], [], [], []
     kw, keff = [], []
     diverged = False
     diverged_at = None
@@ -165,7 +167,7 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         data_hash.update(perm.astype(np.int64).tobytes())
         batch_losses = []
         batch_sizes = []
-        step_times = []
+        first_step = len(step_times)
         for start in range(0, n, batch_size):
             idx = perm[start:start + batch_size]
             if has_bn and idx.size < 2:
@@ -209,7 +211,7 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         el.append(ev)
         if a is not None:
             acc.append(a)
-        wts.append(float(np.mean(step_times)))
+        wts.append(float(np.mean(step_times[first_step:])))
         if record_kappa:
             kw.append(net.weight_condition_numbers(effective=False))
             keff.append(net.weight_condition_numbers(effective=True))
@@ -222,6 +224,7 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         eval_loss=np.array(el),
         accuracy=np.array(acc) if loss == "bce" else None,
         wall_time_per_step=np.array(wts),
+        step_times=np.array(step_times),
         kappa_weights=np.array(kw) if kw else np.zeros((0, len(net.layers))),
         kappa_effective=np.array(keff) if keff else np.zeros((0, len(net.layers))),
         diverged=diverged,

@@ -4,7 +4,7 @@ import os
 import numpy as np
 import pytest
 
-from equilab.bench import cli, svgplot
+from equilab.bench import cli, experiments, svgplot
 from equilab.bench.config import default_config, load_config, resolve_config
 from equilab.bench.experiments import (ARMS, list_arms, max_nondiverging_lr,
                                        run_experiment, scale_first_layer_rows)
@@ -43,6 +43,14 @@ class TestConfig:
             default_config("vds", trials="many")
         # int where float is wanted is fine
         assert default_config("quad", kappa=10)["kappa"] == 10.0
+
+    @pytest.mark.parametrize("entry", ["0.1", True, None, 0.0, -0.5, float("inf"),
+                                       float("nan"), 10 ** 400],
+                             ids=["str", "bool", "null", "zero", "negative", "inf",
+                                  "nan", "int_beyond_float"])
+    def test_lr_grid_entries_rejected(self, entry):
+        with pytest.raises(ConfigError):
+            default_config("train_compare", lr_grid=[0.1, entry])
 
     def test_task_validation(self):
         with pytest.raises(ConfigError):
@@ -189,6 +197,19 @@ class TestTrainCompare:
         assert len(rows) == 3
         man = load_manifest(out)
         assert set(man["wall_time_per_step"]) == {"none", "e-reparam"}
+        steps = man["notes"]["step_time_s"]
+        assert set(steps) == {"none", "e-reparam"}
+        for q in steps.values():
+            assert 0.0 < q["median"] <= q["p90"]
+
+    def test_step_time_quantiles_match_percentile(self):
+        rng = np.random.default_rng(0)
+        for n in (1, 2, 7, 160):
+            steps = rng.exponential(1e-4, n)
+            q = experiments._step_time_quantiles(steps)
+            want = np.percentile(steps, [50, 90])
+            assert [q["median"], q["p90"]] == pytest.approx(want, rel=1e-12)
+        assert experiments._step_time_quantiles(np.zeros(0)) == {"median": None, "p90": None}
 
     def test_lr_grid_emits_sweep(self, tmp_path):
         cfg = default_config("train_compare", arms=["none"], epochs=2,
@@ -199,11 +220,30 @@ class TestTrainCompare:
         assert rows[0] == "arm,max_nondiverging_lr"
         assert rows[1].split(",")[0] == "none"
 
-    def test_max_nondiverging_lr_orders(self):
+    def test_max_nondiverging_lr_orders(self, monkeypatch):
         cfg = default_config("train_compare", arms=["none"], epochs=2,
                              n_samples=32, seed=0)
-        lr = max_nondiverging_lr(cfg, "none", [0.001, 1e9])
-        assert lr == 0.001
+        assert max_nondiverging_lr(cfg, "none", [0.001, 1e9]) == 0.001
+        # the largest finite lr, whatever the grid order
+        assert max_nondiverging_lr(cfg, "none", [0.002, 0.001]) == 0.002
+
+        trained = []
+        real_train = experiments.train
+
+        def counting_train(*args, **kwargs):
+            trained.append(kwargs["lr"])
+            return real_train(*args, **kwargs)
+
+        monkeypatch.setattr(experiments, "train", counting_train)
+        # top down: the sweep stops at the first finite run
+        assert max_nondiverging_lr(cfg, "none", [0.001, 0.002, 1e9]) == 0.002
+        assert trained == [1e9, 0.002]
+        trained.clear()
+        assert max_nondiverging_lr(cfg, "none", [1e9, 1e10]) is None
+        assert trained == [1e10, 1e9]
+        trained.clear()
+        assert max_nondiverging_lr(cfg, "none", [1e9, 0.001, 1e9]) == 0.001
+        assert trained == [1e9, 0.001]
 
     def test_scale_first_layer_rows(self):
         net = Network([DenseSpec(2, 6, activation="tanh"), DenseSpec(6, 1)],

@@ -60,6 +60,10 @@ class TestTrain:
         assert not tr.diverged and tr.diverged_at is None
         assert tr.kappa_weights.shape == (10, 2)
         assert len(tr.wall_time_per_step) == 10
+        # every step's time is kept; each epoch's mean is its 4 steps' mean
+        assert tr.step_times.shape == (40,)
+        np.testing.assert_allclose(tr.step_times.reshape(10, 4).mean(axis=1),
+                                   tr.wall_time_per_step, rtol=1e-12)
         assert tr.accuracy is None
 
     def test_identical_setup_gives_identical_losses(self):
