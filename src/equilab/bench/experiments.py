@@ -210,17 +210,21 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
         _write_trace_csv(t, path)
         manifest.add_file(path)
         manifest.diverged[arm] = bool(t.diverged)
-        manifest.wall_time_per_step[arm] = float(np.mean(t.wall_time_per_step))
+        done = t.epochs_completed
+        manifest.wall_time_per_step[arm] = float(np.mean(t.wall_time_per_step)) if done else None
         manifest.notes.setdefault("step_time_s", {})[arm] = _step_time_quantiles(t.step_times)
-        epochs = np.arange(len(t.train_loss), dtype=float)
+        epochs = np.arange(done, dtype=float)
         series.append(LineSeries(arm, tuple(epochs), tuple(float(v) for v in t.train_loss)))
         reach = _first_epoch_at(t.train_loss, plain_final) if plain_final is not None else None
-        acc = "" if t.accuracy is None else repr(float(t.accuracy[-1]))
+        # an arm that diverged in its first epoch leaves these cells empty
+        finals = ([repr(float(t.train_loss[-1])), repr(float(t.eval_loss[-1]))]
+                  if done else ["", ""])
+        acc = "" if t.accuracy is None or not done else repr(float(t.accuracy[-1]))
+        kappas = ([repr(float(t.kappa_weights[0, 0])), repr(float(t.kappa_weights[-1, 0]))]
+                  if done else ["", ""])
         rows.append(",".join([
-            arm, str(t.diverged).lower(), str(len(t.train_loss)),
-            repr(float(t.train_loss[-1])), repr(float(t.eval_loss[-1])), acc,
-            "" if reach is None else str(reach),
-            repr(float(t.kappa_weights[0, 0])), repr(float(t.kappa_weights[-1, 0])),
+            arm, str(t.diverged).lower(), str(done), *finals, acc,
+            "" if reach is None else str(reach), *kappas,
         ]))
 
     summary_path = f"{out_dir}/summary.csv"

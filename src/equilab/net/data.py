@@ -25,7 +25,7 @@ def make_teacher(widths=(2, 8, 1), kappa=1e3, activation="tanh", seed=0):
     w1 = teacher.layers[0].w
     unit = w1 / np.linalg.norm(w1, axis=1, keepdims=True)
     scales = np.geomspace(1.0, 1.0 / kappa, w1.shape[0])
-    teacher.layers[0].w = scales[:, None] * unit
+    w1[...] = scales[:, None] * unit
     return teacher
 
 

@@ -161,16 +161,20 @@ def bn_forward(x, gamma, beta, running_mean, running_var, training,
     if training:
         if x.shape[0] < 2:
             raise DimensionError("batch norm needs at least 2 rows in training")
-        mu = x.mean(axis=0)
-        var = x.var(axis=0)
+        # the sums over m rows that x.mean and x.var compute, without
+        # their Python-level wrappers
+        m = x.shape[0]
+        mu = x.sum(axis=0) / m
+        xc = x - mu
+        var = (xc * xc).sum(axis=0) / m
         running_mean *= 1.0 - momentum
         running_mean += momentum * mu
         running_var *= 1.0 - momentum
         running_var += momentum * var
     else:
-        mu, var = running_mean, running_var
+        xc, var = x - running_mean, running_var
     s = np.sqrt(var + eps)
-    xhat = (x - mu) / s
+    xhat = xc / s
     out = gamma * xhat + beta
     return out, (xhat, s, gamma, training)
 
@@ -346,6 +350,12 @@ class _LayerBase:
     def _output_rows(self, grad):
         return grad
 
+    @property
+    def transforms_weight(self):
+        """Whether the effective weight differs from w (a weight-side
+        normalization or the equilibration reparametrization)."""
+        return self.weight_tag is not None or self.spec.conditioning == "equilibrate_reparam"
+
     def effective_weight(self):
         """Output-major effective weight after transforms (no caches)."""
         return self._effective_output_major()[0]
@@ -386,10 +396,10 @@ class _LayerBase:
         return []
 
     def apply_static_conditioning(self):
-        """Overwrite w with its row-equilibrated version (fan-in rows for
-        dense, filter rows for conv)."""
+        """Overwrite w in place with its row-equilibrated version (fan-in
+        rows for dense, filter rows for conv)."""
         m, _ = self._reparam(self._output_major(self.w))
-        self.w = self._from_output_major(m)
+        self.w[...] = self._from_output_major(m)
 
 
 class DenseLayer(_LayerBase):

@@ -4,12 +4,20 @@ Handles shape validation along the chain, Glorot initialization from a
 single seed, flat parameter-vector access for the Hessian tooling, and
 whole-network static conditioning.
 
+Every trainable parameter lives in one contiguous float64 buffer, laid
+out parameter by parameter, and each layer's w/b/gamma/beta/g attribute
+is a view into it, so an SGD step can update the whole net with one
+operation.  Code that changes a parameter writes into its array
+(`layer.w[...] = ...`); rebinding the attribute would detach it from the
+buffer.
+
 An all-dense network without batch norm also takes a (k, n) stack of
 parameter vectors; one forward/backward then evaluates the k parameter
 sets on the same batch (see net.layers).
 """
 
 import dataclasses
+import math
 
 import numpy as np
 
@@ -45,7 +53,33 @@ class Network:
         self._param_layout = [(i, name, arr.shape, arr.size)
                               for i, layer in enumerate(self.layers)
                               for name, arr in layer.param_items()]
-        self._stack = ()  # (k,) while the parameters hold a stack of k vectors
+        initial = [arr for layer in self.layers for _, arr in layer.param_items()]
+        self._bind(())
+        for (i, name, _, _), arr in zip(self._param_layout, initial):
+            getattr(self.layers[i], name)[...] = arr
+
+    def _bind(self, stack):
+        """Allocate the parameter buffer for a stack shape (() or (k,)) and
+        point every parameter attribute at its (*stack, *shape) view; the
+        values are left uninitialized."""
+        k = math.prod(stack)
+        self._flat = np.empty(k * self.parameter_count())
+        pos = 0
+        for i, name, shape, size in self._param_layout:
+            view = self._flat[pos:pos + k * size].reshape(stack + shape)
+            setattr(self.layers[i], name, view)
+            pos += k * size
+        self._stack = stack  # (k,) while the parameters hold a stack of k vectors
+
+    @property
+    def param_buffer(self):
+        """The parameter vector itself, as the buffer every parameter
+        attribute views: writing into it moves the parameters in place.
+        Unstacked parameters only (a stack lays out each parameter's k
+        copies contiguously, not member by member)."""
+        if self._stack:
+            raise DimensionError("param_buffer takes unstacked parameters only")
+        return self._flat
 
     def _check_chain(self):
         """Validate that each layer's input matches the previous output."""
@@ -110,8 +144,8 @@ class Network:
     def set_params_vector(self, theta):
         """Set parameters from a vector of length n, or from a (k, n) stack.
 
-        Each parameter is stored as a contiguous copy, of shape (k, *shape)
-        for a stack.
+        The values are copied into the parameter buffer; each parameter is
+        a contiguous view of it, of shape (k, *shape) for a stack.
         """
         theta = np.asarray(theta, dtype=np.float64)
         n = self.parameter_count()
@@ -119,12 +153,12 @@ class Network:
             raise DimensionError(f"parameter vector of shape {theta.shape}, "
                                  f"expected ({n},) or (k, {n})")
         stack = theta.shape[:-1]
+        if stack != self._stack:
+            self._bind(stack)
         pos = 0
         for i, name, shape, size in self._param_layout:
-            chunk = theta[..., pos:pos + size].reshape(stack + shape)
-            setattr(self.layers[i], name, chunk.copy())
+            getattr(self.layers[i], name)[...] = theta[..., pos:pos + size].reshape(stack + shape)
             pos += size
-        self._stack = stack
 
     def grads_to_vector(self, grads):
         """Flat gradient: (n,), or (k, n) while a stack is set."""
@@ -172,24 +206,25 @@ class Network:
                 twin.layers[i].apply_static_conditioning()
         return twin
 
-    def weight_condition_numbers(self, effective=False):
-        """kappa of each layer's weight (or effective weight) in the
-        output-major view; numerically rank deficient entries (at
-        condition_number's rank_tol 1e-12) come back as nan."""
-        out = []
+    def weight_condition_numbers(self):
+        """(raw, effective): per-layer kappa of the weight and of the
+        effective weight, in the output-major view.
+
+        A layer without a weight transform has one matrix for both, so its
+        raw kappa is reused.  Numerically rank deficient entries (at
+        condition_number's rank_tol 1e-12) come back as nan.
+        """
+        raw, effective = [], []
         for layer in self.layers:
-            m = layer.effective_weight() if effective else layer._output_major(layer.w)
-            try:
-                out.append(densela.condition_number(m))
-            except RankDeficientError:
-                out.append(float("nan"))
-        return out
+            k = _kappa(layer._output_major(layer.w))
+            raw.append(k)
+            effective.append(_kappa(layer.effective_weight())
+                             if layer.transforms_weight else k)
+        return raw, effective
 
 
-def _sigmoid(z):
-    out = np.empty_like(z)
-    pos = z >= 0
-    out[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
-    ez = np.exp(z[~pos])
-    out[~pos] = ez / (1.0 + ez)
-    return out
+def _kappa(m):
+    try:
+        return densela.condition_number(m)
+    except RankDeficientError:
+        return float("nan")

@@ -17,7 +17,6 @@ from dataclasses import dataclass
 import numpy as np
 
 from equilab.errors import DimensionError, NonFiniteActivationError, NonFiniteError
-from equilab.net.network import Network, _sigmoid
 
 LOSSES = ("mse", "bce")
 DIVERGENCE_NORM = 1e12
@@ -31,14 +30,21 @@ def mse_loss(pred, y):
     one member's entry count, and the loss is averaged over the stack.
     """
     d = pred - y
-    return float(np.mean(d * d)), 2.0 * d / math.prod(d.shape[d.ndim - np.ndim(y):])
+    sq = d * d
+    return float(sq.sum() / sq.size), 2.0 * d / math.prod(d.shape[d.ndim - np.ndim(y):])
 
 
 def bce_loss(z, y):
     """Binary cross entropy on logits, in the stable max(z,0)-z*y+log1p(exp(-|z|))
-    form; returns (loss, dz)."""
-    val = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
-    return float(np.mean(val)), (_sigmoid(z) - y) / z.size
+    form; returns (loss, dz).
+
+    The sigmoid reuses e = exp(-|z|): 1/(1+e) for z >= 0 and e/(1+e)
+    below, so neither branch can overflow.
+    """
+    e = np.exp(-np.abs(z))
+    val = np.maximum(z, 0.0) - z * y + np.log1p(e)
+    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
+    return float(val.sum() / val.size), (sig - y) / z.size
 
 
 def evaluate(net, x, y, loss="mse"):
@@ -93,7 +99,7 @@ class TrainTrace:
 
     def to_csv(self):
         """CSV text, one row per completed epoch (CRLF line ends)."""
-        n_layers = self.kappa_weights.shape[1] if self.kappa_weights.size else 0
+        n_layers = self.kappa_weights.shape[1]
         cols = ["epoch", "train_loss", "eval_loss"]
         if self.accuracy is not None:
             cols.append("accuracy")
@@ -111,11 +117,7 @@ class TrainTrace:
 
 
 def params_digest(net):
-    h = hashlib.sha256()
-    for layer in net.layers:
-        for _, arr in layer.param_items():
-            h.update(np.ascontiguousarray(arr).tobytes())
-    return h.hexdigest()
+    return hashlib.sha256(net.param_buffer.tobytes()).hexdigest()
 
 
 def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
@@ -124,9 +126,11 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
 
     The per-epoch eval loss is the full-batch eval-mode loss on (x, y).
 
-    Divergence (non-finite activations/loss, or parameter norm beyond
-    1e12) stops the run at the end of the offending batch and flags the
-    trace instead of raising.
+    Each step updates net.param_buffer as one vector, so net must hold
+    unstacked parameters (DimensionError otherwise).  Divergence
+    (non-finite activations/loss, or a parameter beyond 1e12 in absolute
+    value or non-finite) stops the run at the end of the offending batch
+    and flags the trace instead of raising.
     """
     if loss not in LOSSES:
         raise DimensionError(f"unknown loss {loss!r}")
@@ -142,14 +146,12 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
     if y.shape[0] != n:
         raise DimensionError(f"{n} inputs vs {y.shape[0]} targets")
 
+    flat = net.param_buffer
     has_bn = any(layer.batch_norm for layer in net.layers)
     init_digest = params_digest(net)
     data_hash = hashlib.sha256()
 
-    velocity = None
-    if momentum:
-        velocity = [{name: np.zeros_like(arr) for name, arr in layer.param_items()}
-                    for layer in net.layers]
+    velocity = np.zeros_like(flat) if momentum else None
 
     tl, el, acc, wts, step_times = [], [], [], [], []
     kw, keff = [], []
@@ -165,16 +167,17 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         rng = np.random.default_rng(np.random.SeedSequence((seed, n, epoch)))
         perm = rng.permutation(n)
         data_hash.update(perm.astype(np.int64).tobytes())
+        xs, ys = x[perm], y[perm]
         batch_losses = []
         batch_sizes = []
         first_step = len(step_times)
         for start in range(0, n, batch_size):
-            idx = perm[start:start + batch_size]
-            if has_bn and idx.size < 2:
+            xb, yb = xs[start:start + batch_size], ys[start:start + batch_size]
+            if has_bn and len(xb) < 2:
                 continue  # batch norm cannot use a singleton remainder
             t0 = time.perf_counter()
             try:
-                val, grads = loss_and_gradients(net, x[idx], y[idx], loss=loss)
+                val, grads = loss_and_gradients(net, xb, yb, loss=loss)
             except NonFiniteActivationError:
                 diverged = True
                 diverged_at = epoch
@@ -183,23 +186,16 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
                 diverged = True
                 diverged_at = epoch
                 break
-            for li, layer in enumerate(net.layers):
-                for name, arr in layer.param_items():
-                    g = grads[li].get(name)
-                    if g is None:
-                        continue
-                    g = np.asarray(g).reshape(arr.shape)
-                    if velocity is not None:
-                        v = velocity[li][name]
-                        v *= momentum
-                        v += g
-                        g = v
-                    arr -= lr * g
+            g = net.grads_to_vector(grads)
+            if velocity is not None:
+                velocity *= momentum
+                velocity += g
+                g = velocity
+            flat -= lr * g
             step_times.append(time.perf_counter() - t0)
             batch_losses.append(val)
-            batch_sizes.append(idx.size)
-            pmax = max(float(np.max(np.abs(arr)))
-                       for layer in net.layers for _, arr in layer.param_items())
+            batch_sizes.append(len(xb))
+            pmax = np.max(np.abs(flat))
             if not np.isfinite(pmax) or pmax > DIVERGENCE_NORM:
                 diverged = True
                 diverged_at = epoch
@@ -213,8 +209,9 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
             acc.append(a)
         wts.append(float(np.mean(step_times[first_step:])))
         if record_kappa:
-            kw.append(net.weight_condition_numbers(effective=False))
-            keff.append(net.weight_condition_numbers(effective=True))
+            raw, effective = net.weight_condition_numbers()
+            kw.append(raw)
+            keff.append(effective)
         else:
             kw.append([float("nan")] * len(net.layers))
             keff.append([float("nan")] * len(net.layers))

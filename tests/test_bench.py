@@ -202,6 +202,18 @@ class TestTrainCompare:
         for q in steps.values():
             assert 0.0 < q["median"] <= q["p90"]
 
+    def test_arm_diverging_in_first_epoch(self, tmp_path):
+        cfg = default_config("train_compare", arms=["none"], epochs=2,
+                             n_samples=32, lr=1e15)
+        out = tmp_path / "r"
+        run_experiment(cfg, out)
+        assert rows_of(out / "summary.csv")[1] == "none,true,0,,,,,,"
+        assert rows_of(out / "train_none.csv") == [
+            "epoch,train_loss,eval_loss,kappa_w0,kappa_w1,kappa_eff0,kappa_eff1"]
+        man = load_manifest(out)
+        assert man["diverged"] == {"none": True}
+        assert man["wall_time_per_step"] == {"none": None}
+
     def test_step_time_quantiles_match_percentile(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 7, 160):

@@ -159,6 +159,21 @@ class TestBatchNorm:
         L.bn_forward(x, np.ones(3), np.zeros(3), rm, rv, training=True)
         np.testing.assert_allclose(rm, L.BN_MOMENTUM * x.mean(axis=0), rtol=1e-12)
 
+    @pytest.mark.parametrize("rows", [2, 3, 37])
+    def test_training_stats_are_mean_and_var_bits(self, rows):
+        rng = np.random.default_rng(rows)
+        x = rng.standard_normal((rows, 6)) * 3.0 + 2.0
+        gamma, beta = rng.standard_normal(6), rng.standard_normal(6)
+        rm, rv = rng.standard_normal(6), rng.random(6) + 0.5
+        mu, var = x.mean(axis=0), x.var(axis=0)
+        want_rm = rm * (1.0 - L.BN_MOMENTUM) + L.BN_MOMENTUM * mu
+        want_rv = rv * (1.0 - L.BN_MOMENTUM) + L.BN_MOMENTUM * var
+        want = gamma * ((x - mu) / np.sqrt(var + L.BN_EPS)) + beta
+        out, _ = L.bn_forward(x, gamma, beta, rm, rv, training=True)
+        np.testing.assert_array_equal(out, want)
+        np.testing.assert_array_equal(rm, want_rm)
+        np.testing.assert_array_equal(rv, want_rv)
+
     def test_eval_uses_running_stats(self):
         x = np.array([[10.0, 20.0], [30.0, 40.0]])
         rm, rv = np.array([1.0, 2.0]), np.array([4.0, 9.0])

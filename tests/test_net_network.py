@@ -4,6 +4,7 @@ import pytest
 from equilab.errors import DimensionError
 from equilab.hesslab import net_loss_functions
 from equilab.net import DenseSpec, Conv2dSpec, Network
+from equilab.net.data import make_teacher
 
 
 def fd_grad_check(net, x, rng, rel=1e-5, h=1e-6, n_dirs=3, training=True):
@@ -132,6 +133,53 @@ class TestParamsVector:
             small_dense().set_params_vector(np.zeros((2, 3, n)))
 
 
+def assert_params_in_buffer(net, stacked=False):
+    """Every parameter attribute is a view of the one parameter buffer, so
+    an update of the buffer reaches it (a rebound attribute would not)."""
+    arrays = [arr for layer in net.layers for _, arr in layer.param_items()]
+    owner = arrays[0].base
+    assert owner is not None and owner.size == sum(a.size for a in arrays)
+    assert all(a.base is owner for a in arrays)
+    if stacked:
+        with pytest.raises(DimensionError):
+            net.param_buffer
+        return
+    buf = net.param_buffer
+    assert buf is owner and buf.size == net.parameter_count()
+    theta = net.get_params_vector()
+    buf[...] = np.arange(buf.size)
+    np.testing.assert_array_equal(net.get_params_vector(), np.arange(buf.size))
+    buf[...] = theta
+
+
+class TestParamBuffer:
+    @pytest.mark.parametrize("kw", [
+        {}, {"normalization": "batch_norm+weight_normalization"},
+        {"normalization": "weight_standardization"},
+        {"conditioning": "equilibrate_static"}])
+    def test_views_survive_every_rebuild(self, kw):
+        net = small_dense(**kw)
+        assert_params_in_buffer(net)
+        assert_params_in_buffer(net.clone())
+        for cond in ("equilibrate_static", "equilibrate_reparam"):
+            assert_params_in_buffer(net.with_conditioning(cond, which="all"))
+        theta = net.get_params_vector()
+        net.set_params_vector(theta + 1.0)
+        assert_params_in_buffer(net)
+        net.set_params_vector(np.stack([theta, theta + 1.0]))
+        assert_params_in_buffer(net, stacked=True)
+        net.set_params_vector(theta)
+        assert_params_in_buffer(net)
+
+    def test_conv_and_teacher(self):
+        conv = Network([Conv2dSpec(1, 2, kernel_size=3, normalization="batch_norm",
+                                   conditioning="equilibrate_static"),
+                        DenseSpec(2 * 3 * 3, 1)], seed=0, input_shape=(1, 5, 5))
+        assert_params_in_buffer(conv)
+        assert_params_in_buffer(conv.clone())
+        assert_params_in_buffer(make_teacher(kappa=1e3, seed=2))
+
+
 class TestStackedParameters:
     """A (k, n) parameter stack against one parameter vector at a time."""
 
@@ -216,16 +264,17 @@ class TestConditionNumbers:
     def test_effective_kappa_drops_under_reparam(self):
         net = small_dense()
         net.layers[0].w *= np.array([1000.0, 1.0])[:, None]
-        raw = net.weight_condition_numbers()[0]
-        eff = net.with_conditioning(
-            "equilibrate_reparam", which=[0]).weight_condition_numbers(
-            effective=True)[0]
-        assert eff < raw / 10.0
+        raw, eff = net.with_conditioning(
+            "equilibrate_reparam", which=[0]).weight_condition_numbers()
+        assert raw[0] == net.weight_condition_numbers()[0][0]
+        assert eff[0] < raw[0] / 10.0
+        # the untransformed last layer reports one kappa for both
+        assert eff[1] == raw[1]
 
     def test_rank_deficient_reports_nan(self):
         net = small_dense()
-        net.layers[0].w = np.outer(np.ones(2), np.arange(8.0))
-        ks = net.weight_condition_numbers()
+        net.layers[0].w[...] = np.outer(np.ones(2), np.arange(8.0))
+        ks, _ = net.weight_condition_numbers()
         assert np.isnan(ks[0]) and np.isfinite(ks[1])
 
 

@@ -1,10 +1,16 @@
+import importlib
+
 import numpy as np
 import pytest
 
+from equilab.bench.experiments import ARMS
 from equilab.errors import DimensionError, NonFiniteError
-from equilab.net.train import bce_loss, mse_loss, train
+from equilab.net.train import bce_loss, loss_and_gradients, mse_loss, train
 from equilab.net import DenseSpec, Network
 from equilab.net.data import teacher_student_regression, two_moons
+
+# the module itself; equilab.net re-exports its train() under the same name
+train_module = importlib.import_module("equilab.net.train")
 
 
 def fresh_net(seed=0, out_act="identity"):
@@ -35,6 +41,21 @@ class TestLosses:
         val, g = bce_loss(z, y)
         assert np.isfinite(val) and val == pytest.approx(0.0, abs=1e-12)
         assert np.all(np.isfinite(g))
+
+    def test_bce_gradient_bits_match_two_branch_sigmoid(self):
+        rng = np.random.default_rng(2)
+        z = np.concatenate([rng.standard_normal(40) * 8.0,
+                            [0.0, -0.0, 800.0, -800.0, 1e-300, -1e-300]])[:, None]
+        y = (rng.random(z.shape) > 0.5).astype(float)
+        sig = np.empty_like(z)
+        pos = z >= 0
+        sig[pos] = 1.0 / (1.0 + np.exp(-z[pos]))
+        ez = np.exp(z[~pos])
+        sig[~pos] = ez / (1.0 + ez)
+        val, g = bce_loss(z, y)
+        naive = np.maximum(z, 0.0) - z * y + np.log1p(np.exp(-np.abs(z)))
+        assert val == float(np.mean(naive))
+        np.testing.assert_array_equal(g, (sig - y) / z.size)
 
     def test_bce_gradient_matches_fd(self):
         rng = np.random.default_rng(1)
@@ -89,6 +110,26 @@ class TestTrain:
         assert tr.diverged_at is not None and tr.diverged_at < 20
         assert tr.epochs_completed <= tr.diverged_at
 
+    def test_nan_gradient_in_a_later_parameter_flags_divergence(self, monkeypatch):
+        # the last batch of epoch 0 sends NaN into the output bias, the last
+        # parameter array, which a per-array max() over the arrays dropped
+        net = Network([DenseSpec(2, 4, activation="tanh"), DenseSpec(4, 1)], seed=0)
+        x, y, _ = teacher_student_regression(8, seed=0)
+        calls = []
+
+        def poisoned(n, xb, yb, **kw):
+            val, grads = loss_and_gradients(n, xb, yb, **kw)
+            if n is net:  # not the warm-up clones
+                calls.append(None)
+                if len(calls) == 2:
+                    grads[1]["b"] = np.full_like(grads[1]["b"], np.nan)
+            return val, grads
+
+        monkeypatch.setattr(train_module, "loss_and_gradients", poisoned)
+        tr = train(net, x, y, lr=0.01, epochs=3, batch_size=4)
+        assert tr.diverged and tr.diverged_at == 0
+        assert tr.epochs_completed == 0
+
     def test_momentum_changes_the_path(self):
         x, y, _ = teacher_student_regression(96, seed=2)
         t0 = train(fresh_net(), x, y, lr=0.01, epochs=5, seed=1)
@@ -110,10 +151,79 @@ class TestTrain:
             train(fresh_net(), x, y, lr=0.0)
         with pytest.raises(DimensionError):
             train(fresh_net(), x, y[:-1])
+        stacked = fresh_net()
+        stacked.set_params_vector(stacked.get_params_vector()[None, :])
+        with pytest.raises(DimensionError):
+            train(stacked, x, y)
         bad = x.copy()
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             train(fresh_net(), bad, y)
+
+
+def per_array_sgd(net, x, y, *, loss, lr, momentum, epochs, batch_size, seed):
+    """The SGD loop as it was before the flat parameter buffer: one update
+    per parameter array, batches fancy-indexed from the permutation.
+    Returns the per-epoch train losses."""
+    has_bn = any(layer.batch_norm for layer in net.layers)
+    velocity = [{name: np.zeros_like(arr) for name, arr in layer.param_items()}
+                for layer in net.layers]
+    n = x.shape[0]
+    losses = []
+    for epoch in range(epochs):
+        rng = np.random.default_rng(np.random.SeedSequence((seed, n, epoch)))
+        perm = rng.permutation(n)
+        batch_losses, batch_sizes = [], []
+        for start in range(0, n, batch_size):
+            idx = perm[start:start + batch_size]
+            if has_bn and idx.size < 2:
+                continue
+            val, grads = loss_and_gradients(net, x[idx], y[idx], loss=loss)
+            for li, layer in enumerate(net.layers):
+                for name, arr in layer.param_items():
+                    g = np.asarray(grads[li][name]).reshape(arr.shape)
+                    if momentum:
+                        v = velocity[li][name]
+                        v *= momentum
+                        v += g
+                        g = v
+                    arr -= lr * g
+            batch_losses.append(val)
+            batch_sizes.append(idx.size)
+        losses.append(float(np.average(batch_losses, weights=batch_sizes)))
+    return np.array(losses)
+
+
+class TestFlatStepMatchesPerArrayLoop:
+    """train()'s one-buffer step gives the bits of the per-array loop."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("loss", ["mse", "bce"])
+    @pytest.mark.parametrize("arm", list(ARMS))
+    def test_bit_identical(self, arm, loss, momentum):
+        # 37 samples in batches of 4 leave a singleton remainder, which the
+        # batch-norm arms skip
+        if loss == "bce":
+            x, y = two_moons(37, noise=0.2, seed=1)
+            out_act = "sigmoid_output"
+        else:
+            x, y, _ = teacher_student_regression(37, seed=1, kappa=10.0)
+            out_act = "identity"
+        norm, cond = ARMS[arm]
+
+        def arm_net():
+            net = Network([DenseSpec(2, 6, activation="tanh", normalization=norm),
+                           DenseSpec(6, 1, activation=out_act)], seed=5)
+            return net if cond == "none" else net.with_conditioning(cond)
+
+        kw = dict(loss=loss, lr=0.1, momentum=momentum, epochs=3, batch_size=4, seed=2)
+        ref = arm_net()
+        ref_losses = per_array_sgd(ref, x, y, **kw)
+        net = arm_net()
+        tr = train(net, x, y, record_kappa=False, **kw)
+        assert not tr.diverged
+        np.testing.assert_array_equal(tr.train_loss, ref_losses)
+        np.testing.assert_array_equal(net.get_params_vector(), ref.get_params_vector())
 
 
 class TestTraceCsv:
