@@ -318,7 +318,6 @@ def _spd_problem(seed, dim, kappa):
     s = np.geomspace(np.sqrt(kappa), 1.0, dim)
     rng.shuffle(s)
     a = core * np.outer(s, s)
-    a = 0.5 * (a + a.T)
     b = rng.standard_normal(dim)
     theta0 = rng.standard_normal(dim)
     return quadlab.QuadraticProblem(a, b), theta0
@@ -353,7 +352,6 @@ def run_quad(cfg: ExperimentConfig, out_dir) -> RunManifest:
     for kind in p["preconditioners"]:
         d = _quad_scaling(kind, problem.a)
         a_arm = problem.a * np.outer(d, d)
-        a_arm = 0.5 * (a_arm + a_arm.T)
         arms.append((kind, d, quadlab.QuadraticProblem(a_arm, d * problem.b)))
 
     series = []
@@ -430,9 +428,8 @@ def run_cond_report(cfg: ExperimentConfig, out_dir, matrix_file=None) -> RunMani
     if not path:
         raise ConfigError("cond_report needs a matrix file")
     mat = densela.read_matrix_text(path)
-    rows = [precond.CSV_HEADER]
-    for kind in cfg["kinds"]:
-        rows.append(precond.conditioning_report(mat, kind, seed=cfg.seed).csv_row())
+    reports = precond.conditioning_report(mat, cfg["kinds"], seed=cfg.seed)
+    rows = [precond.CSV_HEADER] + [r.csv_row() for r in reports]
     out_path = f"{out_dir}/cond_report.csv"
     atomic_write_text(out_path, "\r\n".join(rows) + "\r\n")
     manifest.add_file(out_path)

@@ -1,9 +1,10 @@
 """Dense linear-algebra core.
 
-Input validation for float64 matrices, a text matrix reader, a one-sided
-Jacobi SVD (the basis for every condition number in the package), and a
-checked SPD solver.  Everything is desk scale: dimensions are capped at
-4096 and all routines are deterministic for a given input.
+Input validation for float64 matrices, a text matrix reader, and a
+one-sided Jacobi SVD: the basis for every condition number in the
+package and for the quadratic minimizer in quadlab.  Everything is desk
+scale: dimensions are capped at 4096 and all routines are deterministic
+for a given input.
 """
 
 from dataclasses import dataclass
@@ -14,9 +15,7 @@ from equilab import _kernels
 from equilab.errors import (
     ConvergenceError,
     DimensionError,
-    InaccurateSolveError,
     NonFiniteError,
-    NotPositiveDefiniteError,
     NotSymmetricError,
     RankDeficientError,
 )
@@ -235,42 +234,3 @@ def col_norms2(a):
     """Euclidean norm of each column."""
     arr = _validated(a)
     return np.sqrt(np.einsum("ij,ij->j", arr, arr))
-
-
-def solve_spd(a, b):
-    """Solve A x = b for symmetric positive definite A.
-
-    Checks symmetry to 1e-12 (relative, Frobenius), factors by Cholesky
-    (failure raises NotPositiveDefiniteError), and applies one step of
-    iterative refinement.  A residual above 1e-9 * max(1, ||b||) raises
-    InaccurateSolveError.
-    """
-    # imported here: scipy.linalg is about half of the package import time
-    from scipy.linalg import cho_factor, cho_solve
-
-    av = _validated(a, "A")
-    n, m = av.shape
-    if n != m:
-        raise DimensionError(f"A must be square, got {av.shape}")
-    bv = np.asarray(b, dtype=np.float64)
-    squeeze = bv.ndim == 1
-    if squeeze:
-        bv = bv[:, None]
-    if bv.shape[0] != n:
-        raise DimensionError(f"b has {bv.shape[0]} rows, A is {n}x{n}")
-    if not np.isfinite(bv).all():
-        raise NonFiniteError("b contains non-finite entries")
-    check_symmetric(av, "A")
-    av = 0.5 * (av + av.T)
-    try:
-        factor = cho_factor(av, lower=True, check_finite=False)
-    except np.linalg.LinAlgError as exc:  # scipy reuses numpy's LinAlgError
-        raise NotPositiveDefiniteError(str(exc)) from exc
-    x = cho_solve(factor, bv, check_finite=False)
-    # one refinement step in working precision
-    r = bv - av @ x
-    x = x + cho_solve(factor, r, check_finite=False)
-    resid = float(np.linalg.norm(bv - av @ x))
-    if resid > 1e-9 * max(1.0, float(np.linalg.norm(bv))):
-        raise InaccurateSolveError(f"solve_spd residual {resid!r} exceeds tolerance")
-    return x[:, 0] if squeeze else x

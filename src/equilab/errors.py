@@ -39,12 +39,14 @@ class RankDeficientError(EquilabError):
 
 
 class ZeroRowError(EquilabError, ValueError):
-    """A row (or column, see .axis) has zero norm where scaling needs it."""
+    """A row, column or diagonal entry (see .axis) that a scaling divides
+    by is zero."""
 
     def __init__(self, index, axis="row"):
         self.index = int(index)
         self.axis = axis
-        super().__init__(f"{axis} {index} has zero norm; pass a floor to clamp")
+        what = "diagonal entry" if axis == "diagonal" else axis
+        super().__init__(f"{what} {index} is zero")
 
 
 class NotSymmetricError(EquilabError, ValueError):
@@ -52,7 +54,7 @@ class NotSymmetricError(EquilabError, ValueError):
 
 
 class NotPositiveDefiniteError(EquilabError):
-    pass
+    """A symmetric matrix that must be positive definite is not."""
 
 
 class InaccurateSolveError(EquilabError):

@@ -26,7 +26,7 @@ import numpy as np
 from equilab import densela
 from equilab.errors import DimensionError, EmptyResultError, GradientCheckError
 from equilab.net.network import Network
-from equilab.net.train import loss_and_gradients, train
+from equilab.net.train import loss_and_gradients, mse_loss, train
 
 log = logging.getLogger(__name__)
 
@@ -64,9 +64,10 @@ def _stacked_grad(grad_fn, rows):
 def gradient_self_check(loss_fn, grad_fn, theta, tol=1e-5, n_dirs=5):
     """Verify grad_fn against directional central differences of loss_fn.
 
-    grad_fn is called once, on theta as a one-row stack.  Directions are
-    fixed by an internal seed so the check is deterministic.  Raises
-    GradientCheckError beyond tol (relative).
+    grad_fn is called once, on theta as a one-row stack, and that
+    gradient is returned.  Directions are fixed by an internal seed so the
+    check is deterministic.  Raises GradientCheckError beyond tol
+    (relative).
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     g = _stacked_grad(grad_fn, theta[None, :])[0]
@@ -83,6 +84,7 @@ def gradient_self_check(loss_fn, grad_fn, theta, tol=1e-5, n_dirs=5):
             raise GradientCheckError(
                 f"direction {k}: analytic {an!r} vs central FD {fd!r} "
                 f"(relative error {abs(fd - an) / scale:.3e} > {tol:g})")
+    return g
 
 
 @dataclass(frozen=True)
@@ -115,8 +117,9 @@ def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
     rows are bit-identical to single-theta calls, so is H to the
     column-by-column loop.  A result of any other shape raises
     DimensionError.  When self_check is set (the default) the
-    gradient is first validated against finite differences of the loss at
-    theta.
+    gradient at theta is first validated against finite differences of
+    the loss.  That gradient also gives grad_norm, so a Hessian takes
+    ceil(n / FD_CHUNK) + 1 gradient calls.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1).copy()
     n = theta.size
@@ -125,7 +128,9 @@ def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
     if not np.isfinite(theta).all():
         raise DimensionError("theta contains non-finite entries")
     if self_check:
-        gradient_self_check(loss_fn, grad_fn, theta, tol=self_check_tol)
+        g0 = gradient_self_check(loss_fn, grad_fn, theta, tol=self_check_tol)
+    else:
+        g0 = _stacked_grad(grad_fn, theta[None, :])[0]
     steps = fd_step_sizes(theta)
     h_raw = np.empty((n, n))
     for start in range(0, n, FD_CHUNK):
@@ -138,9 +143,8 @@ def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
         h_raw[:, cols] = ((g[:k] - g[k:]) / (2.0 * steps[cols])[:, None]).T
     asym = float(np.linalg.norm(h_raw - h_raw.T))
     h = 0.5 * (h_raw + h_raw.T)
-    gnorm = float(np.linalg.norm(_stacked_grad(grad_fn, theta[None, :])[0]))
     return HessianEstimate(h=h, theta=theta, step_sizes=steps,
-                           grad_norm=gnorm, asymmetry=asym)
+                           grad_norm=float(np.linalg.norm(g0)), asymmetry=asym)
 
 
 @dataclass(frozen=True)
@@ -202,8 +206,7 @@ def net_loss_functions(net, x, y):
 
     def loss_fn(theta):
         worker.set_params_vector(theta)
-        val, _ = loss_and_gradients(worker, x, y, training=False)
-        return val
+        return mse_loss(worker.forward(x), y)[0]
 
     def grad_fn(theta):
         worker.set_params_vector(theta)

@@ -101,22 +101,29 @@ _TRANSFORMS = {
 }
 
 
-def conditioning_report(a, kind, seed=None):
-    """Apply one named transform and report kappa before/after (strict
-    condition numbers at condition_number's rank_tol 1e-12)."""
-    if kind not in _TRANSFORMS:
-        raise DimensionError(f"unknown transform kind {kind!r}")
+def conditioning_report(a, kinds, seed=None):
+    """Apply each named transform and report kappa before/after, one
+    ConditioningReport per kind (strict condition numbers at
+    condition_number's rank_tol 1e-12).  kappa(A) is computed once for
+    all kinds."""
+    unknown = [k for k in kinds if k not in _TRANSFORMS]
+    if unknown:
+        raise DimensionError(f"unknown transform kind {unknown[0]!r}")
+    if not kinds:
+        return []
     arr = densela._validated(a)
     before = densela.condition_number(arr)
-    after = densela.condition_number(_TRANSFORMS[kind](arr))
-    return ConditioningReport(
-        kind=kind,
-        rows=arr.shape[0],
-        cols=arr.shape[1],
-        kappa_before=before,
-        kappa_after=after,
-        seed=seed,
-    )
+    return [
+        ConditioningReport(
+            kind=kind,
+            rows=arr.shape[0],
+            cols=arr.shape[1],
+            kappa_before=before,
+            kappa_after=densela.condition_number(_TRANSFORMS[kind](arr)),
+            seed=seed,
+        )
+        for kind in kinds
+    ]
 
 
 def vds_trial(a, p):

@@ -16,7 +16,12 @@ from functools import cached_property
 import numpy as np
 
 from equilab import densela
-from equilab.errors import DimensionError, NonFiniteError
+from equilab.errors import (
+    DimensionError,
+    InaccurateSolveError,
+    NonFiniteError,
+    NotPositiveDefiniteError,
+)
 
 DIVERGENCE_NORM = 1e12
 MAX_ITERS = 1_000_000
@@ -36,8 +41,9 @@ class QuadraticProblem:
     """L(theta) = 1/2 theta^T A theta - b^T theta, A symmetric full rank.
 
     Construction verifies symmetry (1e-12 relative) and numerical full
-    rank.  The SVD and the minimizer are cached; kappa comes from the
-    cached SVD, so each problem runs one SVD.
+    rank.  The SVD and the minimizer are cached; kappa and the minimizer
+    both come from the cached SVD, so each problem runs one SVD and no
+    other factorization.
     """
 
     a: np.ndarray
@@ -71,7 +77,24 @@ class QuadraticProblem:
 
     @cached_property
     def theta_star(self):
-        return densela.solve_spd(self.a, self.b)
+        """The minimizer A^{-1} b from the cached SVD, refined once.
+
+        A symmetric full-rank A is positive definite exactly when
+        V^T U = I; an indefinite A puts a -1 eigenvalue in V^T U, so
+        ||V^T U - I||_F >= 2.  NotPositiveDefiniteError is raised from 1,
+        and InaccurateSolveError when ||b - A x|| > 1e-9 * max(1, ||b||).
+        """
+        u, sigma, vt = self.svd.u, self.svd.sigma, self.svd.vt
+        if np.linalg.norm(vt @ u - np.eye(self.n)) >= 1.0:
+            raise NotPositiveDefiniteError("A is symmetric but not positive definite")
+        a, b = self.a, self.b
+        x = vt.T @ ((u.T @ b) / sigma)
+        x += vt.T @ ((u.T @ (b - a @ x)) / sigma)
+        resid = float(np.linalg.norm(b - a @ x))
+        if resid > 1e-9 * max(1.0, float(np.linalg.norm(b))):
+            raise InaccurateSolveError(f"theta_star residual {resid!r} exceeds tolerance")
+        x.flags.writeable = False
+        return x
 
     def loss(self, theta):
         t = np.asarray(theta, dtype=np.float64)
@@ -105,7 +128,6 @@ class GDTrace:
     mode_coeffs: np.ndarray
     eta: float
     sigma: np.ndarray
-    theta_star: np.ndarray
     diverged: bool
 
     @property
@@ -171,6 +193,5 @@ def run_gd(problem, theta0, eta, iters):
         mode_coeffs=np.array(modes),
         eta=float(eta),
         sigma=res.sigma.copy(),
-        theta_star=theta_star,
         diverged=diverged,
     )

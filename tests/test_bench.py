@@ -1,9 +1,13 @@
 import json
 import os
+import subprocess
+import sys
+from pathlib import Path
 
 import numpy as np
 import pytest
 
+from equilab import densela
 from equilab.bench import cli, experiments, svgplot
 from equilab.bench.config import default_config, load_config, resolve_config
 from equilab.bench.experiments import (ARMS, list_arms, max_nondiverging_lr,
@@ -300,6 +304,57 @@ class TestCondReport:
         run_experiment(cfg, out, matrix_file=str(mpath))
         text = (out / "cond_report.csv").read_text()
         assert "row_equilibration" in text
+
+    def test_one_svd_per_matrix(self, tmp_path, monkeypatch):
+        # kappa(A) once, plus kappa of each of the three default transforms
+        mpath = tmp_path / "m.txt"
+        mpath.write_text("3 3\n4 1 0\n1 3 1\n0 1 2\n")
+        calls = []
+        real_svd = densela.svd
+
+        def counting_svd(a):
+            calls.append(a)
+            return real_svd(a)
+
+        monkeypatch.setattr(densela, "svd", counting_svd)
+        run_experiment(default_config("cond_report"), tmp_path / "r",
+                       matrix_file=str(mpath))
+        assert len(calls) == 4
+
+
+SCIPY_FREE_RUNS = """
+import sys, tempfile
+from pathlib import Path
+from equilab.bench.config import default_config
+from equilab.bench.experiments import RUNNERS, run_experiment
+small = {
+    "vds": dict(trials=3, size=4),
+    "quad": dict(dim=8, kappa=100.0, iters=20),
+    "train_compare": dict(arms=["none"], epochs=1, n_samples=16),
+    "hessian_compare": dict(widths=[2, 3, 1], n_samples=16, n_points=2),
+    "cond_report": {},
+}
+assert set(small) == set(RUNNERS), sorted(RUNNERS)
+with tempfile.TemporaryDirectory() as tmp:
+    matrix = Path(tmp) / "m.txt"
+    matrix.write_text("2 2\\n3 4\\n0 5\\n")
+    for kind, params in small.items():
+        kwargs = {"matrix_file": str(matrix)} if kind == "cond_report" else {}
+        run_experiment(default_config(kind, **params), Path(tmp) / kind, **kwargs)
+print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
+"""
+
+
+def test_experiments_leave_scipy_unloaded():
+    # NumPy is the package's only runtime dependency: no experiment kind
+    # may load any part of SciPy
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUNS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
 
 
 class TestCli:

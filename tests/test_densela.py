@@ -1,8 +1,3 @@
-import os
-import subprocess
-import sys
-from pathlib import Path
-
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -12,8 +7,6 @@ from equilab import densela
 from equilab.errors import (
     DimensionError,
     NonFiniteError,
-    NotPositiveDefiniteError,
-    NotSymmetricError,
     RankDeficientError,
 )
 
@@ -198,41 +191,3 @@ class TestHelpers:
         np.testing.assert_allclose(densela.row_norms2(a), [5.0, 5.0])
         np.testing.assert_allclose(densela.col_norms2(a), [3.0, np.sqrt(41.0)])
 
-
-class TestSolveSpd:
-    def test_known_2x2(self):
-        # [[4,1],[1,3]] x = [1,2] has exact solution (1/11, 7/11)
-        a = np.array([[4.0, 1.0], [1.0, 3.0]])
-        x = densela.solve_spd(a, np.array([1.0, 2.0]))
-        np.testing.assert_allclose(x, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-14)
-
-    def test_residual_bound_random(self):
-        rng = np.random.default_rng(7)
-        for _ in range(10):
-            m = rng.standard_normal((8, 8))
-            a = m @ m.T + 8.0 * np.eye(8)
-            b = rng.standard_normal(8)
-            x = densela.solve_spd(a, b)
-            assert np.linalg.norm(a @ x - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
-
-    def test_rejects_asymmetric(self):
-        with pytest.raises(NotSymmetricError):
-            densela.solve_spd(np.array([[1.0, 2.0], [0.0, 1.0]]), np.ones(2))
-
-    def test_rejects_indefinite(self):
-        with pytest.raises(NotPositiveDefiniteError):
-            densela.solve_spd(np.array([[1.0, 0.0], [0.0, -1.0]]), np.ones(2))
-
-
-def test_package_import_leaves_scipy_linalg_unloaded():
-    # solve_spd imports scipy.linalg on first use; loading it at import
-    # would roughly double every process's start-up time
-    env = dict(os.environ)
-    src = str(Path(__file__).resolve().parents[1] / "src")
-    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    code = ("import sys, equilab, equilab.bench.experiments, equilab.bench.cli; "
-            "print('scipy.linalg' in sys.modules)")
-    proc = subprocess.run([sys.executable, "-c", code], env=env,
-                          capture_output=True, text=True, timeout=120)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "False"

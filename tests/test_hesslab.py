@@ -7,7 +7,7 @@ from equilab.errors import (DimensionError, EmptyResultError,
                             GradientCheckError, NotSymmetricError)
 from equilab.net import DenseSpec, Network
 from equilab.net.data import teacher_student_regression
-from equilab.net.train import train
+from equilab.net.train import loss_and_gradients, train
 
 
 def quad_fns(a, b):
@@ -68,7 +68,8 @@ class TestSelfCheck:
     def test_exact_gradient_passes(self):
         a, b = spd(6, 100.0, 0)
         loss, grad = quad_fns(a, b)
-        hesslab.gradient_self_check(loss, grad, np.ones(6))
+        g = hesslab.gradient_self_check(loss, grad, np.ones(6))
+        np.testing.assert_array_equal(g, grad(np.ones((1, 6)))[0])
 
     def test_wrong_gradient_raises(self):
         a, b = spd(6, 100.0, 1)
@@ -112,6 +113,23 @@ class TestFdHessian:
             hesslab.fd_hessian(loss, grad, np.array([1.0, np.inf, 0.0]))
         with pytest.raises(DimensionError):
             hesslab.fd_hessian(loss, grad, np.zeros(hesslab.MAX_HESSIAN_DIM + 1))
+
+    @pytest.mark.parametrize("self_check", [True, False])
+    def test_gradient_at_theta_evaluated_once(self, self_check):
+        # 10 columns at FD_CHUNK 4 take 3 stacks, plus one gradient at
+        # theta that serves both the self-check and grad_norm
+        a, b = spd(10, 10.0, 10)
+        loss, grad = quad_fns(a, b)
+        calls = []
+
+        def counting_grad(t):
+            calls.append(t.shape)
+            return grad(t)
+
+        est = hesslab.fd_hessian(loss, counting_grad, np.ones(10), self_check=self_check)
+        assert hesslab.FD_CHUNK == 4
+        assert sorted(calls) == [(1, 10), (4, 10), (8, 10), (8, 10)]
+        assert est.grad_norm == float(np.linalg.norm(grad(np.ones(10))))
 
     def test_bad_gradient_caught_by_default(self):
         a, b = spd(4, 10.0, 7)
@@ -250,6 +268,8 @@ class TestNetLossFunctions:
         pred = net.forward(x)
         assert loss_fn(theta0) == pytest.approx(float(np.mean((pred - y) ** 2)),
                                                 rel=1e-12)
+        # forward-only, with the bits of the forward/backward loss
+        assert loss_fn(theta0) == loss_and_gradients(net, x, y, training=False)[0]
         hesslab.gradient_self_check(loss_fn, grad_fn, theta0)
         loss_fn(theta0 * 2.0)  # moves only the private clone
         np.testing.assert_array_equal(net.get_params_vector(), theta0)

@@ -32,6 +32,14 @@ class TestRowEquilibration:
         assert exc.value.index == 1
         assert exc.value.axis == "row"
 
+    def test_zero_error_messages_name_the_entry(self):
+        with pytest.raises(ZeroRowError, match=r"^row 1 is zero$"):
+            precond.row_equilibrate(np.array([[1.0, 2.0], [0.0, 0.0]]))
+        with pytest.raises(ZeroRowError, match=r"^column 0 is zero$"):
+            precond.column_equilibrate(np.array([[0.0, 2.0], [0.0, 1.0]]))
+        with pytest.raises(ZeroRowError, match=r"^diagonal entry 0 is zero$"):
+            precond.jacobi_precondition(np.array([[0.0, 1.0], [1.0, 1.0]]))
+
     @settings(max_examples=50, deadline=None)
     @given(st.integers(0, 10_000))
     def test_never_worse_on_imbalanced_rows(self, seed):
@@ -120,7 +128,7 @@ class TestVdsTrial:
 class TestReports:
     def test_report_fields_and_csv(self):
         a = np.array([[3.0, 4.0], [0.0, 5.0]])
-        rep = precond.conditioning_report(a, "row_equilibration", seed=5)
+        [rep] = precond.conditioning_report(a, ["row_equilibration"], seed=5)
         assert rep.rows == 2 and rep.cols == 2
         assert rep.kappa_before == pytest.approx(3.0, abs=1e-10)
         row = rep.csv_row()
@@ -128,6 +136,16 @@ class TestReports:
         assert row.endswith(",5")
         assert len(row.split(",")) == len(precond.CSV_HEADER.split(","))
 
+    def test_one_report_per_kind_in_order(self):
+        a = imbalanced(4)
+        kinds = ["jacobi", "row_equilibration", "column_equilibration"]
+        reps = precond.conditioning_report(a, kinds)
+        assert [r.kind for r in reps] == kinds
+        assert {r.kappa_before for r in reps} == {densela.condition_number(a)}
+        _, ea = precond.row_equilibrate(a)
+        assert reps[1].kappa_after == densela.condition_number(ea)
+        assert precond.conditioning_report(a, []) == []
+
     def test_unknown_kind_rejected(self):
         with pytest.raises(DimensionError):
-            precond.conditioning_report(np.eye(2), "nope")
+            precond.conditioning_report(np.eye(2), ["row_equilibration", "nope"])

@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 
 from equilab import quadlab
-from equilab.errors import NotSymmetricError
+from equilab.errors import NotPositiveDefiniteError, NotSymmetricError
 
 
 def spd_problem(seed, n=6, kappa=100.0, zero_b=False):
@@ -50,6 +50,41 @@ class TestProblem:
         prob, _ = spd_problem(4, kappa=50.0)
         assert quadlab.max_stable_lr(prob) == pytest.approx(2.0 / prob.svd.sigma[0],
                                                             rel=1e-12)
+
+
+class TestThetaStar:
+    def test_known_2x2(self):
+        # [[4,1],[1,3]] x = [1,2] has exact solution (1/11, 7/11)
+        prob = quadlab.QuadraticProblem(np.array([[4.0, 1.0], [1.0, 3.0]]),
+                                        np.array([1.0, 2.0]))
+        np.testing.assert_allclose(prob.theta_star, [1.0 / 11.0, 7.0 / 11.0], rtol=1e-14)
+
+    def test_residual_bound_random(self):
+        rng = np.random.default_rng(7)
+        for _ in range(10):
+            m = rng.standard_normal((8, 8))
+            a = m @ m.T + 8.0 * np.eye(8)
+            b = rng.standard_normal(8)
+            prob = quadlab.QuadraticProblem(a, b)
+            x = prob.theta_star
+            assert np.linalg.norm(prob.a @ x - b) <= 1e-9 * max(1.0, np.linalg.norm(b))
+
+    def test_rejects_indefinite(self):
+        prob = quadlab.QuadraticProblem(np.diag([1.0, -1.0]), np.ones(2))
+        with pytest.raises(NotPositiveDefiniteError):
+            prob.theta_star
+
+    def test_rejects_indefinite_with_repeated_sigma(self):
+        # diag(1, 1, 1, -1, -1) rotated so that the -1 plane spreads evenly
+        # over the axes: every singular value is 1 and every diagonal entry
+        # is 0.2, so each u_i . v_i can be positive although A is indefinite
+        k = 2.0 * np.pi * np.arange(5) / 5.0
+        w = np.sqrt(0.4) * np.column_stack([np.cos(k), np.sin(k)])
+        a = np.eye(5) - 2.0 * w @ w.T
+        np.testing.assert_allclose(np.diag(a), 0.2, rtol=1e-12)
+        prob = quadlab.QuadraticProblem(a, np.ones(5))
+        with pytest.raises(NotPositiveDefiniteError):
+            prob.theta_star
 
 
 class TestModeAnalysis:

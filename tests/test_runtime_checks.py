@@ -25,12 +25,15 @@ with tempfile.TemporaryDirectory() as out:
 """
 
 CASES = {
-    # Hilbert(13) factors by Cholesky but its solve residual is ~5e-7
-    "solve_spd_residual": ("InaccurateSolveError", """
+    # SPD with kappa 1e9 passes the 1e-12 rank check, but its minimizer's
+    # residual is ~eps * sigma_max * ||x||, far above 1e-9 * ||b||
+    "theta_star_residual": ("InaccurateSolveError", """
 import numpy as np
-from scipy.linalg import hilbert
-from equilab import densela
-densela.solve_spd(hilbert(13), np.ones(13))
+from equilab import quadlab
+rng = np.random.default_rng(0)
+q, _ = np.linalg.qr(rng.standard_normal((12, 12)))
+a = (q * np.geomspace(1e9, 1.0, 12)) @ q.T
+quadlab.QuadraticProblem(a, rng.standard_normal(12)).theta_star
 """),
     "arms_different_weights": ("ArmMismatchError", """
 import itertools
