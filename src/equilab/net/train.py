@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from equilab._csvfmt import format_rows
 from equilab.errors import DimensionError, NonFiniteActivationError, NonFiniteError
 
 LOSSES = ("mse", "bce")
@@ -98,21 +99,22 @@ class TrainTrace:
         return len(self.train_loss)
 
     def to_csv(self):
-        """CSV text, one row per completed epoch (CRLF line ends)."""
+        """CSV text, one row per completed epoch (CRLF line ends).
+
+        Every float cell is its shortest round-trip `repr`;
+        `_csvfmt.format_rows` makes one `repr` call per distinct value per
+        block of rows.
+        """
         n_layers = self.kappa_weights.shape[1]
         cols = ["epoch", "train_loss", "eval_loss"]
+        columns = [self.train_loss, self.eval_loss]
         if self.accuracy is not None:
             cols.append("accuracy")
+            columns.append(self.accuracy)
         cols += [f"kappa_w{i}" for i in range(n_layers)]
         cols += [f"kappa_eff{i}" for i in range(n_layers)]
-        lines = [",".join(cols)]
-        for e in range(self.epochs_completed):
-            row = [str(e), repr(float(self.train_loss[e])), repr(float(self.eval_loss[e]))]
-            if self.accuracy is not None:
-                row.append(repr(float(self.accuracy[e])))
-            row += [repr(float(v)) for v in self.kappa_weights[e]]
-            row += [repr(float(v)) for v in self.kappa_effective[e]]
-            lines.append(",".join(row))
+        values = np.column_stack([*columns, self.kappa_weights, self.kappa_effective])
+        lines = [",".join(cols)] + format_rows(values, first=range(self.epochs_completed))
         return "\r\n".join(lines) + "\r\n"
 
 

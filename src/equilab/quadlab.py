@@ -16,6 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from equilab import densela
+from equilab._csvfmt import format_rows
 from equilab.errors import (
     DimensionError,
     InaccurateSolveError,
@@ -136,7 +137,12 @@ class GDTrace:
 
     def to_csv(self):
         """CSV text: a metadata comment line, then RFC-4180 rows (CRLF line
-        ends)."""
+        ends).
+
+        Every float, sigma included, is its shortest round-trip `repr`;
+        `_csvfmt.format_rows` makes one `repr` call per distinct value per
+        block of rows.
+        """
         n_modes = self.mode_coeffs.shape[1]
         buf = [
             "# eta=%r kappa=%r diverged=%s sigma=[%s]"
@@ -144,16 +150,14 @@ class GDTrace:
                 self.eta,
                 self.kappa,
                 self.diverged,
-                " ".join(repr(float(s)) for s in self.sigma),
+                format_rows(self.sigma[None, :], sep=" ")[0],
             )
         ]
         header = "iter,loss,theta_norm" + "".join(f",mode_{i}" for i in range(n_modes))
         buf.append(header)
         norms = np.linalg.norm(self.iterates, axis=1)
-        for t in range(self.iterates.shape[0]):
-            cells = [str(t), repr(float(self.losses[t])), repr(float(norms[t]))]
-            cells += [repr(float(x)) for x in self.mode_coeffs[t]]
-            buf.append(",".join(cells))
+        values = np.column_stack([self.losses, norms, self.mode_coeffs])
+        buf += format_rows(values, first=range(len(values)))
         return "\r\n".join(buf) + "\r\n"
 
 
@@ -174,13 +178,14 @@ def run_gd(problem, theta0, eta, iters):
     theta_star = problem.theta_star
     vt = res.vt
 
-    iterates = [theta.copy()]
+    # theta is rebound every step, never written in place, so no copies
+    iterates = [theta]
     losses = [problem.loss(theta)]
     modes = [vt @ (theta - theta_star)]
     diverged = False
     for _ in range(iters):
         theta = theta - eta * problem.gradient(theta)
-        iterates.append(theta.copy())
+        iterates.append(theta)
         losses.append(problem.loss(theta))
         modes.append(vt @ (theta - theta_star))
         norm = np.linalg.norm(theta)
