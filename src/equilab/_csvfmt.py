@@ -1,4 +1,5 @@
-"""Float64 matrices as CSV rows, each distinct cell value formatted once.
+"""CSV text: float64 matrices as rows, each distinct cell value formatted
+once, and the line ends of every CSV file equilab writes.
 
 Every float cell equilab writes to a trace CSV is `repr(float(x))`, the
 shortest string that round-trips to the same double.  That conversion is
@@ -43,3 +44,10 @@ def format_rows(values, first=None, sep=","):
         # free this block's cell strings before the next block makes its own
         del texts, cells
     return rows
+
+
+def csv_text(lines):
+    """The file text of CSV lines: CRLF after every line, the last included."""
+    # the empty last item puts a line end after the last line without
+    # copying every line or the joined text once more
+    return "\r\n".join([*lines, ""])

@@ -74,6 +74,9 @@ SCHEMAS = {
 }
 
 TASKS = ("teacher_regression", "two_moons")
+# hessian_compare's `conditioned`: which layers the equilibrated twin
+# reparametrizes (Network.with_conditioning's `which`)
+CONDITIONED = ("hidden", "all")
 
 
 @dataclass(frozen=True)
@@ -110,6 +113,13 @@ def _check_lr_grid(grid):
             raise ConfigError(f"lr_grid entries must be positive finite numbers, got {lr!r}")
 
 
+def _check_widths(widths):
+    # entries stay as given (no int()), so config hashes do not move
+    if len(widths) < 2 or any(isinstance(w, bool) or not isinstance(w, int) or w < 1
+                              for w in widths):
+        raise ConfigError(f"widths must list at least 2 positive integers, got {widths!r}")
+
+
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object against its kind's schema."""
     if not isinstance(raw, dict):
@@ -133,6 +143,11 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         if params["task"] not in TASKS:
             raise ConfigError(f"unknown task {params['task']!r}; expected one of {TASKS}")
         _check_lr_grid(params["lr_grid"])
+    if kind in ("train_compare", "hessian_compare"):
+        _check_widths(params["widths"])
+    if kind == "hessian_compare" and params["conditioned"] not in CONDITIONED:
+        raise ConfigError(f"unknown conditioned {params['conditioned']!r}; "
+                          f"expected one of {CONDITIONED}")
     seed = params.pop("seed")
     params.pop("kind")
     canon = json.dumps({"kind": kind, "seed": seed, **params},

@@ -1,7 +1,9 @@
 """Experiment drivers behind the CLI.
 
-Every driver takes a resolved ExperimentConfig plus an output directory,
-writes CSV/SVG artifacts through atomic renames, and returns a RunManifest.
+`run_experiment` owns a run's lifecycle: it creates the RunManifest, times
+the kind's runner and writes manifest.json.  A runner takes the resolved
+ExperimentConfig, the output directory and that manifest, and writes every
+CSV/SVG file through `_emit` (atomic rename, then listed in the manifest).
 Determinism contract: rerunning with the same (config, seed) reproduces all
 CSV and SVG files byte for byte.  Wall-clock numbers therefore never enter
 those files; they are reported in the manifest only.
@@ -11,6 +13,7 @@ results do not depend on execution order.
 """
 
 import hashlib
+import os
 import re
 import time
 
@@ -19,6 +22,7 @@ import numpy as np
 import equilab
 from equilab import densela, precond, quadlab
 from equilab import hesslab
+from equilab._csvfmt import csv_text
 from equilab.bench.config import ExperimentConfig
 from equilab.bench.manifest import RunManifest, atomic_write_text
 from equilab.bench.svgplot import LineSeries, emit_svg
@@ -52,21 +56,14 @@ def _arm_filename(arm):
     return re.sub(r"[+\-]", "_", arm)
 
 
-def _write_trace_csv(trace, path):
-    atomic_write_text(path, trace.to_csv())
+def _emit(manifest, out_dir, name, text):
+    """Write one output file atomically and list it in the manifest."""
+    atomic_write_text(os.path.join(out_dir, name), text)
+    manifest.add_file(name)
 
 
-def _finish(manifest, out_dir, t0):
-    manifest.wall_time_total = time.perf_counter() - t0
-    manifest.finished = _now()
-    manifest.add_file(f"{out_dir}/manifest.json")
-    manifest.write(out_dir)
-    return manifest
-
-
-def _start_manifest(cfg: ExperimentConfig) -> RunManifest:
-    return RunManifest(kind=cfg.kind, config_hash=cfg.config_hash, seed=cfg.seed,
-                       version=equilab.__version__, started=_now())
+def _emit_csv(manifest, out_dir, name, lines):
+    _emit(manifest, out_dir, name, csv_text(lines))
 
 
 def scale_first_layer_rows(net, seed, spread):
@@ -120,7 +117,7 @@ def _arm_network(cfg, arm, out_activation):
     if arm not in ARMS:
         raise ConfigError(f"unknown arm {arm!r}; expected one of {list(ARMS)}")
     p = cfg.params
-    widths = [int(w) for w in p["widths"]]
+    widths = p["widths"]
     norm, cond = ARMS[arm]
     specs = []
     for i in range(len(widths) - 1):
@@ -175,9 +172,7 @@ def max_nondiverging_lr(cfg, arm, lr_grid):
     return None
 
 
-def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    manifest = _start_manifest(cfg)
-    t0 = time.perf_counter()
+def run_train_compare(cfg: ExperimentConfig, out_dir, manifest):
     p = cfg.params
     x, y, loss, out_act = _task_data(cfg)
 
@@ -206,9 +201,7 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
         plain_final = float(traces["none"].train_loss[-1])
     for arm in p["arms"]:
         t = traces[arm]
-        path = f"{out_dir}/train_{_arm_filename(arm)}.csv"
-        _write_trace_csv(t, path)
-        manifest.add_file(path)
+        _emit(manifest, out_dir, f"train_{_arm_filename(arm)}.csv", t.to_csv())
         manifest.diverged[arm] = bool(t.diverged)
         done = t.epochs_completed
         manifest.wall_time_per_step[arm] = float(np.mean(t.wall_time_per_step)) if done else None
@@ -227,25 +220,17 @@ def run_train_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
             "" if reach is None else str(reach), *kappas,
         ]))
 
-    summary_path = f"{out_dir}/summary.csv"
-    atomic_write_text(summary_path, "\r\n".join(rows) + "\r\n")
-    manifest.add_file(summary_path)
-
-    svg_path = f"{out_dir}/train_loss.svg"
-    emit_svg(series, title=f"training loss ({p['task']})", xlabel="epoch",
-             ylabel="train loss", log_y=(loss == "mse"), path=svg_path)
-    manifest.add_file(svg_path)
+    _emit_csv(manifest, out_dir, "summary.csv", rows)
+    _emit(manifest, out_dir, "train_loss.svg",
+          emit_svg(series, title=f"training loss ({p['task']})", xlabel="epoch",
+                   ylabel="train loss", log_y=(loss == "mse")))
 
     if p["lr_grid"]:
         rows = ["arm,max_nondiverging_lr"]
         for arm in p["arms"]:
             best = max_nondiverging_lr(cfg, arm, p["lr_grid"])
             rows.append(f"{arm},{'' if best is None else repr(best)}")
-        sweep_path = f"{out_dir}/lr_sweep.csv"
-        atomic_write_text(sweep_path, "\r\n".join(rows) + "\r\n")
-        manifest.add_file(sweep_path)
-
-    return _finish(manifest, out_dir, t0)
+        _emit_csv(manifest, out_dir, "lr_sweep.csv", rows)
 
 
 # ---------------------------------------------------------------------------
@@ -258,10 +243,8 @@ def _imbalanced_matrix(rng, size):
     return a
 
 
-def run_vds(cfg: ExperimentConfig, out_dir) -> RunManifest:
+def run_vds(cfg: ExperimentConfig, out_dir, manifest):
     """Row equilibration against random competing diagonals, per trial."""
-    manifest = _start_manifest(cfg)
-    t0 = time.perf_counter()
     trials, size = cfg["trials"], cfg["size"]
     if trials < 1:
         raise ConfigError("vds needs trials >= 1")
@@ -289,20 +272,15 @@ def run_vds(cfg: ExperimentConfig, out_dir) -> RunManifest:
         max_ratio = max(max_ratio, ratio)
         rows.append(f"{t},{kappa_a!r},{kappa_ea!r},{kappa_pa!r},{ratio!r},"
                     f"{str(unrelaxed).lower()},{str(relaxed).lower()}")
-    trials_path = f"{out_dir}/vds_trials.csv"
-    atomic_write_text(trials_path, "\r\n".join(rows) + "\r\n")
-    manifest.add_file(trials_path)
+    _emit_csv(manifest, out_dir, "vds_trials.csv", rows)
     summary = [
         "trials,excluded_rank_deficient,max_ratio,fraction_unrelaxed,fraction_relaxed",
         f"{trials},{excluded},{max_ratio!r},"
         f"{0.0 if n_done == 0 else n_unrelaxed / n_done!r},"
         f"{0.0 if n_done == 0 else n_relaxed / n_done!r}",
     ]
-    summary_path = f"{out_dir}/summary.csv"
-    atomic_write_text(summary_path, "\r\n".join(summary) + "\r\n")
-    manifest.add_file(summary_path)
+    _emit_csv(manifest, out_dir, "summary.csv", summary)
     manifest.notes["fraction_relaxed"] = 0.0 if n_done == 0 else n_relaxed / n_done
-    return _finish(manifest, out_dir, t0)
 
 
 # ---------------------------------------------------------------------------
@@ -332,17 +310,16 @@ def _quad_scaling(kind, a):
     raise ConfigError(f"unknown quad preconditioner {kind!r}")
 
 
-def run_quad(cfg: ExperimentConfig, out_dir) -> RunManifest:
+def run_quad(cfg: ExperimentConfig, out_dir, manifest):
     """GD on one SPD quadratic, plain vs diagonally scaled arms.
 
     SPD structure is preserved by scaling symmetrically: the arm solves
     the problem with matrix DAD and data Db in u = inv(D) theta.  Each arm
     steps at eta = rho * 2/sigma_1 of its own operator; progress is scored
     as excess loss of the original problem at the mapped-back iterates, so
-    curves are directly comparable.
+    curves are directly comparable.  That loss is the arm's own recorded
+    loss: L_arm(u) = 1/2 u^T DAD u - (Db)^T u = L(Du).
     """
-    manifest = _start_manifest(cfg)
-    t0 = time.perf_counter()
     p = cfg.params
     problem, theta0 = _spd_problem(cfg.seed, p["dim"], p["kappa"])
     loss_star = problem.loss(problem.theta_star)
@@ -359,37 +336,28 @@ def run_quad(cfg: ExperimentConfig, out_dir) -> RunManifest:
     for name, d, prob in arms:
         eta = p["rho"] * quadlab.max_stable_lr(prob)
         trace = quadlab.run_gd(prob, theta0 / d, eta, p["iters"])
-        excess = np.array([problem.loss(d * u) - loss_star for u in trace.iterates])
-        excess = np.maximum(excess, 0.0)
+        excess = np.maximum(trace.losses - loss_star, 0.0)
         hit = np.flatnonzero(excess <= p["tolerance"])
         iters_to = int(hit[0]) if hit.size else -1
         rows.append(f"{name},{prob.kappa!r},{eta!r},{str(trace.diverged).lower()},"
                     f"{iters_to},{float(excess[-1])!r}")
         manifest.diverged[name] = bool(trace.diverged)
-        path = f"{out_dir}/quad_{_arm_filename(name)}.csv"
-        _write_trace_csv(trace, path)
-        manifest.add_file(path)
+        _emit(manifest, out_dir, f"quad_{_arm_filename(name)}.csv", trace.to_csv())
         series.append(LineSeries(name, tuple(range(len(excess))),
                                  tuple(float(v) for v in excess)))
-    summary_path = f"{out_dir}/summary.csv"
-    atomic_write_text(summary_path, "\r\n".join(rows) + "\r\n")
-    manifest.add_file(summary_path)
-    svg_path = f"{out_dir}/quad_excess.svg"
-    emit_svg(series, title="excess loss under GD", xlabel="iteration",
-             ylabel="excess loss", log_y=True, path=svg_path)
-    manifest.add_file(svg_path)
-    return _finish(manifest, out_dir, t0)
+    _emit_csv(manifest, out_dir, "summary.csv", rows)
+    _emit(manifest, out_dir, "quad_excess.svg",
+          emit_svg(series, title="excess loss under GD", xlabel="iteration",
+                   ylabel="excess loss", log_y=True))
 
 
 # ---------------------------------------------------------------------------
 # hessian_compare
 
 
-def run_hessian_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
-    manifest = _start_manifest(cfg)
-    t0 = time.perf_counter()
+def run_hessian_compare(cfg: ExperimentConfig, out_dir, manifest):
     p = cfg.params
-    widths = tuple(int(w) for w in p["widths"])
+    widths = tuple(p["widths"])
     x, y, _ = teacher_student_regression(p["n_samples"], seed=cfg.seed, widths=widths,
                                          kappa=p["teacher_kappa"],
                                          activation=p["activation"])
@@ -401,39 +369,29 @@ def run_hessian_compare(cfg: ExperimentConfig, out_dir) -> RunManifest:
     comparisons, summary = hesslab.compare_curvature_sweep(
         specs, x, y, n_points=p["n_points"], seed=cfg.seed,
         rank_tol=p["rank_tol"], conditioned=p["conditioned"])
-    rows = [hesslab.CSV_HEADER] + [c.csv_row() for c in comparisons]
-    comp_path = f"{out_dir}/kappa_comparisons.csv"
-    atomic_write_text(comp_path, "\r\n".join(rows) + "\r\n")
-    manifest.add_file(comp_path)
-    srow = ["n_points,n_comparable,n_satisfied,n_skipped,fraction_satisfied",
-            f"{summary.n_points},{summary.n_comparable},{summary.n_satisfied},"
-            f"{summary.n_skipped},{summary.fraction_satisfied!r}"]
-    summary_path = f"{out_dir}/summary.csv"
-    atomic_write_text(summary_path, "\r\n".join(srow) + "\r\n")
-    manifest.add_file(summary_path)
+    _emit_csv(manifest, out_dir, "kappa_comparisons.csv",
+              [hesslab.CSV_HEADER] + [c.csv_row() for c in comparisons])
+    _emit_csv(manifest, out_dir, "summary.csv", [
+        "n_points,n_comparable,n_satisfied,n_skipped,fraction_satisfied",
+        f"{summary.n_points},{summary.n_comparable},{summary.n_satisfied},"
+        f"{summary.n_skipped},{summary.fraction_satisfied!r}"])
     manifest.notes["fraction_satisfied"] = summary.fraction_satisfied
     manifest.notes["n_skipped_self_check"] = summary.n_skipped_self_check
     manifest.notes["n_skipped_empty_spectrum"] = summary.n_skipped_empty_spectrum
-    return _finish(manifest, out_dir, t0)
 
 
 # ---------------------------------------------------------------------------
 # cond_report
 
 
-def run_cond_report(cfg: ExperimentConfig, out_dir, matrix_file=None) -> RunManifest:
-    manifest = _start_manifest(cfg)
-    t0 = time.perf_counter()
+def run_cond_report(cfg: ExperimentConfig, out_dir, manifest, matrix_file=None):
     path = matrix_file or cfg["matrix_file"]
     if not path:
         raise ConfigError("cond_report needs a matrix file")
     mat = densela.read_matrix_text(path)
     reports = precond.conditioning_report(mat, cfg["kinds"], seed=cfg.seed)
-    rows = [precond.CSV_HEADER] + [r.csv_row() for r in reports]
-    out_path = f"{out_dir}/cond_report.csv"
-    atomic_write_text(out_path, "\r\n".join(rows) + "\r\n")
-    manifest.add_file(out_path)
-    return _finish(manifest, out_dir, t0)
+    _emit_csv(manifest, out_dir, "cond_report.csv",
+              [precond.CSV_HEADER] + [r.csv_row() for r in reports])
 
 
 RUNNERS = {
@@ -446,6 +404,19 @@ RUNNERS = {
 
 
 def run_experiment(cfg: ExperimentConfig, out_dir, **kwargs) -> RunManifest:
+    """Run cfg's experiment into out_dir and return its manifest.
+
+    The manifest times the runner (wall_time_total) and lists every file
+    the run wrote, manifest.json included, which is written last.
+    """
     if cfg.kind not in RUNNERS:
         raise ConfigError(f"no runner for kind {cfg.kind!r}")
-    return RUNNERS[cfg.kind](cfg, out_dir, **kwargs)
+    manifest = RunManifest(kind=cfg.kind, config_hash=cfg.config_hash, seed=cfg.seed,
+                           version=equilab.__version__, started=_now())
+    t0 = time.perf_counter()
+    RUNNERS[cfg.kind](cfg, out_dir, manifest, **kwargs)
+    manifest.wall_time_total = time.perf_counter() - t0
+    manifest.finished = _now()
+    manifest.add_file("manifest.json")
+    manifest.write(out_dir)
+    return manifest

@@ -10,7 +10,7 @@ across reruns.
 import json
 import os
 import tempfile
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 
 def atomic_write_text(path, text):
@@ -42,27 +42,15 @@ class RunManifest:
     wall_time_per_step: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
 
-    def add_file(self, path):
-        name = os.path.basename(path)
+    def add_file(self, name):
+        """List a file of the run directory by its name."""
         if name not in self.files:
             self.files.append(name)
 
     def write(self, out_dir):
         """Write manifest.json atomically; returns the path."""
         path = os.path.join(out_dir, "manifest.json")
-        payload = {
-            "kind": self.kind,
-            "config_hash": self.config_hash,
-            "seed": self.seed,
-            "version": self.version,
-            "started": self.started,
-            "finished": self.finished,
-            "files": sorted(self.files),
-            "diverged": self.diverged,
-            "wall_time_total": self.wall_time_total,
-            "wall_time_per_step": self.wall_time_per_step,
-            "notes": self.notes,
-        }
+        payload = {**asdict(self), "files": sorted(self.files)}
         atomic_write_text(path, json.dumps(payload, indent=2, sort_keys=True) + "\n")
         return path
 

@@ -10,7 +10,6 @@ import math
 from dataclasses import dataclass
 from xml.sax.saxutils import escape
 
-from equilab.bench.manifest import atomic_write_text
 from equilab.errors import DimensionError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -63,8 +62,8 @@ def _finite_points(series, log_y):
     return pts
 
 
-def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False, path=None):
-    """Render line series to an SVG string; optionally write it to path.
+def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
+    """Render line series to an SVG string.
 
     Non-finite points (and non-positive ones on a log axis) are dropped.
     An empty series list still yields a complete plot frame.
@@ -165,7 +164,4 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False, path=None):
                    f'font-family="sans-serif" font-size="10">{escape(s.label)}</text>')
 
     out.append("</svg>")
-    text = "\n".join(out) + "\n"
-    if path is not None:
-        atomic_write_text(path, text)
-    return text
+    return "\n".join(out) + "\n"

@@ -4,11 +4,15 @@ The Hessian of a loss is estimated from central differences of the
 analytic gradient, FD_CHUNK columns per gradient call, and symmetrized;
 condition numbers are taken over the numerically surviving spectrum
 (eigenvalue magnitudes from LAPACK eigvalsh above rank_tol * sigma_max),
-since reparametrized losses have exact null directions (one radial
-direction per equilibrated row) that would make the strict condition
-number meaningless.  The finite-difference noise floor makes the Jacobi
-SVD's relative accuracy moot here; weight matrices keep using it (see
-densela).
+since reparametrized losses have exact null directions that would make
+the strict condition number meaningless.  Those nulls are not the radial
+directions: scale invariance of a row gives r^T H r = 0 and H r = -g_r
+for its radial direction r and row gradient g_r.  They come from rows
+with a single fan-in entry, which equilibration normalizes to sign(w)
+(every row of a k->1 output layer under conditioned="all"): such a
+weight has zero gradient and zero curvature.  The finite-difference
+noise floor makes the Jacobi SVD's relative accuracy moot here; weight
+matrices keep using it (see densela).
 
 Gradient functions follow a (n)->(n) gufunc contract: given a (k, n)
 stack of parameter rows they return the (k, n) stack of gradients, row i
@@ -46,6 +50,10 @@ CSV_HEADER = "seed,phase,kappa_plain,kappa_eq,rank_ok_plain,rank_ok_eq"
 # epoch fractions of a reference SGD run at which snapshot points are taken
 SNAPSHOT_FRACS = (0.25, 0.5, 0.75)
 
+# gradient self-check: relative tolerance and number of random directions
+SELF_CHECK_TOL = 1e-5
+SELF_CHECK_DIRS = 5
+
 
 def fd_step_sizes(theta):
     """Per-coordinate central-difference steps: cbrt(eps) * max(1, |theta_i|)."""
@@ -61,29 +69,29 @@ def _stacked_grad(grad_fn, rows):
     return g
 
 
-def gradient_self_check(loss_fn, grad_fn, theta, tol=1e-5, n_dirs=5):
+def gradient_self_check(loss_fn, grad_fn, theta):
     """Verify grad_fn against directional central differences of loss_fn.
 
     grad_fn is called once, on theta as a one-row stack, and that
     gradient is returned.  Directions are fixed by an internal seed so the
-    check is deterministic.  Raises GradientCheckError beyond tol
-    (relative).
+    check is deterministic.  Raises GradientCheckError beyond
+    SELF_CHECK_TOL (relative) in any of SELF_CHECK_DIRS directions.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1)
     g = _stacked_grad(grad_fn, theta[None, :])[0]
     rng = np.random.default_rng(np.random.SeedSequence((0x5E1F, theta.size)))
     h = FD_STEP_SCALE * max(1.0, float(np.max(np.abs(theta))))
     gnorm = float(np.linalg.norm(g))
-    for k in range(n_dirs):
+    for k in range(SELF_CHECK_DIRS):
         d = rng.standard_normal(theta.size)
         d /= np.linalg.norm(d)
         fd = (loss_fn(theta + h * d) - loss_fn(theta - h * d)) / (2.0 * h)
         an = float(g @ d)
         scale = max(abs(fd), abs(an), 1e-8 * max(gnorm, 1.0))
-        if abs(fd - an) > tol * scale:
+        if abs(fd - an) > SELF_CHECK_TOL * scale:
             raise GradientCheckError(
                 f"direction {k}: analytic {an!r} vs central FD {fd!r} "
-                f"(relative error {abs(fd - an) / scale:.3e} > {tol:g})")
+                f"(relative error {abs(fd - an) / scale:.3e} > {SELF_CHECK_TOL:g})")
     return g
 
 
@@ -106,7 +114,7 @@ class HessianEstimate:
         return self.h.shape[0]
 
 
-def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
+def fd_hessian(loss_fn, grad_fn, theta):
     """Central-difference Hessian from the analytic gradient.
 
     H[:, i] = (grad(theta + h_i e_i) - grad(theta - h_i e_i)) / (2 h_i),
@@ -116,10 +124,10 @@ def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
     on a (2 * FD_CHUNK, n) stack, plus rows and minus rows.  When grad_fn's
     rows are bit-identical to single-theta calls, so is H to the
     column-by-column loop.  A result of any other shape raises
-    DimensionError.  When self_check is set (the default) the
-    gradient at theta is first validated against finite differences of
-    the loss.  That gradient also gives grad_norm, so a Hessian takes
-    ceil(n / FD_CHUNK) + 1 gradient calls.
+    DimensionError.  The gradient at theta is first validated against
+    finite differences of the loss (gradient_self_check).  That gradient
+    also gives grad_norm, so a Hessian takes ceil(n / FD_CHUNK) + 1
+    gradient calls.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1).copy()
     n = theta.size
@@ -127,10 +135,7 @@ def fd_hessian(loss_fn, grad_fn, theta, self_check=True, self_check_tol=1e-5):
         raise DimensionError(f"theta size {n} outside [1, {MAX_HESSIAN_DIM}]")
     if not np.isfinite(theta).all():
         raise DimensionError("theta contains non-finite entries")
-    if self_check:
-        g0 = gradient_self_check(loss_fn, grad_fn, theta, tol=self_check_tol)
-    else:
-        g0 = _stacked_grad(grad_fn, theta[None, :])[0]
+    g0 = gradient_self_check(loss_fn, grad_fn, theta)
     steps = fd_step_sizes(theta)
     h_raw = np.empty((n, n))
     for start in range(0, n, FD_CHUNK):

@@ -161,13 +161,13 @@ class Network:
             pos += size
 
     def grads_to_vector(self, grads):
-        """Flat gradient: (n,), or (k, n) while a stack is set."""
-        out = []
-        for i, name, _, size in self._param_layout:
-            g = grads[i].get(name)
-            out.append(np.zeros(self._stack + (size,)) if g is None
-                       else np.asarray(g).reshape(self._stack + (size,)))
-        return np.concatenate(out, axis=-1)
+        """Flat gradient: (n,), or (k, n) while a stack is set.
+
+        Every parameter must have its gradient; a missing one raises
+        KeyError.
+        """
+        return np.concatenate([np.asarray(grads[i][name]).reshape(self._stack + (size,))
+                               for i, name, _, size in self._param_layout], axis=-1)
 
     # -- conditioning -----------------------------------------------------
 

@@ -16,7 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equilab._csvfmt import format_rows
+from equilab._csvfmt import csv_text, format_rows
 from equilab.errors import DimensionError, NonFiniteActivationError, NonFiniteError
 
 LOSSES = ("mse", "bce")
@@ -114,8 +114,8 @@ class TrainTrace:
         cols += [f"kappa_w{i}" for i in range(n_layers)]
         cols += [f"kappa_eff{i}" for i in range(n_layers)]
         values = np.column_stack([*columns, self.kappa_weights, self.kappa_effective])
-        lines = [",".join(cols)] + format_rows(values, first=range(self.epochs_completed))
-        return "\r\n".join(lines) + "\r\n"
+        rows = format_rows(values, first=range(self.epochs_completed))
+        return csv_text([",".join(cols)] + rows)
 
 
 def params_digest(net):

@@ -16,7 +16,7 @@ from functools import cached_property
 import numpy as np
 
 from equilab import densela
-from equilab._csvfmt import format_rows
+from equilab._csvfmt import csv_text, format_rows
 from equilab.errors import (
     DimensionError,
     InaccurateSolveError,
@@ -158,7 +158,7 @@ class GDTrace:
         norms = np.linalg.norm(self.iterates, axis=1)
         values = np.column_stack([self.losses, norms, self.mode_coeffs])
         buf += format_rows(values, first=range(len(values)))
-        return "\r\n".join(buf) + "\r\n"
+        return csv_text(buf)
 
 
 def run_gd(problem, theta0, eta, iters):

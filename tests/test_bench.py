@@ -25,6 +25,16 @@ def rows_of(path):
     return path.read_bytes().decode("ascii").strip().split("\r\n")
 
 
+# a small config of every experiment kind (cond_report also needs a matrix file)
+SMALL_RUNS = {
+    "vds": dict(trials=3, size=4),
+    "quad": dict(dim=8, kappa=100.0, iters=20),
+    "train_compare": dict(arms=["none"], epochs=1, n_samples=16),
+    "hessian_compare": dict(widths=[2, 3, 1], n_samples=16, n_points=2),
+    "cond_report": {},
+}
+
+
 class TestConfig:
     def test_default_and_hash_stability(self):
         a = default_config("vds", seed=3)
@@ -55,6 +65,26 @@ class TestConfig:
     def test_lr_grid_entries_rejected(self, entry):
         with pytest.raises(ConfigError):
             default_config("train_compare", lr_grid=[0.1, entry])
+
+    @pytest.mark.parametrize("conditioned", ["0", "", "foo", "hidden,all"])
+    def test_conditioned_must_name_a_layer_set(self, conditioned):
+        # a str is not read as a list of layer indices
+        with pytest.raises(ConfigError):
+            default_config("hessian_compare", conditioned=conditioned)
+
+    @pytest.mark.parametrize("kind", ["train_compare", "hessian_compare"])
+    @pytest.mark.parametrize("widths", [[2, True, 1], [2, "4", 1], [2, 4.0, 1],
+                                        [2, 0, 1], [2], []],
+                             ids=["bool", "str", "float", "zero", "one", "empty"])
+    def test_widths_rejected(self, kind, widths):
+        with pytest.raises(ConfigError):
+            default_config(kind, widths=widths)
+
+    def test_valid_widths_keep_their_hash(self):
+        # entries are checked, not coerced: the canonical JSON is unchanged
+        cfg = default_config("hessian_compare", widths=[2, 16, 4, 1], conditioned="hidden")
+        assert cfg["widths"] == [2, 16, 4, 1]
+        assert cfg.config_hash == "89dff693c214fc7f"
 
     def test_task_validation(self):
         with pytest.raises(ConfigError):
@@ -113,12 +143,6 @@ class TestSvgPlot:
         out = svgplot.emit_svg([])
         assert out.startswith("<?xml") and "</svg>" in out
 
-    def test_writes_file(self, tmp_path):
-        p = tmp_path / "plot.svg"
-        out = svgplot.emit_svg([svgplot.LineSeries("x", [0, 1], [1, 2])],
-                               path=p)
-        assert p.read_text() == out
-
     def test_length_mismatch(self):
         with pytest.raises(DimensionError):
             svgplot.LineSeries("x", [0, 1], [1.0])
@@ -131,16 +155,24 @@ class TestManifest:
         assert p.read_text() == "hello"
         assert os.listdir(tmp_path) == ["f.txt"]  # no temp residue
 
-    def test_roundtrip_via_run(self, tmp_path):
-        cfg = default_config("vds", trials=3, size=4)
+    @pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
+    def test_roundtrip_via_run(self, tmp_path, kind):
+        cfg = default_config(kind, **SMALL_RUNS[kind])
         out = tmp_path / "r"
-        man = run_experiment(cfg, out)
+        kwargs = {}
+        if kind == "cond_report":
+            matrix = tmp_path / "m.txt"
+            matrix.write_text("2 2\n3 4\n0 5\n")
+            kwargs["matrix_file"] = str(matrix)
+        man = run_experiment(cfg, out, **kwargs)
         back = load_manifest(out)
-        assert back["kind"] == "vds"
+        assert back["kind"] == kind
         assert back["config_hash"] == cfg.config_hash
         assert sorted(back["files"]) == back["files"]
         assert set(back["files"]) == set(os.listdir(out))
+        assert set(man.files) == set(back["files"])
         assert man.wall_time_total > 0.0
+        assert back["finished"] >= back["started"]
 
 
 class TestVds:
@@ -323,17 +355,11 @@ class TestCondReport:
 
 
 SCIPY_FREE_RUNS = """
-import sys, tempfile
+import json, sys, tempfile
 from pathlib import Path
 from equilab.bench.config import default_config
 from equilab.bench.experiments import RUNNERS, run_experiment
-small = {
-    "vds": dict(trials=3, size=4),
-    "quad": dict(dim=8, kappa=100.0, iters=20),
-    "train_compare": dict(arms=["none"], epochs=1, n_samples=16),
-    "hessian_compare": dict(widths=[2, 3, 1], n_samples=16, n_points=2),
-    "cond_report": {},
-}
+small = json.loads(sys.argv[1])
 assert set(small) == set(RUNNERS), sorted(RUNNERS)
 with tempfile.TemporaryDirectory() as tmp:
     matrix = Path(tmp) / "m.txt"
@@ -351,8 +377,8 @@ def test_experiments_leave_scipy_unloaded():
     env = dict(os.environ)
     src = str(Path(__file__).resolve().parents[1] / "src")
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
-    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUNS], env=env,
-                          capture_output=True, text=True, timeout=300)
+    proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUNS, json.dumps(SMALL_RUNS)],
+                          env=env, capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -114,8 +114,7 @@ class TestFdHessian:
         with pytest.raises(DimensionError):
             hesslab.fd_hessian(loss, grad, np.zeros(hesslab.MAX_HESSIAN_DIM + 1))
 
-    @pytest.mark.parametrize("self_check", [True, False])
-    def test_gradient_at_theta_evaluated_once(self, self_check):
+    def test_gradient_at_theta_evaluated_once(self):
         # 10 columns at FD_CHUNK 4 take 3 stacks, plus one gradient at
         # theta that serves both the self-check and grad_norm
         a, b = spd(10, 10.0, 10)
@@ -126,7 +125,7 @@ class TestFdHessian:
             calls.append(t.shape)
             return grad(t)
 
-        est = hesslab.fd_hessian(loss, counting_grad, np.ones(10), self_check=self_check)
+        est = hesslab.fd_hessian(loss, counting_grad, np.ones(10))
         assert hesslab.FD_CHUNK == 4
         assert sorted(calls) == [(1, 10), (4, 10), (8, 10), (8, 10)]
         assert est.grad_norm == float(np.linalg.norm(grad(np.ones(10))))
@@ -139,14 +138,15 @@ class TestFdHessian:
 
     def test_gradient_of_wrong_shape_raises(self):
         # each breaks the (n)->(n) row-stack contract in another way:
-        # a dropped stack axis, a transposed stack, one stack row too few
+        # a dropped stack axis, a transposed stack, one stack row too few;
+        # the first two fail in the self-check, the third at the first FD stack
         a, b = spd(10, 10.0, 9)
         loss, grad = quad_fns(a, b)
         n_rows = 2 * hesslab.FD_CHUNK
         for bad in (lambda t: grad(t)[0], lambda t: grad(t).T,
                     lambda t: grad(t)[:-1] if len(t) == n_rows else grad(t)):
             with pytest.raises(DimensionError):
-                hesslab.fd_hessian(loss, bad, np.ones(10), self_check=False)
+                hesslab.fd_hessian(loss, bad, np.ones(10))
 
 
 def _hess121_fixture():

@@ -132,6 +132,17 @@ class TestParamsVector:
         with pytest.raises(DimensionError):
             small_dense().set_params_vector(np.zeros((2, 3, n)))
 
+    def test_missing_gradient_raises(self):
+        # every parameter has a gradient; one that is missing is not zero-filled
+        net = small_dense(normalization="batch_norm+weight_normalization")
+        x = np.random.default_rng(0).standard_normal((5, 2))
+        out, caches = net.forward_with_caches(x, True)
+        grads = net.backward(np.ones_like(out), caches)
+        assert net.grads_to_vector(grads).shape == (net.parameter_count(),)
+        del grads[0]["g"]
+        with pytest.raises(KeyError):
+            net.grads_to_vector(grads)
+
 
 def assert_params_in_buffer(net, stacked=False):
     """Every parameter attribute is a view of the one parameter buffer, so
