@@ -53,7 +53,9 @@ PyDoc_STRVAR(jacobi_sweeps_doc,
 "Returns (sweeps_done, converged).  See jacobi_py.jacobi_sweeps for the\n"
 "contract; bt rows are the working columns of the matrix under\n"
 "factorization and vt starts as the identity.  Both must be writable,\n"
-"C-contiguous 2-d float64 arrays with the same number of rows.");
+"C-contiguous 2-d float64 arrays with the same number of rows.  vt may\n"
+"be None: then no rotation is accumulated and bt ends bit-identical to\n"
+"the run with vt.");
 
 static PyObject *
 jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
@@ -63,6 +65,7 @@ jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
     double rel_tol, abs_tol;
     int max_sweeps;
     Py_buffer bt, vt;
+    int have_vt;
 
     (void)self;
     if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOddi:jacobi_sweeps", kwlist,
@@ -70,20 +73,23 @@ jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
         return NULL;
     if (get_matrix(bt_obj, "bt", &bt) < 0)
         return NULL;
-    if (get_matrix(vt_obj, "vt", &vt) < 0) {
-        PyBuffer_Release(&bt);
-        return NULL;
-    }
-    if (vt.shape[0] != bt.shape[0]) {
-        PyErr_Format(PyExc_ValueError, "vt has %zd rows, bt has %zd",
-                     vt.shape[0], bt.shape[0]);
-        PyBuffer_Release(&bt);
-        PyBuffer_Release(&vt);
-        return NULL;
+    have_vt = vt_obj != Py_None;
+    if (have_vt) {
+        if (get_matrix(vt_obj, "vt", &vt) < 0) {
+            PyBuffer_Release(&bt);
+            return NULL;
+        }
+        if (vt.shape[0] != bt.shape[0]) {
+            PyErr_Format(PyExc_ValueError, "vt has %zd rows, bt has %zd",
+                         vt.shape[0], bt.shape[0]);
+            PyBuffer_Release(&bt);
+            PyBuffer_Release(&vt);
+            return NULL;
+        }
     }
 
-    Py_ssize_t m = bt.shape[0], n = bt.shape[1], mv = vt.shape[1];
-    double *b = bt.buf, *v = vt.buf;
+    Py_ssize_t m = bt.shape[0], n = bt.shape[1], mv = have_vt ? vt.shape[1] : 0;
+    double *b = bt.buf, *v = have_vt ? vt.buf : NULL;
     int sweeps_done = max_sweeps, converged = 0;
 
     for (int sweep = 0; sweep < max_sweeps; sweep++) {
@@ -112,7 +118,8 @@ jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
                 c = 1.0 / sqrt(1.0 + t * t);
                 s = c * t;
                 rotate(bi, bj, n, c, s);
-                rotate(v + i * mv, v + j * mv, mv, c, s);
+                if (have_vt)
+                    rotate(v + i * mv, v + j * mv, mv, c, s);
                 rotated = 1;
             }
         }
@@ -123,7 +130,8 @@ jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
         }
     }
     PyBuffer_Release(&bt);
-    PyBuffer_Release(&vt);
+    if (have_vt)
+        PyBuffer_Release(&vt);
     return Py_BuildValue("(iO)", sweeps_done, converged ? Py_True : Py_False);
 }
 

@@ -15,7 +15,9 @@ def jacobi_sweeps(bt, vt, rel_tol, abs_tol, max_sweeps):
 
     bt holds the working columns of the matrix being factored, one per row
     (i.e. bt = A.T for a tall A), and vt accumulates the same rotations
-    starting from the identity, so on convergence vt is V^T.
+    starting from the identity, so on convergence vt is V^T.  vt may be
+    None when only the singular values (the row norms of bt) are wanted;
+    the rotations and bt are then the same as with vt.
 
     A pair (i, j) is rotated unless |<b_i, b_j>| is below abs_tol and below
     rel_tol * ||b_i|| * ||b_j||.  Returns (sweeps_done, converged).
@@ -45,9 +47,10 @@ def jacobi_sweeps(bt, vt, rel_tol, abs_tol, max_sweeps):
                 bt[j] = s * bi + c * bj
                 bt[i] = bi_new
                 bi = bt[i]
-                vi = c * vt[i] - s * vt[j]
-                vt[j] = s * vt[i] + c * vt[j]
-                vt[i] = vi
+                if vt is not None:
+                    vi = c * vt[i] - s * vt[j]
+                    vt[j] = s * vt[i] + c * vt[j]
+                    vt[i] = vi
                 rotated = True
         if not rotated:
             return sweep + 1, True

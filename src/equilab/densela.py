@@ -119,6 +119,31 @@ def _complete_zero_columns(u, sigma):
     return u
 
 
+def _jacobi(a, with_vectors):
+    """Validate a, orient it tall and run the Jacobi sweeps on it.
+
+    Returns (bt, vt, transposed): the rows of bt are the orthogonalized
+    columns of the tall orientation (A, or A.T when transposed), and vt
+    holds the accumulated rotations, or is None unless with_vectors.  The
+    rotations, and so bt, do not depend on with_vectors.
+    """
+    arr = _validated(a)
+    n, m = arr.shape
+    fro_sq = float(np.sum(arr * arr))
+    transposed = n < m
+    # Factor the tall orientation; bt rows are its columns.
+    target = arr if not transposed else arr.T
+    p, q = target.shape
+    bt = np.ascontiguousarray(target.T)
+    vt = np.eye(q) if with_vectors else None
+    abs_tol = _ABS_TOL_SCALE * fro_sq
+    rel_tol = max(_REL_TOL_FLOOR, 32.0 * np.finfo(np.float64).eps * p)
+    sweeps, converged = _kernels.jacobi_sweeps(bt, vt, rel_tol, abs_tol, MAX_SWEEPS)
+    if not converged:
+        raise ConvergenceError(f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps")
+    return bt, vt, transposed
+
+
 def svd(a):
     """One-sided Jacobi SVD.
 
@@ -130,21 +155,7 @@ def svd(a):
     Raises ConvergenceError if 60 cyclic sweeps do not converge (not
     observed for finite float64 input at desk scale).
     """
-    arr = _validated(a)
-    n, m = arr.shape
-    fro_sq = float(np.sum(arr * arr))
-    transposed = n < m
-    # Factor the tall orientation; bt rows are its columns.
-    target = arr if not transposed else arr.T
-    p, q = target.shape
-    bt = np.ascontiguousarray(target.T)
-    vt = np.eye(q)
-    abs_tol = _ABS_TOL_SCALE * fro_sq
-    rel_tol = max(_REL_TOL_FLOOR, 32.0 * np.finfo(np.float64).eps * p)
-    sweeps, converged = _kernels.jacobi_sweeps(bt, vt, rel_tol, abs_tol, MAX_SWEEPS)
-    if not converged:
-        raise ConvergenceError(f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps")
-
+    bt, vt, transposed = _jacobi(a, with_vectors=True)
     sig = np.sqrt(np.einsum("ij,ij->i", bt, bt))
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
@@ -158,16 +169,7 @@ def svd(a):
     else:
         u, vt_out = u_t, vt_t
 
-    # Sign convention keyed to the rows of vt.
-    for i in range(vt_out.shape[0]):
-        row = vt_out[i]
-        thresh = 1e-12 * np.max(np.abs(row))
-        idx = np.flatnonzero(np.abs(row) > thresh)
-        lead = idx[0] if idx.size else 0
-        if row[lead] < 0.0:
-            vt_out[i] = -row
-            u[:, i] = -u[:, i]
-
+    _canonical_signs(u, vt_out)
     u = np.ascontiguousarray(u)
     vt_out = np.ascontiguousarray(vt_out)
     for x in (u, sig, vt_out):
@@ -175,15 +177,34 @@ def svd(a):
     return SvdResult(u=u, sigma=sig, vt=vt_out)
 
 
+def _canonical_signs(u, vt):
+    """Negate, in place, each row of vt whose first entry above 1e-12 of
+    the row's max magnitude is negative, and the matching column of u.
+    An all-zero row is keyed to its first entry and never flips."""
+    mag = np.abs(vt)
+    lead = np.argmax(mag > 1e-12 * mag.max(axis=1, keepdims=True), axis=1)
+    flip = vt[np.arange(vt.shape[0]), lead] < 0.0
+    vt[flip] = -vt[flip]
+    u[:, flip] = -u[:, flip]
+
+
+def _singular_values(a):
+    """svd(a).sigma, bit for bit, from a sweep that builds no vectors."""
+    bt, _, _ = _jacobi(a, with_vectors=False)
+    sig = np.sqrt(np.einsum("ij,ij->i", bt, bt))
+    return sig[np.argsort(-sig, kind="stable")]
+
+
 def condition_number(a, rank_tol=1e-12):
-    """Spectral condition number sigma_max / sigma_min via the Jacobi SVD.
+    """Spectral condition number sigma_max / sigma_min from the Jacobi
+    sweep's singular values (no singular vectors are built).
 
     Raises RankDeficientError (carrying the extreme singular values) when
     sigma_min <= rank_tol * sigma_max, including for the zero matrix.
     rank_tol must lie in (0, 1).
     """
     _check_rank_tol(rank_tol)
-    return _strict_condition_number(svd(a).sigma, rank_tol)
+    return _strict_condition_number(_singular_values(a), rank_tol)
 
 
 def _check_rank_tol(rank_tol):

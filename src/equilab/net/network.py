@@ -188,16 +188,12 @@ class Network:
         """Twin network with the conditioning tag switched on selected
         layers, parameters and buffers copied over.
 
-        which: "hidden" (all but the last layer), "all", or an explicit
-        list of layer indices.  For static conditioning the copied weights
+        which: "hidden" (all but the last layer), "all", or a non-str
+        iterable of int layer indices in [0, len(specs)); anything else
+        raises DimensionError.  For static conditioning the copied weights
         are re-equilibrated at construction.
         """
-        if which == "hidden":
-            idx = set(range(len(self.specs) - 1))
-        elif which == "all":
-            idx = set(range(len(self.specs)))
-        else:
-            idx = set(int(i) for i in which)
+        idx = _selected_layers(which, len(self.specs))
         new_specs = [dataclasses.replace(s, conditioning=conditioning) if i in idx else s
                      for i, s in enumerate(self.specs)]
         twin = self._twin(new_specs)
@@ -221,6 +217,24 @@ class Network:
             effective.append(_kappa(layer.effective_weight())
                              if layer.transforms_weight else k)
         return raw, effective
+
+
+def _selected_layers(which, n_layers):
+    """Set of layer indices that with_conditioning's which names."""
+    if isinstance(which, str):
+        idx = {"hidden": range(n_layers - 1), "all": range(n_layers)}.get(which)
+    else:
+        try:
+            idx = list(which)
+        except TypeError:
+            idx = None
+    if idx is None:
+        raise DimensionError(f'which must be "hidden", "all" or layer indices, got {which!r}')
+    for i in idx:
+        if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
+                or not 0 <= i < n_layers):
+            raise DimensionError(f"layer index {i!r} is not an int in [0, {n_layers})")
+    return {int(i) for i in idx}
 
 
 def _kappa(m):

@@ -338,20 +338,24 @@ class TestCondReport:
         assert "row_equilibration" in text
 
     def test_one_svd_per_matrix(self, tmp_path, monkeypatch):
-        # kappa(A) once, plus kappa of each of the three default transforms
+        # kappa(A) once, plus kappa of each of the three default transforms:
+        # one Jacobi sweep each, and none of them builds singular vectors
         mpath = tmp_path / "m.txt"
         mpath.write_text("3 3\n4 1 0\n1 3 1\n0 1 2\n")
-        calls = []
-        real_svd = densela.svd
+        calls = {"sweep": 0, "svd": 0}
+        real_jacobi, real_svd = densela._jacobi, densela.svd
 
-        def counting_svd(a):
-            calls.append(a)
-            return real_svd(a)
+        def counting(name, fn):
+            def wrapped(*args, **kwargs):
+                calls[name] += 1
+                return fn(*args, **kwargs)
+            return wrapped
 
-        monkeypatch.setattr(densela, "svd", counting_svd)
+        monkeypatch.setattr(densela, "_jacobi", counting("sweep", real_jacobi))
+        monkeypatch.setattr(densela, "svd", counting("svd", real_svd))
         run_experiment(default_config("cond_report"), tmp_path / "r",
                        matrix_file=str(mpath))
-        assert len(calls) == 4
+        assert calls == {"sweep": 4, "svd": 0}
 
 
 SCIPY_FREE_RUNS = """

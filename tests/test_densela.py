@@ -1,3 +1,4 @@
+import mpmath
 import numpy as np
 import pytest
 from hypothesis import given, settings
@@ -143,6 +144,63 @@ class TestSvd:
                                    np.linalg.norm(a), rtol=1e-12)
 
 
+def loop_canonical_signs(u, vt):
+    """Reference sign convention, one row of vt at a time."""
+    for i in range(vt.shape[0]):
+        row = vt[i]
+        idx = np.flatnonzero(np.abs(row) > 1e-12 * np.max(np.abs(row)))
+        lead = idx[0] if idx.size else 0
+        if row[lead] < 0.0:
+            vt[i] = -row
+            u[:, i] = -u[:, i]
+
+
+class TestSignConvention:
+    @pytest.mark.parametrize("shape,rank", [((9, 4), 4), ((4, 9), 4), ((8, 8), 8),
+                                            ((9, 6), 2), ((6, 9), 2), ((5, 5), 0)],
+                             ids=["tall", "wide", "square", "tall-rank2", "wide-rank2",
+                                  "zero"])
+    def test_array_ops_match_loop_bit_for_bit(self, shape, rank):
+        rng = np.random.default_rng(np.random.SeedSequence((7,) + shape + (rank,)))
+        m, n = shape
+        a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        res = densela.svd(a)
+        k = res.sigma.size
+        # random signs, plus a row whose leading entries sit below and at
+        # the 1e-12 threshold, and an all-zero row
+        signs = rng.choice([-1.0, 1.0], size=k)
+        u = res.u * signs
+        vt = res.vt * signs[:, None]
+        tricky = -rng.standard_normal(n)
+        peak = np.max(np.abs(tricky[2:]))
+        tricky[:2] = 1e-13 * peak, -1e-12 * peak
+        u = np.column_stack([u, rng.standard_normal((m, 2))])
+        vt = np.vstack([vt, tricky, np.zeros(n)])
+        want_u, want_vt = u.copy(), vt.copy()
+        loop_canonical_signs(want_u, want_vt)
+        densela._canonical_signs(u, vt)
+        assert u.tobytes() == want_u.tobytes()
+        assert vt.tobytes() == want_vt.tobytes()
+        # svd's own output is already canonical
+        u, vt = res.u.copy(), res.vt.copy()
+        loop_canonical_signs(u, vt)
+        assert u.tobytes() == res.u.tobytes() and vt.tobytes() == res.vt.tobytes()
+
+
+def _graded(seed, shape, axis):
+    rng = np.random.default_rng(np.random.SeedSequence((seed,) + shape + (axis,)))
+    a = rng.standard_normal(shape)
+    scale = 10.0 ** rng.uniform(-4.0, 4.0, size=shape[axis])
+    return a * (scale[:, None] if axis == 0 else scale[None, :])
+
+
+def _mpmath_kappa(a):
+    mp = mpmath.mp.clone()
+    mp.dps = 40
+    sig = mp.svd_r(mp.matrix(a.tolist()), compute_uv=False)
+    return max(sig) / min(sig)
+
+
 class TestConditionNumber:
     def test_oracle_2x2(self):
         # char poly of A^T A for [[3,4],[0,5]]: lambda^2 - 50 lambda + 225
@@ -176,6 +234,38 @@ class TestConditionNumber:
         for bad in (0.0, 1.5):
             with pytest.raises(DimensionError):
                 densela.pseudo_condition_number([2.0, 1.0], rank_tol=bad)
+
+    @settings(max_examples=60, deadline=None)
+    @given(st.integers(1, 10), st.integers(1, 10), st.integers(0, 10),
+           st.sampled_from(["plain", "graded", "low-rank", "zero-column"]),
+           st.integers(0, 10_000))
+    def test_property_matches_svd_sigma_bitwise(self, m, n, rank, kind, seed):
+        a = random_matrix(seed, m, n, scale_rows=kind == "graded")
+        if kind == "low-rank":
+            rng = np.random.default_rng(seed)
+            a = rng.standard_normal((m, rank)) @ rng.standard_normal((rank, n))
+        elif kind == "zero-column":
+            a[:, seed % n] = 0.0
+        sigma = densela.svd(a).sigma
+        assert densela._singular_values(a).tobytes() == sigma.tobytes()
+        s_max, s_min = float(sigma[0]), float(sigma[-1])
+        if s_min <= 1e-12 * s_max or s_max == 0.0:
+            with pytest.raises(RankDeficientError) as exc:
+                densela.condition_number(a)
+            assert (exc.value.sigma_max, exc.value.sigma_min) == (s_max, s_min)
+        else:
+            assert densela.condition_number(a) == s_max / s_min
+
+    # 40-digit oracle; np.linalg.cond misses it by up to 2.2e-8 on these
+    @pytest.mark.parametrize("shape", [(16, 16), (12, 8), (8, 12), (24, 5)],
+                             ids=["16x16", "12x8", "8x12", "24x5"])
+    @pytest.mark.parametrize("axis", [0, 1], ids=["row-graded", "col-graded"])
+    def test_graded_against_mpmath_oracle(self, shape, axis):
+        for seed in range(3):
+            a = _graded(seed, shape, axis)
+            want = _mpmath_kappa(a)
+            rel = abs(mpmath.mpf(densela.condition_number(a)) - want) / want
+            assert rel <= 1e-10, (seed, float(rel))
 
     def test_pseudo_condition_number(self):
         sigma = np.array([1e3, 1.0, 1e-14])

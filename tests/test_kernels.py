@@ -1,12 +1,14 @@
 """Kernel backends: the compiled Jacobi sweep agrees with the numpy
-reference and rejects buffers it cannot sweep, and EQUILAB_PURE_PYTHON
-selects the fallback.
+reference and rejects buffers it cannot sweep, each backend's sweep
+without vt (singular values only) leaves bt as the full sweep does, and
+EQUILAB_PURE_PYTHON selects the fallback.
 
 The agreement test is what catches _jacobi.c and jacobi_py.py drifting
 apart; the compiled-kernel tests run in subprocesses and skip when the
 extension is not built (`python3 setup.py build_ext --inplace` builds it).
 """
 
+import inspect
 import os
 import subprocess
 import sys
@@ -35,6 +37,31 @@ def _run_compiled(script, *args):
         p for p in (str(Path(_jacobi.__file__).parents[2]), env.get("PYTHONPATH")) if p)
     return subprocess.run([sys.executable, "-c", script, *args],
                           env=env, capture_output=True, text=True, timeout=120)
+
+
+def _sweep_sigma_only_and_full(kernel):
+    """Sweep each test matrix once with vt=None and once with vt=eye; the
+    two runs must return the same (sweeps, converged) and leave bt equal
+    bit for bit.  Self-contained, so the compiled case can run its source
+    in a fresh interpreter."""
+    import numpy as np
+
+    rng = np.random.default_rng(13)
+    graded = rng.standard_normal((12, 12)) * 10.0 ** rng.uniform(-4, 4, size=12)
+    low_rank = rng.standard_normal((9, 3)) @ rng.standard_normal((3, 6))
+    zero_col = rng.standard_normal((10, 5))
+    zero_col[:, 2] = 0.0
+    for a in (rng.standard_normal((16, 16)), rng.standard_normal((40, 7)),
+              graded, low_rank, zero_col):
+        runs = []
+        for vt in (np.eye(a.shape[1]), None):
+            bt = np.ascontiguousarray(a.T)
+            done = kernel.jacobi_sweeps(bt, vt, 1e-14, 1e-14 * float(np.sum(a * a)), 60)
+            runs.append((tuple(done), bt))
+        (full, bt_full), (sigma_only, bt_sigma_only) = runs
+        assert full == sigma_only, (a.shape, full, sigma_only)
+        assert full[1], a.shape
+        assert np.array_equal(bt_full, bt_sigma_only), a.shape
 
 
 _MATCH_REFERENCE = """
@@ -83,6 +110,8 @@ cases = {
     "read-only bt": (read_only, np.eye(4)),
     "3-d vt": (np.eye(4), np.eye(4)[:, :, None]),
     "vt with fewer rows": (np.random.default_rng(0).standard_normal((6, 6)), np.eye(2)),
+    "float32 bt, no vt": (np.eye(4, dtype=np.float32), None),
+    "read-only bt, no vt": (read_only, None),
 }
 for name, (bt, vt) in cases.items():
     try:
@@ -94,11 +123,26 @@ for name, (bt, vt) in cases.items():
 """
 
 
+def test_fallback_sigma_only_sweep_matches_full():
+    from equilab._kernels import jacobi_py
+
+    _sweep_sigma_only_and_full(jacobi_py)
+
+
+@needs_compiled
+def test_compiled_sigma_only_sweep_matches_full():
+    script = ("from equilab._kernels import _jacobi\n"
+              + inspect.getsource(_sweep_sigma_only_and_full)
+              + "_sweep_sigma_only_and_full(_jacobi)\n")
+    proc = _run_compiled(script)
+    assert proc.returncode == 0, proc.stderr
+
+
 @needs_compiled
 def test_compiled_kernel_rejects_bad_buffers():
     proc = _run_compiled(_BAD_INPUTS)
     assert proc.returncode == 0, proc.stderr
-    assert len(proc.stdout.splitlines()) == 5, proc.stdout
+    assert len(proc.stdout.splitlines()) == 7, proc.stdout
 
 
 def test_pure_python_env_selects_fallback():

@@ -34,6 +34,11 @@ def small_dense(**kw):
     ], seed=3)
 
 
+def dense_2_8_4_1():
+    return Network([DenseSpec(2, 8, activation="tanh"),
+                    DenseSpec(8, 4, activation="tanh"), DenseSpec(4, 1)], seed=0)
+
+
 class TestConstruction:
     def test_empty_and_bad_final_activation(self):
         with pytest.raises(DimensionError):
@@ -269,6 +274,21 @@ class TestConditioningTwins:
         sta = net.with_conditioning("equilibrate_static", which=[0])
         x = np.random.default_rng(4).standard_normal((9, 2))
         np.testing.assert_allclose(rep.forward(x), sta.forward(x), rtol=1e-12)
+
+    @pytest.mark.parametrize("cond", ["equilibrate_reparam", "equilibrate_static"])
+    @pytest.mark.parametrize("which", ["12", "", "foo", [5], [-1], [True], [0.0], 3, None],
+                             ids=repr)
+    def test_which_rejects_anything_but_names_and_indices(self, cond, which):
+        net = dense_2_8_4_1()
+        with pytest.raises(DimensionError):
+            net.with_conditioning(cond, which=which)
+
+    def test_which_takes_any_int_iterable(self):
+        net = dense_2_8_4_1()
+        for which in ((2, 1), np.array([1, 2]), range(1, 3)):
+            twin = net.with_conditioning("equilibrate_static", which=which)
+            assert [s.conditioning for s in twin.specs] == [
+                "none", "equilibrate_static", "equilibrate_static"]
 
 
 class TestConditionNumbers:
