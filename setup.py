@@ -1,11 +1,13 @@
-"""Build script: compiles the Jacobi sweep kernel when a C compiler is
-available, otherwise installs pure-Python only (the package falls back to
-the numpy kernel at import time).
+"""Build script: compiles the SVD kernels when a C compiler is available,
+otherwise installs pure-Python only (the package falls back to the numpy
+kernels at import time).
 
-The kernel, src/equilab/_kernels/_jacobi.c, is one hand-written C file that
-reads its arrays through the buffer protocol, so a build needs a C compiler
-and the Python headers, nothing else.  Edit it directly;
-tests/test_kernels.py compares the built kernel with the numpy reference.
+Every Jacobi SVD sorts the rows by decreasing norm, takes a Householder QR
+with column pivoting (qrcp) and runs the Jacobi sweep (jacobi_sweeps) on R.
+Both kernels live in src/equilab/_kernels/_jacobi.c, one hand-written C
+file that reads its arrays through the buffer protocol, so a build needs a
+C compiler and the Python headers, nothing else.  Edit it directly;
+tests/test_kernels.py compares the built kernels with the numpy reference.
 """
 
 import warnings

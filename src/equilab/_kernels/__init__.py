@@ -1,8 +1,8 @@
 """Kernel backend selection.
 
-Prefers the compiled Jacobi sweep extension; falls back to the numpy
-implementation when the extension is missing or EQUILAB_PURE_PYTHON is set
-to a non-empty value other than "0".
+Prefers the compiled QRCP and Jacobi sweep extension; falls back to the
+numpy implementation when the extension is missing or EQUILAB_PURE_PYTHON
+is set to a non-empty value other than "0".
 """
 
 import os
@@ -11,16 +11,16 @@ _force_pure = os.environ.get("EQUILAB_PURE_PYTHON", "") not in ("", "0")
 
 if not _force_pure:
     try:
-        from equilab._kernels._jacobi import jacobi_sweeps
+        from equilab._kernels._jacobi import jacobi_sweeps, qrcp
 
         BACKEND = "compiled"
     except ImportError:
-        from equilab._kernels.jacobi_py import jacobi_sweeps
+        from equilab._kernels.jacobi_py import jacobi_sweeps, qrcp
 
         BACKEND = "python"
 else:
-    from equilab._kernels.jacobi_py import jacobi_sweeps
+    from equilab._kernels.jacobi_py import jacobi_sweeps, qrcp
 
     BACKEND = "python"
 
-__all__ = ["jacobi_sweeps", "BACKEND"]
+__all__ = ["jacobi_sweeps", "qrcp", "BACKEND"]

@@ -1,9 +1,13 @@
-/* Compiled one-sided Jacobi sweep kernel.
+/* Compiled kernels of the preconditioned one-sided Jacobi SVD.
  *
- * Mirrors jacobi_py.jacobi_sweeps exactly (same rotation decisions, same
- * traversal order); the only differences are rounding from the scalar
- * accumulation order.  The matrices are read through the buffer protocol,
- * so the build needs a C compiler and the Python headers, nothing else.
+ * Each factorization sorts the rows of the (tall) matrix by decreasing
+ * norm, takes a Householder QR with column pivoting (qrcp), then runs the
+ * Jacobi sweep (jacobi_sweeps) on R.  Both functions mirror jacobi_py
+ * exactly (same pivots, same reflector convention, same rotation
+ * decisions, same traversal order); the only differences are rounding
+ * from the scalar accumulation order.  The matrices are read through the
+ * buffer protocol, so the build needs a C compiler and the Python
+ * headers, nothing else.
  */
 
 #define PY_SSIZE_T_CLEAN
@@ -135,16 +139,220 @@ jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
     return Py_BuildValue("(iO)", sweeps_done, converged ? Py_True : Py_False);
 }
 
+/* Stable merge sort of idx[0:n] by decreasing key; tmp holds n entries.
+ * Ties, and keys that compare unordered, keep their input order, and no
+ * index leaves [0, n) whatever the keys are. */
+static void
+sort_decreasing(Py_ssize_t *idx, Py_ssize_t *tmp, const double *key, Py_ssize_t n)
+{
+    for (Py_ssize_t width = 1; width < n; width *= 2) {
+        for (Py_ssize_t lo = 0; lo < n; lo += 2 * width) {
+            Py_ssize_t mid = lo + width < n ? lo + width : n;
+            Py_ssize_t hi = lo + 2 * width < n ? lo + 2 * width : n;
+            Py_ssize_t i = lo, j = mid, k = lo;
+            while (i < mid && j < hi)
+                tmp[k++] = key[idx[j]] > key[idx[i]] ? idx[j++] : idx[i++];
+            while (i < mid)
+                tmp[k++] = idx[i++];
+            while (j < hi)
+                tmp[k++] = idx[j++];
+        }
+        memcpy(idx, tmp, (size_t)n * sizeof(*idx));
+    }
+}
+
+/* Apply H = I - tau v v^T, v = (1, vrows[k+1][k], ..., vrows[p-1][k]), to
+ * columns j0..n-1 of rows[k:]; w holds n doubles of scratch. */
+static void
+reflect(double **rows, double *const *vrows, Py_ssize_t p, Py_ssize_t n,
+        Py_ssize_t k, Py_ssize_t j0, double tau, double *w)
+{
+    for (Py_ssize_t j = j0; j < n; j++)
+        w[j] = rows[k][j];
+    for (Py_ssize_t i = k + 1; i < p; i++) {
+        double vi = vrows[i][k];
+        for (Py_ssize_t j = j0; j < n; j++)
+            w[j] += vi * rows[i][j];
+    }
+    for (Py_ssize_t j = j0; j < n; j++)
+        w[j] *= tau;
+    for (Py_ssize_t j = j0; j < n; j++)
+        rows[k][j] -= w[j];
+    for (Py_ssize_t i = k + 1; i < p; i++) {
+        double vi = vrows[i][k];
+        for (Py_ssize_t j = j0; j < n; j++)
+            rows[i][j] -= vi * w[j];
+    }
+}
+
+PyDoc_STRVAR(qrcp_doc,
+"qrcp(a, r, q)\n--\n\n"
+"Row-sorted Householder QR with column pivoting: a[:, perm] = q @ r.\n\n"
+"Returns perm, the column permutation as a list.  See jacobi_py.qrcp for\n"
+"the contract.  a (p x n, p >= n) is overwritten as scratch, r (n x n)\n"
+"receives R, and q (p x n) receives Q, or is None when only R is\n"
+"wanted; r is then bit-identical to the run with q.  All must be\n"
+"writable, C-contiguous 2-d float64 arrays.");
+
+static PyObject *
+qrcp(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static char *kwlist[] = {"a", "r", "q", NULL};
+    PyObject *a_obj, *r_obj, *q_obj, *result = NULL;
+    Py_buffer a, r, q;
+    int have_q;
+
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:qrcp", kwlist,
+                                     &a_obj, &r_obj, &q_obj))
+        return NULL;
+    if (get_matrix(a_obj, "a", &a) < 0)
+        return NULL;
+    if (get_matrix(r_obj, "r", &r) < 0) {
+        PyBuffer_Release(&a);
+        return NULL;
+    }
+    have_q = q_obj != Py_None;
+    if (have_q && get_matrix(q_obj, "q", &q) < 0) {
+        PyBuffer_Release(&a);
+        PyBuffer_Release(&r);
+        return NULL;
+    }
+
+    Py_ssize_t p = a.shape[0], n = a.shape[1];
+    Py_ssize_t *order = NULL, *perm = NULL;
+    double **rows = NULL, **qrows = NULL, *norm2 = NULL, *cn = NULL, *tau = NULL, *w = NULL;
+
+    if (p < n)
+        PyErr_Format(PyExc_ValueError, "a must not be wide, got %zd x %zd", p, n);
+    else if (r.shape[0] != n || r.shape[1] != n)
+        PyErr_Format(PyExc_ValueError, "r must be %zd x %zd, got %zd x %zd",
+                     n, n, r.shape[0], r.shape[1]);
+    else if (have_q && (q.shape[0] != p || q.shape[1] != n))
+        PyErr_Format(PyExc_ValueError, "q must be %zd x %zd, got %zd x %zd",
+                     p, n, q.shape[0], q.shape[1]);
+    if (PyErr_Occurred())
+        goto done;
+
+    order = PyMem_Malloc(2 * (size_t)p * sizeof(*order));
+    perm = PyMem_Malloc((size_t)n * sizeof(*perm));
+    rows = PyMem_Malloc(2 * (size_t)p * sizeof(*rows));
+    norm2 = PyMem_Malloc(((size_t)p + 3 * (size_t)n) * sizeof(*norm2));
+    if (order == NULL || perm == NULL || rows == NULL || norm2 == NULL) {
+        PyErr_NoMemory();
+        goto done;
+    }
+    qrows = rows + p;
+    cn = norm2 + p;
+    tau = cn + n;
+    w = tau + n;
+
+    /* Sort the rows by decreasing norm; rows[i] is row i of the sorted
+     * matrix, so the sort moves no data. */
+    double *ad = a.buf;
+    for (Py_ssize_t i = 0; i < p; i++) {
+        double s = 0.0;
+        for (Py_ssize_t j = 0; j < n; j++)
+            s += ad[i * n + j] * ad[i * n + j];
+        norm2[i] = s;
+        order[i] = i;
+    }
+    sort_decreasing(order, order + p, norm2, p);
+    for (Py_ssize_t i = 0; i < p; i++)
+        rows[i] = ad + order[i] * n;
+
+    for (Py_ssize_t j = 0; j < n; j++)
+        perm[j] = j;
+    for (Py_ssize_t k = 0; k < n; k++) {
+        /* pivot: the first column of largest norm over rows k.., recomputed */
+        for (Py_ssize_t j = k; j < n; j++)
+            cn[j] = 0.0;
+        for (Py_ssize_t i = k; i < p; i++)
+            for (Py_ssize_t j = k; j < n; j++)
+                cn[j] += rows[i][j] * rows[i][j];
+        Py_ssize_t piv = k;
+        for (Py_ssize_t j = k + 1; j < n; j++)
+            if (cn[j] > cn[piv])
+                piv = j;
+        if (piv != k) {
+            for (Py_ssize_t i = 0; i < p; i++) {
+                double t = rows[i][k];
+                rows[i][k] = rows[i][piv];
+                rows[i][piv] = t;
+            }
+            Py_ssize_t t = perm[k];
+            perm[k] = perm[piv];
+            perm[piv] = t;
+        }
+        /* reflector zeroing rows k+1.. of column k; v is stored below R */
+        double xnorm = sqrt(cn[piv]);
+        tau[k] = 0.0;
+        if (xnorm == 0.0)
+            continue;
+        double alpha = rows[k][k];
+        double beta = -copysign(xnorm, alpha);
+        tau[k] = (beta - alpha) / beta;
+        for (Py_ssize_t i = k + 1; i < p; i++)
+            rows[i][k] /= alpha - beta;
+        rows[k][k] = beta;
+        reflect(rows, rows, p, n, k, k + 1, tau[k], w);
+    }
+
+    double *rd = r.buf;
+    for (Py_ssize_t i = 0; i < n; i++)
+        for (Py_ssize_t j = 0; j < n; j++)
+            rd[i * n + j] = j >= i ? rows[i][j] : 0.0;
+
+    if (have_q) {
+        /* Q = H_0 ... H_{n-1} [I; 0], accumulated backward, written
+         * through the row sort so that it is undone */
+        double *qd = q.buf;
+        for (Py_ssize_t i = 0; i < p; i++) {
+            qrows[i] = qd + order[i] * n;
+            for (Py_ssize_t j = 0; j < n; j++)
+                qrows[i][j] = i == j ? 1.0 : 0.0;
+        }
+        for (Py_ssize_t k = n - 1; k >= 0; k--)
+            if (tau[k] != 0.0)
+                reflect(qrows, rows, p, n, k, k, tau[k], w);
+    }
+
+    result = PyList_New(n);
+    if (result == NULL)
+        goto done;
+    for (Py_ssize_t j = 0; j < n; j++) {
+        PyObject *item = PyLong_FromSsize_t(perm[j]);
+        if (item == NULL) {
+            Py_CLEAR(result);
+            goto done;
+        }
+        PyList_SET_ITEM(result, j, item);
+    }
+
+done:
+    PyMem_Free(order);
+    PyMem_Free(perm);
+    PyMem_Free(rows);
+    PyMem_Free(norm2);
+    PyBuffer_Release(&a);
+    PyBuffer_Release(&r);
+    if (have_q)
+        PyBuffer_Release(&q);
+    return result;
+}
+
 static PyMethodDef methods[] = {
     {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
      METH_VARARGS | METH_KEYWORDS, jacobi_sweeps_doc},
+    {"qrcp", (PyCFunction)(void (*)(void))qrcp,
+     METH_VARARGS | METH_KEYWORDS, qrcp_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_jacobi",
-    .m_doc = "Compiled one-sided Jacobi sweep kernel.",
+    .m_doc = "Compiled QRCP and one-sided Jacobi sweep kernels.",
     .m_size = -1,
     .m_methods = methods,
 };

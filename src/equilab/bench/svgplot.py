@@ -8,13 +8,18 @@ platforms that agree on binary64 arithmetic.
 
 import math
 from dataclasses import dataclass
-from xml.sax.saxutils import escape
 
 from equilab.errors import DimensionError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
 WIDTH, HEIGHT = 640.0, 420.0
 MARGIN_L, MARGIN_R, MARGIN_T, MARGIN_B = 64.0, 16.0, 28.0, 44.0
+
+
+def _escape(text):
+    """Escape &, > and < for SVG text, as xml.sax.saxutils.escape does
+    (without importing it: that module loads urllib, http, email and ssl)."""
+    return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
 @dataclass(frozen=True)
@@ -100,7 +105,7 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
     out.append(f'<rect x="0" y="0" width="{_fmt(WIDTH)}" height="{_fmt(HEIGHT)}" fill="#ffffff"/>')
     if title:
         out.append(f'<text x="{_fmt(WIDTH / 2)}" y="18" font-family="sans-serif" '
-                   f'font-size="13" text-anchor="middle">{escape(title)}</text>')
+                   f'font-size="13" text-anchor="middle">{_escape(title)}</text>')
 
     # axes frame
     out.append(f'<rect x="{_fmt(MARGIN_L)}" y="{_fmt(MARGIN_T)}" width="{_fmt(plot_w)}" '
@@ -128,15 +133,15 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
         out.append(f'<line x1="{_fmt(MARGIN_L - 4)}" y1="{_fmt(y)}" x2="{_fmt(MARGIN_L)}" '
                    f'y2="{_fmt(y)}" stroke="#000000" stroke-width="1"/>')
         out.append(f'<text x="{_fmt(MARGIN_L - 7)}" y="{_fmt(y + 3)}" font-family="sans-serif" '
-                   f'font-size="10" text-anchor="end">{escape(label)}</text>')
+                   f'font-size="10" text-anchor="end">{_escape(label)}</text>')
 
     if xlabel:
         out.append(f'<text x="{_fmt(MARGIN_L + plot_w / 2)}" y="{_fmt(HEIGHT - 8)}" '
-                   f'font-family="sans-serif" font-size="11" text-anchor="middle">{escape(xlabel)}</text>')
+                   f'font-family="sans-serif" font-size="11" text-anchor="middle">{_escape(xlabel)}</text>')
     if ylabel:
         cx, cy = 14.0, MARGIN_T + plot_h / 2
         out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-family="sans-serif" font-size="11" '
-                   f'text-anchor="middle" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{escape(ylabel)}</text>')
+                   f'text-anchor="middle" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(ylabel)}</text>')
 
     for i, s in enumerate(series):
         color = PALETTE[i % len(PALETTE)]
@@ -161,7 +166,7 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
                    f'x2="{_fmt(MARGIN_L + plot_w - 90)}" y2="{_fmt(ly)}" '
                    f'stroke="{color}" stroke-width="1.5"/>')
         out.append(f'<text x="{_fmt(MARGIN_L + plot_w - 85)}" y="{_fmt(ly + 3)}" '
-                   f'font-family="sans-serif" font-size="10">{escape(s.label)}</text>')
+                   f'font-family="sans-serif" font-size="10">{_escape(s.label)}</text>')
 
     out.append("</svg>")
     return "\n".join(out) + "\n"

@@ -1,7 +1,8 @@
 """Dense linear-algebra core.
 
 Input validation for float64 matrices, a text matrix reader, and a
-one-sided Jacobi SVD: the basis for every condition number in the
+one-sided Jacobi SVD preconditioned by a row-sorted QR with column
+pivoting: the basis for every condition number in the
 package and for the quadratic minimizer in quadlab.  Everything is desk
 scale: dimensions are capped at 4096 and all routines are deterministic
 for a given input.
@@ -120,32 +121,38 @@ def _complete_zero_columns(u, sigma):
 
 
 def _jacobi(a, with_vectors):
-    """Validate a, orient it tall and run the Jacobi sweeps on it.
+    """Validate a, orient it tall and factor it: sort its rows, take a QR
+    with column pivoting, T[:, perm] = Q R, and run the Jacobi sweeps on
+    R^T (the kernel's bt = R).
 
-    Returns (bt, vt, transposed): the rows of bt are the orthogonalized
-    columns of the tall orientation (A, or A.T when transposed), and vt
-    holds the accumulated rotations, or is None unless with_vectors.  The
-    rotations, and so bt, do not depend on with_vectors.
+    T is the tall orientation (A, or A.T when transposed).  Returns
+    (bt, vt, q, perm, transposed): the rows of bt are the orthogonalized
+    columns of R^T, vt holds the accumulated rotations and q the QR's Q,
+    both None unless with_vectors.  The rotations, and so bt, do not
+    depend on with_vectors.
     """
     arr = _validated(a)
     n, m = arr.shape
     fro_sq = float(np.sum(arr * arr))
     transposed = n < m
-    # Factor the tall orientation; bt rows are its columns.
-    target = arr if not transposed else arr.T
-    p, q = target.shape
-    bt = np.ascontiguousarray(target.T)
-    vt = np.eye(q) if with_vectors else None
+    # the QR's scratch: arr is already a private copy
+    target = np.ascontiguousarray(arr.T) if transposed else arr
+    p, k = target.shape
+    bt = np.empty((k, k))
+    q = np.empty((p, k)) if with_vectors else None
+    perm = _kernels.qrcp(target, bt, q)
+    vt = np.eye(k) if with_vectors else None
     abs_tol = _ABS_TOL_SCALE * fro_sq
     rel_tol = max(_REL_TOL_FLOOR, 32.0 * np.finfo(np.float64).eps * p)
     sweeps, converged = _kernels.jacobi_sweeps(bt, vt, rel_tol, abs_tol, MAX_SWEEPS)
     if not converged:
         raise ConvergenceError(f"Jacobi SVD did not converge in {MAX_SWEEPS} sweeps")
-    return bt, vt, transposed
+    return bt, vt, q, perm, transposed
 
 
 def svd(a):
-    """One-sided Jacobi SVD.
+    """One-sided Jacobi SVD, preconditioned by a row-sorted QR with column
+    pivoting.
 
     Returns SvdResult(u, sigma, vt) with u of shape (n, k), sigma of
     length k = min(n, m) sorted descending, and vt of shape (k, m).
@@ -155,19 +162,22 @@ def svd(a):
     Raises ConvergenceError if 60 cyclic sweeps do not converge (not
     observed for finite float64 input at desk scale).
     """
-    bt, vt, transposed = _jacobi(a, with_vectors=True)
+    # T P = Q R and the sweep gives R^T = W diag(sigma) J with J = vt, so
+    # T = (Q J^T) diag(sigma) (P W)^T
+    bt, vt, q, perm, transposed = _jacobi(a, with_vectors=True)
     sig = np.sqrt(np.einsum("ij,ij->i", bt, bt))
     order = np.argsort(-sig, kind="stable")
     sig = sig[order]
     safe = np.where(sig > 0.0, sig, 1.0)
-    u_t = (bt[order] / safe[:, None]).T  # (p, q) orthonormal columns
-    u_t = _complete_zero_columns(u_t, sig)
-    vt_t = vt[order]  # (q, q), rows are right singular vectors of target
+    w = _complete_zero_columns((bt[order] / safe[:, None]).T, sig)
+    v_t = np.empty_like(w)  # (k, k), columns are right singular vectors of T
+    v_t[perm] = w
+    u_t = q @ vt[order].T  # (p, k) orthonormal columns
 
     if transposed:
-        u, vt_out = vt_t.T, u_t.T
+        u, vt_out = v_t, u_t.T
     else:
-        u, vt_out = u_t, vt_t
+        u, vt_out = u_t, v_t.T
 
     _canonical_signs(u, vt_out)
     u = np.ascontiguousarray(u)
@@ -190,7 +200,7 @@ def _canonical_signs(u, vt):
 
 def _singular_values(a):
     """svd(a).sigma, bit for bit, from a sweep that builds no vectors."""
-    bt, _, _ = _jacobi(a, with_vectors=False)
+    bt = _jacobi(a, with_vectors=False)[0]
     sig = np.sqrt(np.einsum("ij,ij->i", bt, bt))
     return sig[np.argsort(-sig, kind="stable")]
 

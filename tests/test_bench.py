@@ -133,6 +133,12 @@ class TestSvgPlot:
         assert one.startswith("<?xml") and one.rstrip().endswith("</svg>")
         assert "a&lt;b&amp;c" in one and "a<b" not in one
 
+    def test_escape_matches_saxutils(self):
+        from xml.sax.saxutils import escape
+
+        for text in ("", "plain", "a<b&c>d", "&lt;&amp;&gt;", "<<&&>>", "κ > 1e3 & σ < 1"):
+            assert svgplot._escape(text) == escape(text)
+
     def test_nonfinite_and_nonpositive_dropped(self):
         s = [svgplot.LineSeries("x", [0, 1, 2, 3],
                                 [1.0, float("nan"), -5.0, 10.0])]
@@ -383,6 +389,30 @@ def test_experiments_leave_scipy_unloaded():
     env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
     proc = subprocess.run([sys.executable, "-c", SCIPY_FREE_RUNS, json.dumps(SMALL_RUNS)],
                           env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
+
+
+# The interpreter's site setup may load urllib.parse before any equilab
+# import, so the check is on what the import adds.
+NETWORK_STACK_FREE_IMPORT = """
+import sys
+stack = ("urllib", "http", "email", "ssl")
+def loaded():
+    return {m for m in sys.modules if m.split(".")[0] in stack}
+before = loaded()
+import equilab.bench.experiments
+print(sorted(loaded() - before))
+"""
+
+
+def test_experiments_import_leaves_network_stack_unloaded():
+    # xml.sax.saxutils pulls in urllib.request, http.client, email and ssl
+    env = dict(os.environ)
+    src = str(Path(__file__).resolve().parents[1] / "src")
+    env["PYTHONPATH"] = os.pathsep.join(p for p in (src, env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", NETWORK_STACK_FREE_IMPORT],
+                          env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
 

@@ -95,6 +95,31 @@ class TestSvd:
         np.testing.assert_allclose(res.u.T @ res.u, np.eye(k), atol=1e-12)
         np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(k), atol=1e-12)
 
+    @pytest.mark.parametrize("case", ["zero-column", "duplicated-column", "1xn", "nx1",
+                                      "wide", "wide-zero-row"])
+    def test_orthonormal_and_reconstructs_edge_cases(self, case):
+        a = random_matrix(23, 7, 5)
+        if case == "zero-column":
+            a[:, 1] = 0.0
+        elif case == "duplicated-column":
+            a[:, 3] = a[:, 0]
+        elif case == "1xn":
+            a = random_matrix(23, 1, 6)
+        elif case == "nx1":
+            a = random_matrix(23, 6, 1)
+        elif case == "wide":
+            a = random_matrix(23, 4, 9)
+        else:
+            a = random_matrix(23, 4, 9)
+            a[2] = 0.0
+        res = densela.svd(a)
+        k = min(a.shape)
+        assert res.u.shape == (a.shape[0], k) and res.vt.shape == (k, a.shape[1])
+        np.testing.assert_allclose(res.u.T @ res.u, np.eye(k), rtol=0.0, atol=1e-13)
+        np.testing.assert_allclose(res.vt @ res.vt.T, np.eye(k), rtol=0.0, atol=1e-13)
+        err = np.linalg.norm((res.u * res.sigma) @ res.vt - a)
+        assert err <= 1e-13 * np.linalg.norm(a)
+
     def test_sigma_sorted_and_nonnegative(self):
         a = random_matrix(2, 8, 8)
         s = densela.svd(a).sigma
@@ -188,17 +213,23 @@ class TestSignConvention:
 
 
 def _graded(seed, shape, axis):
+    """B scaled by 10**U(-4, 4) along axis 0 (D B), 1 (B D) or, for axis
+    2, both (D1 B D2)."""
     rng = np.random.default_rng(np.random.SeedSequence((seed,) + shape + (axis,)))
     a = rng.standard_normal(shape)
-    scale = 10.0 ** rng.uniform(-4.0, 4.0, size=shape[axis])
-    return a * (scale[:, None] if axis == 0 else scale[None, :])
+    if axis in (0, 2):
+        a = a * 10.0 ** rng.uniform(-4.0, 4.0, size=shape[0])[:, None]
+    if axis in (1, 2):
+        a = a * 10.0 ** rng.uniform(-4.0, 4.0, size=shape[1])[None, :]
+    return a
 
 
-def _mpmath_kappa(a):
+def _mpmath_sigma(a):
+    """Singular values from a 40-digit SVD, descending."""
     mp = mpmath.mp.clone()
     mp.dps = 40
     sig = mp.svd_r(mp.matrix(a.tolist()), compute_uv=False)
-    return max(sig) / min(sig)
+    return sorted((sig[i] for i in range(len(sig))), reverse=True)
 
 
 class TestConditionNumber:
@@ -256,16 +287,23 @@ class TestConditionNumber:
         else:
             assert densela.condition_number(a) == s_max / s_min
 
-    # 40-digit oracle; np.linalg.cond misses it by up to 2.2e-8 on these
+    # 40-digit oracle for kappa and for every singular value of svd;
+    # LAPACK's singular values miss it by up to 2.2e-8 on the row-graded
+    # and 1.2e-6 on the two-sided cases
     @pytest.mark.parametrize("shape", [(16, 16), (12, 8), (8, 12), (24, 5)],
                              ids=["16x16", "12x8", "8x12", "24x5"])
-    @pytest.mark.parametrize("axis", [0, 1], ids=["row-graded", "col-graded"])
+    @pytest.mark.parametrize("axis", [0, 1, 2], ids=["row-graded", "col-graded", "two-sided"])
     def test_graded_against_mpmath_oracle(self, shape, axis):
         for seed in range(3):
             a = _graded(seed, shape, axis)
-            want = _mpmath_kappa(a)
-            rel = abs(mpmath.mpf(densela.condition_number(a)) - want) / want
+            want = _mpmath_sigma(a)
+            kappa = want[0] / want[-1]
+            # the two-sided cases reach kappa 1e14, above the default rank_tol
+            rel = abs(mpmath.mpf(densela.condition_number(a, rank_tol=1e-15)) - kappa) / kappa
             assert rel <= 1e-10, (seed, float(rel))
+            for k, (got, exact) in enumerate(zip(densela.svd(a).sigma, want)):
+                rel = abs(mpmath.mpf(float(got)) - exact) / exact
+                assert rel <= 1e-10, (seed, k, float(rel))
 
     def test_pseudo_condition_number(self):
         sigma = np.array([1e3, 1.0, 1e-14])

@@ -1,9 +1,10 @@
-"""Kernel backends: the compiled Jacobi sweep agrees with the numpy
-reference and rejects buffers it cannot sweep, each backend's sweep
+"""Kernel backends: the compiled QRCP and Jacobi sweep agree with the
+numpy reference and reject buffers they cannot use, each backend's QRCP
+factors its input and gives the same R without Q, each backend's sweep
 without vt (singular values only) leaves bt as the full sweep does, and
 EQUILAB_PURE_PYTHON selects the fallback.
 
-The agreement test is what catches _jacobi.c and jacobi_py.py drifting
+The agreement tests are what catch _jacobi.c and jacobi_py.py drifting
 apart; the compiled-kernel tests run in subprocesses and skip when the
 extension is not built (`python3 setup.py build_ext --inplace` builds it).
 """
@@ -64,6 +65,80 @@ def _sweep_sigma_only_and_full(kernel):
         assert np.array_equal(bt_full, bt_sigma_only), a.shape
 
 
+def _qrcp_factors(kernel):
+    """Run qrcp with and without q on test matrices: a[:, perm] = q r with
+    q orthonormal, r upper triangular with non-increasing |diagonal|, and
+    r equal bit for bit between the two runs.  Self-contained, so the
+    compiled case can run its source in a fresh interpreter."""
+    import numpy as np
+
+    rng = np.random.default_rng(17)
+    graded = rng.standard_normal((12, 12)) * 10.0 ** rng.uniform(-4, 4, size=12)[:, None]
+    zero_col = rng.standard_normal((10, 5))
+    zero_col[:, 2] = 0.0
+    dup_col = rng.standard_normal((8, 4))
+    dup_col[:, 3] = dup_col[:, 1]
+    low_rank = rng.standard_normal((9, 2)) @ rng.standard_normal((2, 6))
+    for a in (rng.standard_normal((16, 16)), rng.standard_normal((40, 7)), graded,
+              zero_col, dup_col, low_rank, rng.standard_normal((6, 1)), np.zeros((3, 3)),
+              np.array([[-2.0]])):
+        p, n = a.shape
+        r, q, r_only = np.empty((n, n)), np.empty((p, n)), np.empty((n, n))
+        perm = kernel.qrcp(a.copy(), r, q)
+        assert kernel.qrcp(a.copy(), r_only, None) == perm, a.shape
+        assert sorted(perm) == list(range(n)), perm
+        assert np.array_equal(r, r_only), a.shape
+        assert np.array_equal(r, np.triu(r)), a.shape
+        diag = np.abs(np.diag(r))
+        assert np.all(diag[1:] <= diag[:-1] * (1.0 + 1e-12)), diag
+        scale = max(np.linalg.norm(a), 1.0)
+        assert np.linalg.norm(a[:, perm] - q @ r) <= 1e-14 * scale, a.shape
+        assert np.abs(q.T @ q - np.eye(n)).max() <= 1e-14, a.shape
+
+
+def test_fallback_qrcp_factors():
+    from equilab._kernels import jacobi_py
+
+    _qrcp_factors(jacobi_py)
+
+
+@needs_compiled
+def test_compiled_qrcp_factors():
+    script = ("from equilab._kernels import _jacobi\n"
+              + inspect.getsource(_qrcp_factors)
+              + "_qrcp_factors(_jacobi)\n")
+    proc = _run_compiled(script)
+    assert proc.returncode == 0, proc.stderr
+
+
+# columns scaled to distinct norms, so both backends must pick the same
+# pivots although their norm sums round differently
+_QRCP_MATCH_REFERENCE = """
+import sys
+import numpy as np
+from equilab._kernels import _jacobi, jacobi_py
+
+shape = tuple(int(n) for n in sys.argv[1:])
+rng = np.random.default_rng(shape)
+a = rng.standard_normal(shape) * np.geomspace(1.0, 1e-3, shape[1])[rng.permutation(shape[1])]
+out = []
+for kernel in (jacobi_py, _jacobi):
+    r, q = np.empty((shape[1], shape[1])), np.empty(shape)
+    out.append((kernel.qrcp(a.copy(), r, q), r, q))
+(perm_py, r_py, q_py), (perm_c, r_c, q_c) = out
+assert perm_c == perm_py, (perm_c, perm_py)
+np.testing.assert_allclose(r_c, r_py, rtol=1e-12, atol=1e-12 * np.abs(r_py).max())
+np.testing.assert_allclose(q_c, q_py, rtol=0.0, atol=1e-12)
+"""
+
+
+@needs_compiled
+@pytest.mark.parametrize("shape", [(16, 16), (24, 5), (64, 64)], ids=["16", "24x5", "64"])
+def test_compiled_qrcp_matches_reference(shape):
+    proc = _run_compiled(_QRCP_MATCH_REFERENCE, *map(str, shape))
+    assert proc.returncode == 0, proc.stderr
+
+
 _MATCH_REFERENCE = """
 import sys
 import numpy as np
@@ -121,6 +196,38 @@ for name, (bt, vt) in cases.items():
     else:
         raise SystemExit(f"{name}: no ValueError")
 """
+
+
+# Each case must raise ValueError before qrcp writes to any buffer.
+_BAD_QRCP_INPUTS = """
+import numpy as np
+from equilab._kernels._jacobi import qrcp
+
+read_only = np.eye(4)
+read_only.flags.writeable = False
+cases = {
+    "float32 a": (np.eye(4, dtype=np.float32), np.empty((4, 4)), None),
+    "non-contiguous a": (np.eye(8)[::2, ::2], np.empty((4, 4)), None),
+    "read-only a": (read_only, np.empty((4, 4)), None),
+    "r of the wrong shape": (np.ones((6, 4)), np.empty((3, 3)), None),
+    "q of the wrong shape": (np.ones((6, 4)), np.empty((4, 4)), np.empty((4, 4))),
+    "wide a": (np.ones((3, 5)), np.empty((5, 5)), np.empty((3, 5))),
+}
+for name, (a, r, q) in cases.items():
+    try:
+        qrcp(a, r, q)
+    except ValueError as exc:
+        print(f"{name}: {exc}")
+    else:
+        raise SystemExit(f"{name}: no ValueError")
+"""
+
+
+@needs_compiled
+def test_compiled_qrcp_rejects_bad_buffers():
+    proc = _run_compiled(_BAD_QRCP_INPUTS)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 6, proc.stdout
 
 
 def test_fallback_sigma_only_sweep_matches_full():
