@@ -2,8 +2,10 @@
 
 Subcommands: cond, vds, quad, train, hessian.  Each accepts --config (JSON
 file), --out (output directory) and --seed (overrides the config seed).
-Without --out the output directory is derived from the config hash, so
-distinct configs never collide.
+cond's positional matrix file likewise overrides the config's
+matrix_file, so it is part of the config hash.  Without --out the output
+directory is derived from the config hash, so distinct configs never
+collide.
 """
 
 import argparse
@@ -50,16 +52,18 @@ def main(argv=None):
         parser.print_help()
         return 2
     kind = _KIND_FOR[args.command]
+    overrides = {}
+    if args.seed is not None:
+        overrides["seed"] = args.seed
+    if getattr(args, "matrix_file", None) is not None:
+        overrides["matrix_file"] = args.matrix_file
     try:
         if args.config is not None:
-            cfg = load_config(args.config, kind=kind, seed=args.seed)
+            cfg = load_config(args.config, kind=kind, **overrides)
         else:
-            cfg = default_config(kind, seed=args.seed if args.seed is not None else 0)
+            cfg = default_config(kind, **overrides)
         out_dir = args.out or f"runs/{kind}_{cfg.config_hash}"
-        kwargs = {}
-        if args.command == "cond" and args.matrix_file is not None:
-            kwargs["matrix_file"] = args.matrix_file
-        manifest = run_experiment(cfg, out_dir, **kwargs)
+        manifest = run_experiment(cfg, out_dir)
     except EquilabError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1

@@ -156,8 +156,10 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     return ExperimentConfig(kind=kind, seed=seed, params=params, config_hash=digest)
 
 
-def load_config(path, *, kind=None, seed=None) -> ExperimentConfig:
-    """Read a JSON config file; optionally force kind or override seed."""
+def load_config(path, *, kind=None, **overrides) -> ExperimentConfig:
+    """Read a JSON config file; optionally force kind.  Keyword overrides
+    (the CLI's --seed and cond's matrix file) replace the file's values
+    before validation."""
     try:
         with open(path, "r", encoding="utf-8") as fh:
             raw = json.load(fh)
@@ -170,9 +172,7 @@ def load_config(path, *, kind=None, seed=None) -> ExperimentConfig:
         if existing != kind:
             raise ConfigError(f"config kind {existing!r} does not match subcommand {kind!r}")
         raw["kind"] = kind
-    if seed is not None:
-        raw["seed"] = seed
-    return resolve_config(raw)
+    return resolve_config({**raw, **overrides})
 
 
 def default_config(kind, seed=0, **overrides) -> ExperimentConfig:

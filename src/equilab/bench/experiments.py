@@ -384,11 +384,10 @@ def run_hessian_compare(cfg: ExperimentConfig, out_dir, manifest):
 # cond_report
 
 
-def run_cond_report(cfg: ExperimentConfig, out_dir, manifest, matrix_file=None):
-    path = matrix_file or cfg["matrix_file"]
-    if not path:
+def run_cond_report(cfg: ExperimentConfig, out_dir, manifest):
+    if not cfg["matrix_file"]:
         raise ConfigError("cond_report needs a matrix file")
-    mat = densela.read_matrix_text(path)
+    mat = densela.read_matrix_text(cfg["matrix_file"])
     reports = precond.conditioning_report(mat, cfg["kinds"], seed=cfg.seed)
     _emit_csv(manifest, out_dir, "cond_report.csv",
               [precond.CSV_HEADER] + [r.csv_row() for r in reports])
@@ -403,7 +402,7 @@ RUNNERS = {
 }
 
 
-def run_experiment(cfg: ExperimentConfig, out_dir, **kwargs) -> RunManifest:
+def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
     """Run cfg's experiment into out_dir and return its manifest.
 
     The manifest times the runner (wall_time_total) and lists every file
@@ -414,7 +413,7 @@ def run_experiment(cfg: ExperimentConfig, out_dir, **kwargs) -> RunManifest:
     manifest = RunManifest(kind=cfg.kind, config_hash=cfg.config_hash, seed=cfg.seed,
                            version=equilab.__version__, started=_now())
     t0 = time.perf_counter()
-    RUNNERS[cfg.kind](cfg, out_dir, manifest, **kwargs)
+    RUNNERS[cfg.kind](cfg, out_dir, manifest)
     manifest.wall_time_total = time.perf_counter() - t0
     manifest.finished = _now()
     manifest.add_file("manifest.json")

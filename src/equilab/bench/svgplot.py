@@ -58,12 +58,15 @@ def nice_ticks(lo, hi, target=5):
     return ticks or [lo, hi]
 
 
-def _finite_points(series, log_y):
+def _plotted_points(s, log_y):
+    """The (x, y) pairs of a series that the plot draws, y as plotted
+    (log10 on a log axis): non-finite points, and non-positive y on a log
+    axis, are dropped."""
     pts = []
-    for s in series:
-        for x, y in zip(s.xs, s.ys):
-            if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0.0):
-                pts.append((float(x), float(y)))
+    for x, y in zip(s.xs, s.ys):
+        if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0.0):
+            y = float(y)
+            pts.append((float(x), math.log10(y) if log_y else y))
     return pts
 
 
@@ -74,10 +77,10 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
     An empty series list still yields a complete plot frame.
     """
     series = list(series)
-    pts = _finite_points(series, log_y)
-    if pts:
-        xs = [p[0] for p in pts]
-        ys = [math.log10(p[1]) if log_y else p[1] for p in pts]
+    points = [_plotted_points(s, log_y) for s in series]
+    if any(points):
+        xs = [x for pts in points for x, _ in pts]
+        ys = [y for pts in points for _, y in pts]
         x_lo, x_hi = min(xs), max(xs)
         y_lo, y_hi = min(ys), max(ys)
     else:
@@ -143,17 +146,9 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
         out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-family="sans-serif" font-size="11" '
                    f'text-anchor="middle" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(ylabel)}</text>')
 
-    for i, s in enumerate(series):
+    for i, (s, pts) in enumerate(zip(series, points)):
         color = PALETTE[i % len(PALETTE)]
-        coords = []
-        for x, y in zip(s.xs, s.ys):
-            if not (math.isfinite(x) and math.isfinite(y)):
-                continue
-            if log_y:
-                if y <= 0.0:
-                    continue
-                y = math.log10(y)
-            coords.append(f"{_fmt(px(float(x)))},{_fmt(py(float(y)))}")
+        coords = [f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts]
         if len(coords) == 1:
             x0, y0 = coords[0].split(",")
             out.append(f'<circle cx="{x0}" cy="{y0}" r="2.5" fill="{color}"/>')

@@ -33,6 +33,9 @@ _ABS_TOL_SCALE = 1e-14
 _REL_TOL_FLOOR = 1e-14
 # Relative Frobenius asymmetry allowed of a matrix treated as symmetric.
 _SYM_TOL = 1e-12
+# condition_number's rank threshold: sigma_min <= RANK_TOL * sigma_max is
+# numerically rank deficient.
+RANK_TOL = 1e-12
 
 KERNEL_BACKEND = _kernels.BACKEND
 
@@ -205,16 +208,14 @@ def _singular_values(a):
     return sig[np.argsort(-sig, kind="stable")]
 
 
-def condition_number(a, rank_tol=1e-12):
+def condition_number(a):
     """Spectral condition number sigma_max / sigma_min from the Jacobi
     sweep's singular values (no singular vectors are built).
 
     Raises RankDeficientError (carrying the extreme singular values) when
-    sigma_min <= rank_tol * sigma_max, including for the zero matrix.
-    rank_tol must lie in (0, 1).
+    sigma_min <= RANK_TOL * sigma_max, including for the zero matrix.
     """
-    _check_rank_tol(rank_tol)
-    return _strict_condition_number(_singular_values(a), rank_tol)
+    return _strict_condition_number(_singular_values(a))
 
 
 def _check_rank_tol(rank_tol):
@@ -222,12 +223,13 @@ def _check_rank_tol(rank_tol):
         raise DimensionError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
 
 
-def _strict_condition_number(sigma, rank_tol):
-    """sigma[0] / sigma[-1] of a descending spectrum, or RankDeficientError."""
+def _strict_condition_number(sigma):
+    """sigma[0] / sigma[-1] of a descending spectrum, or RankDeficientError
+    at RANK_TOL."""
     s_max = float(sigma[0])
     s_min = float(sigma[-1])
-    if s_min <= rank_tol * s_max or s_max == 0.0:
-        raise RankDeficientError(s_max, s_min, rank_tol)
+    if s_min <= RANK_TOL * s_max or s_max == 0.0:
+        raise RankDeficientError(s_max, s_min, RANK_TOL)
     return s_max / s_min
 
 

@@ -47,8 +47,9 @@ FD_CHUNK = 4
 
 CSV_HEADER = "seed,phase,kappa_plain,kappa_eq,rank_ok_plain,rank_ok_eq"
 
-# epoch fractions of a reference SGD run at which snapshot points are taken
-SNAPSHOT_FRACS = (0.25, 0.5, 0.75)
+# snapshot points are taken after these epochs of a reference SGD run:
+# 1/4, 1/2 and 3/4 of 40 epochs
+SNAPSHOT_EPOCHS = (10, 20, 30)
 
 # gradient self-check: relative tolerance and number of random directions
 SELF_CHECK_TOL = 1e-5
@@ -108,10 +109,6 @@ class HessianEstimate:
     step_sizes: np.ndarray
     grad_norm: float
     asymmetry: float
-
-    @property
-    def n(self):
-        return self.h.shape[0]
 
 
 def fd_hessian(loss_fn, grad_fn, theta):
@@ -276,13 +273,14 @@ def compare_curvature_at(net, x, y, theta, rank_tol=1e-8, conditioned="all"):
 
 
 def compare_curvature_sweep(specs, x, y, *, n_points=40, seed=0,
-                            rank_tol=1e-8, conditioned="all", reference_epochs=40):
+                            rank_tol=1e-8, conditioned="all"):
     """Sample parameter points and compare plain vs equilibrated curvature
     of the MSE loss.
 
     Half the points are fresh seeded initializations; the other half are
     snapshots of reference SGD runs of the plain network (lr 0.05, batch
-    16), taken at SNAPSHOT_FRACS of reference_epochs.  Returns
+    16), taken after SNAPSHOT_EPOCHS.  conditioned is
+    with_conditioning's which ("hidden" or "all").  Returns
     (comparisons, summary).  Points where the FD gradient self-check
     fails, or where either side has no surviving spectrum, are skipped and
     counted per reason.
@@ -302,8 +300,6 @@ def compare_curvature_sweep(specs, x, y, *, n_points=40, seed=0,
         net_i = Network(specs, seed=init_seed)
         thetas.append(("init", i, net_i.get_params_vector()))
 
-    snaps_per_run = len(SNAPSHOT_FRACS)
-    marks = sorted(set(max(1, int(round(f * reference_epochs))) for f in SNAPSHOT_FRACS))
     run = -1
     collected = 0
     while collected < n_snap:
@@ -311,11 +307,11 @@ def compare_curvature_sweep(specs, x, y, *, n_points=40, seed=0,
         run_seed = int(np.random.SeedSequence((seed, 20, run)).generate_state(1)[0])
         net_r = Network(specs, seed=run_seed)
         done = 0
-        for m_i, mark in enumerate(marks):
+        for m_i, mark in enumerate(SNAPSHOT_EPOCHS):
             train(net_r, x, y, lr=0.05, epochs=mark - done,
                   batch_size=16, seed=run_seed + m_i,
                   record_kappa=False)
-            thetas.append(("snapshot", run * snaps_per_run + m_i,
+            thetas.append(("snapshot", run * len(SNAPSHOT_EPOCHS) + m_i,
                            net_r.get_params_vector()))
             collected += 1
             done = mark

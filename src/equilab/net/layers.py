@@ -91,11 +91,12 @@ def activation_vjp(name, z, out, grad):
 # row-wise weight transforms; rows are the last axis, leading axes broadcast
 
 
-def rows_standardize(m, eps=WS_EPS):
-    """Zero-mean, unit-variance rows (population variance, eps inside sqrt)."""
+def rows_standardize(m):
+    """Zero-mean, unit-variance rows (population variance, WS_EPS inside
+    sqrt)."""
     mu = m.mean(axis=-1, keepdims=True)
     xc = m - mu
-    s = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + eps)
+    s = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + WS_EPS)
     mhat = xc / s
     return mhat, (mhat, s)
 
@@ -146,15 +147,15 @@ def rows_weightnorm_vjp(cache, g):
 # batch normalization
 
 
-def bn_forward(x, gamma, beta, running_mean, running_var, training,
-               eps=BN_EPS, momentum=BN_MOMENTUM):
+def bn_forward(x, gamma, beta, running_mean, running_var, training):
     """Batch norm of each column of a 2-d (rows, features) input over its rows.
 
     A conv layer passes one row per (sample, output position), so each
     channel is normalized over batch and space.  Uses population variance
-    in both the normalization and the running buffers.  Training requires
-    at least 2 rows; eval uses the running stats.  Running buffers are
-    updated in place during training.
+    in both the normalization and the running buffers, and BN_EPS inside
+    the sqrt.  Training requires at least 2 rows; eval uses the running
+    stats.  Running buffers are updated in place during training, with
+    momentum BN_MOMENTUM.
     """
     if x.ndim != 2:
         raise DimensionError(f"batch norm expects 2-d (rows, features) input, got {x.ndim}-d")
@@ -167,13 +168,13 @@ def bn_forward(x, gamma, beta, running_mean, running_var, training,
         mu = x.sum(axis=0) / m
         xc = x - mu
         var = (xc * xc).sum(axis=0) / m
-        running_mean *= 1.0 - momentum
-        running_mean += momentum * mu
-        running_var *= 1.0 - momentum
-        running_var += momentum * var
+        running_mean *= 1.0 - BN_MOMENTUM
+        running_mean += BN_MOMENTUM * mu
+        running_var *= 1.0 - BN_MOMENTUM
+        running_var += BN_MOMENTUM * var
     else:
         xc, var = x - running_mean, running_var
-    s = np.sqrt(var + eps)
+    s = np.sqrt(var + BN_EPS)
     xhat = xc / s
     out = gamma * xhat + beta
     return out, (xhat, s, gamma, training)

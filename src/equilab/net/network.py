@@ -188,12 +188,14 @@ class Network:
         """Twin network with the conditioning tag switched on selected
         layers, parameters and buffers copied over.
 
-        which: "hidden" (all but the last layer), "all", or a non-str
-        iterable of int layer indices in [0, len(specs)); anything else
+        which: "hidden" (all but the last layer) or "all"; anything else
         raises DimensionError.  For static conditioning the copied weights
         are re-equilibrated at construction.
         """
-        idx = _selected_layers(which, len(self.specs))
+        if not (isinstance(which, str) and which in ("hidden", "all")):
+            raise DimensionError(f'which must be "hidden" or "all", got {which!r}')
+        n_layers = len(self.specs)
+        idx = range(n_layers - 1 if which == "hidden" else n_layers)
         new_specs = [dataclasses.replace(s, conditioning=conditioning) if i in idx else s
                      for i, s in enumerate(self.specs)]
         twin = self._twin(new_specs)
@@ -208,7 +210,7 @@ class Network:
 
         A layer without a weight transform has one matrix for both, so its
         raw kappa is reused.  Numerically rank deficient entries (at
-        condition_number's rank_tol 1e-12) come back as nan.
+        densela.RANK_TOL, 1e-12) come back as nan.
         """
         raw, effective = [], []
         for layer in self.layers:
@@ -217,24 +219,6 @@ class Network:
             effective.append(_kappa(layer.effective_weight())
                              if layer.transforms_weight else k)
         return raw, effective
-
-
-def _selected_layers(which, n_layers):
-    """Set of layer indices that with_conditioning's which names."""
-    if isinstance(which, str):
-        idx = {"hidden": range(n_layers - 1), "all": range(n_layers)}.get(which)
-    else:
-        try:
-            idx = list(which)
-        except TypeError:
-            idx = None
-    if idx is None:
-        raise DimensionError(f'which must be "hidden", "all" or layer indices, got {which!r}')
-    for i in idx:
-        if (isinstance(i, bool) or not isinstance(i, (int, np.integer))
-                or not 0 <= i < n_layers):
-            raise DimensionError(f"layer index {i!r} is not an int in [0, {n_layers})")
-    return {int(i) for i in idx}
 
 
 def _kappa(m):

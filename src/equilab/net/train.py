@@ -129,7 +129,11 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
     The per-epoch eval loss is the full-batch eval-mode loss on (x, y).
 
     Each step updates net.param_buffer as one vector, so net must hold
-    unstacked parameters (DimensionError otherwise).  Divergence
+    unstacked parameters (DimensionError otherwise).  A batch-norm net
+    skips a singleton remainder batch, and raises DimensionError up front
+    when every batch would be a singleton (batch_size 1 or one sample).
+    Each step's time covers its forward/backward pass and its update, the
+    first step included.  Divergence
     (non-finite activations/loss, or a parameter beyond 1e12 in absolute
     value or non-finite) stops the run at the end of the offending batch
     and flags the trace instead of raising.
@@ -148,8 +152,13 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
     if y.shape[0] != n:
         raise DimensionError(f"{n} inputs vs {y.shape[0]} targets")
 
+    if n < 1:
+        raise DimensionError("training needs at least one sample")
     flat = net.param_buffer
     has_bn = any(layer.batch_norm for layer in net.layers)
+    if has_bn and min(n, batch_size) < 2:
+        raise DimensionError(f"batch norm needs batches of at least 2 samples; "
+                             f"{n} samples in batches of {batch_size} give none")
     init_digest = params_digest(net)
     data_hash = hashlib.sha256()
 
@@ -159,11 +168,6 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
     kw, keff = [], []
     diverged = False
     diverged_at = None
-
-    # untimed warmup so allocator effects do not skew the first timings
-    warm = min(n, max(2, batch_size))
-    for _ in range(2):
-        loss_and_gradients(net.clone(), x[:warm], y[:warm], loss=loss)
 
     for epoch in range(epochs):
         rng = np.random.default_rng(np.random.SeedSequence((seed, n, epoch)))

@@ -104,7 +104,7 @@ _TRANSFORMS = {
 def conditioning_report(a, kinds, seed=None):
     """Apply each named transform and report kappa before/after, one
     ConditioningReport per kind (strict condition numbers at
-    condition_number's rank_tol 1e-12).  kappa(A) is computed once for
+    densela.RANK_TOL, 1e-12).  kappa(A) is computed once for
     all kinds."""
     unknown = [k for k in kinds if k not in _TRANSFORMS]
     if unknown:

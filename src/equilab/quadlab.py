@@ -74,7 +74,7 @@ class QuadraticProblem:
 
     @cached_property
     def kappa(self):
-        return densela._strict_condition_number(self.svd.sigma, 1e-12)
+        return densela._strict_condition_number(self.svd.sigma)
 
     @cached_property
     def theta_star(self):

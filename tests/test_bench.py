@@ -163,14 +163,14 @@ class TestManifest:
 
     @pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
     def test_roundtrip_via_run(self, tmp_path, kind):
-        cfg = default_config(kind, **SMALL_RUNS[kind])
-        out = tmp_path / "r"
-        kwargs = {}
+        params = dict(SMALL_RUNS[kind])
         if kind == "cond_report":
             matrix = tmp_path / "m.txt"
             matrix.write_text("2 2\n3 4\n0 5\n")
-            kwargs["matrix_file"] = str(matrix)
-        man = run_experiment(cfg, out, **kwargs)
+            params["matrix_file"] = str(matrix)
+        cfg = default_config(kind, **params)
+        out = tmp_path / "r"
+        man = run_experiment(cfg, out)
         back = load_manifest(out)
         assert back["kind"] == kind
         assert back["config_hash"] == cfg.config_hash
@@ -337,9 +337,9 @@ class TestCondReport:
     def test_matrix_file(self, tmp_path):
         mpath = tmp_path / "m.txt"
         mpath.write_text("2 2\n3 4\n0 5\n")
-        cfg = default_config("cond_report")
+        cfg = default_config("cond_report", matrix_file=str(mpath))
         out = tmp_path / "r"
-        run_experiment(cfg, out, matrix_file=str(mpath))
+        run_experiment(cfg, out)
         text = (out / "cond_report.csv").read_text()
         assert "row_equilibration" in text
 
@@ -359,8 +359,8 @@ class TestCondReport:
 
         monkeypatch.setattr(densela, "_jacobi", counting("sweep", real_jacobi))
         monkeypatch.setattr(densela, "svd", counting("svd", real_svd))
-        run_experiment(default_config("cond_report"), tmp_path / "r",
-                       matrix_file=str(mpath))
+        run_experiment(default_config("cond_report", matrix_file=str(mpath)),
+                       tmp_path / "r")
         assert calls == {"sweep": 4, "svd": 0}
 
 
@@ -375,8 +375,9 @@ with tempfile.TemporaryDirectory() as tmp:
     matrix = Path(tmp) / "m.txt"
     matrix.write_text("2 2\\n3 4\\n0 5\\n")
     for kind, params in small.items():
-        kwargs = {"matrix_file": str(matrix)} if kind == "cond_report" else {}
-        run_experiment(default_config(kind, **params), Path(tmp) / kind, **kwargs)
+        if kind == "cond_report":
+            params["matrix_file"] = str(matrix)
+        run_experiment(default_config(kind, **params), Path(tmp) / kind)
 print(sorted(m for m in sys.modules if m == "scipy" or m.startswith("scipy.")))
 """
 
@@ -459,3 +460,34 @@ class TestCli:
         rc = cli.main(["cond", str(mpath), "--out", str(out)])
         assert rc == 0
         assert (out / "cond_report.csv").exists()
+
+    def test_cond_positional_matrix_is_part_of_the_config_hash(self, tmp_path, monkeypatch):
+        # two matrices without --out must not share (and overwrite) a run
+        # directory: the path enters the config, so it moves the hash
+        monkeypatch.chdir(tmp_path)
+        paths = []
+        for name, body in (("a.txt", "2 2\n1 0\n0 2\n"), ("b.txt", "2 2\n3 4\n0 5\n")):
+            (tmp_path / name).write_text(body)
+            assert cli.main(["cond", name]) == 0
+            want = default_config("cond_report", matrix_file=name).config_hash
+            paths.append(tmp_path / "runs" / f"cond_report_{want}")
+        a, b = paths
+        assert a != b
+        assert load_manifest(a)["config_hash"] != load_manifest(b)["config_hash"]
+        assert (a / "cond_report.csv").read_bytes() != (b / "cond_report.csv").read_bytes()
+
+    def test_cond_positional_matrix_overrides_the_config_file(self, tmp_path, monkeypatch):
+        monkeypatch.chdir(tmp_path)
+        (tmp_path / "m.txt").write_text("2 2\n1 0\n0 2\n")
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"kind": "cond_report", "matrix_file": "missing.txt"}))
+        assert cli.main(["cond", "m.txt", "--config", str(p), "--out", "o"]) == 0
+        assert (tmp_path / "o" / "cond_report.csv").exists()
+
+    def test_batch_norm_with_singleton_batches_exits_1(self, tmp_path, capsys):
+        p = tmp_path / "c.json"
+        p.write_text(json.dumps({"kind": "train_compare", "arms": ["bn"], "batch_size": 1,
+                                 "epochs": 1, "n_samples": 8}))
+        rc = cli.main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
+        assert rc == 1
+        assert capsys.readouterr().err.startswith("error: batch norm")

@@ -285,7 +285,7 @@ class TestCompare:
                       seed=3)
         kp, ke = hesslab.compare_curvature_at(net, x, y,
                                               net.get_params_vector(),
-                                              conditioned=[1])
+                                              conditioned="all")
         assert kp.n_surviving - ke.n_surviving >= 4
         assert not ke.full_rank
         assert np.isfinite(ke.kappa)
@@ -310,7 +310,7 @@ class TestCompare:
                                              kappa=100.0)
         comps, summary = hesslab.compare_curvature_sweep(
             [DenseSpec(2, 3, activation="tanh"), DenseSpec(3, 1)], x, y,
-            n_points=4, seed=0, reference_epochs=4, conditioned=[0])
+            n_points=4, seed=0, conditioned="hidden")
         assert summary.n_points == 4
         assert summary.n_comparable == len(comps)
         assert summary.n_comparable + summary.n_skipped == 4
@@ -340,7 +340,7 @@ class TestCompare:
         x, y, _ = teacher_student_regression(32, seed=0, widths=(2, 3, 1))
         comps, summary = hesslab.compare_curvature_sweep(
             [DenseSpec(2, 3, activation="tanh"), DenseSpec(3, 1)], x, y,
-            n_points=5, seed=0, reference_epochs=2)
+            n_points=5, seed=0)
         assert summary.n_skipped_self_check == 1
         assert summary.n_skipped_empty_spectrum == 2
         assert summary.n_skipped == 3
@@ -355,7 +355,7 @@ class TestCompare:
         with pytest.raises(EmptyResultError):
             hesslab.compare_curvature_sweep(
                 [DenseSpec(2, 3, activation="tanh"), DenseSpec(3, 1)], x, y,
-                n_points=2, seed=0, reference_epochs=2)
+                n_points=2, seed=0)
 
     def test_parameter_cap(self):
         x = np.zeros((4, 60))

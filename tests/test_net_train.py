@@ -119,10 +119,9 @@ class TestTrain:
 
         def poisoned(n, xb, yb, **kw):
             val, grads = loss_and_gradients(n, xb, yb, **kw)
-            if n is net:  # not the warm-up clones
-                calls.append(None)
-                if len(calls) == 2:
-                    grads[1]["b"] = np.full_like(grads[1]["b"], np.nan)
+            calls.append(None)
+            if len(calls) == 2:
+                grads[1]["b"] = np.full_like(grads[1]["b"], np.nan)
             return val, grads
 
         monkeypatch.setattr(train_module, "loss_and_gradients", poisoned)
@@ -159,6 +158,41 @@ class TestTrain:
         bad[0, 0] = np.nan
         with pytest.raises(NonFiniteError):
             train(fresh_net(), bad, y)
+        with pytest.raises(DimensionError):
+            train(fresh_net(), x[:0], y[:0])
+
+    @pytest.mark.parametrize("n, batch_size", [(16, 1), (1, 4)],
+                             ids=["batch_size_1", "one_sample"])
+    def test_batch_norm_with_only_singleton_batches_rejected(self, n, batch_size):
+        # batch norm skips singleton batches; with nothing else there is no
+        # step and no loss to average
+        x, y, _ = teacher_student_regression(n, seed=0)
+        net = Network([DenseSpec(2, 8, activation="tanh", normalization="batch_norm"),
+                       DenseSpec(8, 1)], seed=0)
+        before = net.get_params_vector()
+        with pytest.raises(DimensionError):
+            train(net, x, y, batch_size=batch_size)
+        np.testing.assert_array_equal(net.get_params_vector(), before)
+        # without batch norm the same data trains
+        assert train(fresh_net(), x, y, batch_size=batch_size, epochs=1).epochs_completed == 1
+
+    def test_one_pass_per_step_and_no_clone(self, monkeypatch):
+        # every forward/backward that train() runs is a timed SGD step
+        x, y, _ = teacher_student_regression(20, seed=0)
+        calls = []
+
+        def counted(n, xb, yb, **kw):
+            calls.append(len(xb))
+            return loss_and_gradients(n, xb, yb, **kw)
+
+        def no_clone(self):
+            raise AssertionError("train() cloned the network")
+
+        monkeypatch.setattr(train_module, "loss_and_gradients", counted)
+        monkeypatch.setattr(Network, "clone", no_clone)
+        tr = train(fresh_net(), x, y, epochs=2, batch_size=8, record_kappa=False)
+        assert calls == [8, 8, 4] * 2
+        assert len(tr.step_times) == len(calls)
 
 
 def per_array_sgd(net, x, y, *, loss, lr, momentum, epochs, batch_size, seed):

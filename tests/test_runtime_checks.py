@@ -1,9 +1,11 @@
 """Runtime checks must survive `python -O`, which strips assert statements.
 
 Each case runs in a fresh `python -O` interpreter, triggers one check and
-must end in the named EquilabError subclass.
+must end in the named EquilabError subclass.  A static guard parses every
+module of the package and rejects any assert statement.
 """
 
+import ast
 import os
 import subprocess
 import sys
@@ -74,3 +76,14 @@ def test_check_survives_python_O(case):
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.split("\n")[:2] == ["debug False", f"raised {expected}"]
+
+
+def test_package_has_no_assert_statement():
+    paths = sorted((SRC / "equilab").rglob("*.py"))
+    assert len(paths) > 10  # the walk reached the whole package
+    found = []
+    for path in paths:
+        tree = ast.parse(path.read_text(encoding="utf-8"), filename=str(path))
+        found += [f"{path.relative_to(SRC)}:{node.lineno}"
+                  for node in ast.walk(tree) if isinstance(node, ast.Assert)]
+    assert found == []
