@@ -148,6 +148,9 @@ def resolve_config(raw: dict) -> ExperimentConfig:
     if kind == "hessian_compare" and params["conditioned"] not in CONDITIONED:
         raise ConfigError(f"unknown conditioned {params['conditioned']!r}; "
                           f"expected one of {CONDITIONED}")
+    # hesslab.hessian_kappa's range, checked before any training
+    if kind == "hessian_compare" and not 0.0 < params["rank_tol"] < 1.0:
+        raise ConfigError(f"rank_tol must be in (0, 1), got {params['rank_tol']!r}")
     seed = params.pop("seed")
     params.pop("kind")
     canon = json.dumps({"kind": kind, "seed": seed, **params},

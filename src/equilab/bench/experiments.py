@@ -67,13 +67,14 @@ def _emit_csv(manifest, out_dir, name, lines):
 
 
 def scale_first_layer_rows(net, seed, spread):
-    """Imbalance the first layer in place: fan-in rows scaled by factors
-    geomspace(spread, 1), shuffled by a stream derived from seed.
+    """Imbalance the first layer in place: the rows of its (in, out) W, one
+    per input unit, scaled by factors geomspace(spread, 1), shuffled by a
+    stream derived from seed.
 
     This is the desk-scale lever for an ill-conditioned starting point:
-    oversized rows raise kappa(W) at init, which equilibration removes by
-    construction while the plain arm has to train its way out.  spread 1
-    is a no-op.
+    oversized rows raise kappa(W) at init, which dense equilibration (one
+    row per input unit, the same rows) removes by construction while the
+    plain arm has to train its way out.  spread 1 is a no-op.
     """
     if spread < 1.0:
         raise ConfigError(f"init_row_spread must be >= 1, got {spread!r}")
@@ -204,7 +205,7 @@ def run_train_compare(cfg: ExperimentConfig, out_dir, manifest):
         _emit(manifest, out_dir, f"train_{_arm_filename(arm)}.csv", t.to_csv())
         manifest.diverged[arm] = bool(t.diverged)
         done = t.epochs_completed
-        manifest.wall_time_per_step[arm] = float(np.mean(t.wall_time_per_step)) if done else None
+        manifest.wall_time_per_step[arm] = float(np.mean(t.step_times)) if done else None
         manifest.notes.setdefault("step_time_s", {})[arm] = _step_time_quantiles(t.step_times)
         epochs = np.arange(done, dtype=float)
         series.append(LineSeries(arm, tuple(epochs), tuple(float(v) for v in t.train_loss)))
@@ -410,8 +411,8 @@ def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
     """
     if cfg.kind not in RUNNERS:
         raise ConfigError(f"no runner for kind {cfg.kind!r}")
-    manifest = RunManifest(kind=cfg.kind, config_hash=cfg.config_hash, seed=cfg.seed,
-                           version=equilab.__version__, started=_now())
+    manifest = RunManifest(kind=cfg.kind, config_hash=cfg.config_hash, config=cfg.params,
+                           seed=cfg.seed, version=equilab.__version__, started=_now())
     t0 = time.perf_counter()
     RUNNERS[cfg.kind](cfg, out_dir, manifest)
     manifest.wall_time_total = time.perf_counter() - t0

@@ -32,6 +32,7 @@ def atomic_write_text(path, text):
 class RunManifest:
     kind: str
     config_hash: str
+    config: dict  # the resolved params (all but kind and seed)
     seed: int
     version: str
     started: str

@@ -218,11 +218,6 @@ def condition_number(a):
     return _strict_condition_number(_singular_values(a))
 
 
-def _check_rank_tol(rank_tol):
-    if not (0.0 < rank_tol < 1.0):
-        raise DimensionError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
-
-
 def _strict_condition_number(sigma):
     """sigma[0] / sigma[-1] of a descending spectrum, or RankDeficientError
     at RANK_TOL."""
@@ -231,23 +226,6 @@ def _strict_condition_number(sigma):
     if s_min <= RANK_TOL * s_max or s_max == 0.0:
         raise RankDeficientError(s_max, s_min, RANK_TOL)
     return s_max / s_min
-
-
-def pseudo_condition_number(sigma, rank_tol):
-    """sigma_max over the smallest singular value above rank_tol*sigma_max.
-
-    sigma must be sorted descending and rank_tol must lie in (0, 1).
-    Returns (value, n_surviving, sigma_min_surviving); for an all-zero
-    spectrum returns (nan, 0, 0.0).
-    """
-    _check_rank_tol(rank_tol)
-    sig = np.asarray(sigma, dtype=np.float64)
-    s_max = float(sig[0]) if sig.size else 0.0
-    if s_max == 0.0:
-        return float("nan"), 0, 0.0
-    n_keep = int(np.count_nonzero(sig > rank_tol * s_max))
-    s_min = float(sig[n_keep - 1])
-    return s_max / s_min, n_keep, s_min
 
 
 def check_symmetric(arr, name="matrix"):

@@ -2,17 +2,18 @@
 
 The Hessian of a loss is estimated from central differences of the
 analytic gradient, FD_CHUNK columns per gradient call, and symmetrized;
-condition numbers are taken over the numerically surviving spectrum
-(eigenvalue magnitudes from LAPACK eigvalsh above rank_tol * sigma_max),
-since reparametrized losses have exact null directions that would make
-the strict condition number meaningless.  Those nulls are not the radial
-directions: scale invariance of a row gives r^T H r = 0 and H r = -g_r
-for its radial direction r and row gradient g_r.  They come from rows
-with a single fan-in entry, which equilibration normalizes to sign(w)
-(every row of a k->1 output layer under conditioned="all"): such a
-weight has zero gradient and zero curvature.  The finite-difference
-noise floor makes the Jacobi SVD's relative accuracy moot here; weight
-matrices keep using it (see densela).
+hessian_kappa takes its condition number over the numerically surviving
+spectrum (eigenvalue magnitudes from LAPACK eigvalsh above rank_tol *
+sigma_max), since reparametrized losses have exact null directions that
+would make the strict condition number meaningless.  Those nulls are not
+the radial directions: scale invariance of a row gives r^T H r = 0 and
+H r = -g_r for its radial direction r and row gradient g_r.  Dense
+equilibration normalizes one row per input unit of the (in, out) W (its
+outgoing weights), so the nulls come from rows with a single entry, which
+it pins to sign(w) (every row of a k->1 output layer under
+conditioned="all"): such a weight has zero gradient and zero curvature.
+The finite-difference noise floor makes the Jacobi SVD's relative
+accuracy moot here; weight matrices keep using it (see densela).
 
 Gradient functions follow a (n)->(n) gufunc contract: given a (k, n)
 stack of parameter rows they return the (k, n) stack of gradients, row i
@@ -105,8 +106,6 @@ class HessianEstimate:
     """
 
     h: np.ndarray
-    theta: np.ndarray
-    step_sizes: np.ndarray
     grad_norm: float
     asymmetry: float
 
@@ -145,8 +144,7 @@ def fd_hessian(loss_fn, grad_fn, theta):
         h_raw[:, cols] = ((g[:k] - g[k:]) / (2.0 * steps[cols])[:, None]).T
     asym = float(np.linalg.norm(h_raw - h_raw.T))
     h = 0.5 * (h_raw + h_raw.T)
-    return HessianEstimate(h=h, theta=theta, step_sizes=steps,
-                           grad_norm=float(np.linalg.norm(g0)), asymmetry=asym)
+    return HessianEstimate(h=h, grad_norm=float(np.linalg.norm(g0)), asymmetry=asym)
 
 
 @dataclass(frozen=True)
@@ -154,40 +152,39 @@ class KappaSummary:
     """Condition number of a Hessian over its surviving spectrum.
 
     full_rank is the strict verdict at rank_tol; kappa is sigma_max over
-    the smallest surviving singular value (equal to the strict condition
-    number when full_rank).  n_surviving counts retained directions.
+    the smallest surviving singular value (the strict condition number
+    when full_rank, nan when nothing survives).  n_surviving counts
+    retained directions.
     """
 
     kappa: float
     full_rank: bool
     n_surviving: int
-    sigma_max: float
-    sigma_min_surviving: float
-    rank_tol: float
 
 
 def hessian_kappa(h, rank_tol=1e-8):
-    """Spectrum-aware condition number for (estimated) Hessians.
+    """Condition number of a square symmetric matrix over its surviving
+    spectrum.
 
     The spectrum is the sorted eigenvalue magnitudes from LAPACK eigvalsh,
-    which for a symmetric matrix are its singular values.  rank_tol
-    defaults to 1e-8, well above the finite-difference noise floor and so
-    far above eigvalsh's eps * ||H|| error.  Accepts a HessianEstimate or
-    a raw square matrix; a matrix that is not symmetric to 1e-12
+    which for a symmetric matrix are its singular values; it survives above
+    rank_tol * sigma_max, and rank_tol must lie in (0, 1).  The default
+    1e-8 sits well above the finite-difference noise floor and so far above
+    eigvalsh's eps * ||H|| error.  A matrix that is not symmetric to 1e-12
     (relative, Frobenius) raises NotSymmetricError.
     """
-    if isinstance(h, HessianEstimate):
-        h = h.h
+    if not 0.0 < rank_tol < 1.0:
+        raise DimensionError(f"rank_tol must be in (0, 1), got {rank_tol!r}")
     arr = densela._validated(h, "hessian")
     if arr.shape[0] != arr.shape[1]:
         raise DimensionError(f"hessian must be square, got {arr.shape}")
     densela.check_symmetric(arr, "hessian")
     # eigvalsh reads one triangle, hence the symmetry check above
     sig = np.sort(np.abs(np.linalg.eigvalsh(arr)))[::-1]
-    kappa, n_keep, s_min = densela.pseudo_condition_number(sig, rank_tol)
-    return KappaSummary(kappa=kappa, full_rank=n_keep == sig.size,
-                        n_surviving=n_keep, sigma_max=float(sig[0]),
-                        sigma_min_surviving=s_min, rank_tol=rank_tol)
+    # rank_tol < 1 keeps sigma_max itself unless the spectrum is all zero
+    n_keep = int(np.count_nonzero(sig > rank_tol * sig[0]))
+    kappa = float(sig[0]) / float(sig[n_keep - 1]) if n_keep else float("nan")
+    return KappaSummary(kappa=kappa, full_rank=n_keep == sig.size, n_surviving=n_keep)
 
 
 def net_loss_functions(net, x, y):
@@ -250,7 +247,6 @@ class CurvatureSweepSummary:
     n_satisfied: int
     n_skipped_self_check: int     # the FD gradient self-check failed
     n_skipped_empty_spectrum: int  # either side had no surviving spectrum
-    rank_tol: float
 
     @property
     def n_skipped(self):
@@ -259,17 +255,6 @@ class CurvatureSweepSummary:
     @property
     def fraction_satisfied(self):
         return self.n_satisfied / self.n_comparable if self.n_comparable else float("nan")
-
-
-def compare_curvature_at(net, x, y, theta, rank_tol=1e-8, conditioned="all"):
-    """KappaSummary pair (plain, equilibrated) of the MSE loss at one
-    parameter vector."""
-    plain_f, plain_g = net_loss_functions(net, x, y)
-    eq_net = net.with_conditioning("equilibrate_reparam", which=conditioned)
-    eq_f, eq_g = net_loss_functions(eq_net, x, y)
-    hp = fd_hessian(plain_f, plain_g, theta)
-    he = fd_hessian(eq_f, eq_g, theta)
-    return hessian_kappa(hp, rank_tol=rank_tol), hessian_kappa(he, rank_tol=rank_tol)
 
 
 def compare_curvature_sweep(specs, x, y, *, n_points=40, seed=0,
@@ -318,12 +303,14 @@ def compare_curvature_sweep(specs, x, y, *, n_points=40, seed=0,
             if collected >= n_snap:
                 break
 
+    eq_net = base.with_conditioning("equilibrate_reparam", which=conditioned)
+    pairs = [net_loss_functions(net, x, y) for net in (base, eq_net)]
     comparisons = []
     n_bad_grad = n_empty = 0
     for phase, idx, theta in thetas:
         try:
-            kp, ke = compare_curvature_at(base, x, y, theta,
-                                          rank_tol=rank_tol, conditioned=conditioned)
+            kp, ke = [hessian_kappa(fd_hessian(*pair, theta).h, rank_tol)
+                      for pair in pairs]
         except GradientCheckError as exc:
             log.warning("skipping %s point %d: %s", phase, idx, exc)
             n_bad_grad += 1
@@ -344,5 +331,5 @@ def compare_curvature_sweep(specs, x, y, *, n_points=40, seed=0,
     n_sat = sum(1 for c in comparisons if c.satisfied)
     summary = CurvatureSweepSummary(n_points=len(thetas), n_comparable=len(comparisons),
                                     n_satisfied=n_sat, n_skipped_self_check=n_bad_grad,
-                                    n_skipped_empty_spectrum=n_empty, rank_tol=rank_tol)
+                                    n_skipped_empty_spectrum=n_empty)
     return comparisons, summary

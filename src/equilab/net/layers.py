@@ -9,7 +9,8 @@ equilibration) are all expressed as row-wise operations on an
 "output-major" matrix: for conv that is the unrolled kernel
 (out_channels, in_channels*kh*kw) whose rows are filters; for dense the
 standardization/normalization act per output column, i.e. on rows of W^T,
-while equilibration acts on the fan-in rows of W directly.
+while equilibration normalizes the rows of W itself, one per *input* unit
+(its outgoing weights).  Conv equilibration is per *output* unit (filter).
 
 Everything is float64 and handwritten numpy; backward passes return exact
 vector-Jacobian products of the forward graph.
@@ -397,8 +398,8 @@ class _LayerBase:
         return []
 
     def apply_static_conditioning(self):
-        """Overwrite w in place with its row-equilibrated version (fan-in
-        rows for dense, filter rows for conv)."""
+        """Overwrite w in place with its row-equilibrated version (a row
+        per input unit for dense, per output unit, i.e. filter, for conv)."""
         m, _ = self._reparam(self._output_major(self.w))
         self.w[...] = self._from_output_major(m)
 
@@ -407,10 +408,11 @@ class DenseLayer(_LayerBase):
     """x @ W + b with W of shape (in_dim, out_dim).
 
     Standardization/weight normalization act per output column;
-    equilibration acts per fan-in row of W.  A 4-d (conv) input is
-    flattened to one row per sample.  With stacked parameters (W of shape
-    (k, in_dim, out_dim)) a 2-d input is broadcast over the stack and
-    outputs and gradients carry the leading k axis.
+    equilibration normalizes one row of W per input unit (its outgoing
+    weights).  A 4-d (conv) input is flattened to one row per sample.
+    With stacked parameters (W of shape (k, in_dim, out_dim)) a 2-d input
+    is broadcast over the stack and outputs and gradients carry the
+    leading k axis.
     """
 
     def __init__(self, spec, rng):
@@ -424,7 +426,7 @@ class DenseLayer(_LayerBase):
     def _from_output_major(self, m):
         return m.swapaxes(-1, -2)
 
-    # equilibration is fan-in-indexed, i.e. rows of W itself
+    # equilibration is input-unit-indexed, i.e. rows of W itself
     def _reparam(self, m):
         w_rows, cache = rows_normalize(m.swapaxes(-1, -2))
         return w_rows.swapaxes(-1, -2), cache

@@ -2,8 +2,8 @@
 
 The shuffle stream depends only on (seed, epoch, n_samples), never on the
 network, so arms sharing a seed see identical batch boundaries; the trace
-records digests of the initial parameters and of the data order so that
-fairness can be asserted instead of assumed.
+records a digest of the data order so that fairness can be asserted
+instead of assumed.
 
 Wall-clock timings live only on the in-memory trace (and in run
 manifests); CSV output is fully deterministic for a given config/seed.
@@ -75,24 +75,20 @@ class TrainTrace:
     """Per-epoch history of one training run.
 
     Arrays all have length epochs_completed; kappa columns are nan where a
-    weight matrix was numerically rank deficient.  wall_time_per_step holds
-    each epoch's mean step time and step_times every completed step's time,
-    in order; both are measured and therefore excluded from to_csv output.
+    weight matrix was numerically rank deficient.  step_times holds every
+    completed step's time, in order; it is measured and therefore excluded
+    from to_csv output.
     """
 
     train_loss: np.ndarray
     eval_loss: np.ndarray
     accuracy: np.ndarray | None
-    wall_time_per_step: np.ndarray
     step_times: np.ndarray
     kappa_weights: np.ndarray      # (epochs, n_layers)
     kappa_effective: np.ndarray    # (epochs, n_layers)
     diverged: bool
     diverged_at: int | None
-    init_digest: str
     data_digest: str
-    seed: int
-    lr: float
 
     @property
     def epochs_completed(self):
@@ -116,10 +112,6 @@ class TrainTrace:
         values = np.column_stack([*columns, self.kappa_weights, self.kappa_effective])
         rows = format_rows(values, first=range(self.epochs_completed))
         return csv_text([",".join(cols)] + rows)
-
-
-def params_digest(net):
-    return hashlib.sha256(net.param_buffer.tobytes()).hexdigest()
 
 
 def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
@@ -159,12 +151,11 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
     if has_bn and min(n, batch_size) < 2:
         raise DimensionError(f"batch norm needs batches of at least 2 samples; "
                              f"{n} samples in batches of {batch_size} give none")
-    init_digest = params_digest(net)
     data_hash = hashlib.sha256()
 
     velocity = np.zeros_like(flat) if momentum else None
 
-    tl, el, acc, wts, step_times = [], [], [], [], []
+    tl, el, acc, step_times = [], [], [], []
     kw, keff = [], []
     diverged = False
     diverged_at = None
@@ -176,7 +167,6 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         xs, ys = x[perm], y[perm]
         batch_losses = []
         batch_sizes = []
-        first_step = len(step_times)
         for start in range(0, n, batch_size):
             xb, yb = xs[start:start + batch_size], ys[start:start + batch_size]
             if has_bn and len(xb) < 2:
@@ -213,7 +203,6 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         el.append(ev)
         if a is not None:
             acc.append(a)
-        wts.append(float(np.mean(step_times[first_step:])))
         if record_kappa:
             raw, effective = net.weight_condition_numbers()
             kw.append(raw)
@@ -226,14 +215,10 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         train_loss=np.array(tl),
         eval_loss=np.array(el),
         accuracy=np.array(acc) if loss == "bce" else None,
-        wall_time_per_step=np.array(wts),
         step_times=np.array(step_times),
         kappa_weights=np.array(kw) if kw else np.zeros((0, len(net.layers))),
         kappa_effective=np.array(keff) if keff else np.zeros((0, len(net.layers))),
         diverged=diverged,
         diverged_at=diverged_at,
-        init_digest=init_digest,
         data_digest=data_hash.hexdigest(),
-        seed=int(seed),
-        lr=float(lr),
     )

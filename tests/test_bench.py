@@ -72,6 +72,13 @@ class TestConfig:
         with pytest.raises(ConfigError):
             default_config("hessian_compare", conditioned=conditioned)
 
+    @pytest.mark.parametrize("rank_tol", [0.0, 1.0, 1.5, -1e-8, float("nan"),
+                                          float("inf")])
+    def test_rank_tol_rejected(self, rank_tol):
+        # caught when the config resolves, not after a sweep's first Hessian
+        with pytest.raises(ConfigError):
+            default_config("hessian_compare", rank_tol=rank_tol)
+
     @pytest.mark.parametrize("kind", ["train_compare", "hessian_compare"])
     @pytest.mark.parametrize("widths", [[2, True, 1], [2, "4", 1], [2, 4.0, 1],
                                         [2, 0, 1], [2], []],
@@ -474,6 +481,8 @@ class TestCli:
         a, b = paths
         assert a != b
         assert load_manifest(a)["config_hash"] != load_manifest(b)["config_hash"]
+        # each manifest records its resolved config, matrix file included
+        assert [load_manifest(d)["config"]["matrix_file"] for d in paths] == ["a.txt", "b.txt"]
         assert (a / "cond_report.csv").read_bytes() != (b / "cond_report.csv").read_bytes()
 
     def test_cond_positional_matrix_overrides_the_config_file(self, tmp_path, monkeypatch):

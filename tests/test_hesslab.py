@@ -210,14 +210,29 @@ class TestHessianKappa:
         assert ks.n_surviving == 2
         assert ks.kappa == pytest.approx(10.0, rel=1e-12)
 
+    def test_surviving_rule(self):
+        # survivors are strictly above rank_tol * sigma_max; kappa divides
+        # by the smallest of them, and sign does not matter
+        ks = hesslab.hessian_kappa(np.diag([1e3, -1.0, 1e-14]), rank_tol=1e-8)
+        assert (ks.n_surviving, ks.full_rank) == (2, False)
+        assert ks.kappa == pytest.approx(1e3, rel=1e-12)
+        ks = hesslab.hessian_kappa(np.diag([1.0, 0.5, 0.5]), rank_tol=0.5)
+        assert (ks.n_surviving, ks.kappa) == (1, 1.0)
+
     def test_zero_matrix(self):
         ks = hesslab.hessian_kappa(np.zeros((3, 3)))
         assert np.isnan(ks.kappa) and ks.n_surviving == 0
+        assert not ks.full_rank
 
-    def test_accepts_estimate_and_rejects_nonsquare(self):
+    @pytest.mark.parametrize("bad", [0.0, 1.0, 1.5, -1e-8, float("nan")])
+    def test_rank_tol_validation(self, bad):
+        with pytest.raises(DimensionError):
+            hesslab.hessian_kappa(np.diag([2.0, 1.0]), rank_tol=bad)
+
+    def test_takes_matrix_and_rejects_nonsquare(self):
         a, b = spd(4, 10.0, 8)
         est = hesslab.fd_hessian(*quad_fns(a, b), np.zeros(4))
-        assert hesslab.hessian_kappa(est).kappa == pytest.approx(10.0, rel=1e-6)
+        assert hesslab.hessian_kappa(est.h).kappa == pytest.approx(10.0, rel=1e-6)
         with pytest.raises(DimensionError):
             hesslab.hessian_kappa(np.zeros((2, 3)))
 
@@ -283,9 +298,11 @@ class TestCompare:
         x, y, _ = teacher_student_regression(48, seed=2, widths=(2, 4, 1))
         net = Network([DenseSpec(2, 4, activation="tanh"), DenseSpec(4, 1)],
                       seed=3)
-        kp, ke = hesslab.compare_curvature_at(net, x, y,
-                                              net.get_params_vector(),
-                                              conditioned="all")
+        eq_net = net.with_conditioning("equilibrate_reparam", which="all")
+        theta = net.get_params_vector()
+        kp, ke = [hesslab.hessian_kappa(hesslab.fd_hessian(
+                      *hesslab.net_loss_functions(n, x, y), theta).h)
+                  for n in (net, eq_net)]
         assert kp.n_surviving - ke.n_surviving >= 4
         assert not ke.full_rank
         assert np.isfinite(ke.kappa)
@@ -321,22 +338,27 @@ class TestCompare:
         assert 0.0 <= summary.fraction_satisfied <= 1.0
 
     def test_skipped_points_counted_per_reason(self, monkeypatch):
-        real = hesslab.compare_curvature_at
+        # point 1 fails its first self-check; points 2 and 4 get an empty
+        # equilibrated spectrum (the 2nd and 6th kappa, plain before eq)
+        real_fd, real_kappa = hesslab.fd_hessian, hesslab.hessian_kappa
         empty = hesslab.KappaSummary(kappa=float("nan"), full_rank=False,
-                                     n_surviving=0, sigma_max=0.0,
-                                     sigma_min_surviving=float("nan"),
-                                     rank_tol=1e-8)
-        calls = []
+                                     n_surviving=0)
+        fd_calls, kappa_calls = [], []
 
-        def patched(net, x, y, theta, **kw):
-            calls.append(theta)
-            if len(calls) == 1:
+        def patched_fd(loss_fn, grad_fn, theta):
+            fd_calls.append(theta)
+            if len(fd_calls) == 1:
                 raise GradientCheckError("forced")
-            if len(calls) in (2, 4):
-                return real(net, x, y, theta, **kw)[0], empty
-            return real(net, x, y, theta, **kw)
+            return real_fd(loss_fn, grad_fn, theta)
 
-        monkeypatch.setattr(hesslab, "compare_curvature_at", patched)
+        def patched_kappa(h, rank_tol):
+            kappa_calls.append(h)
+            if len(kappa_calls) in (2, 6):
+                return empty
+            return real_kappa(h, rank_tol)
+
+        monkeypatch.setattr(hesslab, "fd_hessian", patched_fd)
+        monkeypatch.setattr(hesslab, "hessian_kappa", patched_kappa)
         x, y, _ = teacher_student_regression(32, seed=0, widths=(2, 3, 1))
         comps, summary = hesslab.compare_curvature_sweep(
             [DenseSpec(2, 3, activation="tanh"), DenseSpec(3, 1)], x, y,
@@ -350,7 +372,7 @@ class TestCompare:
         def boom(*a, **kw):
             raise GradientCheckError("forced")
 
-        monkeypatch.setattr(hesslab, "compare_curvature_at", boom)
+        monkeypatch.setattr(hesslab, "fd_hessian", boom)
         x, y, _ = teacher_student_regression(32, seed=0, widths=(2, 3, 1))
         with pytest.raises(EmptyResultError):
             hesslab.compare_curvature_sweep(

@@ -80,27 +80,27 @@ class TestTrain:
         assert tr.train_loss[-1] < tr.train_loss[0]
         assert not tr.diverged and tr.diverged_at is None
         assert tr.kappa_weights.shape == (10, 2)
-        assert len(tr.wall_time_per_step) == 10
-        # every step's time is kept; each epoch's mean is its 4 steps' mean
+        # every step's time is kept: 4 steps in each of 10 epochs
         assert tr.step_times.shape == (40,)
-        np.testing.assert_allclose(tr.step_times.reshape(10, 4).mean(axis=1),
-                                   tr.wall_time_per_step, rtol=1e-12)
+        assert (tr.step_times > 0.0).all()
         assert tr.accuracy is None
 
     def test_identical_setup_gives_identical_losses(self):
         x, y, _ = teacher_student_regression(96, seed=3)
-        t1 = train(fresh_net(), x, y, lr=0.05, epochs=5, seed=4)
-        t2 = train(fresh_net(), x, y, lr=0.05, epochs=5, seed=4)
+        n1, n2 = fresh_net(), fresh_net()
+        t1 = train(n1, x, y, lr=0.05, epochs=5, seed=4)
+        t2 = train(n2, x, y, lr=0.05, epochs=5, seed=4)
         np.testing.assert_array_equal(t1.train_loss, t2.train_loss)
-        assert t1.init_digest == t2.init_digest
+        np.testing.assert_array_equal(n1.param_buffer, n2.param_buffer)
         assert t1.data_digest == t2.data_digest
 
     def test_shuffle_stream_ignores_network(self):
         x, y, _ = teacher_student_regression(96, seed=3)
-        t1 = train(fresh_net(seed=0), x, y, lr=0.01, epochs=3, seed=4)
-        t2 = train(fresh_net(seed=9), x, y, lr=0.01, epochs=3, seed=4)
+        n1, n2 = fresh_net(seed=0), fresh_net(seed=9)
+        assert not np.array_equal(n1.param_buffer, n2.param_buffer)
+        t1 = train(n1, x, y, lr=0.01, epochs=3, seed=4)
+        t2 = train(n2, x, y, lr=0.01, epochs=3, seed=4)
         assert t1.data_digest == t2.data_digest
-        assert t1.init_digest != t2.init_digest
 
     def test_divergence_flags_instead_of_raising(self):
         x, y, _ = teacher_student_regression(128, seed=0, kappa=1e3)
