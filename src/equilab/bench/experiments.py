@@ -154,37 +154,65 @@ def _step_time_quantiles(step_times):
     return {"median": float(median), "p90": float(p90)}
 
 
+def _distinct_lrs(lr_grid):
+    return sorted({float(v) for v in lr_grid})
+
+
+def _train_arm(cfg, data, arm, lead, grid):
+    """Train one arm from its shared init at the rates `lead` followed by
+    the rates `grid`, as one parameter stack (net.train; a single rate
+    trains unstacked).  Only the first lead rate records kappa.
+
+    Returns every rate's trace, the largest grid rate whose full run stayed
+    finite (None if none did) and the arm's shared-init digest.
+    """
+    x, y, loss, out_act = data
+    p = cfg.params
+    net, shared = _arm_network(cfg, arm, out_act)
+    lrs = [*lead, *grid]
+    traces = train(net, x, y, loss=loss, lr=lrs if len(lrs) > 1 else lrs[0],
+                   momentum=p["momentum"], epochs=p["epochs"], batch_size=p["batch_size"],
+                   seed=cfg.seed, record_kappa=bool(lead))
+    if len(lrs) == 1:
+        traces = [traces]
+    best = max((lr for lr, t in zip(grid, traces[len(lead):])
+                if not t.diverged and np.isfinite(t.train_loss[-1])), default=None)
+    return traces, best, shared
+
+
 def max_nondiverging_lr(cfg, arm, lr_grid):
     """Largest grid lr at which the arm's full run stays finite, or None.
 
-    The distinct grid lrs are tried from the largest down and the first
-    finite run ends the sweep, so the answer does not depend on the grid's
-    order or on divergence being monotone in lr.
+    The distinct grid lrs train as one parameter stack (net.train), every
+    member a bit-identical copy of its own full run, so the answer does not
+    depend on the grid's order or on divergence being monotone in lr.
+    run_train_compare's lr_sweep.csv comes from the same stacked training.
     """
-    x, y, loss, out_act = _task_data(cfg)
-    p = cfg.params
-    for lr in sorted({float(v) for v in lr_grid}, reverse=True):
-        net, _ = _arm_network(cfg, arm, out_act)
-        trace = train(net, x, y, loss=loss, lr=lr, momentum=p["momentum"],
-                      epochs=p["epochs"], batch_size=p["batch_size"], seed=cfg.seed,
-                      record_kappa=False)
-        if not trace.diverged and np.isfinite(trace.train_loss[-1]):
-            return lr
-    return None
+    grid = _distinct_lrs(lr_grid)
+    return _train_arm(cfg, _task_data(cfg), arm, [], grid)[1] if grid else None
 
 
 def run_train_compare(cfg: ExperimentConfig, out_dir, manifest):
+    """Train every arm at lr; with an lr_grid, each arm's run at lr and its
+    sweep over the distinct grid lrs train as one parameter stack.  Then
+    notes.stacked_lrs lists each arm's rates and notes.stacked_steps how
+    many stacked steps updated each of them, so that the size of the stack
+    behind each step time can be told."""
     p = cfg.params
-    x, y, loss, out_act = _task_data(cfg)
+    data = _task_data(cfg)
+    loss = data[2]
+    grid = _distinct_lrs(p["lr_grid"])
 
     traces = {}
     shared_digests = {}
+    swept = {}
     for arm in p["arms"]:
-        net, shared = _arm_network(cfg, arm, out_act)
-        shared_digests[arm] = shared
-        traces[arm] = train(net, x, y, loss=loss, lr=p["lr"], momentum=p["momentum"],
-                            epochs=p["epochs"], batch_size=p["batch_size"],
-                            seed=cfg.seed)
+        runs, swept[arm], shared_digests[arm] = _train_arm(cfg, data, arm, [p["lr"]], grid)
+        traces[arm] = runs[0]
+        if grid:
+            manifest.notes.setdefault("stacked_lrs", {})[arm] = [p["lr"], *grid]
+            manifest.notes.setdefault("stacked_steps", {})[arm] = [
+                len(t.step_times) for t in runs]
 
     # cross-arm fairness: identical raw init and identical data order
     digests = set(shared_digests.values())
@@ -226,10 +254,10 @@ def run_train_compare(cfg: ExperimentConfig, out_dir, manifest):
           emit_svg(series, title=f"training loss ({p['task']})", xlabel="epoch",
                    ylabel="train loss", log_y=(loss == "mse")))
 
-    if p["lr_grid"]:
+    if grid:
         rows = ["arm,max_nondiverging_lr"]
         for arm in p["arms"]:
-            best = max_nondiverging_lr(cfg, arm, p["lr_grid"])
+            best = swept[arm]
             rows.append(f"{arm},{'' if best is None else repr(best)}")
         _emit_csv(manifest, out_dir, "lr_sweep.csv", rows)
 

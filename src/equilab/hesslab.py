@@ -194,10 +194,11 @@ def net_loss_functions(net, x, y):
     loss_fn takes one theta.  grad_fn follows the (n)->(n) row-stack
     contract: a theta of shape (n,) gives (n,), a (k, n) stack gives the
     (k, n) gradients from one stacked forward/backward pass, which needs an
-    all-dense net without batch norm (others raise DimensionError).  The
-    closures own a private clone, so the caller's net is untouched.
-    Evaluation uses eval mode (deterministic, running statistics for any
-    batch norm).
+    all-dense net (a conv layer raises DimensionError); batch norm stacks,
+    every row using the net's running statistics.  The closures own a
+    private clone, so the caller's net is untouched.  Evaluation uses eval
+    mode (deterministic, running statistics for any batch norm), and a
+    non-finite activation in any row raises NonFiniteActivationError.
     """
     worker = net.clone()
     x = np.asarray(x, dtype=np.float64)

@@ -19,8 +19,10 @@ Dense-layer parameters may carry a leading stack axis: w of shape
 (k, in_dim, out_dim) and b of shape (k, out_dim) hold k independent
 parameter sets, evaluated on the same input in one pass (the row
 transforms act on the last axis, so they serve both forms).  Each stack
-member gives the same bits as the unstacked layer.  Conv layers and
-batch norm take unstacked parameters only.
+member gives the same bits as the unstacked layer.  Batch norm reduces
+over the row axis -2, so it serves both forms too; with a stack, gamma,
+beta and the running buffers carry the leading k axis.  Conv layers take
+unstacked parameters only.
 """
 
 import logging
@@ -95,17 +97,21 @@ def activation_vjp(name, z, out, grad):
 def rows_standardize(m):
     """Zero-mean, unit-variance rows (population variance, WS_EPS inside
     sqrt)."""
-    mu = m.mean(axis=-1, keepdims=True)
+    n = m.shape[-1]
+    # the row sums over n entries that .mean computes, without its
+    # Python-level wrapper
+    mu = np.add.reduce(m, axis=-1, keepdims=True) / n
     xc = m - mu
-    s = np.sqrt((xc * xc).mean(axis=-1, keepdims=True) + WS_EPS)
+    s = np.sqrt(np.add.reduce(xc * xc, axis=-1, keepdims=True) / n + WS_EPS)
     mhat = xc / s
     return mhat, (mhat, s)
 
 
 def rows_standardize_vjp(cache, g):
     mhat, s = cache
-    gm = g.mean(axis=-1, keepdims=True)
-    gx = (g * mhat).mean(axis=-1, keepdims=True)
+    n = g.shape[-1]
+    gm = np.add.reduce(g, axis=-1, keepdims=True) / n
+    gx = np.add.reduce(g * mhat, axis=-1, keepdims=True) / n
     return (g - gm - mhat * gx) / s
 
 
@@ -149,47 +155,51 @@ def rows_weightnorm_vjp(cache, g):
 
 
 def bn_forward(x, gamma, beta, running_mean, running_var, training):
-    """Batch norm of each column of a 2-d (rows, features) input over its rows.
+    """Batch norm of each feature of a (rows, features) input over its rows.
 
     A conv layer passes one row per (sample, output position), so each
-    channel is normalized over batch and space.  Uses population variance
+    channel is normalized over batch and space.  A 3-d (k, rows, features)
+    input is a stack of k such inputs, each normalized over its own rows
+    with its own row of the (k, features) gamma, beta and running buffers;
+    each member gives the bits of the 2-d call.  Uses population variance
     in both the normalization and the running buffers, and BN_EPS inside
     the sqrt.  Training requires at least 2 rows; eval uses the running
     stats.  Running buffers are updated in place during training, with
     momentum BN_MOMENTUM.
     """
-    if x.ndim != 2:
-        raise DimensionError(f"batch norm expects 2-d (rows, features) input, got {x.ndim}-d")
+    if x.ndim not in (2, 3):
+        raise DimensionError(f"batch norm expects 2-d (rows, features) input or a 3-d "
+                             f"stack of them, got {x.ndim}-d")
     if training:
-        if x.shape[0] < 2:
+        m = x.shape[-2]
+        if m < 2:
             raise DimensionError("batch norm needs at least 2 rows in training")
         # the sums over m rows that x.mean and x.var compute, without
         # their Python-level wrappers
-        m = x.shape[0]
-        mu = x.sum(axis=0) / m
-        xc = x - mu
-        var = (xc * xc).sum(axis=0) / m
+        mu = x.sum(axis=-2) / m
+        xc = x - mu[..., None, :]
+        var = (xc * xc).sum(axis=-2) / m
         running_mean *= 1.0 - BN_MOMENTUM
         running_mean += BN_MOMENTUM * mu
         running_var *= 1.0 - BN_MOMENTUM
         running_var += BN_MOMENTUM * var
     else:
-        xc, var = x - running_mean, running_var
-    s = np.sqrt(var + BN_EPS)
+        xc, var = x - running_mean[..., None, :], running_var
+    s = np.sqrt(var + BN_EPS)[..., None, :]
     xhat = xc / s
-    out = gamma * xhat + beta
+    out = gamma[..., None, :] * xhat + beta[..., None, :]
     return out, (xhat, s, gamma, training)
 
 
 def bn_vjp(cache, g):
     xhat, s, gamma, training = cache
-    dgamma = (g * xhat).sum(axis=0)
-    dbeta = g.sum(axis=0)
-    gi = g * gamma
+    dgamma = (g * xhat).sum(axis=-2)
+    dbeta = g.sum(axis=-2)
+    gi = g * gamma[..., None, :]
     if training:
-        m = g.shape[0]
-        gm = gi.sum(axis=0) / m
-        gx = (gi * xhat).sum(axis=0) / m
+        m = g.shape[-2]
+        gm = gi.sum(axis=-2, keepdims=True) / m
+        gx = (gi * xhat).sum(axis=-2, keepdims=True) / m
         dx = (gi - gm - xhat * gx) / s
     else:
         dx = gi / s
@@ -436,8 +446,6 @@ class DenseLayer(_LayerBase):
 
     def _input_rows(self, x):
         stacked = self.w.ndim == 3
-        if stacked and self.batch_norm:
-            raise DimensionError("batch norm takes unstacked parameters only")
         x_shape = x.shape if x.ndim == 4 else None
         if x_shape is not None:
             x = x.reshape(x.shape[0], -1)

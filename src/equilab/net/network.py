@@ -11,9 +11,11 @@ operation.  Code that changes a parameter writes into its array
 (`layer.w[...] = ...`); rebinding the attribute would detach it from the
 buffer.
 
-An all-dense network without batch norm also takes a (k, n) stack of
-parameter vectors; one forward/backward then evaluates the k parameter
-sets on the same batch (see net.layers).
+An all-dense network also takes a (k, n) stack of parameter vectors; one
+forward/backward then evaluates the k parameter sets on the same batch
+(see net.layers), and batch-norm running buffers carry the stack axis
+too.  A training forward of a stack finishes for every member, so
+train() can step k learning rates at once.
 """
 
 import dataclasses
@@ -54,6 +56,7 @@ class Network:
                               for i, layer in enumerate(self.layers)
                               for name, arr in layer.param_items()]
         initial = [arr for layer in self.layers for _, arr in layer.param_items()]
+        self._stack = ()
         self._bind(())
         for (i, name, _, _), arr in zip(self._param_layout, initial):
             getattr(self.layers[i], name)[...] = arr
@@ -61,7 +64,9 @@ class Network:
     def _bind(self, stack):
         """Allocate the parameter buffer for a stack shape (() or (k,)) and
         point every parameter attribute at its (*stack, *shape) view; the
-        values are left uninitialized."""
+        values are left uninitialized.  Each batch-norm buffer becomes a
+        (*stack, *shape) array, every member a copy of the unstacked
+        buffer or of the first member of the previous stack."""
         k = math.prod(stack)
         self._flat = np.empty(k * self.parameter_count())
         pos = 0
@@ -69,6 +74,10 @@ class Network:
             view = self._flat[pos:pos + k * size].reshape(stack + shape)
             setattr(self.layers[i], name, view)
             pos += k * size
+        for layer in self.layers:
+            for name, arr in layer.buffer_items():
+                first = arr[0] if self._stack else arr
+                setattr(layer, name, np.broadcast_to(first, stack + first.shape).copy())
         self._stack = stack  # (k,) while the parameters hold a stack of k vectors
 
     @property
@@ -80,6 +89,22 @@ class Network:
         if self._stack:
             raise DimensionError("param_buffer takes unstacked parameters only")
         return self._flat
+
+    def stack_buffer(self):
+        """(buffer, order) while a (k, n) stack is set: the parameter buffer
+        itself, which lays out each parameter's k copies contiguously, and
+        the index array that gathers it member by member, so that
+        buffer[order].reshape(k, n) equals get_params_vector().  Writing
+        into the buffer moves the parameters in place."""
+        if not self._stack:
+            raise DimensionError("stack_buffer needs a parameter stack")
+        k = self._stack[0]
+        member_major = np.arange(k * self.parameter_count()).reshape(k, -1)
+        pos, blocks = 0, []
+        for _, _, _, size in self._param_layout:
+            blocks.append(member_major[:, pos:pos + size].ravel())
+            pos += size
+        return self._flat, np.argsort(np.concatenate(blocks))
 
     def _check_chain(self):
         """Validate that each layer's input matches the previous output."""
@@ -110,15 +135,34 @@ class Network:
         return out
 
     def forward_with_caches(self, x, training, keep=True):
+        """Forward pass; returns (output, per-layer caches).
+
+        A non-finite activation raises NonFiniteActivationError, except in
+        a training pass of a parameter stack: that pass finishes for every
+        member, and a member whose activations go non-finite gets NaN
+        outputs from that layer on (so its loss reads NaN) while the
+        batch-norm buffers of the later layers keep its old values, as a
+        pass of that member alone would leave them.
+        """
         x = np.asarray(x, dtype=np.float64)
         if x.ndim == 2 and self.specs[0].kind == "conv2d":
             # flat samples enter a conv net through input_shape
             x = x.reshape((x.shape[0],) + self.input_shape)
         caches = []
+        kept = []  # (buffer, members, values) to put back after the pass
         for i, layer in enumerate(self.layers):
             x, cache = layer.forward(x, training)
-            L.check_finite(x, i, "activation")
+            if not (training and self._stack):
+                L.check_finite(x, i, "activation")
+            elif not np.isfinite(x).all():
+                bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
+                # the later layers have not run yet, so these are the old values
+                kept += [(arr, bad, arr[bad]) for later in self.layers[i + 1:]
+                         for _, arr in later.buffer_items()]
+                x[bad] = np.nan
             caches.append(cache if keep else None)
+        for arr, members, old in kept:
+            arr[members] = old
         return x, caches
 
     def backward(self, grad_out, caches):
@@ -206,17 +250,19 @@ class Network:
 
     def weight_condition_numbers(self):
         """(raw, effective): per-layer kappa of the weight and of the
-        effective weight, in the output-major view.
+        effective weight, in the output-major view; of the first member
+        while a parameter stack is set.
 
         A layer without a weight transform has one matrix for both, so its
         raw kappa is reused.  Numerically rank deficient entries (at
         densela.RANK_TOL, 1e-12) come back as nan.
         """
+        first = (0,) if self._stack else ()
         raw, effective = [], []
         for layer in self.layers:
-            k = _kappa(layer._output_major(layer.w))
+            k = _kappa(layer._output_major(layer.w)[first])
             raw.append(k)
-            effective.append(_kappa(layer.effective_weight())
+            effective.append(_kappa(layer.effective_weight()[first])
                              if layer.transforms_weight else k)
         return raw, effective
 

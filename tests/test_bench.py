@@ -15,6 +15,7 @@ from equilab.bench.experiments import (ARMS, list_arms, max_nondiverging_lr,
 from equilab.bench.manifest import atomic_write_text, load_manifest
 from equilab.errors import ConfigError, DimensionError
 from equilab.net import DenseSpec, Network
+from equilab.net.train import train
 
 
 def read_all(out_dir):
@@ -247,6 +248,8 @@ class TestTrainCompare:
         man = load_manifest(out)
         assert set(man["wall_time_per_step"]) == {"none", "e-reparam"}
         steps = man["notes"]["step_time_s"]
+        assert "stacked_lrs" not in man["notes"]  # no lr_grid, no stack
+        assert "stacked_steps" not in man["notes"]
         assert set(steps) == {"none", "e-reparam"}
         for q in steps.values():
             assert 0.0 < q["median"] <= q["p90"]
@@ -280,6 +283,20 @@ class TestTrainCompare:
         rows = rows_of(out / "lr_sweep.csv")
         assert rows[0] == "arm,max_nondiverging_lr"
         assert rows[1].split(",")[0] == "none"
+        # the base lr and the distinct grid lrs trained as one stack
+        assert load_manifest(out)["notes"]["stacked_lrs"] == {"none": [0.05, 0.01, 0.1]}
+
+    def test_lr_grid_records_each_members_stacked_steps(self, tmp_path):
+        # a member that leaves the stack early shrinks the later steps, so
+        # the manifest says how many stacked steps updated each rate
+        cfg = default_config("train_compare", arms=["none"], epochs=3,
+                             n_samples=32, lr_grid=[0.01, 1e15], seed=0)
+        out = tmp_path / "r"
+        run_experiment(cfg, out)
+        notes = load_manifest(out)["notes"]
+        assert notes["stacked_lrs"] == {"none": [0.05, 0.01, 1e15]}
+        assert notes["stacked_steps"] == {"none": [3, 3, 1]}
+        assert rows_of(out / "lr_sweep.csv")[1] == "none,0.01"
 
     def test_max_nondiverging_lr_orders(self, monkeypatch):
         cfg = default_config("train_compare", arms=["none"], epochs=2,
@@ -287,6 +304,7 @@ class TestTrainCompare:
         assert max_nondiverging_lr(cfg, "none", [0.001, 1e9]) == 0.001
         # the largest finite lr, whatever the grid order
         assert max_nondiverging_lr(cfg, "none", [0.002, 0.001]) == 0.002
+        assert max_nondiverging_lr(cfg, "none", []) is None
 
         trained = []
         real_train = experiments.train
@@ -296,15 +314,45 @@ class TestTrainCompare:
             return real_train(*args, **kwargs)
 
         monkeypatch.setattr(experiments, "train", counting_train)
-        # top down: the sweep stops at the first finite run
+        # one train call per sweep, on the distinct grid lrs
         assert max_nondiverging_lr(cfg, "none", [0.001, 0.002, 1e9]) == 0.002
-        assert trained == [1e9, 0.002]
+        assert trained == [[0.001, 0.002, 1e9]]
         trained.clear()
         assert max_nondiverging_lr(cfg, "none", [1e9, 1e10]) is None
-        assert trained == [1e10, 1e9]
+        assert trained == [[1e9, 1e10]]
         trained.clear()
         assert max_nondiverging_lr(cfg, "none", [1e9, 0.001, 1e9]) == 0.001
-        assert trained == [1e9, 0.001]
+        assert trained == [[0.001, 1e9]]
+
+    @pytest.mark.parametrize("task", ["teacher_regression", "two_moons"])
+    def test_max_nondiverging_lr_equals_largest_first_loop(self, task):
+        # acceptance 10's fixtures: the stacked sweep against the loop it
+        # replaced, which trained the distinct grid lrs from the largest
+        # down and stopped at the first finite run
+        grid = [0.01, 0.02, 0.05, 0.1, 0.2, 0.5, 1.0, 2.0, 5.0, 10.0]
+
+        def largest_first(cfg, arm):
+            x, y, loss, out_act = experiments._task_data(cfg)
+            p = cfg.params
+            for lr in sorted(set(grid), reverse=True):
+                net, _ = experiments._arm_network(cfg, arm, out_act)
+                trace = train(net, x, y, loss=loss, lr=lr, momentum=p["momentum"],
+                              epochs=p["epochs"], batch_size=p["batch_size"],
+                              seed=cfg.seed, record_kappa=False)
+                if not trace.diverged and np.isfinite(trace.train_loss[-1]):
+                    return lr
+            return None
+
+        extra = (dict(activation="tanh", teacher_kappa=1e3, noise=0.01, lr=0.05)
+                 if task == "teacher_regression" else dict(activation="relu", noise=0.15,
+                                                           lr=0.1))
+        for seed in range(5):
+            cfg = default_config("train_compare", task=task, seed=seed,
+                                 arms=["none", "e-reparam"], widths=[2, 16, 1],
+                                 n_samples=256, batch_size=32, epochs=50,
+                                 init_row_spread=100.0, **extra)
+            for arm in ("none", "e-reparam"):
+                assert max_nondiverging_lr(cfg, arm, grid) == largest_first(cfg, arm)
 
     def test_scale_first_layer_rows(self):
         net = Network([DenseSpec(2, 6, activation="tanh"), DenseSpec(6, 1)],

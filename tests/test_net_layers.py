@@ -201,6 +201,31 @@ class TestBatchNorm:
 
         vjp_check(fwd, vjp, x, rng, rel=1e-5)
 
+    @pytest.mark.parametrize("training", [True, False])
+    @pytest.mark.parametrize("rows, features", [(2, 1), (7, 3), (33, 16)])
+    def test_stack_members_equal_single_calls(self, rows, features, training):
+        # a (k, rows, features) stack normalizes each member over its own
+        # rows with its own gamma, beta and running buffers
+        k = 3
+        rng = np.random.default_rng(rows * features)
+        x = rng.standard_normal((k, rows, features)) * rng.uniform(0.5, 20.0, (k, 1, 1))
+        gamma, beta = rng.standard_normal((k, features)), rng.standard_normal((k, features))
+        rm, rv = rng.standard_normal((k, features)), rng.random((k, features)) + 0.5
+        rm0, rv0 = rm.copy(), rv.copy()
+        out, cache = L.bn_forward(x, gamma, beta, rm, rv, training=training)
+        g = rng.standard_normal(out.shape)
+        dx, dgamma, dbeta = L.bn_vjp(cache, g)
+        for i in range(k):
+            rm_i, rv_i = rm0[i].copy(), rv0[i].copy()
+            out_i, cache_i = L.bn_forward(x[i], gamma[i], beta[i], rm_i, rv_i,
+                                          training=training)
+            np.testing.assert_array_equal(out[i], out_i)
+            np.testing.assert_array_equal(rm[i], rm_i)
+            np.testing.assert_array_equal(rv[i], rv_i)
+            for stacked, single in zip((dx, dgamma, dbeta), L.bn_vjp(cache_i, g[i])):
+                np.testing.assert_array_equal(stacked[i], single)
+        assert training != np.array_equal(rm, rm0)
+
     def test_rejects_non_2d_input(self):
         with pytest.raises(DimensionError):
             L.bn_forward(np.ones((4, 3, 2, 2)), np.ones(3), np.zeros(3),

@@ -1,7 +1,7 @@
 import numpy as np
 import pytest
 
-from equilab.errors import DimensionError
+from equilab.errors import DimensionError, NonFiniteActivationError
 from equilab.hesslab import net_loss_functions
 from equilab.net import DenseSpec, Conv2dSpec, Network
 from equilab.net.data import make_teacher
@@ -203,10 +203,11 @@ class TestStackedParameters:
     @pytest.mark.parametrize("act", ["tanh", "relu", "identity"])
     @pytest.mark.parametrize("transform", [
         "plain", "weight_standardization", "weight_normalization",
-        "equilibrate_static", "equilibrate_reparam"])
+        "equilibrate_static", "equilibrate_reparam", "batch_norm",
+        "batch_norm+weight_standardization"])
     def test_rows_equal_single_gradients(self, transform, act, k):
         kw = {}
-        if transform.startswith("weight_"):
+        if transform.startswith(("weight_", "batch_norm")):
             kw["normalization"] = transform
         elif transform != "plain":
             kw["conditioning"] = transform
@@ -216,6 +217,7 @@ class TestStackedParameters:
         rng = np.random.default_rng(k)
         x = rng.standard_normal((32, 2))
         y = rng.standard_normal((32, 1))
+        net.forward(x, training=True)  # move any batch-norm running buffers
         theta = net.get_params_vector()
         stack = theta + 0.3 * rng.standard_normal((k, theta.size))
         _, grad_fn = net_loss_functions(net, x, y)
@@ -233,17 +235,78 @@ class TestStackedParameters:
             for _, arr in layer.param_items():
                 assert arr.shape[0] == 3 and arr.flags.c_contiguous
 
-    def test_conv_and_batch_norm_reject_stacks(self):
+    def test_conv_rejects_stacks(self):
         conv = Network([Conv2dSpec(1, 2, kernel_size=3), DenseSpec(2 * 3 * 3, 1)],
                        seed=0, input_shape=(1, 5, 5))
-        x4 = np.zeros((4, 25))
-        bn = small_dense(normalization="batch_norm")
-        for net, x in ((conv, x4), (bn, np.zeros((4, 2)))):
-            _, grad_fn = net_loss_functions(net, x, np.zeros((4, 1)))
-            theta = net.get_params_vector()
-            grad_fn(theta)
-            with pytest.raises(DimensionError):
-                grad_fn(np.stack([theta, theta]))
+        _, grad_fn = net_loss_functions(conv, np.zeros((4, 25)), np.zeros((4, 1)))
+        theta = conv.get_params_vector()
+        grad_fn(theta)
+        with pytest.raises(DimensionError):
+            grad_fn(np.stack([theta, theta]))
+
+    def test_batch_norm_buffers_follow_the_stack(self):
+        # stacking copies the buffers to every member, unstacking keeps the
+        # first member's, and a stacked training pass moves each its own way
+        net = small_dense(normalization="batch_norm")
+        rng = np.random.default_rng(3)
+        x = rng.standard_normal((6, 2))
+        net.forward(x, training=True)
+        rm = net.layers[0].running_mean.copy()
+        theta = net.get_params_vector()
+        net.set_params_vector(np.stack([theta, 2.0 * theta]))
+        np.testing.assert_array_equal(net.layers[0].running_mean, [rm, rm])
+        net.forward(x, training=True)
+        moved = net.layers[0].running_mean.copy()
+        assert not np.array_equal(moved[0], moved[1])
+        net.set_params_vector(theta)
+        np.testing.assert_array_equal(net.layers[0].running_mean, moved[0])
+
+    def test_stack_buffer_order(self):
+        net = small_dense(normalization="batch_norm+weight_normalization")
+        with pytest.raises(DimensionError):
+            net.stack_buffer()
+        stack = np.arange(3.0 * net.parameter_count()).reshape(3, -1)
+        net.set_params_vector(stack)
+        buf, order = net.stack_buffer()
+        np.testing.assert_array_equal(buf[order].reshape(3, -1), stack)
+        buf[order[0]] = -1.0
+        assert net.get_params_vector()[0, 0] == -1.0
+
+    def test_training_pass_of_a_stack_marks_a_non_finite_member(self):
+        # member 1's relu layer overflows to inf, which the tanh layer after
+        # it squashes back to finite values; the stacked pass gives that
+        # member NaN outputs instead of raising, keeps the batch-norm buffers
+        # of the later layer as they were, and leaves member 0 untouched
+        specs = [DenseSpec(2, 3, activation="relu"),
+                 DenseSpec(3, 4, activation="tanh"),
+                 DenseSpec(4, 4, activation="tanh", normalization="batch_norm"),
+                 DenseSpec(4, 1)]
+        x = np.random.default_rng(8).uniform(1.0, 2.0, (5, 2))
+        net = Network(specs, seed=1)
+        theta = net.get_params_vector()
+        blown = theta.copy()
+        blown[:6] = 1e308  # the first layer's weights
+        blown[9:21] = np.abs(blown[9:21])  # the second's, so inf * w is +inf
+        solo = Network(specs, seed=1)
+        solo.set_params_vector(blown)
+        with np.errstate(over="ignore", invalid="ignore"):
+            h = solo.layers[0].forward(x, True)[0]
+            assert np.isfinite(solo.layers[1].forward(h, True)[0]).all()
+            with pytest.raises(NonFiniteActivationError):
+                solo.forward(x, training=True)
+        net.set_params_vector(np.stack([theta, blown]))
+        rm = net.layers[2].running_mean.copy()
+        with np.errstate(over="ignore", invalid="ignore"):
+            out, _ = net.forward_with_caches(x, True)
+        assert np.isnan(out[1]).all()
+        np.testing.assert_array_equal(net.layers[2].running_mean[1], rm[1])
+        solo.set_params_vector(theta)
+        np.testing.assert_array_equal(out[0], solo.forward(x, training=True))
+        np.testing.assert_array_equal(net.layers[2].running_mean[0],
+                                      solo.layers[2].running_mean)
+        # an eval pass still raises
+        with np.errstate(over="ignore", invalid="ignore"), pytest.raises(NonFiniteActivationError):
+            net.forward(x, training=False)
 
 
 class TestConditioningTwins:

@@ -6,7 +6,7 @@ import pytest
 from equilab.bench.experiments import ARMS
 from equilab.errors import DimensionError, NonFiniteError
 from equilab.net.train import bce_loss, loss_and_gradients, mse_loss, train
-from equilab.net import DenseSpec, Network
+from equilab.net import Conv2dSpec, DenseSpec, Network
 from equilab.net.data import teacher_student_regression, two_moons
 
 # the module itself; equilab.net re-exports its train() under the same name
@@ -160,6 +160,17 @@ class TestTrain:
             train(fresh_net(), bad, y)
         with pytest.raises(DimensionError):
             train(fresh_net(), x[:0], y[:0])
+        for lr in ([], [[0.1]], [0.1, -1.0], [0.1, np.inf]):
+            with pytest.raises(DimensionError):
+                train(fresh_net(), x, y, lr=lr)
+        with pytest.raises(DimensionError):
+            train(stacked, x, y, lr=[0.1, 0.2])
+        conv = Network([Conv2dSpec(1, 1, kernel_size=1), DenseSpec(2, 1)],
+                       seed=0, input_shape=(1, 1, 2))
+        before = conv.get_params_vector()
+        with pytest.raises(DimensionError):
+            train(conv, x, y, lr=[0.1, 0.2])
+        np.testing.assert_array_equal(conv.get_params_vector(), before)
 
     @pytest.mark.parametrize("n, batch_size", [(16, 1), (1, 4)],
                              ids=["batch_size_1", "one_sample"])
@@ -258,6 +269,80 @@ class TestFlatStepMatchesPerArrayLoop:
         assert not tr.diverged
         np.testing.assert_array_equal(tr.train_loss, ref_losses)
         np.testing.assert_array_equal(net.get_params_vector(), ref.get_params_vector())
+
+
+TRACE_FIELDS = ("train_loss", "eval_loss", "accuracy", "kappa_weights", "kappa_effective",
+                "diverged", "diverged_at", "data_digest")
+
+
+class TestRateStack:
+    """train() on a sequence of rates against one solo call per rate."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("loss", ["mse", "bce"])
+    @pytest.mark.parametrize("arm", list(ARMS))
+    def test_members_equal_solo_runs(self, arm, loss, momentum):
+        # 37 samples in batches of 4 leave a singleton remainder; 1e30
+        # diverges in every arm and 1e4 in most, so members leave the stack
+        # at different batches
+        if loss == "bce":
+            x, y = two_moons(37, noise=0.2, seed=1)
+            out_act = "sigmoid_output"
+        else:
+            x, y, _ = teacher_student_regression(37, seed=1, kappa=10.0)
+            out_act = "identity"
+        norm, cond = ARMS[arm]
+
+        def arm_net():
+            net = Network([DenseSpec(2, 6, activation="tanh", normalization=norm),
+                           DenseSpec(6, 5, activation="relu", normalization=norm),
+                           DenseSpec(5, 1, activation=out_act)], seed=5)
+            return net if cond == "none" else net.with_conditioning(cond)
+
+        rates = [0.1, 1e4, 0.3, 1e30]
+        kw = dict(loss=loss, momentum=momentum, epochs=3, batch_size=4, seed=2)
+        net = arm_net()
+        traces = train(net, x, y, lr=rates, **kw)
+        assert traces[3].diverged and not traces[0].diverged
+        steps = traces[0].step_times
+        for i, lr in enumerate(rates):
+            solo = arm_net()
+            want = train(solo, x, y, lr=lr, record_kappa=i == 0, **kw)
+            for field in TRACE_FIELDS:
+                np.testing.assert_array_equal(getattr(traces[i], field), getattr(want, field))
+            assert len(traces[i].step_times) == len(want.step_times)
+            np.testing.assert_array_equal(traces[i].step_times,
+                                          steps[:len(want.step_times)])
+            if i == 0:
+                # the net ends as the first rate alone leaves it
+                np.testing.assert_array_equal(net.param_buffer, solo.param_buffer)
+                for mine, theirs in zip(net.layers, solo.layers):
+                    for (_, a), (_, b) in zip(mine.buffer_items(), theirs.buffer_items()):
+                        np.testing.assert_array_equal(a, b)
+
+    def test_first_rate_diverging_leaves_its_net(self):
+        x, y, _ = teacher_student_regression(40, seed=0, kappa=1e3)
+        net, solo = fresh_net(), fresh_net()
+        first, second = train(net, x, y, lr=[1e6, 0.05], epochs=4, batch_size=8)
+        want = train(solo, x, y, lr=1e6, epochs=4, batch_size=8)
+        assert first.diverged and not second.diverged
+        np.testing.assert_array_equal(first.train_loss, want.train_loss)
+        np.testing.assert_array_equal(net.param_buffer, solo.param_buffer)
+        # every finite step of the second rate kept its kappa columns nan
+        assert np.isnan(second.kappa_weights).all() and second.epochs_completed == 4
+
+    def test_one_pass_per_stacked_step(self, monkeypatch):
+        x, y, _ = teacher_student_regression(20, seed=0)
+        calls = []
+
+        def counted(n, xb, yb, **kw):
+            calls.append(len(xb))
+            return loss_and_gradients(n, xb, yb, **kw)
+
+        monkeypatch.setattr(train_module, "loss_and_gradients", counted)
+        traces = train(fresh_net(), x, y, lr=[0.01, 0.02, 0.03], epochs=2, batch_size=8)
+        assert calls == [8, 8, 4] * 2
+        assert all(len(t.step_times) == len(calls) for t in traces)
 
 
 class TestTraceCsv:
