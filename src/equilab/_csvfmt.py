@@ -1,22 +1,30 @@
-"""CSV text: float64 matrices as rows, each distinct cell value formatted
-once, and the line ends of every CSV file equilab writes.
+"""CSV text: float64 matrices as rows, and the line ends of every CSV file
+equilab writes.
 
 Every float cell equilab writes to a trace CSV is `repr(float(x))`, the
-shortest string that round-trips to the same double.  That conversion is
-the fixed cost per cell, and trace matrices repeat values a lot (a GD
-trace that has converged or cycles repeats whole rows), so `format_rows`
-calls `repr` once per distinct float64 bit pattern within a block of rows
-and builds the rows by indexing.  Keying on bits, not on values, keeps
--0.0 apart from 0.0; every NaN prints as `nan` whatever its payload.
+shortest string that round-trips to the same double.  On the compiled
+backend `format_rows` hands the matrix to the extension's formatter
+(`_kernels/_reprfmt.cpp`), which takes each cell's digits from
+`std::to_chars` and lays them out as `repr` does, byte for byte, without
+reading the locale.  On the numpy fallback, where that conversion is one
+`repr` call per cell, trace matrices repeat values a lot (a GD trace that
+has converged or cycles repeats whole rows), so `repr` runs once per
+distinct float64 bit pattern within a block of rows and the rows are built
+by indexing.  Keying on bits, not on values, keeps -0.0 apart from 0.0;
+every NaN prints as `nan` whatever its payload.
 """
 
 import numpy as np
 
-# Rows per np.unique pass.  Larger blocks find more repeats but keep more
-# strings alive at once.  On the quad64 benchmark (3 x 2001 rows of 66
-# cells, seed 1) one block per trace makes 220K repr calls for 396K cells
-# and raises the run's peak RSS by about 9 MB; 256 rows make 247K calls at
-# +2 MB, 128 rows 266K calls at +1 MB, 64 rows 297K calls.
+from equilab._kernels import format_rows as _compiled_format_rows
+from equilab.errors import DimensionError
+
+# Rows per np.unique pass of the numpy fallback.  Larger blocks find more
+# repeats but keep more strings alive at once.  On the quad64 benchmark
+# (3 x 2001 rows of 66 cells, seed 1) one block per trace makes 220K repr
+# calls for 396K cells and raises the run's peak RSS by about 9 MB;
+# 256 rows make 247K calls at +2 MB, 128 rows 266K calls at +1 MB, 64 rows
+# 297K calls.
 BLOCK_ROWS = 128
 
 
@@ -24,12 +32,25 @@ def format_rows(values, first=None, sep=","):
     """Rows of the 2-D float64 `values` as text: `sep`-joined cells, each
     `repr(float(x))`, led by `str(first[i])` when `first` is given.
 
-    Returns one string per row, with no line ends.
+    Returns one string per row, with no line ends.  Raises DimensionError
+    when `values` is not 2-D or `first` does not have one item per row.
     """
     values = np.ascontiguousarray(values, dtype=np.float64)
+    if values.ndim != 2:
+        raise DimensionError(f"values must be 2-D, got shape {values.shape}")
+    lead = None if first is None else [str(i) for i in first]
+    if lead is not None and len(lead) != len(values):
+        raise DimensionError(f"first has {len(lead)} items, values has {len(values)} rows")
+    if _compiled_format_rows is not None:
+        return _compiled_format_rows(values, lead, sep)
+    return _format_rows_numpy(values, lead, sep)
+
+
+def _format_rows_numpy(values, lead, sep):
+    """format_rows on the numpy fallback, given checked arguments: one
+    `repr` call per distinct bit pattern in each block of BLOCK_ROWS rows."""
     n_rows, n_cols = values.shape
     keys = values.view(np.int64)
-    lead = None if first is None else [str(i) for i in first]
     rows = []
     for start in range(0, n_rows, BLOCK_ROWS):
         block = keys[start:start + BLOCK_ROWS]

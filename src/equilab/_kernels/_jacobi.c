@@ -1,4 +1,6 @@
-/* Compiled kernels of the preconditioned one-sided Jacobi SVD.
+/* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
+ * module's method table, which also lists the trace-CSV formatter
+ * format_rows (_reprfmt.cpp).
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -341,18 +343,31 @@ done:
     return result;
 }
 
+/* Defined in _reprfmt.cpp. */
+PyObject *reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs);
+
+PyDoc_STRVAR(format_rows_doc,
+"format_rows(values, lead, sep)\n--\n\n"
+"Rows of values as a list of str: sep-joined cells, each equal to\n"
+"repr(float(x)), led by lead[i] when lead is a list of str (one per\n"
+"row) rather than None.  values must be a C-contiguous 2-d float64\n"
+"array; see equilab._csvfmt.format_rows for the contract.");
+
 static PyMethodDef methods[] = {
     {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
      METH_VARARGS | METH_KEYWORDS, jacobi_sweeps_doc},
     {"qrcp", (PyCFunction)(void (*)(void))qrcp,
      METH_VARARGS | METH_KEYWORDS, qrcp_doc},
+    {"format_rows", (PyCFunction)(void (*)(void))reprfmt_format_rows,
+     METH_VARARGS | METH_KEYWORDS, format_rows_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_jacobi",
-    .m_doc = "Compiled QRCP and one-sided Jacobi sweep kernels.",
+    .m_doc = "Compiled QRCP and one-sided Jacobi sweep kernels, and the\n"
+              "trace-CSV formatter.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -372,8 +372,7 @@ def run_quad(cfg: ExperimentConfig, out_dir, manifest):
                     f"{iters_to},{float(excess[-1])!r}")
         manifest.diverged[name] = bool(trace.diverged)
         _emit(manifest, out_dir, f"quad_{_arm_filename(name)}.csv", trace.to_csv())
-        series.append(LineSeries(name, tuple(range(len(excess))),
-                                 tuple(float(v) for v in excess)))
+        series.append(LineSeries(name, tuple(range(len(excess))), tuple(excess.tolist())))
     _emit_csv(manifest, out_dir, "summary.csv", rows)
     _emit(manifest, out_dir, "quad_excess.svg",
           emit_svg(series, title="excess loss under GD", xlabel="iteration",

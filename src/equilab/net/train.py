@@ -112,7 +112,8 @@ class TrainTrace:
         """CSV text, one row per completed epoch (CRLF line ends).
 
         Every float cell is its shortest round-trip `repr`;
-        `_csvfmt.format_rows` makes one `repr` call per distinct value per
+        `_csvfmt.format_rows` writes them, in the compiled extension or,
+        on the numpy fallback, with one `repr` call per distinct value per
         block of rows.
         """
         n_layers = self.kappa_weights.shape[1]

@@ -10,6 +10,7 @@ preconditioning is done by the caller, as a new QuadraticProblem in
 scaled coordinates (see bench.experiments.run_quad).
 """
 
+import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -140,7 +141,8 @@ class GDTrace:
         ends).
 
         Every float, sigma included, is its shortest round-trip `repr`;
-        `_csvfmt.format_rows` makes one `repr` call per distinct value per
+        `_csvfmt.format_rows` writes them, in the compiled extension or,
+        on the numpy fallback, with one `repr` call per distinct value per
         block of rows.
         """
         n_modes = self.mode_coeffs.shape[1]
@@ -188,8 +190,9 @@ def run_gd(problem, theta0, eta, iters):
         iterates.append(theta)
         losses.append(problem.loss(theta))
         modes.append(vt @ (theta - theta_star))
-        norm = np.linalg.norm(theta)
-        if not np.isfinite(norm) or norm > DIVERGENCE_NORM:
+        # what np.linalg.norm computes for a 1-D array, without its overhead
+        norm = math.sqrt(theta.dot(theta))
+        if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
             diverged = True
             break
     return GDTrace(

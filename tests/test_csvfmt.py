@@ -1,15 +1,26 @@
-"""`_csvfmt.format_rows` against one `repr(float(x))` call per cell."""
+"""`_csvfmt.format_rows` and both of its formatters, the compiled one
+(`_jacobi.format_rows`) and the numpy fallback, against one
+`repr(float(x))` call per cell.
+
+The compiled formatter is also checked on its own in fresh interpreters,
+so that a fault fails one test instead of ending the session; those tests
+skip while the extension is not built (`python3 setup.py build_ext
+--inplace` builds it).
+"""
 
 import importlib
+from pathlib import Path
 
 import numpy as np
 import pytest
 from hypothesis import example, given, settings
 from hypothesis import strategies as st
+from test_kernels import _run_compiled, needs_compiled
 
 from equilab import _csvfmt, quadlab
 from equilab.bench.config import default_config
 from equilab.bench.experiments import run_experiment
+from equilab.errors import DimensionError
 
 # `equilab.net.train` the attribute is the function; this is the module
 train_module = importlib.import_module("equilab.net.train")
@@ -63,7 +74,14 @@ def matrix(palette, n_rows, n_cols, seed):
     return keys.view(np.float64)
 
 
-class TestFormatRows:
+# The checks below take a formatter fmt(values, lead, sep), where lead is
+# None or one str per row, and raise AssertionError on a wrong result.
+# They are module-level functions so that a fresh interpreter can import
+# this module and run them on the compiled formatter (run_compiled).
+
+def check_property(fmt):
+    """Hypothesis: matrices of special, random and repeated bit patterns,
+    across the fallback's block boundaries, with and without lead."""
     @settings(max_examples=150, deadline=None)
     @given(n_rows=st.sampled_from(ROW_COUNTS), n_cols=st.integers(0, 5),
            palette=st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), INT64,
@@ -71,11 +89,138 @@ class TestFormatRows:
                             min_size=1, max_size=48),
            seed=st.integers(0, 2**32 - 1))
     @example(n_rows=B + 1, n_cols=3, palette=[bits(0.0), bits(-0.0)], seed=0)
-    def test_equals_per_cell_repr(self, n_rows, n_cols, palette, seed):
+    def equals_per_cell_repr(n_rows, n_cols, palette, seed):
         values = matrix(palette, n_rows, n_cols, seed)
-        first = range(7, 7 + n_rows)
-        assert _csvfmt.format_rows(values, first=first) == reference_rows(values, first=first)
-        assert _csvfmt.format_rows(values, sep=" ") == reference_rows(values, sep=" ")
+        lead = [str(i) for i in range(7, 7 + n_rows)]
+        assert fmt(values, lead, ",") == reference_rows(values, first=lead)
+        assert fmt(values, None, " ") == reference_rows(values, sep=" ")
+
+    equals_per_cell_repr()
+
+
+def sweep_bits():
+    """The bulk sweep's int64 bit patterns: 1M random ones; every +-2**k
+    and its +-1-ulp neighbours over the whole exponent range; 10**k +- 1
+    ulp for k in [-323, 308]; the 1e-4 and 1e16 switch points of repr's
+    exponent form with 8 ulps either side; subnormals; integers near 2**53
+    and integral values up to 1e17; NaNs with every single payload bit,
+    quiet and signalling, of both signs, and random payloads."""
+    rng = np.random.default_rng(20240611)
+    doubles = []
+
+    def around(x, ulps):
+        x = np.float64(x)
+        out, up, down = [x], x, x
+        for _ in range(ulps):
+            up, down = np.nextafter(up, np.inf), np.nextafter(down, -np.inf)
+            out += [up, down]
+        return out
+
+    for k in range(-1074, 1024):
+        doubles += around(np.ldexp(1.0, k), 1)
+    for k in range(-323, 309):
+        doubles += around(float(f"1e{k}"), 1)
+    doubles += around(1e-4, 8) + around(1e16, 8)
+    doubles += [float(2**53 + i) for i in range(-1000, 1001)]
+    doubles += [float(v) for v in 10.0 ** np.arange(18)]
+    doubles += list(rng.integers(1, 10**17, size=20_000).astype(np.float64))
+    values = np.array(doubles, dtype=np.float64)
+    values = np.concatenate([values, -values])
+
+    subnormals = rng.integers(1, 2**52, size=50_000, dtype=np.int64)
+    payloads = np.concatenate([1 << np.arange(52, dtype=np.int64),
+                               rng.integers(1, 2**52, size=1000, dtype=np.int64),
+                               [2**52 - 1]])
+    nans = (np.int64(0x7FF) << np.int64(52)) | payloads
+    return np.concatenate([
+        rng.integers(-(2**63), 2**63 - 1, size=1_000_000, dtype=np.int64, endpoint=True),
+        values.view(np.int64),
+        subnormals, subnormals | np.int64(-(2**63)),
+        nans, nans | np.int64(-(2**63)),
+    ])
+
+
+def check_sweep(fmt, n_cols=64):
+    """Every sweep_bits() cell, formatted in rows of n_cols, equals repr."""
+    keys = sweep_bits()
+    keys = np.concatenate([keys, np.zeros(-len(keys) % n_cols, dtype=np.int64)])
+    values = keys.view(np.float64).reshape(-1, n_cols)
+    got = fmt(values, None, ",")
+    assert len(got) == len(values)
+    for r, (row, cells) in enumerate(zip(got, values.tolist())):
+        want = ",".join(map(repr, cells))
+        if row != want:
+            bad = next(j for j, (a, b) in enumerate(zip(row.split(","), want.split(",")))
+                       if a != b)
+            raise AssertionError(f"bits {int(keys[r * n_cols + bad]):#x}: "
+                                 f"{row.split(',')[bad]!r} != {want.split(',')[bad]!r}")
+
+
+def check_rejections(fmt):
+    """Each bad input raises ValueError or TypeError, and the interpreter
+    survives; returns how many cases were checked."""
+    cases = {
+        "1-d values": (np.zeros(3), None, ","),
+        "3-d values": (np.zeros((2, 2, 2)), None, ","),
+        "float32 values": (np.zeros((2, 2), dtype=np.float32), None, ","),
+        "int64 values": (np.zeros((2, 2), dtype=np.int64), None, ","),
+        "big-endian values": (np.zeros((2, 2), dtype=">f8"), None, ","),
+        "non-contiguous values": (np.zeros((4, 4))[:, ::2], None, ","),
+        "values without a buffer": ([[1.0, 2.0]], None, ","),
+        "lead too short": (np.zeros((3, 2)), ["0", "1"], ","),
+        "lead too long": (np.zeros((3, 2)), ["0", "1", "2", "3"], ","),
+        "lead not a list": (np.zeros((3, 2)), ("0", "1", "2"), ","),
+        "lead item not str": (np.zeros((3, 2)), ["0", 1, "2"], ","),
+        "sep not str": (np.zeros((3, 2)), None, b","),
+    }
+    for name, (values, lead, sep) in cases.items():
+        try:
+            fmt(values, lead, sep)
+        except (ValueError, TypeError):
+            continue
+        raise AssertionError(f"{name}: no ValueError or TypeError")
+    return len(cases)
+
+
+def run_compiled(check):
+    """Run check(_jacobi.format_rows) in a fresh interpreter that imports
+    the compiled extension found here and this module."""
+    script = ("import sys\n"
+              "sys.path.insert(0, sys.argv[1])\n"
+              "import test_csvfmt\n"
+              "from equilab._kernels._jacobi import format_rows\n"
+              f"print(test_csvfmt.{check.__name__}(format_rows))\n")
+    return _run_compiled(script, str(Path(__file__).parent))
+
+
+def test_numpy_fallback_equals_per_cell_repr():
+    check_property(_csvfmt._format_rows_numpy)
+
+
+@needs_compiled
+def test_compiled_equals_per_cell_repr():
+    proc = run_compiled(check_property)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_compiled
+def test_compiled_sweep_equals_repr():
+    proc = run_compiled(check_sweep)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_compiled
+def test_compiled_rejects_bad_input():
+    proc = run_compiled(check_rejections)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "12", proc.stdout
+
+
+class TestFormatRows:
+    """The public function, on whichever backend is active."""
+
+    def test_equals_per_cell_repr(self):
+        check_property(_csvfmt.format_rows)
 
     def test_signed_zeros_keep_their_sign(self):
         values = np.array([[0.0, -0.0], [-0.0, 0.0]])
@@ -88,12 +233,24 @@ class TestFormatRows:
     def test_no_rows(self):
         assert _csvfmt.format_rows(np.zeros((0, 4)), first=range(0)) == []
 
+    def test_converts_to_float64(self):
+        assert _csvfmt.format_rows(np.arange(4).reshape(2, 2)[:, ::-1]) == ["1.0,0.0", "3.0,2.0"]
+
+    @pytest.mark.parametrize("values, first", [(np.zeros(3), None),
+                                               (np.zeros((1, 1, 1)), None),
+                                               (np.zeros((3, 2)), range(2)),
+                                               (np.zeros((3, 2)), range(4))],
+                             ids=["1-d", "3-d", "first short", "first long"])
+    def test_rejects_bad_shapes(self, values, first):
+        with pytest.raises(DimensionError):
+            _csvfmt.format_rows(values, first=first)
+
 
 def per_cell_outputs(tmp_path, monkeypatch, cfg, name):
     """Run cfg twice, with format_rows and with reference_rows patched in;
     return both runs' non-manifest files as {name: bytes}."""
     out = {}
-    for label in ("blocked", "per_cell"):
+    for label in ("formatted", "per_cell"):
         if label == "per_cell":
             monkeypatch.setattr(quadlab, "format_rows", reference_rows)
             monkeypatch.setattr(train_module, "format_rows", reference_rows)
@@ -101,7 +258,7 @@ def per_cell_outputs(tmp_path, monkeypatch, cfg, name):
         run_experiment(cfg, run_dir)
         out[label] = {p.name: p.read_bytes() for p in run_dir.iterdir()
                       if p.name != "manifest.json"}
-    return out["blocked"], out["per_cell"]
+    return out["formatted"], out["per_cell"]
 
 
 @pytest.mark.filterwarnings("ignore:overflow encountered")
@@ -117,13 +274,13 @@ def test_quad_outputs_match_per_cell_repr(tmp_path, monkeypatch):
 
     monkeypatch.setattr(quadlab, "max_stable_lr", lr)
     cfg = default_config("quad", dim=8, kappa=1e4, iters=2 * B + 2, seed=3)
-    blocked, per_cell = per_cell_outputs(tmp_path, monkeypatch, cfg, "quad")
+    formatted, per_cell = per_cell_outputs(tmp_path, monkeypatch, cfg, "quad")
     assert {"quad_none.csv", "quad_row_equilibration.csv", "quad_jacobi.csv",
-            "summary.csv"} <= set(blocked)
-    assert blocked == per_cell
-    assert b",inf," in blocked["quad_jacobi.csv"]
+            "summary.csv"} <= set(formatted)
+    assert formatted == per_cell
+    assert b",inf," in formatted["quad_jacobi.csv"]
     diverged = {row.split(b",")[0]: row.split(b",")[3]
-                for row in blocked["summary.csv"].split(b"\r\n")[1:-1]}
+                for row in formatted["summary.csv"].split(b"\r\n")[1:-1]}
     assert diverged == {b"none": b"false", b"row_equilibration": b"false", b"jacobi": b"true"}
 
 
@@ -131,6 +288,6 @@ def test_train_compare_outputs_match_per_cell_repr(tmp_path, monkeypatch):
     cfg = default_config("train_compare", task="two_moons", arms=["none", "e-reparam"],
                          activation="relu", n_samples=64, epochs=4, lr=0.1,
                          init_row_spread=10.0, noise=0.15, seed=1)
-    blocked, per_cell = per_cell_outputs(tmp_path, monkeypatch, cfg, "train")
-    assert {"train_none.csv", "train_e_reparam.csv"} <= set(blocked)
-    assert blocked == per_cell
+    formatted, per_cell = per_cell_outputs(tmp_path, monkeypatch, cfg, "train")
+    assert {"train_none.csv", "train_e_reparam.csv"} <= set(formatted)
+    assert formatted == per_cell

@@ -2,7 +2,7 @@
 numpy reference and reject buffers they cannot use, each backend's QRCP
 factors its input and gives the same R without Q, each backend's sweep
 without vt (singular values only) leaves bt as the full sweep does, and
-EQUILAB_PURE_PYTHON selects the fallback.
+EQUILAB_PURE_PYTHON selects the fallback kernels and CSV formatter.
 
 The agreement tests are what catch _jacobi.c and jacobi_py.py drifting
 apart; the compiled-kernel tests run in subprocesses and skip when the
@@ -257,7 +257,9 @@ def test_pure_python_env_selects_fallback():
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
-        [sys.executable, "-c", "from equilab import densela; print(densela.KERNEL_BACKEND)"],
+        [sys.executable, "-c",
+         "from equilab import _kernels, densela; print(densela.KERNEL_BACKEND, _kernels.format_rows)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "python"
+    # the kernels and the CSV formatter switch together
+    assert proc.stdout.strip() == "python None"
