@@ -27,6 +27,10 @@ from equilab.errors import (
 
 DIVERGENCE_NORM = 1e12
 MAX_ITERS = 1_000_000
+# iterates per batched loss/mode call in run_gd; small blocks keep the
+# temporaries out of peak RSS (whole-trace 1 MB temporaries of a 2000-step,
+# 64-dim run cost 1-2 MB of it)
+TRACE_BLOCK_ROWS = 128
 
 
 def _check_vector(b, n, name="b"):
@@ -99,14 +103,26 @@ class QuadraticProblem:
         return x
 
     def loss(self, theta):
+        """1/2 theta^T A theta - b^T theta under the row-stack contract of
+        `hesslab`: a (n,) theta gives a float, a (k, n) stack the (k,)
+        losses, row i bit-identical to a call on row i alone.
+
+        Rows sit on a leading batch axis, so matmul runs the same BLAS
+        gemv and dot per row as the one-row call; one 2-D product (a gemm)
+        or einsum would round differently.
+        """
         t = np.asarray(theta, dtype=np.float64)
-        return float(0.5 * t @ self.a @ t - self.b @ t)
+        if t.ndim == 1:
+            return float(0.5 * t @ self.a @ t - self.b @ t)
+        quad = (((0.5 * t)[:, None, :] @ self.a) @ t[:, :, None])[:, 0, 0]
+        return quad - (self.b @ t[:, :, None])[:, 0]
 
     def gradient(self, theta):
-        """A theta - b; a (k, n) stack of rows gives the (k, n) gradients
-        from one matrix product (equal to per-row calls up to rounding)."""
+        """A theta - b under the same contract as `loss`: a (n,) theta gives
+        (n,), a (k, n) stack the (k, n) gradients, row i bit-identical to a
+        call on row i alone (one gemv per row)."""
         t = np.asarray(theta, dtype=np.float64)
-        return (self.a @ t.T).T - self.b
+        return (self.a @ t[..., None])[..., 0] - self.b
 
 
 def max_stable_lr(problem):
@@ -169,7 +185,10 @@ def run_gd(problem, theta0, eta, iters):
 
     Terminates early with the diverged flag once the iterate norm exceeds
     1e12 or goes non-finite; the offending iterate is kept so traces stay
-    inspectable.
+    inspectable.  The loop computes only the iterates; the losses and mode
+    coefficients are computed after it, one batched call per block of
+    TRACE_BLOCK_ROWS iterates, with the bits of per-step calls (see
+    `QuadraticProblem.loss`).
     """
     if eta <= 0.0 or not np.isfinite(eta):
         raise DimensionError(f"eta must be positive and finite, got {eta!r}")
@@ -177,28 +196,32 @@ def run_gd(problem, theta0, eta, iters):
         raise DimensionError(f"iters must be in [0, {MAX_ITERS}], got {iters}")
     theta = _check_vector(theta0, problem.n, "theta0")
     res = problem.svd
-    theta_star = problem.theta_star
-    vt = res.vt
+    theta_star = problem.theta_star  # raises before the loop on an indefinite A
 
     # theta is rebound every step, never written in place, so no copies
     iterates = [theta]
-    losses = [problem.loss(theta)]
-    modes = [vt @ (theta - theta_star)]
     diverged = False
     for _ in range(iters):
         theta = theta - eta * problem.gradient(theta)
         iterates.append(theta)
-        losses.append(problem.loss(theta))
-        modes.append(vt @ (theta - theta_star))
         # what np.linalg.norm computes for a 1-D array, without its overhead
         norm = math.sqrt(theta.dot(theta))
         if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
             diverged = True
             break
+    iterates = np.array(iterates)
+    losses = np.empty(len(iterates))
+    modes = np.empty_like(iterates)
+    for i in range(0, len(iterates), TRACE_BLOCK_ROWS):
+        block = slice(i, i + TRACE_BLOCK_ROWS)
+        rows = iterates[block]
+        losses[block] = problem.loss(rows)
+        # one gemv per row, as `vt @ (theta - theta_star)` for each theta
+        modes[block] = (res.vt @ (rows - theta_star)[:, :, None])[:, :, 0]
     return GDTrace(
-        iterates=np.array(iterates),
-        losses=np.array(losses),
-        mode_coeffs=np.array(modes),
+        iterates=iterates,
+        losses=losses,
+        mode_coeffs=modes,
         eta=float(eta),
         sigma=res.sigma.copy(),
         diverged=diverged,

@@ -142,3 +142,64 @@ class TestTraceCsv:
             return trace.to_csv()
 
         assert render() == render()
+
+
+def reference_gd(prob, theta0, eta, iters):
+    """run_gd as a per-step loop with the one-row formulas: the loss and the
+    mode coefficients of each iterate are computed inside the loop."""
+    a, b, vt, theta_star = prob.a, prob.b, prob.svd.vt, prob.theta_star
+    t = np.array(theta0, dtype=np.float64)
+    iterates = [t]
+    losses = [float(0.5 * t @ a @ t - b @ t)]
+    modes = [vt @ (t - theta_star)]
+    diverged = False
+    for _ in range(iters):
+        t = t - eta * (a @ t - b)
+        iterates.append(t)
+        losses.append(float(0.5 * t @ a @ t - b @ t))
+        modes.append(vt @ (t - theta_star))
+        norm = np.linalg.norm(t)
+        if not np.isfinite(norm) or norm > quadlab.DIVERGENCE_NORM:
+            diverged = True
+            break
+    return quadlab.GDTrace(iterates=np.array(iterates), losses=np.array(losses),
+                           mode_coeffs=np.array(modes), eta=float(eta),
+                           sigma=prob.svd.sigma.copy(), diverged=diverged)
+
+
+class TestBatchedTrace:
+    @pytest.mark.parametrize("factor", [0.5, 1.01, 3.0])
+    def test_matches_per_step_loop_bitwise(self, factor):
+        prob, theta0 = spd_problem(13, n=32, kappa=1e4)
+        eta = factor * quadlab.max_stable_lr(prob)
+        trace = quadlab.run_gd(prob, theta0, eta, 2000)
+        ref = reference_gd(prob, theta0, eta, 2000)
+        assert trace.diverged == ref.diverged == (factor > 1.0)
+        assert np.array_equal(trace.iterates, ref.iterates)
+        assert np.array_equal(trace.losses, ref.losses)
+        assert np.array_equal(trace.mode_coeffs, ref.mode_coeffs)
+        assert trace.to_csv().encode() == ref.to_csv().encode()
+
+    def test_diverged_trace_arrays_align(self):
+        prob, theta0 = spd_problem(14, n=12)
+        trace = quadlab.run_gd(prob, theta0, 3.0 * quadlab.max_stable_lr(prob), 10_000)
+        assert trace.diverged
+        k = trace.iterates.shape[0]
+        assert k < 10_001
+        assert trace.losses.shape == (k,)
+        assert trace.mode_coeffs.shape == (k, prob.n)
+
+    @pytest.mark.parametrize("n", [6, 17, 64, 121])
+    def test_stack_equals_per_row_calls(self, n):
+        prob, _ = spd_problem(15, n=n, kappa=1e6)
+        rows = np.random.default_rng(n).standard_normal((9, n)) * 1e3
+        losses = prob.loss(rows)
+        grads = prob.gradient(rows)
+        assert losses.shape == (9,) and grads.shape == (9, n)
+        assert np.array_equal(losses, [prob.loss(r) for r in rows])
+        assert np.array_equal(grads, [prob.gradient(r) for r in rows])
+
+    def test_one_row_loss_is_a_float(self):
+        prob, theta = spd_problem(16)
+        assert type(prob.loss(theta)) is float
+        assert type(prob.loss(list(theta))) is float

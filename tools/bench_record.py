@@ -36,11 +36,18 @@ def git(checkout, *args):
                           check=True).stdout.strip()
 
 
-def default_label(checkout):
-    label = git(checkout, "rev-parse", "--short", "HEAD")
-    if git(checkout, "status", "--porcelain", "--", "src", "perfbench"):
-        label += "-dirty"
-    return label
+def git_state(checkout):
+    """(commit id, dirty flag) of checkout; the flag covers src/ and perfbench/.
+
+    Read before the first run, so a checkout that is not a git repository
+    (e.g. one made with `git archive`) exits at once instead of after
+    every run.
+    """
+    try:
+        commit = git(checkout, "rev-parse", "HEAD")
+    except subprocess.CalledProcessError as exc:
+        raise SystemExit(f"{checkout} is not a git checkout: {exc.stderr.strip()}") from None
+    return commit, bool(git(checkout, "status", "--porcelain", "--", "src", "perfbench"))
 
 
 def run_once(checkout, workload, seed, seconds):
@@ -61,13 +68,14 @@ def summarize(samples):
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
-def main():
+def main(argv=None):
     parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
     parser.add_argument("--checkout", type=Path, default=ROOT)
     parser.add_argument("--label")
-    args = parser.parse_args()
+    args = parser.parse_args(argv)
     checkout = args.checkout.resolve()
-    label = args.label or default_label(checkout)
+    commit, dirty = git_state(checkout)
+    label = args.label or commit[:7] + ("-dirty" if dirty else "")
     bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in bench["workloads"]]
     metrics = {m["name"]: m["unit"] for m in bench["end_to_end"]}
@@ -84,9 +92,8 @@ def main():
 
     record = {
         "label": label,
-        "checkout_commit": git(checkout, "rev-parse", "HEAD"),
-        "uncommitted_changes": bool(git(checkout, "status", "--porcelain", "--",
-                                        "src", "perfbench")),
+        "checkout_commit": commit,
+        "uncommitted_changes": dirty,
         "command": bench["command"],
         "seed": SEED,
         "run_seconds": bench["run_seconds"],
