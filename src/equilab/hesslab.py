@@ -102,11 +102,10 @@ class HessianEstimate:
     """Symmetrized central-difference Hessian.
 
     asymmetry is ||H_raw - H_raw^T||_F measured before symmetrization,
-    kept as a quality signal; grad_norm is ||grad(theta)||_2.
+    kept as a quality signal.
     """
 
     h: np.ndarray
-    grad_norm: float
     asymmetry: float
 
 
@@ -121,9 +120,8 @@ def fd_hessian(loss_fn, grad_fn, theta):
     rows are bit-identical to single-theta calls, so is H to the
     column-by-column loop.  A result of any other shape raises
     DimensionError.  The gradient at theta is first validated against
-    finite differences of the loss (gradient_self_check).  That gradient
-    also gives grad_norm, so a Hessian takes ceil(n / FD_CHUNK) + 1
-    gradient calls.
+    finite differences of the loss (gradient_self_check), so a Hessian
+    takes ceil(n / FD_CHUNK) + 1 gradient calls.
     """
     theta = np.asarray(theta, dtype=np.float64).reshape(-1).copy()
     n = theta.size
@@ -131,7 +129,7 @@ def fd_hessian(loss_fn, grad_fn, theta):
         raise DimensionError(f"theta size {n} outside [1, {MAX_HESSIAN_DIM}]")
     if not np.isfinite(theta).all():
         raise DimensionError("theta contains non-finite entries")
-    g0 = gradient_self_check(loss_fn, grad_fn, theta)
+    gradient_self_check(loss_fn, grad_fn, theta)
     steps = fd_step_sizes(theta)
     h_raw = np.empty((n, n))
     for start in range(0, n, FD_CHUNK):
@@ -144,7 +142,7 @@ def fd_hessian(loss_fn, grad_fn, theta):
         h_raw[:, cols] = ((g[:k] - g[k:]) / (2.0 * steps[cols])[:, None]).T
     asym = float(np.linalg.norm(h_raw - h_raw.T))
     h = 0.5 * (h_raw + h_raw.T)
-    return HessianEstimate(h=h, grad_norm=float(np.linalg.norm(g0)), asymmetry=asym)
+    return HessianEstimate(h=h, asymmetry=asym)
 
 
 @dataclass(frozen=True)
@@ -193,12 +191,12 @@ def net_loss_functions(net, x, y):
 
     loss_fn takes one theta.  grad_fn follows the (n)->(n) row-stack
     contract: a theta of shape (n,) gives (n,), a (k, n) stack gives the
-    (k, n) gradients from one stacked forward/backward pass, which needs an
-    all-dense net (a conv layer raises DimensionError); batch norm stacks,
-    every row using the net's running statistics.  The closures own a
-    private clone, so the caller's net is untouched.  Evaluation uses eval
-    mode (deterministic, running statistics for any batch norm), and a
-    non-finite activation in any row raises NonFiniteActivationError.
+    (k, n) gradients from one stacked forward/backward pass, dense and
+    conv layers alike; batch norm stacks, every row using the net's
+    running statistics.  The closures own a private clone, so the caller's
+    net is untouched.  Evaluation uses eval mode (deterministic, running
+    statistics for any batch norm), and a non-finite activation in any row
+    raises NonFiniteActivationError.
     """
     worker = net.clone()
     x = np.asarray(x, dtype=np.float64)

@@ -15,17 +15,20 @@ while equilibration normalizes the rows of W itself, one per *input* unit
 Everything is float64 and handwritten numpy; backward passes return exact
 vector-Jacobian products of the forward graph.
 
-Dense-layer parameters may carry a leading stack axis: w of shape
-(k, in_dim, out_dim) and b of shape (k, out_dim) hold k independent
-parameter sets, evaluated on the same input in one pass (the row
-transforms act on the last axis, so they serve both forms).  Each stack
-member gives the same bits as the unstacked layer.  Batch norm reduces
-over the row axis -2, so it serves both forms too; with a stack, gamma,
-beta and the running buffers carry the leading k axis.  Conv layers take
-unstacked parameters only.
+Parameters of either kind may carry a leading stack axis: w of shape
+(k, in_dim, out_dim) for dense or (k, out_c, in_c, kh, kw) for conv, and
+b of shape (k, out) hold k independent parameter sets, evaluated in one
+pass (the row transforms act on the last axis, so they serve both forms).
+A stacked layer takes either an unstacked input, shared by every member,
+or an input with the leading k axis, one per member; its output carries
+the k axis.  Each stack member gives the same bits as the unstacked
+layer.  Batch norm reduces over the row axis -2, so it serves both forms
+too; with a stack, gamma, beta and the running buffers carry the leading
+k axis.
 """
 
 import logging
+import math
 from dataclasses import dataclass
 
 import numpy as np
@@ -309,7 +312,8 @@ class _LayerBase:
 
     A kind supplies only its views: _input_rows/_input_rows_vjp and
     _output/_output_rows for the data, _output_major/_from_output_major
-    and _reparam/_reparam_vjp for the weight.
+    and _reparam/_reparam_vjp for the weight.  Each view keeps any leading
+    stack axis.
     """
 
     def __init__(self, spec, w):
@@ -419,10 +423,10 @@ class DenseLayer(_LayerBase):
 
     Standardization/weight normalization act per output column;
     equilibration normalizes one row of W per input unit (its outgoing
-    weights).  A 4-d (conv) input is flattened to one row per sample.
-    With stacked parameters (W of shape (k, in_dim, out_dim)) a 2-d input
-    is broadcast over the stack and outputs and gradients carry the
-    leading k axis.
+    weights).  A conv output, 4-d or a 5-d stack of them, is flattened to
+    one row per sample.  With stacked parameters (W of shape (k, in_dim,
+    out_dim)) a 2-d input is broadcast over the stack and outputs and
+    gradients carry the leading k axis.
     """
 
     def __init__(self, spec, rng):
@@ -446,9 +450,9 @@ class DenseLayer(_LayerBase):
 
     def _input_rows(self, x):
         stacked = self.w.ndim == 3
-        x_shape = x.shape if x.ndim == 4 else None
+        x_shape = x.shape if x.ndim >= 4 else None
         if x_shape is not None:
-            x = x.reshape(x.shape[0], -1)
+            x = x.reshape(x.shape[:-3] + (-1,))
         if x.ndim != 2 and not (stacked and x.ndim == 3):
             raise DimensionError(f"dense layer expects 2-d input, got {x.ndim}-d")
         if x.shape[-1] != self.spec.in_dim:
@@ -459,7 +463,7 @@ class DenseLayer(_LayerBase):
     def _input_rows_vjp(self, drows, x_shape):
         if x_shape is None:
             return drows
-        return drows.reshape(drows.shape[:-2] + x_shape)
+        return drows.reshape(drows.shape[:-2] + x_shape[-4:])
 
 
 class Conv2dLayer(_LayerBase):
@@ -468,7 +472,10 @@ class Conv2dLayer(_LayerBase):
 
     Each row is one (sample, output position) patch and each column of z
     one output channel.  All weight transforms act on the unrolled
-    (out_c, in_c*kh*kw) view, one row per filter.
+    (out_c, in_c*kh*kw) view, one row per filter.  With stacked
+    parameters (kernel (k, out_c, in_c, kh, kw)) a 4-d input is unrolled
+    once and shared by every member, and a 5-d (k, N, C, H, W) input is
+    unrolled member by member as one (k*N, C, H, W) batch.
     """
 
     def __init__(self, spec, rng):
@@ -480,7 +487,7 @@ class Conv2dLayer(_LayerBase):
                                            size=(spec.out_channels, spec.in_channels, k, k)))
 
     def _output_major(self, w):
-        return w.reshape(w.shape[0], -1)
+        return w.reshape(w.shape[:-3] + (-1,))
 
     def _from_output_major(self, m):
         return m.reshape(self.w.shape)
@@ -493,30 +500,36 @@ class Conv2dLayer(_LayerBase):
         return rows_normalize_vjp(cache, dm)
 
     def _input_rows(self, x):
-        if self.w.ndim != 4:
-            raise DimensionError("conv layers take unstacked parameters only")
-        if x.ndim != 4:
+        stacked = self.w.ndim == 5
+        if x.ndim != 4 and not (stacked and x.ndim == 5):
             raise DimensionError(f"conv layer expects 4-d input, got {x.ndim}-d")
-        if x.shape[1] != self.spec.in_channels:
+        if x.shape[-3] != self.spec.in_channels:
             raise DimensionError(f"conv layer expects {self.spec.in_channels} channels, "
-                                 f"got {x.shape[1]}")
+                                 f"got {x.shape[-3]}")
         s = self.spec
-        cols, (oh, ow) = im2col(x, s.kernel_size, s.kernel_size, s.stride, s.padding)
-        return cols, (x.shape, oh, ow)
+        cols, (oh, ow) = im2col(x.reshape((-1,) + x.shape[-3:]), s.kernel_size,
+                                s.kernel_size, s.stride, s.padding)
+        return cols.reshape(x.shape[:-4] + (-1, cols.shape[-1])), (x.shape, oh, ow)
 
     def _input_rows_vjp(self, dcols, view):
         x_shape, oh, ow = view
         s = self.spec
-        return col2im(dcols, x_shape, s.kernel_size, s.kernel_size,
-                      s.stride, s.padding, oh, ow)
+        # a shared input's gradient comes back per member
+        lead = dcols.shape[:-2]
+        n, c, h, w = x_shape[-4:]
+        dx = col2im(dcols.reshape(-1, dcols.shape[-1]), (math.prod(lead) * n, c, h, w),
+                    s.kernel_size, s.kernel_size, s.stride, s.padding, oh, ow)
+        return dx.reshape(lead + x_shape[-4:])
 
-    # rows (n, oh, ow) x channels <-> NCHW
+    # rows (n, oh, ow) x channels <-> NCHW, behind any leading stack axis
     def _output(self, rows, view):
         x_shape, oh, ow = view
-        return rows.reshape(x_shape[0], oh, ow, -1).transpose(0, 3, 1, 2)
+        out = rows.reshape(rows.shape[:-2] + (x_shape[-4], oh, ow, -1))
+        return np.moveaxis(out, -1, -3)
 
     def _output_rows(self, grad):
-        return grad.transpose(0, 2, 3, 1).reshape(-1, self.spec.out_channels)
+        rows = np.moveaxis(grad, -3, -1)
+        return rows.reshape(rows.shape[:-4] + (-1, self.spec.out_channels))
 
 
 def build_layer(spec, rng):

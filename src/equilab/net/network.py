@@ -11,11 +11,12 @@ operation.  Code that changes a parameter writes into its array
 (`layer.w[...] = ...`); rebinding the attribute would detach it from the
 buffer.
 
-An all-dense network also takes a (k, n) stack of parameter vectors; one
-forward/backward then evaluates the k parameter sets on the same batch
-(see net.layers), and batch-norm running buffers carry the stack axis
-too.  A training forward of a stack finishes for every member, so
-train() can step k learning rates at once.
+A network of dense and conv layers alike also takes a (k, n) stack of
+parameter vectors; one forward/backward then evaluates the k parameter
+sets on the same batch (see net.layers), and batch-norm running buffers
+carry the stack axis too.  A training forward of a stack finishes for
+every member, so train() steps its learning rates, one or several, as
+one stack.
 """
 
 import dataclasses

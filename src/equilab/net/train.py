@@ -1,5 +1,6 @@
-"""Minibatch SGD with optional momentum, at one learning rate or at several
-trained as one parameter stack; loss functions and run traces.
+"""Minibatch SGD with optional momentum, one parameter stack of learning
+rates per run (a single rate is a one-member stack); loss functions and
+run traces.
 
 The shuffle stream depends only on (seed, epoch, n_samples), never on the
 network, so arms sharing a seed see identical batch boundaries; the trace
@@ -18,7 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from equilab._csvfmt import csv_text, format_rows
-from equilab.errors import DimensionError, NonFiniteActivationError, NonFiniteError
+from equilab.errors import DimensionError, NonFiniteError
 
 LOSSES = ("mse", "bce")
 DIVERGENCE_NORM = 1e12
@@ -183,23 +184,21 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
 
     The per-epoch eval loss is the full-batch eval-mode loss on (x, y).
 
-    Each step updates net.param_buffer as one vector, so net must hold
-    unstacked parameters (DimensionError otherwise).  A batch-norm net
-    skips a singleton remainder batch, and raises DimensionError up front
-    when every batch would be a singleton (batch_size 1 or one sample).
-    Each step's time covers its forward/backward pass and its update, the
-    first step included.  Divergence
-    (non-finite activations/loss, or a parameter beyond 1e12 in absolute
-    value or non-finite) stops the run at the end of the offending batch
-    and flags the trace instead of raising.
-
-    A 1-D sequence of learning rates trains them as one parameter stack of
-    an all-dense net: one forward/backward per batch covers every member,
-    and each member's trace has the bits of a call at its rate alone,
-    except that its step_times are the times of the stacked steps.  A
-    member that diverges leaves the stack at the end of its offending
-    batch.  Only the first rate records kappa; the other members' kappa
-    columns are nan.  net ends as a call at the first rate would leave it.
+    Every call trains a parameter stack, one member per rate (a single
+    rate is a one-member stack): one forward/backward per batch covers
+    every member, and each member's trace has the bits of a call at its
+    rate alone, except that its step_times are the times of the stacked
+    steps.  net must hold unstacked parameters (DimensionError otherwise)
+    and ends unstacked, as a call at the first rate alone would leave it,
+    also when training raises.  A batch-norm net skips a singleton
+    remainder batch, and raises DimensionError up front when every batch
+    would be a singleton (batch_size 1 or one sample).  Each step's time
+    covers its forward/backward pass and its update, the first step
+    included.  Divergence (non-finite activations/loss, or a parameter
+    beyond 1e12 in absolute value or non-finite) takes a member out of the
+    stack at the end of the offending batch and flags its trace instead of
+    raising.  Only the first rate records kappa; the other members' kappa
+    columns are nan.
     """
     if loss not in LOSSES:
         raise DimensionError(f"unknown loss {loss!r}")
@@ -219,51 +218,60 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
 
     if n < 1:
         raise DimensionError("training needs at least one sample")
-    flat = net.param_buffer
     has_bn = any(layer.batch_norm for layer in net.layers)
     if has_bn and min(n, batch_size) < 2:
         raise DimensionError(f"batch norm needs batches of at least 2 samples; "
                              f"{n} samples in batches of {batch_size} give none")
-    args = (net, x, y, loss, momentum, epochs, batch_size, seed, record_kappa, has_bn)
-    if rates.ndim:
-        return _train_stack(rates, *args)
-    lr = float(rates)
+    stack = _RateStack(net, rates.reshape(-1), momentum)
+    histories = [_History() for _ in stack.rates]
     data_hash = hashlib.sha256()
-    velocity = np.zeros_like(flat) if momentum else None
-    h = _History()
     nan_kappas = ([float("nan")] * len(net.layers),) * 2
 
-    for epoch in range(epochs):
-        batch_sizes = []
-        for xb, yb in _batches(x, y, seed, epoch, batch_size, has_bn, data_hash):
-            t0 = time.perf_counter()
-            try:
+    def leave(mask, epoch):
+        for r in stack.alive[mask]:
+            histories[r].diverged_at = epoch
+            histories[r].data_digest = data_hash.hexdigest()
+        stack.drop(mask)
+
+    try:
+        for epoch in range(epochs):
+            batch_sizes = []
+            for xb, yb in _batches(x, y, seed, epoch, batch_size, has_bn, data_hash):
+                t0 = time.perf_counter()
                 val, grads = loss_and_gradients(net, xb, yb, loss=loss)
-            except NonFiniteActivationError:
-                h.diverged_at = epoch
+                g = net.grads_to_vector(grads)
+                finite = np.isfinite(val)
+                if not finite.all():
+                    leave(~finite, epoch)
+                    if not stack.alive.size:
+                        break
+                    val, g = val[finite], g[finite]
+                stack.step(g)
+                dt = time.perf_counter() - t0
+                for r, v in zip(stack.alive, val.tolist()):
+                    histories[r].step_times.append(dt)
+                    histories[r].batch_losses.append(v)
+                batch_sizes.append(len(xb))
+                too_large = stack.too_large()
+                if too_large is not None:
+                    leave(too_large, epoch)
+                    if not stack.alive.size:
+                        break
+            if not stack.alive.size:
                 break
-            if not math.isfinite(val):
-                h.diverged_at = epoch
-                break
-            g = net.grads_to_vector(grads)
-            if velocity is not None:
-                velocity *= momentum
-                velocity += g
-                g = velocity
-            flat -= lr * g
-            h.step_times.append(time.perf_counter() - t0)
-            h.batch_losses.append(val)
-            batch_sizes.append(len(xb))
-            if not np.abs(flat).max() <= DIVERGENCE_NORM:
-                h.diverged_at = epoch
-                break
-        if h.diverged_at is not None:
-            break
-        ev, a = evaluate(net, x, y, loss=loss)
-        h.end_epoch(batch_sizes, ev, a,
-                    net.weight_condition_numbers() if record_kappa else nan_kappas)
-    h.data_digest = data_hash.hexdigest()
-    return h.trace(loss, len(net.layers))
+            ev, a = evaluate(net, x, y, loss=loss)
+            kappas = (net.weight_condition_numbers() if record_kappa and stack.alive[0] == 0
+                      else nan_kappas)
+            for j, r in enumerate(stack.alive):
+                histories[r].end_epoch(batch_sizes, float(ev[j]),
+                                       None if a is None else float(a[j]),
+                                       kappas if r == 0 else nan_kappas)
+    finally:
+        stack.finish()
+    for r in stack.alive:
+        histories[r].data_digest = data_hash.hexdigest()
+    traces = [h.trace(loss, len(net.layers)) for h in histories]
+    return traces if rates.ndim else traces[0]
 
 
 def _member_state(net, members):
@@ -289,8 +297,6 @@ class _RateStack:
     """
 
     def __init__(self, net, rates, momentum):
-        if any(spec.kind != "dense" for spec in net.specs):
-            raise DimensionError("a stack of learning rates needs an all-dense net")
         self.net, self.rates, self.momentum = net, rates, momentum
         self.alive = np.arange(len(rates))
         self.first_state = None
@@ -340,55 +346,3 @@ class _RateStack:
         if self.first_state is None:
             self.first_state = _member_state(self.net, 0)
         _load_state(self.net, self.first_state)
-
-
-def _train_stack(rates, net, x, y, loss, momentum, epochs, batch_size, seed,
-                 record_kappa, has_bn):
-    """train() for a 1-d array of learning rates; returns one trace each."""
-    stack = _RateStack(net, rates, momentum)
-    histories = [_History() for _ in rates]
-    data_hash = hashlib.sha256()
-    nan_kappas = ([float("nan")] * len(net.layers),) * 2
-
-    def leave(mask, epoch):
-        for r in stack.alive[mask]:
-            histories[r].diverged_at = epoch
-            histories[r].data_digest = data_hash.hexdigest()
-        stack.drop(mask)
-
-    for epoch in range(epochs):
-        batch_sizes = []
-        for xb, yb in _batches(x, y, seed, epoch, batch_size, has_bn, data_hash):
-            t0 = time.perf_counter()
-            val, grads = loss_and_gradients(net, xb, yb, loss=loss)
-            g = net.grads_to_vector(grads)
-            finite = np.isfinite(val)
-            if not finite.all():
-                leave(~finite, epoch)
-                if not stack.alive.size:
-                    break
-                val, g = val[finite], g[finite]
-            stack.step(g)
-            dt = time.perf_counter() - t0
-            for r, v in zip(stack.alive, val.tolist()):
-                histories[r].step_times.append(dt)
-                histories[r].batch_losses.append(v)
-            batch_sizes.append(len(xb))
-            too_large = stack.too_large()
-            if too_large is not None:
-                leave(too_large, epoch)
-                if not stack.alive.size:
-                    break
-        if not stack.alive.size:
-            break
-        ev, a = evaluate(net, x, y, loss=loss)
-        kappas = (net.weight_condition_numbers() if record_kappa and stack.alive[0] == 0
-                  else nan_kappas)
-        for j, r in enumerate(stack.alive):
-            histories[r].end_epoch(batch_sizes, float(ev[j]),
-                                   None if a is None else float(a[j]),
-                                   kappas if r == 0 else nan_kappas)
-    for r in stack.alive:
-        histories[r].data_digest = data_hash.hexdigest()
-    stack.finish()
-    return [h.trace(loss, len(net.layers)) for h in histories]

@@ -196,6 +196,27 @@ class TestParamBuffer:
         assert_params_in_buffer(make_teacher(kappa=1e3, seed=2))
 
 
+def _transform_kw(transform):
+    """Spec keywords of a weight transform or normalization name."""
+    if transform.startswith(("weight_", "batch_norm")):
+        return {"normalization": transform}
+    return {} if transform == "plain" else {"conditioning": transform}
+
+
+def _assert_rows_equal_single_gradients(net, x, rng, k):
+    """A (k, n) stack through net_loss_functions' grad_fn gives, row by
+    row, the bits of a call on that row alone."""
+    y = rng.standard_normal((len(x), 1))
+    net.forward(x, training=True)  # move any batch-norm running buffers
+    theta = net.get_params_vector()
+    stack = theta + 0.3 * rng.standard_normal((k, theta.size))
+    _, grad_fn = net_loss_functions(net, x, y)
+    g = grad_fn(stack)
+    assert g.shape == (k, theta.size)
+    for i in range(k):
+        np.testing.assert_array_equal(g[i], grad_fn(stack[i]))
+
+
 class TestStackedParameters:
     """A (k, n) parameter stack against one parameter vector at a time."""
 
@@ -206,25 +227,27 @@ class TestStackedParameters:
         "equilibrate_static", "equilibrate_reparam", "batch_norm",
         "batch_norm+weight_standardization"])
     def test_rows_equal_single_gradients(self, transform, act, k):
-        kw = {}
-        if transform.startswith(("weight_", "batch_norm")):
-            kw["normalization"] = transform
-        elif transform != "plain":
-            kw["conditioning"] = transform
+        kw = _transform_kw(transform)
         net = Network([DenseSpec(2, 6, activation=act, **kw),
                        DenseSpec(6, 4, activation=act, **kw),
                        DenseSpec(4, 1, **kw)], seed=7)
         rng = np.random.default_rng(k)
-        x = rng.standard_normal((32, 2))
-        y = rng.standard_normal((32, 1))
-        net.forward(x, training=True)  # move any batch-norm running buffers
-        theta = net.get_params_vector()
-        stack = theta + 0.3 * rng.standard_normal((k, theta.size))
-        _, grad_fn = net_loss_functions(net, x, y)
-        g = grad_fn(stack)
-        assert g.shape == (k, theta.size)
-        for i in range(k):
-            np.testing.assert_array_equal(g[i], grad_fn(stack[i]))
+        _assert_rows_equal_single_gradients(net, rng.standard_normal((32, 2)), rng, k)
+
+    @pytest.mark.parametrize("act", ["tanh", "relu"])
+    @pytest.mark.parametrize("transform", [
+        "plain", "weight_standardization", "weight_normalization",
+        "equilibrate_static", "equilibrate_reparam", "batch_norm",
+        "batch_norm+weight_normalization"])
+    def test_conv_rows_equal_single_gradients(self, transform, act):
+        # a shared 4-d input into a stacked conv layer, a stacked 5-d one
+        # into the next, then a dense layer on the flattened 5-d output
+        kw = _transform_kw(transform)
+        net = Network([Conv2dSpec(2, 3, kernel_size=3, padding=1, activation=act, **kw),
+                       Conv2dSpec(3, 2, kernel_size=2, stride=2, activation=act, **kw),
+                       DenseSpec(2 * 3 * 3, 1)], seed=4, input_shape=(2, 6, 6))
+        rng = np.random.default_rng(5)
+        _assert_rows_equal_single_gradients(net, rng.standard_normal((5, 2, 6, 6)), rng, 3)
 
     def test_stack_roundtrip_is_contiguous(self):
         net = small_dense(normalization="weight_normalization")
@@ -234,15 +257,6 @@ class TestStackedParameters:
         for layer in net.layers:
             for _, arr in layer.param_items():
                 assert arr.shape[0] == 3 and arr.flags.c_contiguous
-
-    def test_conv_rejects_stacks(self):
-        conv = Network([Conv2dSpec(1, 2, kernel_size=3), DenseSpec(2 * 3 * 3, 1)],
-                       seed=0, input_shape=(1, 5, 5))
-        _, grad_fn = net_loss_functions(conv, np.zeros((4, 25)), np.zeros((4, 1)))
-        theta = conv.get_params_vector()
-        grad_fn(theta)
-        with pytest.raises(DimensionError):
-            grad_fn(np.stack([theta, theta]))
 
     def test_batch_norm_buffers_follow_the_stack(self):
         # stacking copies the buffers to every member, unstacking keeps the

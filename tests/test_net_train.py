@@ -4,8 +4,8 @@ import numpy as np
 import pytest
 
 from equilab.bench.experiments import ARMS
-from equilab.errors import DimensionError, NonFiniteError
-from equilab.net.train import bce_loss, loss_and_gradients, mse_loss, train
+from equilab.errors import DimensionError, NonFiniteActivationError, NonFiniteError
+from equilab.net.train import bce_loss, evaluate, loss_and_gradients, mse_loss, train
 from equilab.net import Conv2dSpec, DenseSpec, Network
 from equilab.net.data import teacher_student_regression, two_moons
 
@@ -129,6 +129,26 @@ class TestTrain:
         assert tr.diverged and tr.diverged_at == 0
         assert tr.epochs_completed == 0
 
+    def test_net_ends_unstacked_when_training_raises(self, monkeypatch):
+        # the eval pass of epoch 1 raises; the net is left holding the
+        # parameters of its one member, as after the epoch's last step
+        x, y, _ = teacher_student_regression(16, seed=0)
+        net, ref = fresh_net(), fresh_net()
+        evals = []
+
+        def failing(n, *a, **kw):
+            evals.append(None)
+            if len(evals) == 2:
+                raise NonFiniteActivationError(1, stage="activation")
+            return evaluate(n, *a, **kw)
+
+        monkeypatch.setattr(train_module, "evaluate", failing)
+        with pytest.raises(NonFiniteActivationError):
+            train(net, x, y, lr=0.1, epochs=3, batch_size=8)
+        per_array_sgd(ref, x, y, loss="mse", lr=0.1, momentum=0.0, epochs=2,
+                      batch_size=8, seed=0)
+        np.testing.assert_array_equal(net.param_buffer, ref.param_buffer)
+
     def test_momentum_changes_the_path(self):
         x, y, _ = teacher_student_regression(96, seed=2)
         t0 = train(fresh_net(), x, y, lr=0.01, epochs=5, seed=1)
@@ -165,12 +185,6 @@ class TestTrain:
                 train(fresh_net(), x, y, lr=lr)
         with pytest.raises(DimensionError):
             train(stacked, x, y, lr=[0.1, 0.2])
-        conv = Network([Conv2dSpec(1, 1, kernel_size=1), DenseSpec(2, 1)],
-                       seed=0, input_shape=(1, 1, 2))
-        before = conv.get_params_vector()
-        with pytest.raises(DimensionError):
-            train(conv, x, y, lr=[0.1, 0.2])
-        np.testing.assert_array_equal(conv.get_params_vector(), before)
 
     @pytest.mark.parametrize("n, batch_size", [(16, 1), (1, 4)],
                              ids=["batch_size_1", "one_sample"])
@@ -207,12 +221,17 @@ class TestTrain:
 
 
 def per_array_sgd(net, x, y, *, loss, lr, momentum, epochs, batch_size, seed):
-    """The SGD loop as it was before the flat parameter buffer: one update
-    per parameter array, batches fancy-indexed from the permutation.
-    Returns the per-epoch train losses."""
+    """The SGD loop as it was before the flat parameter buffer and the rate
+    stack: one unstacked net, one update per parameter array, batches
+    fancy-indexed from the permutation.  train()'s divergence rule: a
+    non-finite activation or loss stops the run at the offending batch,
+    before its update, and a parameter beyond DIVERGENCE_NORM in absolute
+    value (or non-finite) after it.  Returns the per-epoch train losses of
+    the completed epochs and the epoch the run diverged in, or None."""
     has_bn = any(layer.batch_norm for layer in net.layers)
-    velocity = [{name: np.zeros_like(arr) for name, arr in layer.param_items()}
-                for layer in net.layers]
+    params = [(li, name, arr) for li, layer in enumerate(net.layers)
+              for name, arr in layer.param_items()]
+    velocity = [np.zeros_like(arr) for _, _, arr in params]
     n = x.shape[0]
     losses = []
     for epoch in range(epochs):
@@ -223,20 +242,73 @@ def per_array_sgd(net, x, y, *, loss, lr, momentum, epochs, batch_size, seed):
             idx = perm[start:start + batch_size]
             if has_bn and idx.size < 2:
                 continue
-            val, grads = loss_and_gradients(net, x[idx], y[idx], loss=loss)
-            for li, layer in enumerate(net.layers):
-                for name, arr in layer.param_items():
-                    g = np.asarray(grads[li][name]).reshape(arr.shape)
-                    if momentum:
-                        v = velocity[li][name]
-                        v *= momentum
-                        v += g
-                        g = v
-                    arr -= lr * g
+            try:
+                val, grads = loss_and_gradients(net, x[idx], y[idx], loss=loss)
+            except NonFiniteActivationError:
+                return np.array(losses), epoch
+            if not np.isfinite(val):
+                return np.array(losses), epoch
+            for (li, name, arr), v in zip(params, velocity):
+                g = np.asarray(grads[li][name]).reshape(arr.shape)
+                if momentum:
+                    v *= momentum
+                    v += g
+                    g = v
+                arr -= lr * g
             batch_losses.append(val)
             batch_sizes.append(idx.size)
+            if not all(np.abs(arr).max() <= train_module.DIVERGENCE_NORM
+                       for _, _, arr in params):
+                return np.array(losses), epoch
         losses.append(float(np.average(batch_losses, weights=batch_sizes)))
-    return np.array(losses)
+    return np.array(losses), None
+
+
+# an arm on a conv-conv-dense net over 1x4x4 images, with batch norm and
+# equilibrate_reparam on both conv layers
+CONV_ARM = "conv_bn+e"
+
+
+def arm_fixture(arm, loss, hidden):
+    """(net factory, x, y) of 37 samples for an arm of ARMS on a dense
+    2-*hidden-1 net, or for CONV_ARM.
+
+    37 samples in batches of 4 leave a singleton remainder, which the
+    batch-norm arms skip.
+    """
+    out_act = "sigmoid_output" if loss == "bce" else "identity"
+    if arm == CONV_ARM:
+        rng = np.random.default_rng(1)
+        x = rng.standard_normal((37, 16))
+        z = np.tanh(x @ rng.standard_normal((16, 1)) / 4.0)
+        y = (z > 0).astype(float) if loss == "bce" else z
+        return (lambda: conv_net("batch_norm", "equilibrate_reparam", out_act)), x, y
+    if loss == "bce":
+        x, y = two_moons(37, noise=0.2, seed=1)
+    else:
+        x, y, _ = teacher_student_regression(37, seed=1, kappa=10.0)
+    norm, cond = ARMS[arm]
+    widths = (2, *hidden)
+    acts = ("tanh", "relu")
+
+    def arm_net():
+        specs = [DenseSpec(a, b, activation=act, normalization=norm)
+                 for a, b, act in zip(widths, widths[1:], acts)]
+        net = Network([*specs, DenseSpec(widths[-1], 1, activation=out_act)], seed=5)
+        return net if cond == "none" else net.with_conditioning(cond)
+
+    return arm_net, x, y
+
+
+def conv_net(norm, cond, out_act="identity"):
+    """1x4x4 images -> conv 3x3 (3 filters, tanh) -> conv 2x2 stride 2
+    (2 filters, relu) -> dense 8 -> 1; norm and cond on both conv layers."""
+    net = Network([Conv2dSpec(1, 3, kernel_size=3, padding=1, activation="tanh",
+                              normalization=norm),
+                   Conv2dSpec(3, 2, kernel_size=2, stride=2, activation="relu",
+                              normalization=norm),
+                   DenseSpec(8, 1, activation=out_act)], seed=5, input_shape=(1, 4, 4))
+    return net if cond == "none" else net.with_conditioning(cond)
 
 
 class TestFlatStepMatchesPerArrayLoop:
@@ -244,29 +316,15 @@ class TestFlatStepMatchesPerArrayLoop:
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("loss", ["mse", "bce"])
-    @pytest.mark.parametrize("arm", list(ARMS))
+    @pytest.mark.parametrize("arm", [*ARMS, CONV_ARM])
     def test_bit_identical(self, arm, loss, momentum):
-        # 37 samples in batches of 4 leave a singleton remainder, which the
-        # batch-norm arms skip
-        if loss == "bce":
-            x, y = two_moons(37, noise=0.2, seed=1)
-            out_act = "sigmoid_output"
-        else:
-            x, y, _ = teacher_student_regression(37, seed=1, kappa=10.0)
-            out_act = "identity"
-        norm, cond = ARMS[arm]
-
-        def arm_net():
-            net = Network([DenseSpec(2, 6, activation="tanh", normalization=norm),
-                           DenseSpec(6, 1, activation=out_act)], seed=5)
-            return net if cond == "none" else net.with_conditioning(cond)
-
+        arm_net, x, y = arm_fixture(arm, loss, hidden=(6,))
         kw = dict(loss=loss, lr=0.1, momentum=momentum, epochs=3, batch_size=4, seed=2)
         ref = arm_net()
-        ref_losses = per_array_sgd(ref, x, y, **kw)
+        ref_losses, ref_diverged_at = per_array_sgd(ref, x, y, **kw)
         net = arm_net()
         tr = train(net, x, y, record_kappa=False, **kw)
-        assert not tr.diverged
+        assert not tr.diverged and ref_diverged_at is None
         np.testing.assert_array_equal(tr.train_loss, ref_losses)
         np.testing.assert_array_equal(net.get_params_vector(), ref.get_params_vector())
 
@@ -275,50 +333,86 @@ TRACE_FIELDS = ("train_loss", "eval_loss", "accuracy", "kappa_weights", "kappa_e
                 "diverged", "diverged_at", "data_digest")
 
 
+def assert_members_match_reference(arm_net, x, y, rates, **kw):
+    """Train arm_net() on a stack of rates; each member's train_loss and
+    diverged_at equal per_array_sgd's at its rate, the net ends with the
+    parameters and batch-norm buffers of the first rate's reference run,
+    and each trace equals a solo train() call's (a one-member stack),
+    except for step_times, which are the stacked steps' times.  Returns
+    the traces."""
+    net = arm_net()
+    traces = train(net, x, y, lr=rates, **kw)
+    steps = traces[0].step_times
+    for i, lr in enumerate(rates):
+        ref = arm_net()
+        ref_losses, ref_diverged_at = per_array_sgd(
+            ref, x, y, lr=lr, **{k: v for k, v in kw.items() if k != "record_kappa"})
+        np.testing.assert_array_equal(traces[i].train_loss, ref_losses)
+        assert traces[i].diverged_at == ref_diverged_at
+        if i == 0:
+            np.testing.assert_array_equal(net.param_buffer, ref.param_buffer)
+            for mine, theirs in zip(net.layers, ref.layers):
+                for (_, a), (_, b) in zip(mine.buffer_items(), theirs.buffer_items()):
+                    np.testing.assert_array_equal(a, b)
+        want = train(arm_net(), x, y, lr=lr, **{**kw, "record_kappa": i == 0})
+        for field in TRACE_FIELDS:
+            np.testing.assert_array_equal(getattr(traces[i], field), getattr(want, field))
+        assert len(traces[i].step_times) == len(want.step_times)
+        np.testing.assert_array_equal(traces[i].step_times, steps[:len(want.step_times)])
+    return traces
+
+
 class TestRateStack:
-    """train() on a sequence of rates against one solo call per rate."""
+    """train() on a sequence of rates against per_array_sgd at each rate."""
 
     @pytest.mark.parametrize("momentum", [0.0, 0.9])
     @pytest.mark.parametrize("loss", ["mse", "bce"])
-    @pytest.mark.parametrize("arm", list(ARMS))
+    @pytest.mark.parametrize("arm", [*ARMS, CONV_ARM])
     def test_members_equal_solo_runs(self, arm, loss, momentum):
-        # 37 samples in batches of 4 leave a singleton remainder; 1e30
-        # diverges in every arm and 1e4 in most, so members leave the stack
-        # at different batches
-        if loss == "bce":
-            x, y = two_moons(37, noise=0.2, seed=1)
-            out_act = "sigmoid_output"
-        else:
-            x, y, _ = teacher_student_regression(37, seed=1, kappa=10.0)
-            out_act = "identity"
-        norm, cond = ARMS[arm]
+        # 1e30 diverges in every arm and 1e4 in most, so members leave the
+        # stack at different batches
+        arm_net, x, y = arm_fixture(arm, loss, hidden=(6, 5))
+        traces = assert_members_match_reference(
+            arm_net, x, y, [0.1, 1e4, 0.3, 1e30],
+            loss=loss, momentum=momentum, epochs=3, batch_size=4, seed=2)
+        assert traces[3].diverged and not traces[0].diverged
+
+    @pytest.mark.parametrize("cond", ["none", "equilibrate_static", "equilibrate_reparam"])
+    @pytest.mark.parametrize("norm", ["none", "batch_norm", "weight_standardization",
+                                      "weight_normalization"])
+    def test_conv_members_match_reference(self, norm, cond):
+        x = np.random.default_rng(3).standard_normal((37, 16))
+        y = np.sin(x[:, :1])
+        traces = assert_members_match_reference(
+            lambda: conv_net(norm, cond), x, y, [0.05, 1e30, 0.2],
+            loss="mse", momentum=0.9, epochs=3, batch_size=4, seed=2)
+        assert traces[1].diverged and not traces[0].diverged
+
+    @pytest.mark.parametrize("scale, stage", [(1e160, "loss"), (1.7e308, "activation")])
+    def test_non_finite_batch_matches_reference(self, scale, stage):
+        # one sample, put in epoch 0's sixth batch, overflows the squared
+        # error or the first layer's preactivations; the 1e30 member has
+        # left by then, at the first batch, by the parameter bound
+        rng = np.random.default_rng(4)
+        x = rng.standard_normal((37, 4))
+        y = np.sin(x[:, :1])
+        perm = np.random.default_rng(np.random.SeedSequence((2, 37, 0))).permutation(37)
+        x[perm[20]] = scale
 
         def arm_net():
-            net = Network([DenseSpec(2, 6, activation="tanh", normalization=norm),
-                           DenseSpec(6, 5, activation="relu", normalization=norm),
-                           DenseSpec(5, 1, activation=out_act)], seed=5)
-            return net if cond == "none" else net.with_conditioning(cond)
+            return Network([DenseSpec(4, 6, activation="relu"), DenseSpec(6, 1)], seed=0)
 
-        rates = [0.1, 1e4, 0.3, 1e30]
-        kw = dict(loss=loss, momentum=momentum, epochs=3, batch_size=4, seed=2)
-        net = arm_net()
-        traces = train(net, x, y, lr=rates, **kw)
-        assert traces[3].diverged and not traces[0].diverged
-        steps = traces[0].step_times
-        for i, lr in enumerate(rates):
-            solo = arm_net()
-            want = train(solo, x, y, lr=lr, record_kappa=i == 0, **kw)
-            for field in TRACE_FIELDS:
-                np.testing.assert_array_equal(getattr(traces[i], field), getattr(want, field))
-            assert len(traces[i].step_times) == len(want.step_times)
-            np.testing.assert_array_equal(traces[i].step_times,
-                                          steps[:len(want.step_times)])
-            if i == 0:
-                # the net ends as the first rate alone leaves it
-                np.testing.assert_array_equal(net.param_buffer, solo.param_buffer)
-                for mine, theirs in zip(net.layers, solo.layers):
-                    for (_, a), (_, b) in zip(mine.buffer_items(), theirs.buffer_items()):
-                        np.testing.assert_array_equal(a, b)
+        with np.errstate(over="ignore", invalid="ignore"):
+            if stage == "loss":
+                assert loss_and_gradients(arm_net(), x[perm[20:21]], y[:1])[0] == np.inf
+            else:
+                with pytest.raises(NonFiniteActivationError):
+                    loss_and_gradients(arm_net(), x[perm[20:21]], y[:1])
+            traces = assert_members_match_reference(
+                arm_net, x, y, [0.05, 0.1, 1e30],
+                loss="mse", momentum=0.0, epochs=3, batch_size=4, seed=2)
+        assert [t.diverged_at for t in traces] == [0, 0, 0]
+        assert [len(t.step_times) for t in traces] == [5, 5, 1]
 
     def test_first_rate_diverging_leaves_its_net(self):
         x, y, _ = teacher_student_regression(40, seed=0, kappa=1e3)
