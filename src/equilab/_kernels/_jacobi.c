@@ -1,6 +1,6 @@
 /* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
  * module's method table, which also lists the trace-CSV formatter
- * format_rows (_reprfmt.cpp).
+ * format_text (_reprfmt.cpp).
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -344,22 +344,24 @@ done:
 }
 
 /* Defined in _reprfmt.cpp. */
-PyObject *reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs);
+PyObject *reprfmt_format_text(PyObject *self, PyObject *args, PyObject *kwargs);
 
-PyDoc_STRVAR(format_rows_doc,
-"format_rows(values, lead, sep)\n--\n\n"
-"Rows of values as a list of str: sep-joined cells, each equal to\n"
-"repr(float(x)), led by lead[i] when lead is a list of str (one per\n"
-"row) rather than None.  values must be a C-contiguous 2-d float64\n"
-"array; see equilab._csvfmt.format_rows for the contract.");
+PyDoc_STRVAR(format_text_doc,
+"format_text(prefix, values, lead, sep)\n--\n\n"
+"prefix, then every row of values, each followed by CRLF, as one str.\n"
+"A row is its sep-joined cells, each equal to repr(float(x)), led by\n"
+"lead[i] when lead is a list of str (one per row) rather than None.\n"
+"values must be a C-contiguous 2-d float64 array; prefix, sep and every\n"
+"lead item must be ASCII.  See equilab._csvfmt.format_csv for the\n"
+"contract.");
 
 static PyMethodDef methods[] = {
     {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
      METH_VARARGS | METH_KEYWORDS, jacobi_sweeps_doc},
     {"qrcp", (PyCFunction)(void (*)(void))qrcp,
      METH_VARARGS | METH_KEYWORDS, qrcp_doc},
-    {"format_rows", (PyCFunction)(void (*)(void))reprfmt_format_rows,
-     METH_VARARGS | METH_KEYWORDS, format_rows_doc},
+    {"format_text", (PyCFunction)(void (*)(void))reprfmt_format_text,
+     METH_VARARGS | METH_KEYWORDS, format_text_doc},
     {NULL, NULL, 0, NULL}
 };
 

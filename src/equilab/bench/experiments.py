@@ -371,6 +371,9 @@ def run_quad(cfg: ExperimentConfig, out_dir, manifest):
         manifest.diverged[name] = bool(trace.diverged)
         _emit(manifest, out_dir, f"quad_{_arm_filename(name)}.csv", trace.to_csv())
         series.append(LineSeries(name, tuple(range(len(excess))), tuple(excess.tolist())))
+        # one arm's trace alive at a time: the next arm's run and text
+        # reuse its memory
+        del trace
     _emit_csv(manifest, out_dir, "summary.csv", rows)
     _emit(manifest, out_dir, "quad_excess.svg",
           emit_svg(series, title="excess loss under GD", xlabel="iteration",

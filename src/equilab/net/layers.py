@@ -345,7 +345,9 @@ class _LayerBase:
         out = apply_activation(self.spec.activation, z)
         return self._output(out, view), (rows, view, w_eff_om, wcaches, z, bncache, out)
 
-    def backward(self, grad, cache):
+    def backward(self, grad, cache, need_dx=True):
+        """(gradient w.r.t. the input, or None unless need_dx, parameter
+        gradients by name) from the gradient w.r.t. the output."""
         rows, view, w_eff_om, wcaches, z, bncache, out = cache
         dz = activation_vjp(self.spec.activation, z, out, self._output_rows(grad))
         grads = {}
@@ -353,7 +355,7 @@ class _LayerBase:
             dz, grads["gamma"], grads["beta"] = bn_vjp(bncache, dz)
         grads["b"] = dz.sum(axis=-2)
         dweff_om = dz.swapaxes(-1, -2) @ rows
-        dx = self._input_rows_vjp(dz @ w_eff_om, view)
+        dx = self._input_rows_vjp(dz @ w_eff_om, view) if need_dx else None
         grads["w"], dg = self._weight_vjp(dweff_om, wcaches)
         if dg is not None:
             grads["g"] = dg

@@ -168,11 +168,16 @@ class Network:
 
     def backward(self, grad_out, caches):
         """Backprop a gradient w.r.t. the network output; returns per-layer
-        grad dicts aligned with self.layers."""
+        grad dicts aligned with self.layers.
+
+        The first layer's input gradient has no reader, so it is not
+        computed: a dense first layer skips one matmul, a conv first layer
+        the col2im scatter-add.
+        """
         grads = [None] * len(self.layers)
         g = grad_out
         for i in range(len(self.layers) - 1, -1, -1):
-            g, grads[i] = self.layers[i].backward(g, caches[i])
+            g, grads[i] = self.layers[i].backward(g, caches[i], need_dx=i > 0)
         return grads
 
     # -- parameter vector interface -------------------------------------

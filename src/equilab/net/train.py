@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equilab._csvfmt import csv_text, format_rows
+from equilab._csvfmt import format_csv
 from equilab.errors import DimensionError, NonFiniteError
 
 LOSSES = ("mse", "bce")
@@ -112,10 +112,11 @@ class TrainTrace:
     def to_csv(self):
         """CSV text, one row per completed epoch (CRLF line ends).
 
-        Every float cell is its shortest round-trip `repr`;
-        `_csvfmt.format_rows` writes them, in the compiled extension or,
-        on the numpy fallback, with one `repr` call per distinct value per
-        block of rows.
+        Every float cell is its shortest round-trip `repr`.  The whole
+        text comes from one `_csvfmt.format_csv` call: on the compiled
+        backend the extension writes it in place into one str, on the
+        numpy fallback `repr` runs once per distinct value per block of
+        rows.
         """
         n_layers = self.kappa_weights.shape[1]
         cols = ["epoch", "train_loss", "eval_loss"]
@@ -126,8 +127,7 @@ class TrainTrace:
         cols += [f"kappa_w{i}" for i in range(n_layers)]
         cols += [f"kappa_eff{i}" for i in range(n_layers)]
         values = np.column_stack([*columns, self.kappa_weights, self.kappa_effective])
-        rows = format_rows(values, first=range(self.epochs_completed))
-        return csv_text([",".join(cols)] + rows)
+        return format_csv([",".join(cols)], values, first=range(self.epochs_completed))
 
 
 class _History:

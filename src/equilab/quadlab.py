@@ -17,7 +17,7 @@ from functools import cached_property
 import numpy as np
 
 from equilab import densela
-from equilab._csvfmt import csv_text, format_rows
+from equilab._csvfmt import format_csv
 from equilab.errors import (
     DimensionError,
     InaccurateSolveError,
@@ -31,6 +31,11 @@ MAX_ITERS = 1_000_000
 # temporaries out of peak RSS (whole-trace 1 MB temporaries of a 2000-step,
 # 64-dim run cost 1-2 MB of it)
 TRACE_BLOCK_ROWS = 128
+# cells (8 bytes each) run_gd reserves for iterates up front: a whole
+# trace of up to 2**20 cells (quad64's 2001 x 64 is 128K) is allocated
+# once; a longer one starts at this size and doubles as it runs, so an
+# early divergence never reserves iters * n cells
+GD_PREALLOC_CELLS = 2**20
 
 
 def _check_vector(b, n, name="b"):
@@ -156,27 +161,23 @@ class GDTrace:
         """CSV text: a metadata comment line, then RFC-4180 rows (CRLF line
         ends).
 
-        Every float, sigma included, is its shortest round-trip `repr`;
-        `_csvfmt.format_rows` writes them, in the compiled extension or,
-        on the numpy fallback, with one `repr` call per distinct value per
-        block of rows.
+        Every float, sigma included, is its shortest round-trip `repr`.
+        The text comes from `_csvfmt.format_csv`, sigma's cells inside the
+        comment line from a second, one-row call: on the compiled backend
+        the extension writes the text in place into one str, on the numpy
+        fallback `repr` runs once per distinct value per block of rows.
         """
         n_modes = self.mode_coeffs.shape[1]
-        buf = [
-            "# eta=%r kappa=%r diverged=%s sigma=[%s]"
-            % (
-                self.eta,
-                self.kappa,
-                self.diverged,
-                format_rows(self.sigma[None, :], sep=" ")[0],
-            )
-        ]
+        meta = "# eta=%r kappa=%r diverged=%s sigma=[%s]" % (
+            self.eta,
+            self.kappa,
+            self.diverged,
+            format_csv([], self.sigma[None, :], sep=" ")[:-2],
+        )
         header = "iter,loss,theta_norm" + "".join(f",mode_{i}" for i in range(n_modes))
-        buf.append(header)
         norms = np.linalg.norm(self.iterates, axis=1)
         values = np.column_stack([self.losses, norms, self.mode_coeffs])
-        buf += format_rows(values, first=range(len(values)))
-        return csv_text(buf)
+        return format_csv([meta, header], values, first=range(len(values)))
 
 
 def run_gd(problem, theta0, eta, iters):
@@ -185,8 +186,13 @@ def run_gd(problem, theta0, eta, iters):
 
     Terminates early with the diverged flag once the iterate norm exceeds
     1e12 or goes non-finite; the offending iterate is kept so traces stay
-    inspectable.  The loop computes only the iterates; the losses and mode
-    coefficients are computed after it, one batched call per block of
+    inspectable.  The loop computes only the iterates, into one
+    (iters + 1, n) array allocated before the first step when it holds at
+    most GD_PREALLOC_CELLS cells; a longer run starts with that many cells
+    and doubles the array, up to iters + 1 rows, as steps need it.  A
+    trace that stops early keeps a copy of the rows it ran, not that
+    array.  The losses and mode coefficients are
+    computed after the loop, one batched call per block of
     TRACE_BLOCK_ROWS iterates, with the bits of per-step calls (see
     `QuadraticProblem.loss`).
     """
@@ -198,18 +204,25 @@ def run_gd(problem, theta0, eta, iters):
     res = problem.svd
     theta_star = problem.theta_star  # raises before the loop on an indefinite A
 
-    # theta is rebound every step, never written in place, so no copies
-    iterates = [theta]
+    # theta stays a fresh array every step, so the gradient's BLAS call
+    # sees the operand it saw when these bits were set; a row is a copy
+    iterates = np.empty((min(iters + 1, max(1, GD_PREALLOC_CELLS // problem.n)), problem.n))
+    iterates[0] = theta
     diverged = False
-    for _ in range(iters):
+    for t in range(1, iters + 1):
         theta = theta - eta * problem.gradient(theta)
-        iterates.append(theta)
+        if t == len(iterates):
+            grown = np.empty((min(iters + 1, 2 * t), problem.n))
+            grown[:t] = iterates
+            iterates = grown
+        iterates[t] = theta
         # what np.linalg.norm computes for a 1-D array, without its overhead
         norm = math.sqrt(theta.dot(theta))
         if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
             diverged = True
+            # keep the rows run, not the buffer sized for more steps
+            iterates = iterates[:t + 1].copy()
             break
-    iterates = np.array(iterates)
     losses = np.empty(len(iterates))
     modes = np.empty_like(iterates)
     for i in range(0, len(iterates), TRACE_BLOCK_ROWS):

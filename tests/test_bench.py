@@ -2,13 +2,14 @@ import json
 import os
 import subprocess
 import sys
+import tracemalloc
 from pathlib import Path
 
 import numpy as np
 import pytest
 
-from equilab import densela
-from equilab.bench import cli, experiments, svgplot
+from equilab import _kernels, densela, quadlab
+from equilab.bench import cli, experiments, manifest, svgplot
 from equilab.bench.config import default_config, load_config, resolve_config
 from equilab.bench.experiments import (ARMS, list_arms, max_nondiverging_lr,
                                        run_experiment, scale_first_layer_rows)
@@ -162,12 +163,54 @@ class TestSvgPlot:
             svgplot.LineSeries("x", [0, 1], [1.0])
 
 
+S = manifest.WRITE_SLICE_CHARS
+
+
 class TestManifest:
     def test_atomic_write(self, tmp_path):
         p = tmp_path / "f.txt"
         atomic_write_text(p, "hello")
         assert p.read_text() == "hello"
         assert os.listdir(tmp_path) == ["f.txt"]  # no temp residue
+
+    @pytest.mark.parametrize("text", [
+        "", "a,b\r\n", "x" * (S - 1), "y" * S, "z\r\n" * S + "tail",
+        # multi-byte characters whose bytes straddle a slice's byte offset
+        "a" * (S - 1) + "\u00e9" + "b" * S,
+        "a" * (S - 2) + "\U0001f600\u20ac" + "c\n" * S,
+    ], ids=["empty", "short", "one slice less one", "one slice", "several slices",
+            "2-byte char at a boundary", "4- and 3-byte chars at a boundary"])
+    def test_sliced_write_equals_utf8_encoding(self, tmp_path, text):
+        p = tmp_path / "f.txt"
+        atomic_write_text(p, text)
+        assert p.read_bytes() == text.encode("utf-8")
+        assert os.listdir(tmp_path) == ["f.txt"]
+
+    def test_trace_file_text_exists_once(self, tmp_path):
+        """Writing a GD trace's CSV holds about one copy of its text.
+
+        tracemalloc peak over len(text), 2000 steps x 64 dims (2.75M chars):
+        before the one-text formatter and the sliced write, 2.44 on both
+        backends (rows and their join, then the whole text encoded); now
+        1.64 compiled (the text's upper-bound allocation, about 1.2, plus
+        the cell matrix) and 2.48 on the numpy fallback (its rows and
+        their join).
+        """
+        rng = np.random.default_rng(0)
+        q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
+        a = (q * np.geomspace(1e6, 1.0, 64)) @ q.T
+        prob = quadlab.QuadraticProblem(0.5 * (a + a.T), rng.standard_normal(64))
+        trace = quadlab.run_gd(prob, rng.standard_normal(64),
+                               0.5 * quadlab.max_stable_lr(prob), 2000)
+        n_chars = len(trace.to_csv())
+        tracemalloc.start()
+        try:
+            atomic_write_text(tmp_path / "quad.csv", trace.to_csv())
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 1.8 if _kernels.BACKEND == "compiled" else 2.7
+        assert peak < bound * n_chars, (peak, n_chars)
 
     @pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
     def test_roundtrip_via_run(self, tmp_path, kind):

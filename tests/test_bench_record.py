@@ -1,4 +1,5 @@
 import importlib.util
+import json
 import subprocess
 from pathlib import Path
 
@@ -49,3 +50,99 @@ def test_git_state_reads_commit_and_dirty_flag(bench_record, tmp_path, monkeypat
     assert len(commit) == 40 and not dirty
     (tmp_path / "src" / "m.py").write_text("x = 2\n", encoding="utf-8")
     assert bench_record.git_state(tmp_path) == (commit, True)
+
+
+def make_checkout(path, monkeypatch):
+    """A git checkout at path whose BENCHMARK.json names two workloads."""
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(path.parent))
+    path.mkdir()
+    (path / "BENCHMARK.json").write_text(
+        '{"command": ["run"], "run_seconds": 1, "workloads": [{"name": "w1"}, '
+        '{"name": "w2"}], "end_to_end": [{"name": "run_s", "unit": "s"}]}',
+        encoding="utf-8")
+    for args in (["init", "-q"], ["add", "-A"], ["commit", "-q", "-m", path.name]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=path, check=True, capture_output=True)
+    return path
+
+
+@pytest.fixture
+def paired(bench_record, tmp_path, monkeypatch):
+    """(base, checkout, output directory, list of run_once calls); run_once
+    is replaced by a fake that records (checkout name, workload)."""
+    base = make_checkout(tmp_path / "base", monkeypatch)
+    head = make_checkout(tmp_path / "head", monkeypatch)
+    out = tmp_path / "out"
+    out.mkdir()
+    monkeypatch.setattr(bench_record, "ROOT", out)
+    calls = []
+
+    def run_once(checkout, workload, seed, seconds):
+        calls.append((checkout.name, workload))
+        summary = {"metrics": {"run_s": {"value": float(len(calls))}},
+                   "correct": True, "failed": 0, "attempted": 3}
+        return {"env": {"kernel_backend": checkout.name}}, summary
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    return base, head, out, calls
+
+
+def test_base_and_checkout_alternate_abba(bench_record, paired, monkeypatch):
+    base, head, out, calls = paired
+    monkeypatch.delenv("EQUILAB_PURE_PYTHON", raising=False)
+    bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
+    old_label = bench_record.git(base, "rev-parse", "HEAD")[:7]
+    runs = bench_record.RUNS
+    assert len(calls) == 2 * 2 * runs
+    for workload in ("w1", "w2"):
+        order = "".join("A" if c == "base" else "B" for c, w in calls if w == workload)
+        assert order == "ABBA" * (runs // 2) + "AB" * (runs % 2)
+    old = json.loads((out / f"BENCH_{old_label}.json").read_text(encoding="utf-8"))
+    new = json.loads((out / "BENCH_new.json").read_text(encoding="utf-8"))
+    assert (old["partner"], new["partner"]) == ("new", old_label)
+    assert old["session"] == new["session"]
+    assert (old["session"]["base"], old["session"]["checkout"]) == (old_label, "new")
+    assert (old["env"]["kernel_backend"], new["env"]["kernel_backend"]) == ("base", "head")
+    # each side's samples are its own runs, in order
+    samples = new["workloads"]["w1"]["metrics"]["run_s"]["samples"]
+    assert samples == [float(i + 1) for i, c in enumerate(calls) if c == ("head", "w1")]
+
+
+@pytest.mark.parametrize("failing", ["base", "head"])
+def test_a_failed_run_on_either_side_writes_nothing(bench_record, paired, monkeypatch,
+                                                    failing):
+    base, head, out, calls = paired
+    fake = bench_record.run_once
+
+    def run_once(checkout, workload, seed, seconds):
+        # fail in the last round, after every other run succeeded
+        if checkout.name == failing and len(calls) >= 4 * (bench_record.RUNS - 1):
+            raise SystemExit(f"perfbench/run.py --workload {workload} failed")
+        return fake(checkout, workload, seed, seconds)
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    with pytest.raises(SystemExit):
+        bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
+    assert list(out.iterdir()) == []
+
+
+def test_same_label_on_both_sides_exits_before_any_run(bench_record, paired,
+                                                      monkeypatch):
+    base, head, out, calls = paired
+    monkeypatch.delenv("EQUILAB_PURE_PYTHON", raising=False)
+    base_label = bench_record.git(base, "rev-parse", "HEAD")[:7]
+    with pytest.raises(SystemExit, match="pass --label"):
+        bench_record.main(["--checkout", str(head), "--label", base_label,
+                           "--base", str(base)])
+    assert calls == []
+
+
+@pytest.mark.parametrize("pure, suffix", [("", ""), ("0", ""), ("1", "-python")])
+def test_default_label_names_the_forced_fallback(bench_record, paired, monkeypatch,
+                                                  pure, suffix):
+    base, head, out, calls = paired
+    monkeypatch.setenv("EQUILAB_PURE_PYTHON", pure)
+    commit = bench_record.git(base, "rev-parse", "HEAD")
+    assert bench_record.side(base).label == commit[:7] + suffix
+    assert bench_record.side(base, "x").label == "x"

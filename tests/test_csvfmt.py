@@ -1,6 +1,8 @@
-"""`_csvfmt.format_rows` and both of its formatters, the compiled one
-(`_jacobi.format_rows`) and the numpy fallback, against one
-`repr(float(x))` call per cell.
+"""The trace-CSV formatters against one `repr(float(x))` call per cell:
+`_csvfmt.format_rows` (the numpy fallback's rows), and `_csvfmt.format_csv`
+on both of its backends, the compiled one-text writer
+(`_jacobi.format_text`) and the numpy fallback, against `csv_text` of the
+per-cell rows.
 
 The compiled formatter is also checked on its own in fresh interpreters,
 so that a fault fails one test instead of ending the session; those tests
@@ -55,6 +57,17 @@ SPECIAL_BITS = (
 )
 
 
+# both signs of the cells where repr's layout switches or that arithmetic
+# rarely makes: NaNs with payloads, infinities, zeros, subnormals, the
+# 1e16/1e17 and 1e-4/1e-5 switches of the exponent form, the largest double
+ADVERSARIAL = np.concatenate([
+    np.array(SPECIAL_BITS, dtype=np.int64).view(np.float64),
+    [1e16, 1e17, np.nextafter(1e16, 0.0), 9999999999999998.0, 1e-4, 1e-5,
+     np.nextafter(1e-4, 0.0), 0.00012345678901234567],
+])
+ADVERSARIAL = np.concatenate([ADVERSARIAL, -ADVERSARIAL])
+
+
 def reference_rows(values, first=None, sep=","):
     """The per-cell formatting `format_rows` must reproduce byte for byte."""
     rows = []
@@ -77,7 +90,14 @@ def matrix(palette, n_rows, n_cols, seed):
 # The checks below take a formatter fmt(values, lead, sep), where lead is
 # None or one str per row, and raise AssertionError on a wrong result.
 # They are module-level functions so that a fresh interpreter can import
-# this module and run them on the compiled formatter (run_compiled).
+# this module and run them on the compiled formatter (run_compiled, which
+# hands them `text_rows(format_text)`).
+
+def text_rows(format_text):
+    """fmt(values, lead, sep) over the compiled one-text writer: its text
+    with no prefix, split at the line ends."""
+    return lambda values, lead, sep: format_text("", values, lead, sep).split("\r\n")[:-1]
+
 
 def check_property(fmt):
     """Hypothesis: matrices of special, random and repeated bit patterns,
@@ -156,45 +176,98 @@ def check_sweep(fmt, n_cols=64):
                                  f"{row.split(',')[bad]!r} != {want.split(',')[bad]!r}")
 
 
+def check_text(fmt):
+    """fmt(header, values, lead, sep) equals csv_text of the header lines
+    and the per-cell rows, for the ADVERSARIAL cells in several shapes,
+    with and without lead, under several headers and separators."""
+    n = len(ADVERSARIAL)
+    shapes = [ADVERSARIAL.reshape(1, n), ADVERSARIAL.reshape(n // 4, 4),
+              ADVERSARIAL.reshape(n, 1), np.zeros((3, 0)), np.zeros((0, 5))]
+    for values in shapes:
+        for header in ([], ["iter,a,b"], ["# meta x=[1.0 -0.0]", "iter,a,b"]):
+            for lead in (None, [str(i) for i in range(7, 7 + len(values))]):
+                for sep in (",", " ", ", "):
+                    want = _csvfmt.csv_text([*header, *reference_rows(values, lead, sep)])
+                    got = fmt(header, values, lead, sep)
+                    assert got == want, (values.shape, header, lead is None, sep)
+
+
+def check_compiled_text(format_text):
+    """check_text on the compiled one-text writer, given csv_text's prefix."""
+    check_text(lambda header, values, lead, sep:
+               format_text(_csvfmt.csv_text(header), values, lead, sep))
+
+
+# bad (values, lead, sep) for the compiled formatter
+REJECTED = {
+    "1-d values": (np.zeros(3), None, ","),
+    "3-d values": (np.zeros((2, 2, 2)), None, ","),
+    "float32 values": (np.zeros((2, 2), dtype=np.float32), None, ","),
+    "int64 values": (np.zeros((2, 2), dtype=np.int64), None, ","),
+    "big-endian values": (np.zeros((2, 2), dtype=">f8"), None, ","),
+    "non-contiguous values": (np.zeros((4, 4))[:, ::2], None, ","),
+    "values without a buffer": ([[1.0, 2.0]], None, ","),
+    "lead too short": (np.zeros((3, 2)), ["0", "1"], ","),
+    "lead too long": (np.zeros((3, 2)), ["0", "1", "2", "3"], ","),
+    "lead not a list": (np.zeros((3, 2)), ("0", "1", "2"), ","),
+    "lead item not str": (np.zeros((3, 2)), ["0", 1, "2"], ","),
+    "sep not str": (np.zeros((3, 2)), None, b","),
+}
+
+
 def check_rejections(fmt):
     """Each bad input raises ValueError or TypeError, and the interpreter
     survives; returns how many cases were checked."""
-    cases = {
-        "1-d values": (np.zeros(3), None, ","),
-        "3-d values": (np.zeros((2, 2, 2)), None, ","),
-        "float32 values": (np.zeros((2, 2), dtype=np.float32), None, ","),
-        "int64 values": (np.zeros((2, 2), dtype=np.int64), None, ","),
-        "big-endian values": (np.zeros((2, 2), dtype=">f8"), None, ","),
-        "non-contiguous values": (np.zeros((4, 4))[:, ::2], None, ","),
-        "values without a buffer": ([[1.0, 2.0]], None, ","),
-        "lead too short": (np.zeros((3, 2)), ["0", "1"], ","),
-        "lead too long": (np.zeros((3, 2)), ["0", "1", "2", "3"], ","),
-        "lead not a list": (np.zeros((3, 2)), ("0", "1", "2"), ","),
-        "lead item not str": (np.zeros((3, 2)), ["0", 1, "2"], ","),
-        "sep not str": (np.zeros((3, 2)), None, b","),
-    }
-    for name, (values, lead, sep) in cases.items():
+    for name, (values, lead, sep) in REJECTED.items():
         try:
             fmt(values, lead, sep)
         except (ValueError, TypeError):
             continue
         raise AssertionError(f"{name}: no ValueError or TypeError")
-    return len(cases)
+    return len(REJECTED)
 
 
-def run_compiled(check):
-    """Run check(_jacobi.format_rows) in a fresh interpreter that imports
-    the compiled extension found here and this module."""
+def check_text_rejections(format_text):
+    """format_text rejects a prefix that is not a str, and (ValueError) a
+    prefix, sep or lead item that is not ASCII, which its 1-byte str
+    cannot hold; returns how many cases were checked."""
+    values = np.zeros((3, 2))
+    non_ascii = {
+        "prefix": ("iter,\u00e9\r\n", values, None, ","),
+        "prefix (4-byte)": ("\U0001f600\r\n", values, None, ","),
+        "sep": ("", values, None, "\u00e9"),
+        "lead item": ("", values, ["0", "\u00e9", "2"], ","),
+    }
+    for name, args in non_ascii.items():
+        try:
+            format_text(*args)
+        except ValueError:
+            continue
+        raise AssertionError(f"non-ASCII {name}: no ValueError")
+    try:
+        format_text(b"x", values, None, ",")
+    except TypeError:
+        return len(non_ascii) + 1
+    raise AssertionError("prefix not str: no TypeError")
+
+
+def run_compiled(check, rows=True):
+    """Run check in a fresh interpreter that imports the compiled extension
+    found here and this module: on text_rows(_jacobi.format_text), or on
+    format_text itself when rows is False."""
+    arg = "test_csvfmt.text_rows(format_text)" if rows else "format_text"
     script = ("import sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "import test_csvfmt\n"
-              "from equilab._kernels._jacobi import format_rows\n"
-              f"print(test_csvfmt.{check.__name__}(format_rows))\n")
+              "from equilab._kernels._jacobi import format_text\n"
+              f"print(test_csvfmt.{check.__name__}({arg}))\n")
     return _run_compiled(script, str(Path(__file__).parent))
 
 
-def test_numpy_fallback_equals_per_cell_repr():
-    check_property(_csvfmt._format_rows_numpy)
+def test_numpy_fallback_equals_per_cell_repr(monkeypatch):
+    monkeypatch.setattr(_csvfmt, "_compiled_format_text", None)
+    check_property(lambda values, lead, sep: _csvfmt.format_csv(
+        [], values, first=lead, sep=sep).split("\r\n")[:-1])
 
 
 @needs_compiled
@@ -216,8 +289,21 @@ def test_compiled_rejects_bad_input():
     assert proc.stdout.strip() == "12", proc.stdout
 
 
+@needs_compiled
+def test_compiled_text_equals_csv_text_of_rows():
+    proc = run_compiled(check_compiled_text, rows=False)
+    assert proc.returncode == 0, proc.stderr
+
+
+@needs_compiled
+def test_compiled_text_rejects_bad_input():
+    proc = run_compiled(check_text_rejections, rows=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "5", proc.stdout
+
+
 class TestFormatRows:
-    """The public function, on whichever backend is active."""
+    """The row formatter, numpy on both backends."""
 
     def test_equals_per_cell_repr(self):
         check_property(_csvfmt.format_rows)
@@ -246,14 +332,54 @@ class TestFormatRows:
             _csvfmt.format_rows(values, first=first)
 
 
+@pytest.fixture(params=["active", "fallback"])
+def backend(request, monkeypatch):
+    """The active backend's formatter, or the numpy fallback's."""
+    if request.param == "fallback":
+        monkeypatch.setattr(_csvfmt, "_compiled_format_text", None)
+    return request.param
+
+
+class TestFormatCsv:
+    """The one-text function, on the active backend and on the fallback."""
+
+    def test_equals_csv_text_of_format_rows(self, backend):
+        check_text(lambda header, values, lead, sep: _csvfmt.format_csv(
+            header, values, first=lead, sep=sep))
+        values = np.arange(6.0).reshape(3, 2)
+        assert _csvfmt.format_csv(["a,b"], values, first=range(3)) == _csvfmt.csv_text(
+            ["a,b", *_csvfmt.format_rows(values, first=range(3))])
+
+    @pytest.mark.parametrize("header, sep, first", [
+        (["it\u00e9r,a"], ",", None),
+        (["iter,a", "\U0001f600"], ",", None),
+        (["iter,a"], "\u00e9", None),
+        (["iter,a"], ",", ["0", "\u00e9"]),
+    ], ids=["header", "header 4-byte", "sep", "first"])
+    def test_rejects_non_ascii(self, backend, header, sep, first):
+        with pytest.raises(ValueError, match="ASCII"):
+            _csvfmt.format_csv(header, np.zeros((2, 2)), first=first, sep=sep)
+
+    def test_rejects_bad_shapes(self, backend):
+        with pytest.raises(DimensionError):
+            _csvfmt.format_csv([], np.zeros(3))
+        with pytest.raises(DimensionError):
+            _csvfmt.format_csv([], np.zeros((3, 2)), first=range(2))
+
+
+def reference_csv(header, values, first=None, sep=","):
+    """The file text `format_csv` must reproduce byte for byte."""
+    return _csvfmt.csv_text([*header, *reference_rows(values, first, sep)])
+
+
 def per_cell_outputs(tmp_path, monkeypatch, cfg, name):
-    """Run cfg twice, with format_rows and with reference_rows patched in;
-    return both runs' non-manifest files as {name: bytes}."""
+    """Run cfg twice, with the formatters and with the per-cell references
+    patched in; return both runs' non-manifest files as {name: bytes}."""
     out = {}
     for label in ("formatted", "per_cell"):
         if label == "per_cell":
-            monkeypatch.setattr(quadlab, "format_rows", reference_rows)
-            monkeypatch.setattr(train_module, "format_rows", reference_rows)
+            monkeypatch.setattr(quadlab, "format_csv", reference_csv)
+            monkeypatch.setattr(train_module, "format_csv", reference_csv)
         run_dir = tmp_path / f"{name}_{label}"
         run_experiment(cfg, run_dir)
         out[label] = {p.name: p.read_bytes() for p in run_dir.iterdir()

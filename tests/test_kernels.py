@@ -13,6 +13,7 @@ import inspect
 import os
 import subprocess
 import sys
+from importlib.machinery import EXTENSION_SUFFIXES
 from pathlib import Path
 
 import pytest
@@ -252,13 +253,30 @@ def test_compiled_kernel_rejects_bad_buffers():
     assert len(proc.stdout.splitlines()) == 7, proc.stdout
 
 
+def test_inplace_extension_is_the_backend():
+    """An in-place build of the extension is used unless EQUILAB_PURE_PYTHON
+    asks for the fallback.  A build older than its sources lacks a newer
+    entry point; `_kernels` would then fall back to python silently."""
+    from equilab import _kernels
+
+    kernels_dir = Path(_kernels.__file__).parent
+    built = [kernels_dir / f"_jacobi{suffix}" for suffix in EXTENSION_SUFFIXES
+             if (kernels_dir / f"_jacobi{suffix}").exists()]
+    if not built or _kernels._force_pure:
+        pytest.skip("no in-place build of the extension, or EQUILAB_PURE_PYTHON is set")
+    assert _kernels.BACKEND == "compiled", (
+        f"{built[0]} exists but equilab._kernels selected the {_kernels.BACKEND!r} "
+        "backend; the build is probably older than its sources: rebuild it with "
+        "`python setup.py build_ext --inplace --force`")
+
+
 def test_pure_python_env_selects_fallback():
     env = dict(os.environ, EQUILAB_PURE_PYTHON="1")
     env["PYTHONPATH"] = os.pathsep.join(
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "from equilab import _kernels, densela; print(densela.KERNEL_BACKEND, _kernels.format_rows)"],
+         "from equilab import _kernels, densela; print(densela.KERNEL_BACKEND, _kernels.format_text)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # the kernels and the CSV formatter switch together

@@ -3,7 +3,7 @@ import pytest
 
 from equilab.errors import DimensionError, NonFiniteActivationError
 from equilab.hesslab import net_loss_functions
-from equilab.net import DenseSpec, Conv2dSpec, Network
+from equilab.net import DenseSpec, Conv2dSpec, Network, layers
 from equilab.net.data import make_teacher
 
 
@@ -121,6 +121,27 @@ class TestGradients:
         ], seed=5, input_shape=(2, 5, 5))
         rng = np.random.default_rng(3)
         fd_grad_check(net, rng.standard_normal((6, 2, 5, 5)), rng)
+
+    def test_first_layer_input_gradient_not_computed(self, monkeypatch):
+        # conv -> conv -> dense: only the second conv scatters its input
+        # gradient back (col2im); the first layer's has no reader
+        net = Network([Conv2dSpec(1, 2, kernel_size=3, padding=1, activation="tanh"),
+                       Conv2dSpec(2, 2, kernel_size=3, activation="tanh"),
+                       DenseSpec(2 * 3 * 3, 1)], seed=0, input_shape=(1, 5, 5))
+        x = np.random.default_rng(4).standard_normal((6, 1, 5, 5))
+        out, caches = net.forward_with_caches(x, True)
+        calls = []
+        col2im = layers.col2im
+        monkeypatch.setattr(layers, "col2im", lambda *a: calls.append(a) or col2im(*a))
+        grads = net.backward(np.ones_like(out), caches)
+        assert len(calls) == 1
+        # a layer's own backward still returns its input gradient, and the
+        # parameter gradients keep their bits
+        g, full = np.ones_like(out), [None] * 3
+        for i in (2, 1, 0):
+            g, full[i] = net.layers[i].backward(g, caches[i])
+        assert len(calls) == 3 and g.shape == x.shape
+        assert np.array_equal(net.grads_to_vector(grads), net.grads_to_vector(full))
 
 
 class TestParamsVector:

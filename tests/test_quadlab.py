@@ -1,3 +1,5 @@
+import tracemalloc
+
 import numpy as np
 import pytest
 
@@ -188,6 +190,33 @@ class TestBatchedTrace:
         assert k < 10_001
         assert trace.losses.shape == (k,)
         assert trace.mode_coeffs.shape == (k, prob.n)
+        # a copy of the rows run, not a view of the (10_001, n) buffer
+        assert trace.iterates.base is None
+
+    @pytest.mark.parametrize("factor", [0.5, 3.0])
+    def test_grown_buffer_keeps_the_bits(self, monkeypatch, factor):
+        # 3 rows up front, so a 2000-step run doubles its buffer 10 times
+        prob, theta0 = spd_problem(13, n=32, kappa=1e4)
+        monkeypatch.setattr(quadlab, "GD_PREALLOC_CELLS", 3 * prob.n)
+        eta = factor * quadlab.max_stable_lr(prob)
+        trace = quadlab.run_gd(prob, theta0, eta, 2000)
+        ref = reference_gd(prob, theta0, eta, 2000)
+        assert trace.diverged == ref.diverged == (factor > 1.0)
+        assert np.array_equal(trace.iterates, ref.iterates)
+        assert trace.iterates.base is None
+
+    def test_early_divergence_reserves_no_buffer_for_every_step(self):
+        prob, theta0 = spd_problem(14, n=64)
+        eta = 3.0 * quadlab.max_stable_lr(prob)
+        tracemalloc.start()
+        try:
+            trace = quadlab.run_gd(prob, theta0, eta, quadlab.MAX_ITERS)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert trace.diverged and len(trace.iterates) < 1000
+        # an (MAX_ITERS + 1, 64) buffer would be 512 MB; the first one is 8 MB
+        assert peak < 2 * 8 * quadlab.GD_PREALLOC_CELLS
 
     @pytest.mark.parametrize("n", [6, 17, 64, 121])
     def test_stack_equals_per_row_calls(self, n):

@@ -1,6 +1,6 @@
 """Record the benchmark's end-to-end metrics as BENCH_<label>.json.
 
-    python3 tools/bench_record.py [--checkout DIR] [--label LABEL]
+    python3 tools/bench_record.py [--checkout DIR] [--label LABEL] [--base DIR]
 
 Runs the unchanged `perfbench/run.py` of a source checkout (by default the
 one this script lives in) RUNS (5) times per workload at seed SEED (1),
@@ -14,17 +14,29 @@ the root of the repository this script lives in and holds:
   workloads  per workload and metric: median, quartiles (inclusive
              method), every sample, and how many runs were correct
 
-The label defaults to the checkout's short commit id, marked "-dirty" when
-its src/ or perfbench/ has uncommitted changes.  The file is a record, not
-a gate.
+With --base, a second checkout (typically the parent commit) is recorded
+in the same invocation, so the pair shares the host's drift: each round
+runs every workload on both checkouts back to back, base first in even
+rounds and checkout first in odd ones, so each workload's runs go in
+ABBA order.  One file is written per checkout; each names its partner and
+the shared session.  If a run fails on either side, the script exits
+before writing any file.
+
+The checkout's label is LABEL; the base's, and the checkout's without
+--label, is the short commit id, marked "-dirty" when its src/ or
+perfbench/ has uncommitted changes and "-python" when EQUILAB_PURE_PYTHON
+selects the numpy fallback.  The file is a record, not a gate.
 """
 
 import argparse
 import json
+import os
 import statistics
 import subprocess
 import sys
+import time
 from pathlib import Path
+from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
 RUNS = 5
@@ -68,32 +80,13 @@ def summarize(samples):
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
-def main(argv=None):
-    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
-    parser.add_argument("--checkout", type=Path, default=ROOT)
-    parser.add_argument("--label")
-    args = parser.parse_args(argv)
-    checkout = args.checkout.resolve()
-    commit, dirty = git_state(checkout)
-    label = args.label or commit[:7] + ("-dirty" if dirty else "")
-    bench = json.loads((checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
-    names = [w["name"] for w in bench["workloads"]]
+def record(side, bench, results, env):
+    """The BENCH_<label>.json payload of one checkout's runs."""
     metrics = {m["name"]: m["unit"] for m in bench["end_to_end"]}
-
-    env, results = None, {name: [] for name in names}
-    for r in range(RUNS):
-        for name in names:
-            report, summary = run_once(checkout, name, SEED, bench["run_seconds"])
-            env = env or report["env"]
-            results[name].append(summary)
-            print(f"round {r + 1}/{RUNS} {name}: run_s "
-                  f"{summary['metrics']['run_s']['value']:.4g} s, correct "
-                  f"{summary['correct']}", file=sys.stderr)
-
-    record = {
-        "label": label,
-        "checkout_commit": commit,
-        "uncommitted_changes": dirty,
+    return {
+        "label": side.label,
+        "checkout_commit": side.commit,
+        "uncommitted_changes": side.dirty,
         "command": bench["command"],
         "seed": SEED,
         "run_seconds": bench["run_seconds"],
@@ -110,9 +103,68 @@ def main(argv=None):
             for name, runs in results.items()
         },
     }
-    out = ROOT / f"BENCH_{label}.json"
-    out.write_text(json.dumps(record, indent=1) + "\n", encoding="utf-8")
-    print(out)
+
+
+class Side(NamedTuple):
+    checkout: Path
+    commit: str
+    dirty: bool
+    label: str
+
+
+def side(path, label=None):
+    """A checkout to record, its git state read before any run."""
+    checkout = path.resolve()
+    commit, dirty = git_state(checkout)
+    if label is None:
+        pure = os.environ.get("EQUILAB_PURE_PYTHON", "") not in ("", "0")
+        label = commit[:7] + ("-dirty" if dirty else "") + ("-python" if pure else "")
+    return Side(checkout, commit, dirty, label)
+
+
+def main(argv=None):
+    parser = argparse.ArgumentParser(description=__doc__.split("\n")[0])
+    parser.add_argument("--checkout", type=Path, default=ROOT)
+    parser.add_argument("--label")
+    parser.add_argument("--base", type=Path,
+                        help="a second checkout, recorded in the same session")
+    args = parser.parse_args(argv)
+    sides = [side(args.checkout, args.label)]
+    if args.base is not None:
+        sides.insert(0, side(args.base))
+        if sides[0].label == sides[1].label:
+            raise SystemExit(f"both checkouts would be labelled {sides[0].label}; "
+                             "pass --label")
+    # the recorded checkout's BENCHMARK.json sets the workloads of both sides
+    bench = json.loads((sides[-1].checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
+    names = [w["name"] for w in bench["workloads"]]
+    started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
+
+    env = [None] * len(sides)
+    results = [{name: [] for name in names} for _ in sides]
+    for r in range(RUNS):
+        for name in names:
+            # each workload's runs go base, checkout, checkout, base, ...
+            for i in (range(len(sides)) if r % 2 == 0 else reversed(range(len(sides)))):
+                report, summary = run_once(sides[i].checkout, name, SEED,
+                                           bench["run_seconds"])
+                env[i] = env[i] or report["env"]
+                results[i][name].append(summary)
+                print(f"round {r + 1}/{RUNS} {name} {sides[i].label}: run_s "
+                      f"{summary['metrics']['run_s']['value']:.4g} s, correct "
+                      f"{summary['correct']}", file=sys.stderr)
+
+    records = [record(s, bench, res, e) for s, res, e in zip(sides, results, env)]
+    if len(records) == 2:
+        session = {"started": started, "order": "ABBA",
+                   "base": sides[0].label, "checkout": sides[1].label}
+        for rec, partner in zip(records, sides[::-1]):
+            rec["partner"] = partner.label
+            rec["session"] = session
+    for rec in records:
+        out = ROOT / f"BENCH_{rec['label']}.json"
+        out.write_text(json.dumps(rec, indent=1) + "\n", encoding="utf-8")
+        print(out)
 
 
 if __name__ == "__main__":
