@@ -212,12 +212,16 @@ def run_train_compare(cfg: ExperimentConfig, out_dir, manifest):
             manifest.notes.setdefault("stacked_steps", {})[arm] = [
                 len(t.step_times) for t in runs]
 
-    # cross-arm fairness: identical raw init and identical data order
+    # cross-arm fairness: identical raw init and identical data order; a
+    # diverged trace's digest covers only the epochs it ran, so only arms
+    # that stopped at the same epoch (or ran to the end) share one
     digests = set(shared_digests.values())
-    data_digests = {t.data_digest for t in traces.values()}
+    data_digests = {}
+    for t in traces.values():
+        data_digests.setdefault(t.diverged_at, set()).add(t.data_digest)
     if len(digests) > 1:
         raise ArmMismatchError(f"arms started from different weights: {shared_digests}")
-    if len(data_digests) > 1:
+    if any(len(d) > 1 for d in data_digests.values()):
         raise ArmMismatchError("arms saw different data")
 
     series = []

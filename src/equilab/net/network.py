@@ -4,23 +4,23 @@ Handles shape validation along the chain, Glorot initialization from a
 single seed, flat parameter-vector access for the Hessian tooling, and
 whole-network static conditioning.
 
-Every trainable parameter lives in one contiguous float64 buffer, laid
-out parameter by parameter, and each layer's w/b/gamma/beta/g attribute
-is a view into it, so an SGD step can update the whole net with one
-operation.  Code that changes a parameter writes into its array
-(`layer.w[...] = ...`); rebinding the attribute would detach it from the
-buffer.
-
 A network of dense and conv layers alike also takes a (k, n) stack of
 parameter vectors; one forward/backward then evaluates the k parameter
 sets on the same batch (see net.layers), and batch-norm running buffers
 carry the stack axis too.  A training forward of a stack finishes for
 every member, so train() steps its learning rates, one or several, as
 one stack.
+
+Every trainable parameter lives in one float64 buffer that is the
+parameter vector itself: (n,), or the member-major (k, n) stack, so one
+parameter's block of coordinates is a column slice of it.  Each layer's
+w/b/gamma/beta/g attribute is a view of its slice, strided for a stack,
+so an SGD step can update the whole net with one operation.  Code that
+changes a parameter writes into its array (`layer.w[...] = ...`);
+rebinding the attribute would detach it from the buffer.
 """
 
 import dataclasses
-import math
 
 import numpy as np
 
@@ -56,25 +56,24 @@ class Network:
         self._param_layout = [(i, name, arr.shape, arr.size)
                               for i, layer in enumerate(self.layers)
                               for name, arr in layer.param_items()]
-        initial = [arr for layer in self.layers for _, arr in layer.param_items()]
+        initial = np.concatenate([arr.ravel() for layer in self.layers
+                                  for _, arr in layer.param_items()])
         self._stack = ()
         self._bind(())
-        for (i, name, _, _), arr in zip(self._param_layout, initial):
-            getattr(self.layers[i], name)[...] = arr
+        self._buffer[...] = initial
 
     def _bind(self, stack):
-        """Allocate the parameter buffer for a stack shape (() or (k,)) and
-        point every parameter attribute at its (*stack, *shape) view; the
-        values are left uninitialized.  Each batch-norm buffer becomes a
-        (*stack, *shape) array, every member a copy of the unstacked
-        buffer or of the first member of the previous stack."""
-        k = math.prod(stack)
-        self._flat = np.empty(k * self.parameter_count())
+        """Allocate the parameter buffer, of shape (*stack, n) for a stack
+        shape () or (k,), and point every parameter attribute at its
+        (*stack, *shape) view of the buffer's columns; the values are left
+        uninitialized.  Each batch-norm buffer becomes a (*stack, *shape)
+        array, every member a copy of the unstacked buffer or of the first
+        member of the previous stack."""
+        self._buffer = np.empty(stack + (self.parameter_count(),))
         pos = 0
         for i, name, shape, size in self._param_layout:
-            view = self._flat[pos:pos + k * size].reshape(stack + shape)
-            setattr(self.layers[i], name, view)
-            pos += k * size
+            setattr(self.layers[i], name, self._buffer[..., pos:pos + size].reshape(stack + shape))
+            pos += size
         for layer in self.layers:
             for name, arr in layer.buffer_items():
                 first = arr[0] if self._stack else arr
@@ -83,29 +82,10 @@ class Network:
 
     @property
     def param_buffer(self):
-        """The parameter vector itself, as the buffer every parameter
-        attribute views: writing into it moves the parameters in place.
-        Unstacked parameters only (a stack lays out each parameter's k
-        copies contiguously, not member by member)."""
-        if self._stack:
-            raise DimensionError("param_buffer takes unstacked parameters only")
-        return self._flat
-
-    def stack_buffer(self):
-        """(buffer, order) while a (k, n) stack is set: the parameter buffer
-        itself, which lays out each parameter's k copies contiguously, and
-        the index array that gathers it member by member, so that
-        buffer[order].reshape(k, n) equals get_params_vector().  Writing
-        into the buffer moves the parameters in place."""
-        if not self._stack:
-            raise DimensionError("stack_buffer needs a parameter stack")
-        k = self._stack[0]
-        member_major = np.arange(k * self.parameter_count()).reshape(k, -1)
-        pos, blocks = 0, []
-        for _, _, _, size in self._param_layout:
-            blocks.append(member_major[:, pos:pos + size].ravel())
-            pos += size
-        return self._flat, np.argsort(np.concatenate(blocks))
+        """The parameter vector itself, (n,), or (k, n) while a stack is
+        set: the buffer every parameter attribute views, so writing into
+        it moves the parameters in place."""
+        return self._buffer
 
     def _check_chain(self):
         """Validate that each layer's input matches the previous output."""
@@ -186,29 +166,24 @@ class Network:
         return sum(size for _, _, _, size in self._param_layout)
 
     def get_params_vector(self):
-        """Flat parameters: (n,), or (k, n) while a stack is set."""
-        return np.concatenate([arr.reshape(self._stack + (-1,))
-                               for layer in self.layers for _, arr in layer.param_items()],
-                              axis=-1)
+        """A copy of the parameter buffer: (n,), or (k, n) while a stack is
+        set."""
+        return self._buffer.copy()
 
     def set_params_vector(self, theta):
         """Set parameters from a vector of length n, or from a (k, n) stack.
 
-        The values are copied into the parameter buffer; each parameter is
-        a contiguous view of it, of shape (k, *shape) for a stack.
+        The values are copied into the parameter buffer, which is
+        reallocated when the stack shape changes.
         """
         theta = np.asarray(theta, dtype=np.float64)
         n = self.parameter_count()
         if theta.ndim not in (1, 2) or theta.shape[-1] != n:
             raise DimensionError(f"parameter vector of shape {theta.shape}, "
                                  f"expected ({n},) or (k, {n})")
-        stack = theta.shape[:-1]
-        if stack != self._stack:
-            self._bind(stack)
-        pos = 0
-        for i, name, shape, size in self._param_layout:
-            getattr(self.layers[i], name)[...] = theta[..., pos:pos + size].reshape(stack + shape)
-            pos += size
+        if theta.shape[:-1] != self._stack:
+            self._bind(theta.shape[:-1])
+        self._buffer[...] = theta
 
     def grads_to_vector(self, grads):
         """Flat gradient: (n,), or (k, n) while a stack is set.

@@ -208,6 +208,9 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
                              f"such rates, got {lr!r}")
     if epochs < 1 or batch_size < 1:
         raise DimensionError("epochs and batch_size must be >= 1")
+    if net.param_buffer.ndim != 1:
+        raise DimensionError(f"train takes a net with unstacked parameters; this one "
+                             f"holds a stack of {len(net.param_buffer)} parameter vectors")
     x = np.asarray(x, dtype=np.float64)
     y = np.asarray(y, dtype=np.float64)
     if not (np.isfinite(x).all() and np.isfinite(y).all()):
@@ -223,7 +226,7 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         raise DimensionError(f"batch norm needs batches of at least 2 samples; "
                              f"{n} samples in batches of {batch_size} give none")
     stack = _RateStack(net, rates.reshape(-1), momentum)
-    histories = [_History() for _ in stack.rates]
+    histories = [_History() for _ in range(rates.size)]
     data_hash = hashlib.sha256()
     nan_kappas = ([float("nan")] * len(net.layers),) * 2
 
@@ -292,40 +295,35 @@ def _load_state(net, state):
 class _RateStack:
     """The members of a learning-rate stack that are still training.
 
-    The net holds one member per rate in `alive`; an SGD step updates its
-    parameter buffer, laid out parameter by parameter, as one vector.
+    The net holds one member per rate in `alive`; its parameter buffer is
+    the (k, n) parameter stack itself, so an SGD step updates every member
+    with one operation on it.
     """
 
     def __init__(self, net, rates, momentum):
-        self.net, self.rates, self.momentum = net, rates, momentum
+        self.net, self.momentum = net, momentum
         self.alive = np.arange(len(rates))
+        self.lr = rates[:, None]
         self.first_state = None
         net.set_params_vector(np.tile(net.param_buffer, (len(rates), 1)))
-        self._relayout(np.zeros((len(rates), net.parameter_count())) if momentum else None)
-
-    def _relayout(self, velocity):
-        """Views of the current stack; velocity is member-major (k, n)."""
-        self.flat, self.order = self.net.stack_buffer()
-        self.to_flat = np.argsort(self.order)
-        self.lr = np.repeat(self.rates[self.alive], self.net.parameter_count())[self.to_flat]
-        self.velocity = None if velocity is None else velocity.ravel()[self.to_flat]
+        self.velocity = np.zeros(net.param_buffer.shape) if momentum else None
 
     def step(self, g):
-        """One SGD update from the member-major (k, n) gradient stack g."""
-        g = g.ravel()[self.to_flat]
+        """One SGD update from the (k, n) gradient stack g."""
         if self.velocity is not None:
             self.velocity *= self.momentum
             self.velocity += g
             g = self.velocity
-        self.flat -= self.lr * g
+        flat = self.net.param_buffer
+        flat -= self.lr * g
 
     def too_large(self):
         """(k,) mask of the members with a parameter beyond DIVERGENCE_NORM
         or non-finite, or None when no member has one."""
-        mags = np.abs(self.flat)
+        mags = np.abs(self.net.param_buffer)
         if mags.max() <= DIVERGENCE_NORM:
             return None
-        return ~(mags[self.order].reshape(len(self.alive), -1).max(axis=1) <= DIVERGENCE_NORM)
+        return ~(mags.max(axis=1) <= DIVERGENCE_NORM)
 
     def drop(self, leave):
         """Remove the members where the (k,) mask leave is set."""
@@ -335,11 +333,10 @@ class _RateStack:
         self.alive = self.alive[keep]
         if not self.alive.size:
             return
-        velocity = None
+        self.lr = self.lr[keep]
         if self.velocity is not None:
-            velocity = self.velocity[self.order].reshape(len(keep), -1)[keep]
+            self.velocity = self.velocity[keep]
         _load_state(self.net, _member_state(self.net, np.flatnonzero(keep)))
-        self._relayout(velocity)
 
     def finish(self):
         """Leave the net unstacked, as the first rate alone would."""

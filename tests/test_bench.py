@@ -309,6 +309,21 @@ class TestTrainCompare:
         assert man["diverged"] == {"none": True}
         assert man["wall_time_per_step"] == {"none": None}
 
+    @pytest.mark.parametrize("seed", [1, 3])
+    def test_conditioning_keeps_an_arm_stable_where_plain_diverges(self, tmp_path, seed):
+        # the plain arm diverges at the base lr while e-reparam trains to the
+        # end; a diverged trace's data digest covers only the epochs it ran,
+        # so the two arms' digests differ without any unfairness
+        cfg = default_config("train_compare", seed=seed, arms=["none", "e-reparam"],
+                             widths=[2, 16, 4, 1], activation="relu", epochs=3,
+                             momentum=0.9, init_row_spread=100.0)
+        out = tmp_path / "r"
+        run_experiment(cfg, out)
+        rows = rows_of(out / "summary.csv")
+        assert rows[1].startswith("none,true,")
+        assert rows[2].startswith("e-reparam,false,3,")
+        assert load_manifest(out)["diverged"] == {"none": True, "e-reparam": False}
+
     def test_step_time_quantiles_match_percentile(self):
         rng = np.random.default_rng(0)
         for n in (1, 2, 7, 160):
