@@ -18,9 +18,23 @@ with the numpy reference and with repr.  After an edit, rebuild an
 in-place build with `python setup.py build_ext --inplace --force`: an
 older build lacks the newer entry points, and equilab would fall back to
 the numpy kernels (tests/test_kernels.py fails on that).
+
+An in-place build (`build_ext --inplace`) also byte-compiles every module
+under src/equilab, at the building interpreter's optimization level, into
+checked-hash .pyc files (PEP 552).  A process that may not write its own
+bytecode cache (PYTHONDONTWRITEBYTECODE, a read-only tree) would otherwise
+compile the package's source on every start, about 40 ms per interpreter:
+every CLI call, test subprocess and benchmark worker.  An import checks each
+.pyc against the hash of its source and ignores a stale one, so an edited
+module runs as edited; rebuilding refreshes the files.  `python -O` looks
+for .opt-1.pyc files, so it compiles the source unless the build itself ran
+under -O.
 """
 
+import compileall
+import os
 import warnings
+from py_compile import PycInvalidationMode
 
 from setuptools import Extension, setup
 from setuptools.command.build_ext import build_ext
@@ -34,12 +48,24 @@ class OptionalBuildExt(build_ext):
             super().run()
         except Exception as exc:  # missing compiler, broken toolchain
             warnings.warn(f"skipping compiled kernels: {exc}")
+        # outside the try: without a compiler super().run() raises at its
+        # copy step, and the bytecode is written with or without the kernels
+        if self.inplace:
+            compile_package()
 
     def build_extension(self, ext):
         try:
             super().build_extension(ext)
         except Exception as exc:
             warnings.warn(f"skipping {ext.name}: {exc}")
+
+
+def compile_package():
+    """Write checked-hash bytecode for every module under src/equilab."""
+    package = os.path.join(os.path.dirname(os.path.abspath(__file__)), "src", "equilab")
+    if not compileall.compile_dir(package, quiet=1,
+                                  invalidation_mode=PycInvalidationMode.CHECKED_HASH):
+        warnings.warn(f"could not byte-compile every module under {package}")
 
 
 setup(

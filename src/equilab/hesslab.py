@@ -29,6 +29,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from equilab import densela
+from equilab._heap import keep_freed_heap
 from equilab.errors import DimensionError, EmptyResultError, GradientCheckError
 from equilab.net.network import Network
 from equilab.net.train import loss_and_gradients, mse_loss, train
@@ -129,6 +130,7 @@ def fd_hessian(loss_fn, grad_fn, theta):
         raise DimensionError(f"theta size {n} outside [1, {MAX_HESSIAN_DIM}]")
     if not np.isfinite(theta).all():
         raise DimensionError("theta contains non-finite entries")
+    keep_freed_heap()
     gradient_self_check(loss_fn, grad_fn, theta)
     steps = fd_step_sizes(theta)
     h_raw = np.empty((n, n))

@@ -19,6 +19,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from equilab._csvfmt import format_csv
+from equilab._heap import keep_freed_heap
 from equilab.errors import DimensionError, NonFiniteError
 
 LOSSES = ("mse", "bce")
@@ -51,13 +52,18 @@ def bce_loss(z, y):
     """Binary cross entropy on logits, in the stable max(z,0)-z*y+log1p(exp(-|z|))
     form; returns (loss, dz), per member for a stack as in mse_loss.
 
-    The sigmoid reuses e = exp(-|z|): 1/(1+e) for z >= 0 and e/(1+e)
-    below, so neither branch can overflow.
+    With m = min(z, 0) and p = max(z, 0), m - p is -|z| exactly, so
+    e = exp(m - p) = exp(-|z|), and the sigmoid is exp(m)/(1+e): 1/(1+e)
+    for z >= 0 and e/(1+e) below, where exp(m) is e itself.  Neither
+    branch can overflow, and no mask picks between them.
     """
-    e = np.exp(-np.abs(z))
-    val = np.maximum(z, 0.0) - z * y + np.log1p(e)
-    sig = np.where(z >= 0, 1.0, e) / (1.0 + e)
-    return _member_mean(val, np.ndim(y)), (sig - y) / math.prod(z.shape[z.ndim - np.ndim(y):])
+    m = np.minimum(z, 0.0)
+    p = np.maximum(z, 0.0)
+    e = np.exp(m - p)
+    val = p - z * y + np.log1p(e)
+    sig = np.exp(m) / (1.0 + e)
+    y_ndim = np.ndim(y)
+    return _member_mean(val, y_ndim), (sig - y) / math.prod(z.shape[z.ndim - y_ndim:])
 
 
 def evaluate(net, x, y, loss="mse"):
@@ -225,6 +231,7 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
     if has_bn and min(n, batch_size) < 2:
         raise DimensionError(f"batch norm needs batches of at least 2 samples; "
                              f"{n} samples in batches of {batch_size} give none")
+    keep_freed_heap()
     stack = _RateStack(net, rates.reshape(-1), momentum)
     histories = [_History() for _ in range(rates.size)]
     data_hash = hashlib.sha256()

@@ -1,5 +1,6 @@
 import importlib.util
 import json
+import py_compile
 import subprocess
 from pathlib import Path
 
@@ -146,3 +147,38 @@ def test_default_label_names_the_forced_fallback(bench_record, paired, monkeypat
     commit = bench_record.git(base, "rev-parse", "HEAD")
     assert bench_record.side(base).label == commit[:7] + suffix
     assert bench_record.side(base, "x").label == "x"
+
+
+@pytest.mark.parametrize("flag, barred", [("1", True), ("", False)])
+def test_record_counts_current_bytecode_after_the_runs(bench_record, paired, monkeypatch,
+                                                       flag, barred):
+    base, head, out, calls = paired
+    monkeypatch.delenv("EQUILAB_PURE_PYTHON", raising=False)
+    monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
+    package = head / "src" / "equilab"
+    package.mkdir(parents=True)
+    for name in "abcd":
+        (package / f"{name}.py").write_text(f"{name} = 1\n", encoding="utf-8")
+    fake = bench_record.run_once
+
+    def run_once(checkout, workload, seed, seconds):
+        if checkout.name == "head" and not any(c == "head" for c, _ in calls):
+            # the first run builds: a checked-hash and a timestamp .pyc that
+            # match their sources, a stale one, and none for d
+            checked = py_compile.PycInvalidationMode.CHECKED_HASH
+            py_compile.compile(package / "a.py", doraise=True, invalidation_mode=checked)
+            py_compile.compile(package / "b.py", doraise=True,
+                               invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
+            py_compile.compile(package / "c.py", doraise=True, invalidation_mode=checked)
+            (package / "c.py").write_text("c = 2\n", encoding="utf-8")
+        return fake(checkout, workload, seed, seconds)
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
+    old_label = bench_record.git(base, "rev-parse", "HEAD")[:7]
+    new = json.loads((out / "BENCH_new.json").read_text(encoding="utf-8"))
+    old = json.loads((out / f"BENCH_{old_label}.json").read_text(encoding="utf-8"))
+    assert new["bytecode"] == {"PYTHONDONTWRITEBYTECODE": barred,
+                               "package_modules": 4, "current_pyc": 2}
+    assert old["bytecode"] == {"PYTHONDONTWRITEBYTECODE": barred,
+                               "package_modules": 0, "current_pyc": 0}

@@ -11,6 +11,11 @@ the root of the repository this script lives in and holds:
 
   env        the first run's environment block (kernel backend, Python,
              NumPy, platform, CPU count, thread settings)
+  bytecode   whether PYTHONDONTWRITEBYTECODE was set, and how many of the
+             checkout's src/equilab modules had a .pyc that matches their
+             source after the runs (the in-place build writes them); a
+             process that may not write bytecode compiles every module
+             without one, which moves setup_s and peak_rss_mb
   workloads  per workload and metric: median, quartiles (inclusive
              method), every sample, and how many runs were correct
 
@@ -29,9 +34,11 @@ selects the numpy fallback.  The file is a record, not a gate.
 """
 
 import argparse
+import importlib.util
 import json
 import os
 import statistics
+import struct
 import subprocess
 import sys
 import time
@@ -75,13 +82,40 @@ def run_once(checkout, workload, seed, seconds):
     return json.loads(lines[-2])["report"], json.loads(lines[-1])
 
 
+def pyc_is_current(source):
+    """Whether source's .pyc (optimization level 0) matches it: the magic
+    number of this interpreter, and the source's hash for a hash-based
+    .pyc, its mtime and size for a timestamp one."""
+    try:
+        with open(importlib.util.cache_from_source(source, optimization=""), "rb") as fh:
+            head = fh.read(16)
+    except OSError:
+        return False
+    if head[:4] != importlib.util.MAGIC_NUMBER:
+        return False
+    if int.from_bytes(head[4:8], "little") & 1:
+        return head[8:] == importlib.util.source_hash(source.read_bytes())
+    st = source.stat()
+    return head[8:] == struct.pack("<LL", int(st.st_mtime) & 0xFFFF_FFFF,
+                                   st.st_size & 0xFFFF_FFFF)
+
+
+def bytecode_state(checkout):
+    """What decides whether a fresh interpreter compiles the package."""
+    sources = sorted((checkout / "src" / "equilab").rglob("*.py"))
+    return {"PYTHONDONTWRITEBYTECODE": bool(os.environ.get("PYTHONDONTWRITEBYTECODE")),
+            "package_modules": len(sources),
+            "current_pyc": sum(map(pyc_is_current, sources))}
+
+
 def summarize(samples):
     q1, median, q3 = statistics.quantiles(samples, n=4, method="inclusive")
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
 def record(side, bench, results, env):
-    """The BENCH_<label>.json payload of one checkout's runs."""
+    """The BENCH_<label>.json payload of one checkout's runs, made after
+    them, so the bytecode state is the one the runs left."""
     metrics = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     return {
         "label": side.label,
@@ -92,6 +126,7 @@ def record(side, bench, results, env):
         "run_seconds": bench["run_seconds"],
         "runs": RUNS,
         "env": env,
+        "bytecode": bytecode_state(side.checkout),
         "workloads": {
             name: {
                 "correct_runs": sum(s["correct"] for s in runs),
