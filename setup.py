@@ -5,16 +5,20 @@ package falls back to the numpy kernels and formatter at import time).
 Every Jacobi SVD sorts the rows by decreasing norm, takes a Householder QR
 with column pivoting (qrcp) and runs the Jacobi sweep (jacobi_sweeps) on R.
 Both kernels live in src/equilab/_kernels/_jacobi.c, one hand-written C
-file that reads its arrays through the buffer protocol.  The trace-CSV
-formatter format_text (a prefix and every row, CRLF-ended, written in
-place into one str) lives in src/equilab/_kernels/_reprfmt.cpp and needs
-floating-point std::to_chars (GCC >= 11, libstdc++ >= 11).  The
-extension's entry points are therefore jacobi_sweeps, qrcp and
-format_text.  A build needs both compilers and the Python headers, nothing
-else; if either source fails to compile, the whole extension is skipped,
-so the kernels and the formatter fall back together.  Edit the sources directly;
-tests/test_kernels.py and tests/test_csvfmt.py compare the built functions
-with the numpy reference and with repr.  After an edit, rebuild an
+file that reads its arrays through the buffer protocol.  The text
+formatters live in src/equilab/_kernels/_reprfmt.cpp and need
+floating-point std::to_chars (GCC >= 11, libstdc++ >= 11): format_text
+writes a trace CSV (a prefix and every row, CRLF-ended) in place into one
+str, formatting the second half of the rows on a second thread
+(std::thread, hence -pthread) while the GIL is released, and
+format_points writes an SVG polyline's "x,y" points as "%.6g" does.  The
+extension's entry points are therefore jacobi_sweeps, qrcp, format_text
+and format_points.  A build needs both compilers and the Python headers,
+nothing else; if either source fails to compile, the whole extension is
+skipped, so the kernels and the formatters fall back together.  Edit the
+sources directly; tests/test_kernels.py, tests/test_csvfmt.py and
+tests/test_svgplot.py compare the built functions with the numpy
+reference, with repr and with "%.6g".  After an edit, rebuild an
 in-place build with `python setup.py build_ext --inplace --force`: an
 older build lacks the newer entry points, and equilab would fall back to
 the numpy kernels (tests/test_kernels.py fails on that).
@@ -72,6 +76,8 @@ setup(
     ext_modules=[Extension("equilab._kernels._jacobi",
                            sources=["src/equilab/_kernels/_jacobi.c",
                                     "src/equilab/_kernels/_reprfmt.cpp"],
+                           extra_compile_args=["-pthread"],
+                           extra_link_args=["-pthread"],
                            language="c++")],
     cmdclass={"build_ext": OptionalBuildExt},
 )

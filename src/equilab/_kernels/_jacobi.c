@@ -1,6 +1,6 @@
 /* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
- * module's method table, which also lists the trace-CSV formatter
- * format_text (_reprfmt.cpp).
+ * module's method table, which also lists the text formatters format_text
+ * (trace CSVs) and format_points (SVG polylines) of _reprfmt.cpp.
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -345,6 +345,7 @@ done:
 
 /* Defined in _reprfmt.cpp. */
 PyObject *reprfmt_format_text(PyObject *self, PyObject *args, PyObject *kwargs);
+PyObject *reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs);
 
 PyDoc_STRVAR(format_text_doc,
 "format_text(prefix, values, lead, sep)\n--\n\n"
@@ -352,8 +353,15 @@ PyDoc_STRVAR(format_text_doc,
 "A row is its sep-joined cells, each equal to repr(float(x)), led by\n"
 "lead[i] when lead is a list of str (one per row) rather than None.\n"
 "values must be a C-contiguous 2-d float64 array; prefix, sep and every\n"
-"lead item must be ASCII.  See equilab._csvfmt.format_csv for the\n"
-"contract.");
+"lead item must be ASCII.  The rows are formatted on two threads with\n"
+"the GIL released.  See equilab._csvfmt.format_csv for the contract.");
+
+PyDoc_STRVAR(format_points_doc,
+"format_points(xs, ys)\n--\n\n"
+"The points of an SVG polyline as one str: \"x,y\" per point, joined by\n"
+"single spaces, each coordinate equal to \"%.6g\" % x (a NaN prints\n"
+"\"nan\").  xs and ys must be C-contiguous 1-d float64 arrays of one\n"
+"length.  See equilab.bench.svgplot.");
 
 static PyMethodDef methods[] = {
     {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
@@ -362,6 +370,8 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, qrcp_doc},
     {"format_text", (PyCFunction)(void (*)(void))reprfmt_format_text,
      METH_VARARGS | METH_KEYWORDS, format_text_doc},
+    {"format_points", (PyCFunction)(void (*)(void))reprfmt_format_points,
+     METH_VARARGS | METH_KEYWORDS, format_points_doc},
     {NULL, NULL, 0, NULL}
 };
 
@@ -369,7 +379,7 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_jacobi",
     .m_doc = "Compiled QRCP and one-sided Jacobi sweep kernels, and the\n"
-              "trace-CSV formatter.",
+              "trace-CSV and SVG-polyline formatters.",
     .m_size = -1,
     .m_methods = methods,
 };

@@ -1,8 +1,15 @@
-/* Compiled trace-CSV formatter: a prefix, then the rows of a float64
- * matrix, every cell byte-identical to Python's repr(float(x)) and every
- * row ended by CRLF, written into one str (format_text).  The str is
- * allocated at an upper bound and shrunk in place, so a file's text
- * exists once, with no row list and no join.
+/* Compiled text formatters: the trace-CSV writer format_text and the SVG
+ * polyline writer format_points.
+ *
+ * format_text writes a prefix, then the rows of a float64 matrix, every
+ * cell byte-identical to Python's repr(float(x)) and every row ended by
+ * CRLF, into one str.  The str is allocated at an upper bound and shrunk
+ * in place, so a file's text exists once, with no row list and no join.
+ * Its rows are formatted on two threads with the GIL released: the first
+ * half on the calling thread, right after the prefix, the second half on
+ * a second thread, into the tail of the upper-bound str; after the join
+ * the tail is moved down behind the first half.  The lead items are
+ * read, and held, before the GIL is released.
  *
  * The digits come from std::to_chars(double, chars_format::scientific)
  * with no precision, the shortest string that round-trips (Ryu-class,
@@ -13,7 +20,12 @@
  * string, value = 0.d1d2... * 10**decpt), with a sign and at least two
  * exponent digits; otherwise positional, with ".0" on integral values.
  * NaN prints "nan" whatever its sign and payload, infinities "inf" and
- * "-inf".  to_chars does not read the locale.  format_text is listed in
+ * "-inf".  to_chars does not read the locale.
+ *
+ * format_points writes the "x,y x,y ..." points of an SVG polyline, each
+ * coordinate as Python's "%.6g" % x: std::to_chars(chars_format::general,
+ * 6) is printf's %.6g, which is what CPython's %-format computes, except
+ * that a NaN of either sign prints "nan".  Both functions are listed in
  * _jacobi.c's method table.
  */
 
@@ -23,6 +35,9 @@
 #include <charconv>
 #include <cmath>
 #include <cstring>
+#include <exception>
+#include <thread>
+#include <vector>
 
 #if !defined(__cpp_lib_to_chars) || __cpp_lib_to_chars < 201611L
 #error "floating-point std::to_chars is required (GCC >= 11)"
@@ -134,48 +149,126 @@ ascii_of(PyObject *obj, const char *name, Py_ssize_t *len)
     return reinterpret_cast<const char *>(PyUnicode_1BYTE_DATA(obj));
 }
 
-/* prefix, then every row of the checked matrix ended by CRLF, as one str. */
+/* The rows of one matrix and how to lay them out. */
+struct Rows {
+    const double *v;
+    Py_ssize_t n_cols;
+    const char *const *lead;      /* one item per row, or NULL */
+    const Py_ssize_t *lead_len;
+    const char *sep;
+    Py_ssize_t sep_len;
+};
+
+/* Write rows [lo, hi), each ended by CRLF, at out; return the end. */
+char *
+write_rows(const Rows &rows, Py_ssize_t lo, Py_ssize_t hi, char *out)
+{
+    for (Py_ssize_t i = lo; i < hi; i++) {
+        out = write_row(out, rows.v + i * rows.n_cols, rows.n_cols,
+                        rows.lead == NULL ? NULL : rows.lead[i],
+                        rows.lead == NULL ? 0 : rows.lead_len[i], rows.sep, rows.sep_len);
+        *out++ = '\r';
+        *out++ = '\n';
+    }
+    return out;
+}
+
+/* prefix, then every row of the checked matrix ended by CRLF, as one str;
+ * held is a tuple of the lead items (which keeps them alive while the GIL
+ * is released) or Py_None. */
 PyObject *
-format_matrix_text(const double *v, Py_ssize_t n_rows, Py_ssize_t n_cols, PyObject *lead,
+format_matrix_text(const double *v, Py_ssize_t n_rows, Py_ssize_t n_cols, PyObject *held,
                    const char *sep, Py_ssize_t sep_len, const char *prefix,
                    Py_ssize_t prefix_len)
 {
-    Py_ssize_t lead_len = 0;
-    for (Py_ssize_t i = 0; lead != Py_None && i < n_rows; i++) {
-        Py_ssize_t len;
-        if (ascii_of(PyList_GET_ITEM(lead, i), "every lead item", &len) == NULL)
+    std::vector<const char *> lead;
+    std::vector<Py_ssize_t> lead_len;
+    try {
+        if (held != Py_None) {
+            lead.resize(n_rows);
+            lead_len.resize(n_rows);
+        }
+    } catch (const std::exception &) {
+        return PyErr_NoMemory();
+    }
+    /* lead bytes of the first and of the second half of the rows */
+    Py_ssize_t half = n_rows / 2, lead_bytes[2] = {0, 0};
+    for (Py_ssize_t i = 0; held != Py_None && i < n_rows; i++) {
+        lead[i] = ascii_of(PyTuple_GET_ITEM(held, i), "every lead item", &lead_len[i]);
+        if (lead[i] == NULL)
             return NULL;
-        if (len > PY_SSIZE_T_MAX - lead_len)
+        if (lead_len[i] > PY_SSIZE_T_MAX - lead_bytes[0] - lead_bytes[1])
             return PyErr_NoMemory();
-        lead_len += len;
+        lead_bytes[i >= half] += lead_len[i];
     }
     /* upper bound: the prefix, every lead, and per row its cells, their
      * separators and the line end */
     if (n_cols > (PY_SSIZE_T_MAX / 2) / (MAX_CELL + sep_len))
         return PyErr_NoMemory();
     Py_ssize_t row_max = n_cols * (MAX_CELL + sep_len) + 2;
-    if (n_rows > 0 && row_max > (PY_SSIZE_T_MAX - prefix_len - lead_len) / n_rows)
+    Py_ssize_t all_leads = lead_bytes[0] + lead_bytes[1];
+    if (n_rows > 0 && row_max > (PY_SSIZE_T_MAX - prefix_len - all_leads) / n_rows)
         return PyErr_NoMemory();
-    PyObject *text = PyUnicode_New(prefix_len + lead_len + n_rows * row_max, 127);
+    Py_ssize_t size = prefix_len + all_leads + n_rows * row_max;
+    PyObject *text = PyUnicode_New(size, 127);
     if (text == NULL)
         return NULL;
     char *start = reinterpret_cast<char *>(PyUnicode_1BYTE_DATA(text));
-    char *out = start;
-    std::memcpy(out, prefix, prefix_len);
-    out += prefix_len;
-    for (Py_ssize_t i = 0; i < n_rows; i++) {
-        Py_ssize_t len = 0;
-        /* checked above, so this cannot fail */
-        const char *text = lead == Py_None
-            ? NULL : ascii_of(PyList_GET_ITEM(lead, i), "every lead item", &len);
-        out = write_row(out, v + i * n_cols, n_cols, text, len, sep, sep_len);
-        *out++ = '\r';
-        *out++ = '\n';
+    std::memcpy(start, prefix, prefix_len);
+    /* the first half ends at most where the second half's bound begins */
+    char *out = start + prefix_len;
+    char *tail = start + size - (lead_bytes[1] + (n_rows - half) * row_max);
+    char *tail_end = tail;
+    const Rows rows = {v, n_cols, held == Py_None ? NULL : lead.data(),
+                       held == Py_None ? NULL : lead_len.data(), sep, sep_len};
+    Py_BEGIN_ALLOW_THREADS
+    std::thread second;
+    try {
+        second = std::thread([&] { tail_end = write_rows(rows, half, n_rows, tail); });
+    } catch (const std::exception &) {
+        /* no second thread: this one writes both halves, to the same bytes */
     }
+    out = write_rows(rows, 0, half, out);
+    if (second.joinable())
+        second.join();
+    else
+        tail_end = write_rows(rows, half, n_rows, tail);
+    Py_END_ALLOW_THREADS
+    std::memmove(out, tail, tail_end - tail);
+    out += tail_end - tail;
     /* a fresh str with one reference: PyUnicode_Resize shrinks it in place */
     if (PyUnicode_Resize(&text, out - start) < 0)
         return NULL;
     return text;
+}
+
+/* Longest "%.6g" of a double: "-1.23457e-308" (13 characters). */
+constexpr Py_ssize_t MAX_G6 = 13;
+
+/* Write "%.6g" % x at out; return the end of what was written. */
+char *
+write_g6(double x, char *out)
+{
+    if (std::isnan(x)) {
+        std::memcpy(out, "nan", 3);
+        return out + 3;
+    }
+    return std::to_chars(out, out + MAX_G6, x, std::chars_format::general, 6).ptr;
+}
+
+/* Fill view (released by the caller) from a C-contiguous 1-d float64
+ * buffer and return 0, or return -1 with ValueError naming it. */
+int
+checked_vector(PyObject *obj, const char *name, Py_buffer *view)
+{
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
+        return -1;
+    if (view->ndim == 1 && view->format != NULL && std::strcmp(view->format, "d") == 0
+            && PyBuffer_IsContiguous(view, 'C'))
+        return 0;
+    PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous 1-d float64 array", name);
+    PyBuffer_Release(view);
+    return -1;
 }
 
 /* Parse and check (values, lead, sep): fills view (released by the
@@ -224,9 +317,58 @@ reprfmt_format_text(PyObject *self, PyObject *args, PyObject *kwargs)
     const char *sep = ascii_of(sep_obj, "sep", &sep_len);
     if (sep == NULL || checked_matrix(values_obj, lead, &view) < 0)
         return NULL;
-    PyObject *result = format_matrix_text(static_cast<const double *>(view.buf),
-                                          view.shape[0], view.shape[1], lead, sep, sep_len,
-                                          prefix, prefix_len);
+    PyObject *held = lead == Py_None ? Py_NewRef(Py_None) : PyList_AsTuple(lead);
+    PyObject *result = held == NULL ? NULL : format_matrix_text(
+        static_cast<const double *>(view.buf), view.shape[0], view.shape[1], held, sep,
+        sep_len, prefix, prefix_len);
+    Py_XDECREF(held);
     PyBuffer_Release(&view);
     return result;
+}
+
+extern "C" PyObject *
+reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs)
+{
+    static const char *kwlist[] = {"xs", "ys", NULL};
+    PyObject *xs_obj, *ys_obj;
+    Py_buffer xs, ys;
+
+    (void)self;
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:format_points",
+                                     const_cast<char **>(kwlist), &xs_obj, &ys_obj))
+        return NULL;
+    if (checked_vector(xs_obj, "xs", &xs) < 0)
+        return NULL;
+    if (checked_vector(ys_obj, "ys", &ys) < 0) {
+        PyBuffer_Release(&xs);
+        return NULL;
+    }
+    PyObject *text = NULL;
+    Py_ssize_t n = xs.shape[0];
+    /* per point: two cells, the comma between them and a space after */
+    if (ys.shape[0] != n)
+        PyErr_Format(PyExc_ValueError, "xs has %zd items, ys has %zd", n, ys.shape[0]);
+    else if (n > PY_SSIZE_T_MAX / (2 * MAX_G6 + 2))
+        PyErr_NoMemory();
+    else
+        text = PyUnicode_New(n * (2 * MAX_G6 + 2), 127);
+    if (text != NULL) {
+        const double *x = static_cast<const double *>(xs.buf);
+        const double *y = static_cast<const double *>(ys.buf);
+        char *start = reinterpret_cast<char *>(PyUnicode_1BYTE_DATA(text));
+        char *out = start;
+        for (Py_ssize_t i = 0; i < n; i++) {
+            if (i > 0)
+                *out++ = ' ';
+            out = write_g6(x[i], out);
+            *out++ = ',';
+            out = write_g6(y[i], out);
+        }
+        /* a fresh str with one reference: PyUnicode_Resize shrinks it in place */
+        if (PyUnicode_Resize(&text, out - start) < 0)
+            text = NULL;
+    }
+    PyBuffer_Release(&xs);
+    PyBuffer_Release(&ys);
+    return text;
 }

@@ -4,7 +4,9 @@ A config file is a single JSON object.  Every experiment kind has a fixed
 schema; unknown keys are rejected rather than ignored so a typo fails fast
 instead of silently running defaults.  The canonical hash covers the fully
 defaulted config, so two files that resolve to the same settings share
-output identity.
+output identity.  It also covers the contents of the input files a config
+names (`cond_report`'s matrix_file), by their sha256 (`inputs`): one path
+holding two different matrices gives two hashes.
 """
 
 import hashlib
@@ -85,6 +87,7 @@ class ExperimentConfig:
     seed: int
     params: dict
     config_hash: str
+    inputs: dict  # config key -> sha256 hex digest of the file it names
 
     def __getitem__(self, key):
         return self.params[key]
@@ -120,6 +123,15 @@ def _check_widths(widths):
         raise ConfigError(f"widths must list at least 2 positive integers, got {widths!r}")
 
 
+def file_sha256(path):
+    """The sha256 hex digest of a file's bytes, or ConfigError."""
+    try:
+        with open(path, "rb") as fh:
+            return hashlib.sha256(fh.read()).hexdigest()
+    except OSError as exc:
+        raise ConfigError(f"cannot read input file {path!r}: {exc.strerror}") from None
+
+
 def resolve_config(raw: dict) -> ExperimentConfig:
     """Validate a parsed JSON object against its kind's schema."""
     if not isinstance(raw, dict):
@@ -153,10 +165,16 @@ def resolve_config(raw: dict) -> ExperimentConfig:
         raise ConfigError(f"rank_tol must be in (0, 1), got {params['rank_tol']!r}")
     seed = params.pop("seed")
     params.pop("kind")
-    canon = json.dumps({"kind": kind, "seed": seed, **params},
+    inputs = {}
+    if kind == "cond_report" and params["matrix_file"]:
+        inputs["matrix_file"] = file_sha256(params["matrix_file"])
+    # a config without input files keeps the hash it had before `inputs`
+    canon = json.dumps({"kind": kind, "seed": seed, **params,
+                        **({"inputs": inputs} if inputs else {})},
                        sort_keys=True, separators=(",", ":"))
     digest = hashlib.sha256(canon.encode()).hexdigest()[:16]
-    return ExperimentConfig(kind=kind, seed=seed, params=params, config_hash=digest)
+    return ExperimentConfig(kind=kind, seed=seed, params=params, config_hash=digest,
+                            inputs=inputs)
 
 
 def load_config(path, *, kind=None, **overrides) -> ExperimentConfig:

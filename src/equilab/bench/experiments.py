@@ -23,7 +23,7 @@ import equilab
 from equilab import densela, precond, quadlab
 from equilab import hesslab
 from equilab._csvfmt import csv_text
-from equilab.bench.config import ExperimentConfig
+from equilab.bench.config import ExperimentConfig, file_sha256
 from equilab.bench.manifest import RunManifest, atomic_write_text
 from equilab.bench.svgplot import LineSeries, emit_svg
 from equilab.errors import ArmMismatchError, ConfigError, EquilabError, RankDeficientError
@@ -349,7 +349,8 @@ def run_quad(cfg: ExperimentConfig, out_dir, manifest):
     steps at eta = rho * 2/sigma_1 of its own operator; progress is scored
     as excess loss of the original problem at the mapped-back iterates, so
     curves are directly comparable.  That loss is the arm's own recorded
-    loss: L_arm(u) = 1/2 u^T DAD u - (Db)^T u = L(Du).
+    loss: L_arm(u) = 1/2 u^T DAD u - (Db)^T u = L(Du).  The arms step as
+    one GD stack (quadlab.run_gd), each with the bits of its own run.
     """
     p = cfg.params
     problem, theta0 = _spd_problem(cfg.seed, p["dim"], p["kappa"])
@@ -362,11 +363,12 @@ def run_quad(cfg: ExperimentConfig, out_dir, manifest):
         a_arm = problem.a * np.outer(d, d)
         arms.append((kind, d, quadlab.QuadraticProblem(a_arm, d * problem.b)))
 
+    etas = [p["rho"] * quadlab.max_stable_lr(prob) for _, _, prob in arms]
+    traces = quadlab.run_gd([prob for _, _, prob in arms], [theta0 / d for _, d, _ in arms],
+                            etas, p["iters"])
     series = []
     rows = ["arm,kappa,eta,diverged,iters_to_tolerance,final_excess"]
-    for name, d, prob in arms:
-        eta = p["rho"] * quadlab.max_stable_lr(prob)
-        trace = quadlab.run_gd(prob, theta0 / d, eta, p["iters"])
+    for (name, _, prob), eta, trace in zip(arms, etas, traces):
         excess = np.maximum(trace.losses - loss_star, 0.0)
         hit = np.flatnonzero(excess <= p["tolerance"])
         iters_to = int(hit[0]) if hit.size else -1
@@ -375,9 +377,6 @@ def run_quad(cfg: ExperimentConfig, out_dir, manifest):
         manifest.diverged[name] = bool(trace.diverged)
         _emit(manifest, out_dir, f"quad_{_arm_filename(name)}.csv", trace.to_csv())
         series.append(LineSeries(name, tuple(range(len(excess))), tuple(excess.tolist())))
-        # one arm's trace alive at a time: the next arm's run and text
-        # reuse its memory
-        del trace
     _emit_csv(manifest, out_dir, "summary.csv", rows)
     _emit(manifest, out_dir, "quad_excess.svg",
           emit_svg(series, title="excess loss under GD", xlabel="iteration",
@@ -420,6 +419,9 @@ def run_hessian_compare(cfg: ExperimentConfig, out_dir, manifest):
 def run_cond_report(cfg: ExperimentConfig, out_dir, manifest):
     if not cfg["matrix_file"]:
         raise ConfigError("cond_report needs a matrix file")
+    # the manifest's inputs and the config hash name these bytes
+    if file_sha256(cfg["matrix_file"]) != cfg.inputs["matrix_file"]:
+        raise ConfigError(f"{cfg['matrix_file']} changed after its config was resolved")
     mat = densela.read_matrix_text(cfg["matrix_file"])
     reports = precond.conditioning_report(mat, cfg["kinds"], seed=cfg.seed)
     _emit_csv(manifest, out_dir, "cond_report.csv",
@@ -438,13 +440,16 @@ RUNNERS = {
 def run_experiment(cfg: ExperimentConfig, out_dir) -> RunManifest:
     """Run cfg's experiment into out_dir and return its manifest.
 
-    The manifest times the runner (wall_time_total) and lists every file
-    the run wrote, manifest.json included, which is written last.
+    The manifest times the runner (wall_time_total), lists every file
+    the run wrote, manifest.json included, which is written last, and
+    names the environment (`env`) and input files (`inputs`) the bytes
+    depend on.
     """
     if cfg.kind not in RUNNERS:
         raise ConfigError(f"no runner for kind {cfg.kind!r}")
     manifest = RunManifest(kind=cfg.kind, config_hash=cfg.config_hash, config=cfg.params,
-                           seed=cfg.seed, version=equilab.__version__, started=_now())
+                           seed=cfg.seed, version=equilab.__version__, started=_now(),
+                           inputs=dict(cfg.inputs))
     t0 = time.perf_counter()
     RUNNERS[cfg.kind](cfg, out_dir, manifest)
     manifest.wall_time_total = time.perf_counter() - t0

@@ -4,13 +4,28 @@ Every harness run ends by writing a manifest listing each emitted file, so
 an output directory can be audited: files not in the manifest are stale,
 files in the manifest but missing indicate a truncated run.  Wall-clock
 timings live here and only here; the CSV/SVG artifacts stay byte-identical
-across reruns.
+across reruns.  The manifest also names what those bytes depend on beyond
+the config and seed: `env`, the process's environment (the kernel backend
+above all, since the bytes are per backend), and `inputs`, the sha256 of
+each input file the config names.
 """
 
+import copy
+import functools
 import json
 import os
+import sys
 import tempfile
 from dataclasses import asdict, dataclass, field
+
+import numpy as np
+
+import equilab
+from equilab import _kernels
+
+# the thread-count variables of the BLAS and OpenMP runtimes NumPy may use
+THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
+               "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
 # Characters encoded per write.  Encoding a whole trace file at once held
@@ -45,6 +60,24 @@ def atomic_write_text(path, text):
         raise
 
 
+@functools.cache
+def environment():
+    """The manifest's `env`, computed once per process: the kernel backend,
+    the equilab, Python and NumPy versions, sys.platform, the CPU count
+    and the thread variables (None when unset).  Cheap by design:
+    platform.platform() is not called (its first call runs for
+    milliseconds, a whole small run's time)."""
+    return {
+        "kernel_backend": _kernels.BACKEND,
+        "equilab": equilab.__version__,
+        "python": sys.version.split()[0],
+        "numpy": np.__version__,
+        "platform": sys.platform,
+        "cpu_count": os.cpu_count(),
+        "threads": {var: os.environ.get(var) for var in THREAD_VARS},
+    }
+
+
 @dataclass
 class RunManifest:
     kind: str
@@ -59,6 +92,9 @@ class RunManifest:
     wall_time_total: float = 0.0
     wall_time_per_step: dict = field(default_factory=dict)
     notes: dict = field(default_factory=dict)
+    # a copy, so that one manifest's edit cannot reach the cached dict
+    env: dict = field(default_factory=lambda: copy.deepcopy(environment()))
+    inputs: dict = field(default_factory=dict)
 
     def add_file(self, name):
         """List a file of the run directory by its name."""

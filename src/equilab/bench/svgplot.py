@@ -4,11 +4,21 @@ No plotting dependency: the harness needs byte-stable output for golden
 tests, which rules out libraries that embed versions or timestamps.  All
 coordinates are formatted with %.6g so the files are identical across
 platforms that agree on binary64 arithmetic.
+
+A series' plot coordinates are computed as numpy arrays, with the IEEE
+operations of the scalar formulas in the same order (a log axis takes
+`math.log10` per point).  Its polyline's "x,y x,y ..." text comes from the
+compiled `format_points` on the compiled backend (std::to_chars, which is
+printf's %.6g) and from "%.6g" % per coordinate on the fallback; both give
+the same bytes.
 """
 
 import math
 from dataclasses import dataclass
 
+import numpy as np
+
+from equilab._kernels import format_points as _compiled_format_points
 from equilab.errors import DimensionError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -59,15 +69,23 @@ def nice_ticks(lo, hi, target=5):
 
 
 def _plotted_points(s, log_y):
-    """The (x, y) pairs of a series that the plot draws, y as plotted
+    """The (x, y) arrays of a series that the plot draws, y as plotted
     (log10 on a log axis): non-finite points, and non-positive y on a log
     axis, are dropped."""
-    pts = []
-    for x, y in zip(s.xs, s.ys):
-        if math.isfinite(x) and math.isfinite(y) and (not log_y or y > 0.0):
-            y = float(y)
-            pts.append((float(x), math.log10(y) if log_y else y))
-    return pts
+    xs = np.asarray(s.xs, dtype=np.float64)
+    ys = np.asarray(s.ys, dtype=np.float64)
+    keep = np.isfinite(xs) & np.isfinite(ys)
+    if log_y:
+        keep &= ys > 0.0
+        return xs[keep], np.array([math.log10(y) for y in ys[keep].tolist()], dtype=np.float64)
+    return xs[keep], ys[keep]
+
+
+def _points_text(px, py):
+    """'x,y x,y ...' of the plot coordinates px and py, each "%.6g"."""
+    if _compiled_format_points is not None:
+        return _compiled_format_points(px, py)
+    return " ".join([f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px.tolist(), py.tolist())])
 
 
 def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
@@ -78,11 +96,12 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
     """
     series = list(series)
     points = [_plotted_points(s, log_y) for s in series]
-    if any(points):
-        xs = [x for pts in points for x, _ in pts]
-        ys = [y for pts in points for _, y in pts]
-        x_lo, x_hi = min(xs), max(xs)
-        y_lo, y_hi = min(ys), max(ys)
+    drawn = [(xs, ys) for xs, ys in points if xs.size]
+    if drawn:
+        x_lo = min(float(xs.min()) for xs, _ in drawn)
+        x_hi = max(float(xs.max()) for xs, _ in drawn)
+        y_lo = min(float(ys.min()) for _, ys in drawn)
+        y_hi = max(float(ys.max()) for _, ys in drawn)
     else:
         x_lo, x_hi, y_lo, y_hi = 0.0, 1.0, 0.0, 1.0
     if x_hi <= x_lo:
@@ -94,6 +113,7 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
     plot_w = WIDTH - MARGIN_L - MARGIN_R
     plot_h = HEIGHT - MARGIN_T - MARGIN_B
 
+    # a float or an array: the same IEEE operations, element by element
     def px(x):
         return MARGIN_L + (x - x_lo) / (x_hi - x_lo) * plot_w
 
@@ -146,14 +166,13 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
         out.append(f'<text x="{_fmt(cx)}" y="{_fmt(cy)}" font-family="sans-serif" font-size="11" '
                    f'text-anchor="middle" transform="rotate(-90 {_fmt(cx)} {_fmt(cy)})">{_escape(ylabel)}</text>')
 
-    for i, (s, pts) in enumerate(zip(series, points)):
+    for i, (s, (xs, ys)) in enumerate(zip(series, points)):
         color = PALETTE[i % len(PALETTE)]
-        coords = [f"{_fmt(px(x))},{_fmt(py(y))}" for x, y in pts]
-        if len(coords) == 1:
-            x0, y0 = coords[0].split(",")
+        if xs.size == 1:
+            x0, y0 = _points_text(px(xs), py(ys)).split(",")
             out.append(f'<circle cx="{x0}" cy="{y0}" r="2.5" fill="{color}"/>')
-        elif coords:
-            out.append(f'<polyline points="{" ".join(coords)}" fill="none" '
+        elif xs.size:
+            out.append(f'<polyline points="{_points_text(px(xs), py(ys))}" fill="none" '
                        f'stroke="{color}" stroke-width="1.5"/>')
         # legend swatch
         ly = MARGIN_T + 10 + 14 * i

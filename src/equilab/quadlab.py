@@ -8,9 +8,14 @@ range is exactly eta < 2 / sigma_max.  This module implements the model,
 the stable step-size bound and a recorded GD run.  Diagonal
 preconditioning is done by the caller, as a new QuadraticProblem in
 scaled coordinates (see bench.experiments.run_quad).
+
+`run_gd` runs one problem, or a stack of same-size problems in one loop
+(run_quad's arms: plain and each diagonal scaling), every member with the
+bits of its own run.  Each run is recorded as the table of its trace CSV:
+per iterate its loss, its norm and its mode coefficients, filled in place
+over the iterates after the loop.
 """
 
-import math
 from dataclasses import dataclass
 from functools import cached_property
 
@@ -27,14 +32,14 @@ from equilab.errors import (
 
 DIVERGENCE_NORM = 1e12
 MAX_ITERS = 1_000_000
-# iterates per batched loss/mode call in run_gd; small blocks keep the
-# temporaries out of peak RSS (whole-trace 1 MB temporaries of a 2000-step,
-# 64-dim run cost 1-2 MB of it)
+# steps per divergence check, and iterates per batched loss/mode call, in
+# run_gd; small blocks keep the temporaries out of peak RSS (whole-trace
+# 1 MB temporaries of a 2000-step, 64-dim run cost 1-2 MB of it)
 TRACE_BLOCK_ROWS = 128
-# cells (8 bytes each) run_gd reserves for iterates up front: a whole
-# trace of up to 2**20 cells (quad64's 2001 x 64 is 128K) is allocated
-# once; a longer one starts at this size and doubles as it runs, so an
-# early divergence never reserves iters * n cells
+# cells (8 bytes each) run_gd reserves for its stack of trace tables up
+# front: a whole stack of up to 2**20 cells (quad64's 3 x 2001 x 66 is
+# 396K) is allocated once; a longer one starts at this size and doubles
+# as it runs, so an early divergence never reserves iters * n cells
 GD_PREALLOC_CELLS = 2**20
 
 
@@ -137,21 +142,28 @@ def max_stable_lr(problem):
 
 @dataclass(frozen=True)
 class GDTrace:
-    """Recorded gradient-descent trajectory.
+    """Recorded gradient-descent trajectory, held as its CSV table.
 
-    iterates has shape (steps+1, n); losses and mode_coeffs align with it.
-    mode_coeffs[t] = V^T (theta_t - theta_star) in the descending-sigma
-    ordering of `sigma`.  diverged is set when the iterate norm passed
-    1e12 or went non-finite; the trace keeps everything up to and
-    including the offending iterate.
+    table has one row per iterate (steps + 1 rows) and n + 2 columns: the
+    loss, the iterate's norm, then the n mode coefficients
+    V^T (theta_t - theta_star) in the descending-sigma ordering of
+    `sigma`.  losses and mode_coeffs are views of its columns.  diverged
+    is set when the iterate norm passed 1e12 or went non-finite; the trace
+    keeps everything up to and including the offending iterate.
     """
 
-    iterates: np.ndarray
-    losses: np.ndarray
-    mode_coeffs: np.ndarray
+    table: np.ndarray
     eta: float
     sigma: np.ndarray
     diverged: bool
+
+    @property
+    def losses(self):
+        return self.table[:, 0]
+
+    @property
+    def mode_coeffs(self):
+        return self.table[:, 2:]
 
     @property
     def kappa(self):
@@ -159,7 +171,7 @@ class GDTrace:
 
     def to_csv(self):
         """CSV text: a metadata comment line, then RFC-4180 rows (CRLF line
-        ends).
+        ends): iter, then the table's row.
 
         Every float, sigma included, is its shortest round-trip `repr`.
         The text comes from `_csvfmt.format_csv`, sigma's cells inside the
@@ -167,75 +179,126 @@ class GDTrace:
         the extension writes the text in place into one str, on the numpy
         fallback `repr` runs once per distinct value per block of rows.
         """
-        n_modes = self.mode_coeffs.shape[1]
         meta = "# eta=%r kappa=%r diverged=%s sigma=[%s]" % (
             self.eta,
             self.kappa,
             self.diverged,
             format_csv([], self.sigma[None, :], sep=" ")[:-2],
         )
+        n_modes = self.table.shape[1] - 2
         header = "iter,loss,theta_norm" + "".join(f",mode_{i}" for i in range(n_modes))
-        norms = np.linalg.norm(self.iterates, axis=1)
-        values = np.column_stack([self.losses, norms, self.mode_coeffs])
-        return format_csv([meta, header], values, first=range(len(values)))
+        return format_csv([meta, header], self.table, first=range(len(self.table)))
 
 
 def run_gd(problem, theta0, eta, iters):
     """Run plain gradient descent on a QuadraticProblem and record the full
-    trajectory.
+    trajectory as a GDTrace.
 
-    Terminates early with the diverged flag once the iterate norm exceeds
+    `problem` may instead be a sequence of same-size problems, with a
+    sequence of as many theta0s and etas: the runs then step as one stack
+    and a list of their traces is returned, each equal bit for bit to the
+    problem's own run (one BLAS gemv per member and step, as alone).
+
+    A run stops early with the diverged flag once the iterate norm exceeds
     1e12 or goes non-finite; the offending iterate is kept so traces stay
-    inspectable.  The loop computes only the iterates, into one
-    (iters + 1, n) array allocated before the first step when it holds at
-    most GD_PREALLOC_CELLS cells; a longer run starts with that many cells
-    and doubles the array, up to iters + 1 rows, as steps need it.  A
-    trace that stops early keeps a copy of the rows it ran, not that
-    array.  The losses and mode coefficients are
-    computed after the loop, one batched call per block of
-    TRACE_BLOCK_ROWS iterates, with the bits of per-step calls (see
-    `QuadraticProblem.loss`).
+    inspectable.  The loop computes only the iterates, into columns 2: of
+    one (members, iters + 1, n + 2) block allocated before the first step
+    when it holds at most GD_PREALLOC_CELLS cells; a longer run starts
+    with that many cells and doubles the block, up to iters + 1 rows, as
+    steps need it.  Divergence is checked once per TRACE_BLOCK_ROWS steps
+    from the stored rows, with the bits of a per-step norm; a member that
+    diverged leaves the stack with a copy of the rows it ran.  After the
+    loop, each block of TRACE_BLOCK_ROWS rows of a trace gets its losses,
+    norms and mode coefficients in place, with the bits of per-step calls
+    (see `QuadraticProblem.loss`): the block becomes the CSV table.
     """
-    if eta <= 0.0 or not np.isfinite(eta):
-        raise DimensionError(f"eta must be positive and finite, got {eta!r}")
+    stacked = not isinstance(problem, QuadraticProblem)
+    problems, thetas, etas = ((list(problem), list(theta0), list(eta)) if stacked
+                              else ([problem], [theta0], [eta]))
+    if not problems or not len(problems) == len(thetas) == len(etas):
+        raise DimensionError(f"run_gd needs one theta0 and one eta per problem, got "
+                             f"{len(problems)} problems, {len(thetas)} theta0s and "
+                             f"{len(etas)} etas")
+    n = problems[0].n
+    if any(p.n != n for p in problems):
+        raise DimensionError(f"stacked problems differ in size: {[p.n for p in problems]}")
+    for e in etas:
+        if e <= 0.0 or not np.isfinite(e):
+            raise DimensionError(f"eta must be positive and finite, got {e!r}")
     if not (0 <= iters <= MAX_ITERS):
         raise DimensionError(f"iters must be in [0, {MAX_ITERS}], got {iters}")
-    theta = _check_vector(theta0, problem.n, "theta0")
-    res = problem.svd
-    theta_star = problem.theta_star  # raises before the loop on an indefinite A
+    theta = np.stack([_check_vector(t, n, "theta0") for t in thetas])
+    for p in problems:
+        p.theta_star  # raises before the loop on an indefinite A
 
-    # theta stays a fresh array every step, so the gradient's BLAS call
-    # sees the operand it saw when these bits were set; a row is a copy
-    iterates = np.empty((min(iters + 1, max(1, GD_PREALLOC_CELLS // problem.n)), problem.n))
-    iterates[0] = theta
-    diverged = False
-    for t in range(1, iters + 1):
-        theta = theta - eta * problem.gradient(theta)
-        if t == len(iterates):
-            grown = np.empty((min(iters + 1, 2 * t), problem.n))
-            grown[:t] = iterates
-            iterates = grown
-        iterates[t] = theta
-        # what np.linalg.norm computes for a 1-D array, without its overhead
-        norm = math.sqrt(theta.dot(theta))
-        if not math.isfinite(norm) or norm > DIVERGENCE_NORM:
-            diverged = True
-            # keep the rows run, not the buffer sized for more steps
-            iterates = iterates[:t + 1].copy()
-            break
-    losses = np.empty(len(iterates))
-    modes = np.empty_like(iterates)
-    for i in range(0, len(iterates), TRACE_BLOCK_ROWS):
-        block = slice(i, i + TRACE_BLOCK_ROWS)
-        rows = iterates[block]
-        losses[block] = problem.loss(rows)
+    tables = _iterate_tables(problems, theta, etas, iters)
+    traces = []
+    for p, e, (table, diverged) in zip(problems, etas, tables):
+        _fill_table(p, table)
+        traces.append(GDTrace(table=table, eta=float(e), sigma=p.svd.sigma.copy(),
+                              diverged=diverged))
+    return traces if stacked else traces[0]
+
+
+def _iterate_tables(problems, theta, etas, iters):
+    """GD from the (k, n) theta stack: per member, (its rows, diverged),
+    the iterates in columns 2: of each (rows, n + 2) table."""
+    k, n = theta.shape
+    width = n + 2
+    a = np.stack([p.a for p in problems])
+    b = np.stack([p.b for p in problems])
+    lr = np.array(etas, dtype=np.float64)[:, None]
+    block = np.empty((k, min(iters + 1, max(1, GD_PREALLOC_CELLS // (k * width))), width))
+    block[:, 0, 2:] = theta
+    alive = list(range(k))
+    tables = [None] * k
+    checked = 0
+    # a member that diverged steps on until its block of rows is checked,
+    # and may overflow there
+    with np.errstate(over="ignore", invalid="ignore"):
+        for t in range(1, iters + 1):
+            # theta stays a fresh array every step, so each member's gemv
+            # sees the operand a solo run sees
+            theta = theta - lr * ((a @ theta[:, :, None])[:, :, 0] - b)
+            if t == block.shape[1]:
+                grown = np.empty((len(alive), min(iters + 1, 2 * t), width))
+                grown[:, :t] = block
+                block = grown
+            block[:, t, 2:] = theta
+            if t - checked < TRACE_BLOCK_ROWS and t < iters:
+                continue
+            first, checked = checked + 1, t
+            rows = block[:, first:t + 1, 2:]
+            # one ddot per row, as `theta.dot(theta)` of each step
+            norms = np.sqrt((rows[:, :, None, :] @ rows[:, :, :, None])[:, :, 0, 0])
+            offending = ~(norms <= DIVERGENCE_NORM)
+            if not offending.any():
+                continue
+            keep = []
+            for j, hits in enumerate(offending):
+                if hits.any():
+                    # keep the rows run, not the block sized for more steps
+                    tables[alive[j]] = (block[j, :first + int(hits.argmax()) + 1].copy(), True)
+                else:
+                    keep.append(j)
+            alive = [alive[j] for j in keep]
+            if not alive:
+                break
+            block, theta, a, b, lr = block[keep], theta[keep], a[keep], b[keep], lr[keep]
+    for j, member in enumerate(alive):
+        tables[member] = (block[j], False)
+    return tables
+
+
+def _fill_table(problem, table):
+    """Overwrite each iterate in columns 2: of table with its mode
+    coefficients, after its loss and norm are written to columns 0 and 1;
+    one batched call per block of TRACE_BLOCK_ROWS rows."""
+    res, theta_star = problem.svd, problem.theta_star
+    for i in range(0, len(table), TRACE_BLOCK_ROWS):
+        rows = table[i:i + TRACE_BLOCK_ROWS]
+        theta = rows[:, 2:]
+        rows[:, 0] = problem.loss(theta)
+        rows[:, 1] = np.linalg.norm(theta, axis=1)
         # one gemv per row, as `vt @ (theta - theta_star)` for each theta
-        modes[block] = (res.vt @ (rows - theta_star)[:, :, None])[:, :, 0]
-    return GDTrace(
-        iterates=iterates,
-        losses=losses,
-        mode_coeffs=modes,
-        eta=float(eta),
-        sigma=res.sigma.copy(),
-        diverged=diverged,
-    )
+        theta[...] = (res.vt @ (theta - theta_star)[:, :, None])[:, :, 0]

@@ -1,3 +1,4 @@
+import hashlib
 import json
 import os
 import subprocess
@@ -8,6 +9,7 @@ from pathlib import Path
 import numpy as np
 import pytest
 
+import equilab
 from equilab import _kernels, densela, quadlab
 from equilab.bench import cli, experiments, manifest, svgplot
 from equilab.bench.config import default_config, load_config, resolve_config
@@ -191,10 +193,11 @@ class TestManifest:
 
         tracemalloc peak over len(text), 2000 steps x 64 dims (2.75M chars):
         before the one-text formatter and the sliced write, 2.44 on both
-        backends (rows and their join, then the whole text encoded); now
+        backends (rows and their join, then the whole text encoded); then
         1.64 compiled (the text's upper-bound allocation, about 1.2, plus
-        the cell matrix) and 2.48 on the numpy fallback (its rows and
-        their join).
+        a cell matrix stacked from the trace's columns) and 2.48 on the
+        numpy fallback (its rows and their join).  Since the trace is its
+        table, no cell matrix is stacked: 1.26 compiled, 2.09 fallback.
         """
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
@@ -209,8 +212,34 @@ class TestManifest:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 1.8 if _kernels.BACKEND == "compiled" else 2.7
+        bound = 1.45 if _kernels.BACKEND == "compiled" else 2.3
         assert peak < bound * n_chars, (peak, n_chars)
+
+    def test_env_names_the_backend_and_versions(self, tmp_path, monkeypatch):
+        run_experiment(default_config("vds", **SMALL_RUNS["vds"]), tmp_path / "r")
+        env = load_manifest(tmp_path / "r")["env"]
+        assert env["kernel_backend"] == _kernels.BACKEND
+        assert (env["python"], env["numpy"]) == (sys.version.split()[0], np.__version__)
+        assert env["equilab"] == equilab.__version__ and env["platform"] == sys.platform
+        assert env["cpu_count"] == os.cpu_count()
+        assert set(env["threads"]) == set(manifest.THREAD_VARS)
+        assert load_manifest(tmp_path / "r")["inputs"] == {}
+
+    def test_env_is_computed_once_without_platform_platform(self, monkeypatch):
+        import platform
+
+        def slow():
+            raise AssertionError("platform.platform() called")
+
+        monkeypatch.setattr(platform, "platform", slow)
+        manifest.environment.cache_clear()
+        first = manifest.environment()
+        monkeypatch.setenv("OMP_NUM_THREADS", "7")
+        assert manifest.environment() is first
+        # each manifest holds its own copy
+        one = manifest.RunManifest("vds", "h", {}, 0, "v", "t")
+        one.env["threads"]["OMP_NUM_THREADS"] = "x"
+        assert manifest.environment() == first != one.env
 
     @pytest.mark.parametrize("kind", sorted(SMALL_RUNS))
     def test_roundtrip_via_run(self, tmp_path, kind):
@@ -272,6 +301,26 @@ class TestQuad:
             assert float(by_arm[arm]["final_excess"]) < \
                 float(by_arm["none"]["final_excess"])
         assert (out / "quad_excess.svg").exists()
+
+    def test_run_holds_three_tables_and_one_text(self, tmp_path):
+        """tracemalloc peak of a whole quad run: the arms' three trace
+        tables (1.6 MB here), one arm's CSV text at a time, and the run's
+        other arrays.
+
+        Measured in a fresh interpreter (dim 32, 2000 steps): 4.6 MB on
+        the compiled backend, 6.1 MB on the numpy fallback, whose rows and
+        their join hold more text at once.  A run that kept each arm's
+        iterates array beside its table holds 1.5 MB more.
+        """
+        cfg = default_config("quad", dim=32, kappa=1e6, iters=2000, seed=1)
+        tracemalloc.start()
+        try:
+            run_experiment(cfg, tmp_path / "r")
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        bound = 5.5e6 if _kernels.BACKEND == "compiled" else 7.0e6
+        assert peak < bound, peak
 
 
 class TestTrainCompare:
@@ -475,6 +524,35 @@ class TestCondReport:
         run_experiment(default_config("cond_report", matrix_file=str(mpath)),
                        tmp_path / "r")
         assert calls == {"sweep": 4, "svd": 0}
+
+    def test_matrix_contents_enter_the_hash_and_the_manifest(self, tmp_path):
+        # two different matrices written to one path once shared a hash
+        mpath = tmp_path / "m.txt"
+        runs = []
+        for body in ("2 2\n1 0\n0 2\n", "2 2\n3 4\n0 5\n"):
+            mpath.write_text(body)
+            cfg = default_config("cond_report", matrix_file=str(mpath))
+            out = tmp_path / f"r{len(runs)}"
+            run_experiment(cfg, out)
+            digest = hashlib.sha256(body.encode()).hexdigest()
+            assert cfg.inputs == {"matrix_file": digest}
+            assert load_manifest(out)["inputs"] == {"matrix_file": digest}
+            runs.append((cfg.config_hash, (out / "cond_report.csv").read_bytes()))
+        (hash_a, csv_a), (hash_b, csv_b) = runs
+        assert csv_a != csv_b
+        assert hash_a != hash_b
+
+    def test_matrix_changed_after_resolving_is_rejected(self, tmp_path):
+        mpath = tmp_path / "m.txt"
+        mpath.write_text("2 2\n1 0\n0 2\n")
+        cfg = default_config("cond_report", matrix_file=str(mpath))
+        mpath.write_text("2 2\n3 4\n0 5\n")
+        with pytest.raises(ConfigError, match="changed"):
+            run_experiment(cfg, tmp_path / "r")
+
+    def test_unreadable_matrix_is_a_config_error(self, tmp_path):
+        with pytest.raises(ConfigError, match="cannot read"):
+            default_config("cond_report", matrix_file=str(tmp_path / "missing.txt"))
 
 
 SCIPY_FREE_RUNS = """

@@ -182,3 +182,21 @@ def test_record_counts_current_bytecode_after_the_runs(bench_record, paired, mon
                                "package_modules": 4, "current_pyc": 2}
     assert old["bytecode"] == {"PYTHONDONTWRITEBYTECODE": barred,
                                "package_modules": 0, "current_pyc": 0}
+
+
+def test_record_names_the_tree_a_squash_keeps(bench_record, paired, monkeypatch):
+    base, head, out, calls = paired
+    monkeypatch.delenv("EQUILAB_PURE_PYTHON", raising=False)
+    bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
+    new = json.loads((out / "BENCH_new.json").read_text(encoding="utf-8"))
+    commit = bench_record.git(head, "rev-parse", "HEAD")
+    tree = bench_record.git(head, "rev-parse", "HEAD^{tree}")
+    assert (new["checkout_commit"], new["checkout_tree"]) == (commit, tree)
+    # a squash onto another parent makes a new commit with the same tree
+    squashed = bench_record.git(head, "-c", "user.name=t", "-c", "user.email=t@t",
+                                "commit-tree", tree, "-p", commit, "-m", "squash")
+    assert squashed != commit
+    assert bench_record.git(head, "rev-parse", squashed + "^{tree}") == new["checkout_tree"]
+    old_label = bench_record.git(base, "rev-parse", "HEAD")[:7]
+    old = json.loads((out / f"BENCH_{old_label}.json").read_text(encoding="utf-8"))
+    assert old["checkout_tree"] == bench_record.git(base, "rev-parse", "HEAD^{tree}")

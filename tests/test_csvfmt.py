@@ -198,6 +198,76 @@ def check_compiled_text(format_text):
                format_text(_csvfmt.csv_text(header), values, lead, sep))
 
 
+def check_halves(format_text):
+    """format_text, which formats the second half of the rows on a second
+    thread, equals repr and the numpy fallback's rows on random matrices:
+    row counts that split evenly, unevenly or leave a half empty, leads of
+    uneven lengths, a prefix; returns how many matrices were checked."""
+    rng = np.random.default_rng(26)
+    checked = 0
+    for n_rows in (0, 1, 2, 3, 4, 5, 33, 1001):
+        for n_cols in (0, 1, 7):
+            cells = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
+                -30, 30, size=(n_rows, n_cols))
+            keys = rng.integers(-(2**63), 2**63 - 1, size=(n_rows, n_cols), endpoint=True)
+            for values in (cells, keys.view(np.float64)):
+                for lead in (None, [str(7**(i % 23)) for i in range(n_rows)]):
+                    header = ["# eta=0.5", "iter,a"]
+                    got = format_text(_csvfmt.csv_text(header), values, lead, ",")
+                    assert got == _csvfmt.csv_text([*header, *reference_rows(values, lead)])
+                    assert got == _csvfmt.csv_text(
+                        [*header, *_csvfmt.format_rows(values, lead)])
+                    checked += 1
+    return checked
+
+
+def check_concurrent_calls(format_text):
+    """Six Python threads (more than the host's cores) call format_text at
+    once, with a short switch interval, while a seventh keeps replacing
+    the items of one thread's lead list by equal new strings: the calls
+    run with the GIL released, and each must hold its lead items, not
+    borrow them.  Every text must equal its reference; returns the number
+    of calls."""
+    import sys
+    import threading
+
+    rng = np.random.default_rng(7)
+    mats = [rng.standard_normal((257 + i, 5)) for i in range(6)]
+    leads = [[str(j) for j in range(len(m))] for m in mats]
+    want = [_csvfmt.csv_text(reference_rows(m, lead)) for m, lead in zip(mats, leads)]
+    shared = leads[0]
+    stop = threading.Event()
+    wrong = []
+
+    def replace_leads():
+        while not stop.is_set():
+            for j in range(len(shared)):
+                shared[j] = str(j)
+
+    def work(i):
+        for _ in range(40):
+            if format_text("", mats[i], leads[i], ",") != want[i]:
+                wrong.append(i)
+
+    threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
+    mutator = threading.Thread(target=replace_leads)
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-5)
+    try:
+        mutator.start()
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(timeout=60)
+    finally:
+        stop.set()
+        mutator.join(timeout=60)
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in [*threads, mutator])
+    assert wrong == [], wrong
+    return 6 * 40
+
+
 # bad (values, lead, sep) for the compiled formatter
 REJECTED = {
     "1-d values": (np.zeros(3), None, ","),
@@ -293,6 +363,20 @@ def test_compiled_rejects_bad_input():
 def test_compiled_text_equals_csv_text_of_rows():
     proc = run_compiled(check_compiled_text, rows=False)
     assert proc.returncode == 0, proc.stderr
+
+
+@needs_compiled
+def test_compiled_text_halves_equal_repr_and_fallback():
+    proc = run_compiled(check_halves, rows=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "96", proc.stdout
+
+
+@needs_compiled
+def test_compiled_text_concurrent_calls():
+    proc = run_compiled(check_concurrent_calls, rows=False)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "240", proc.stdout
 
 
 @needs_compiled

@@ -4,7 +4,7 @@ import numpy as np
 import pytest
 
 from equilab import quadlab
-from equilab.errors import NotPositiveDefiniteError, NotSymmetricError
+from equilab.errors import DimensionError, NotPositiveDefiniteError, NotSymmetricError
 
 
 def spd_problem(seed, n=6, kappa=100.0, zero_b=False):
@@ -121,8 +121,9 @@ class TestModeAnalysis:
         eta = 3.0 * quadlab.max_stable_lr(prob)
         trace = quadlab.run_gd(prob, theta0, eta, 10_000)
         assert trace.diverged
-        assert np.linalg.norm(trace.iterates[-1]) > quadlab.DIVERGENCE_NORM
-        assert trace.iterates.shape[0] - 1 < 10_000
+        # column 1 is the iterate's norm
+        assert trace.table[-1, 1] > quadlab.DIVERGENCE_NORM
+        assert trace.table.shape[0] - 1 < 10_000
 
 
 class TestTraceCsv:
@@ -148,7 +149,8 @@ class TestTraceCsv:
 
 def reference_gd(prob, theta0, eta, iters):
     """run_gd as a per-step loop with the one-row formulas: the loss and the
-    mode coefficients of each iterate are computed inside the loop."""
+    mode coefficients of each iterate are computed inside the loop.
+    Returns the trace, its table built column by column, and the iterates."""
     a, b, vt, theta_star = prob.a, prob.b, prob.svd.vt, prob.theta_star
     t = np.array(theta0, dtype=np.float64)
     iterates = [t]
@@ -164,46 +166,64 @@ def reference_gd(prob, theta0, eta, iters):
         if not np.isfinite(norm) or norm > quadlab.DIVERGENCE_NORM:
             diverged = True
             break
-    return quadlab.GDTrace(iterates=np.array(iterates), losses=np.array(losses),
-                           mode_coeffs=np.array(modes), eta=float(eta),
-                           sigma=prob.svd.sigma.copy(), diverged=diverged)
+    iterates = np.array(iterates)
+    table = np.column_stack([losses, np.linalg.norm(iterates, axis=1), modes])
+    trace = quadlab.GDTrace(table=table, eta=float(eta), sigma=prob.svd.sigma.copy(),
+                            diverged=diverged)
+    return trace, iterates
+
+
+def assert_equals_reference(trace, ref, ref_iterates):
+    """Bitwise: the losses, the norms of the iterates, the mode coefficients
+    and the CSV bytes."""
+    assert trace.diverged == ref.diverged
+    assert trace.table.shape == ref.table.shape
+    assert np.array_equal(trace.losses, ref.losses)
+    assert np.array_equal(trace.table[:, 1], np.linalg.norm(ref_iterates, axis=1))
+    assert np.array_equal(trace.mode_coeffs, ref.mode_coeffs)
+    assert trace.to_csv().encode() == ref.to_csv().encode()
+
+
+def owned_bytes(array):
+    """Bytes of the buffer an array keeps alive."""
+    return (array if array.base is None else array.base).nbytes
 
 
 class TestBatchedTrace:
-    @pytest.mark.parametrize("factor", [0.5, 1.01, 3.0])
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("factor", [0.5, 1.01, 3.0, 10.0, 300.0])
     def test_matches_per_step_loop_bitwise(self, factor):
         prob, theta0 = spd_problem(13, n=32, kappa=1e4)
         eta = factor * quadlab.max_stable_lr(prob)
         trace = quadlab.run_gd(prob, theta0, eta, 2000)
-        ref = reference_gd(prob, theta0, eta, 2000)
-        assert trace.diverged == ref.diverged == (factor > 1.0)
-        assert np.array_equal(trace.iterates, ref.iterates)
-        assert np.array_equal(trace.losses, ref.losses)
-        assert np.array_equal(trace.mode_coeffs, ref.mode_coeffs)
-        assert trace.to_csv().encode() == ref.to_csv().encode()
+        ref, ref_iterates = reference_gd(prob, theta0, eta, 2000)
+        assert trace.diverged == (factor > 1.0)
+        assert_equals_reference(trace, ref, ref_iterates)
 
     def test_diverged_trace_arrays_align(self):
         prob, theta0 = spd_problem(14, n=12)
         trace = quadlab.run_gd(prob, theta0, 3.0 * quadlab.max_stable_lr(prob), 10_000)
         assert trace.diverged
-        k = trace.iterates.shape[0]
+        k = trace.table.shape[0]
         assert k < 10_001
+        assert trace.table.shape == (k, prob.n + 2)
         assert trace.losses.shape == (k,)
         assert trace.mode_coeffs.shape == (k, prob.n)
-        # a copy of the rows run, not a view of the (10_001, n) buffer
-        assert trace.iterates.base is None
+        # a copy of the rows run, not a view of the (10_001, n + 2) block
+        assert trace.table.base is None
 
     @pytest.mark.parametrize("factor", [0.5, 3.0])
     def test_grown_buffer_keeps_the_bits(self, monkeypatch, factor):
-        # 3 rows up front, so a 2000-step run doubles its buffer 10 times
+        # 2 rows up front, so a 2000-step run doubles its block 10 times
         prob, theta0 = spd_problem(13, n=32, kappa=1e4)
         monkeypatch.setattr(quadlab, "GD_PREALLOC_CELLS", 3 * prob.n)
         eta = factor * quadlab.max_stable_lr(prob)
         trace = quadlab.run_gd(prob, theta0, eta, 2000)
-        ref = reference_gd(prob, theta0, eta, 2000)
-        assert trace.diverged == ref.diverged == (factor > 1.0)
-        assert np.array_equal(trace.iterates, ref.iterates)
-        assert trace.iterates.base is None
+        ref, ref_iterates = reference_gd(prob, theta0, eta, 2000)
+        assert trace.diverged == (factor > 1.0)
+        assert_equals_reference(trace, ref, ref_iterates)
+        # the trace keeps its own rows alive, no larger block
+        assert owned_bytes(trace.table) == trace.table.nbytes
 
     def test_early_divergence_reserves_no_buffer_for_every_step(self):
         prob, theta0 = spd_problem(14, n=64)
@@ -214,9 +234,39 @@ class TestBatchedTrace:
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        assert trace.diverged and len(trace.iterates) < 1000
-        # an (MAX_ITERS + 1, 64) buffer would be 512 MB; the first one is 8 MB
+        assert trace.diverged and len(trace.table) < 1000
+        # an (MAX_ITERS + 1, 66) block would be 528 MB; the first one is 8 MB
         assert peak < 2 * 8 * quadlab.GD_PREALLOC_CELLS
+
+    @pytest.mark.filterwarnings("ignore:overflow encountered")
+    @pytest.mark.parametrize("iters", [0, 1, 127, 128, 129, 2000])
+    def test_stack_equals_solo_runs(self, iters):
+        # same-size problems of different spectra; the second member
+        # diverges (and overflows before its block of rows is checked), the
+        # others run to the end
+        probs, thetas = zip(*(spd_problem(s, n=24, kappa=kappa)
+                              for s, kappa in ((20, 1e3), (21, 1e2), (22, 1e5))))
+        etas = [f * quadlab.max_stable_lr(p) for f, p in zip((0.5, 300.0, 0.9), probs)]
+        traces = quadlab.run_gd(probs, thetas, etas, iters)
+        assert isinstance(traces, list) and len(traces) == 3
+        assert [t.diverged for t in traces] == [False, iters > 5, False]
+        for prob, theta0, eta, trace in zip(probs, thetas, etas, traces):
+            solo = quadlab.run_gd(prob, theta0, eta, iters)
+            assert np.array_equal(trace.table, solo.table)
+            assert trace.to_csv() == solo.to_csv()
+            ref, ref_iterates = reference_gd(prob, theta0, eta, iters)
+            assert_equals_reference(trace, ref, ref_iterates)
+
+    def test_stack_rejects_mismatched_members(self):
+        (p6, t6), (p7, t7) = spd_problem(23, n=6), spd_problem(24, n=7)
+        with pytest.raises(DimensionError):
+            quadlab.run_gd([p6, p7], [t6, t7], [0.1, 0.1], 5)
+        with pytest.raises(DimensionError):
+            quadlab.run_gd([p6, p6], [t6], [0.1, 0.1], 5)
+        with pytest.raises(DimensionError):
+            quadlab.run_gd([p6], [t6], [0.0], 5)
+        with pytest.raises(DimensionError):
+            quadlab.run_gd([], [], [], 5)
 
     @pytest.mark.parametrize("n", [6, 17, 64, 121])
     def test_stack_equals_per_row_calls(self, n):

@@ -9,6 +9,12 @@ that checkout's BENCHMARK.json.  The workloads take turns, one run each per roun
 spells of a shared host spread over all of them.  The file is written at
 the root of the repository this script lives in and holds:
 
+  checkout_commit, checkout_tree
+             the checkout's HEAD commit and that commit's tree id (`git
+             rev-parse HEAD^{tree}`), with uncommitted_changes telling
+             whether src/ or perfbench/ differ from it; a commit that is
+             later squashed or rebased gets a new id but keeps its tree,
+             so the tree still names the code that ran
   env        the first run's environment block (kernel backend, Python,
              NumPy, platform, CPU count, thread settings)
   bytecode   whether PYTHONDONTWRITEBYTECODE was set, and how many of the
@@ -120,6 +126,7 @@ def record(side, bench, results, env):
     return {
         "label": side.label,
         "checkout_commit": side.commit,
+        "checkout_tree": side.tree,
         "uncommitted_changes": side.dirty,
         "command": bench["command"],
         "seed": SEED,
@@ -143,6 +150,7 @@ def record(side, bench, results, env):
 class Side(NamedTuple):
     checkout: Path
     commit: str
+    tree: str
     dirty: bool
     label: str
 
@@ -151,10 +159,11 @@ def side(path, label=None):
     """A checkout to record, its git state read before any run."""
     checkout = path.resolve()
     commit, dirty = git_state(checkout)
+    tree = git(checkout, "rev-parse", commit + "^{tree}")
     if label is None:
         pure = os.environ.get("EQUILAB_PURE_PYTHON", "") not in ("", "0")
         label = commit[:7] + ("-dirty" if dirty else "") + ("-python" if pure else "")
-    return Side(checkout, commit, dirty, label)
+    return Side(checkout, commit, tree, dirty, label)
 
 
 def main(argv=None):
