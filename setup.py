@@ -7,9 +7,10 @@ with column pivoting (qrcp) and runs the Jacobi sweep (jacobi_sweeps) on R.
 Both kernels live in src/equilab/_kernels/_jacobi.c, one hand-written C
 file that reads its arrays through the buffer protocol.  The text
 formatters live in src/equilab/_kernels/_reprfmt.cpp and need
-floating-point std::to_chars (GCC >= 11, libstdc++ >= 11): format_text
-writes a trace CSV (a prefix and every row, CRLF-ended) in place into one
-str, formatting the second half of the rows on a second thread
+floating-point std::to_chars (GCC >= 11, libstdc++ >= 11):
+format_text(prefix, values) writes a trace CSV (the prefix, then each
+row's index and comma-led cells, CRLF-ended) in place into one str,
+formatting the second half of the rows on a second thread
 (std::thread, hence -pthread) while the GIL is released, and
 format_points writes an SVG polyline's "x,y" points as "%.6g" does.  The
 extension's entry points are therefore jacobi_sweeps, qrcp, format_text

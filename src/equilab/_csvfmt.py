@@ -3,8 +3,10 @@ equilab writes.
 
 Every float cell equilab writes to a trace CSV is `repr(float(x))`, the
 shortest string that round-trips to the same double.  A trace file's
-whole text comes from `format_csv`: its header lines, then one row per
-matrix row, CRLF after each line.  On the compiled backend the extension
+whole text comes from `format_csv(header, values)`: its header lines,
+then one row per matrix row, CRLF after each line.  A row is its 0-based
+index, then its cells, each after a comma: the one row shape every trace
+file has.  On the compiled backend the extension
 (`_kernels/_reprfmt.cpp`) writes that text straight into one str,
 allocated at an upper bound and shrunk in place, so the text exists once:
 no list of row strings and no join.  It formats the first half of the
@@ -13,9 +15,10 @@ with the GIL released; the second half goes into the tail of the str and
 is moved down behind the first half after the join.  Every text takes
 that path, whatever its size: a thread start costs tens of microseconds,
 and a 2001-row GD trace formats about a third faster.  It takes each
-cell's digits from `std::to_chars` and lays them out as `repr` does, byte
-for byte, without reading the locale.  That str is 1-byte ASCII, so a header, separator or
-lead that is not ASCII is rejected, on either backend.
+cell's digits, and each row index, from `std::to_chars` and lays the
+cells out as `repr` does, byte for byte, without reading the locale.
+That str is 1-byte ASCII, so a header that is not ASCII is rejected, on
+either backend.
 
 On the numpy fallback, where that conversion is one `repr` call per cell,
 the rows come from `format_rows` and are joined.  Trace matrices repeat
@@ -40,16 +43,16 @@ from equilab.errors import DimensionError
 BLOCK_ROWS = 128
 
 
-def format_rows(values, first=None, sep=","):
-    """Rows of the 2-D float64 `values` as text: `sep`-joined cells, each
-    `repr(float(x))`, led by `str(first[i])` when `first` is given.
+def format_rows(values):
+    """Rows of the 2-D float64 `values` as text: each row's 0-based index,
+    then its cells, each `repr(float(x))` after a comma.
 
     Returns one string per row, with no line ends: the numpy fallback's
     rows, with one `repr` call per distinct float64 bit pattern in each
     block of BLOCK_ROWS rows.  Raises DimensionError when `values` is not
-    2-D or `first` does not have one item per row.
+    2-D.
     """
-    values, lead = _checked(values, first)
+    values = _checked(values)
     n_rows, n_cols = values.shape
     keys = values.view(np.int64)
     rows = []
@@ -59,44 +62,38 @@ def format_rows(values, first=None, sep=","):
         uniq, inverse = np.unique(block.ravel(), return_inverse=True)
         texts = np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)
         cells = texts[inverse].reshape(len(block), n_cols).tolist()
-        if lead is not None:
-            for i, row in enumerate(cells, start):
-                row.insert(0, lead[i])
-        rows += map(sep.join, cells)
+        for i, row in enumerate(cells, start):
+            row.insert(0, str(i))
+        rows += map(",".join, cells)
         # free this block's cell strings before the next block makes its own
         del texts, cells
     return rows
 
 
-def format_csv(header, values, first=None, sep=","):
+def format_csv(header, values):
     """The text of a CSV file: the `header` lines, then the rows of the 2-D
     float64 `values` as `format_rows` writes them, CRLF after every line.
 
-    Equal to `csv_text([*header, *format_rows(values, first, sep)])`.  On
-    the compiled backend the text is written in place into one str.
-    Raises DimensionError as `format_rows` does, and ValueError when a
-    header line, `sep` or a lead is not ASCII (the extension checks that
-    itself).
+    Equal to `csv_text([*header, *format_rows(values)])`.  On the compiled
+    backend the text is written in place into one str.  Raises
+    DimensionError as `format_rows` does, and ValueError when a header
+    line is not ASCII (the extension checks that itself).
     """
-    values, lead = _checked(values, first)
+    values = _checked(values)
     prefix = csv_text(header)
     if _compiled_format_text is not None:
-        return _compiled_format_text(prefix, values, lead, sep)
-    if not (prefix.isascii() and sep.isascii() and all(map(str.isascii, lead or ()))):
-        raise ValueError("header, sep and first must be ASCII")
-    return csv_text([*header, *format_rows(values, lead, sep)])
+        return _compiled_format_text(prefix, values)
+    if not prefix.isascii():
+        raise ValueError("header must be ASCII")
+    return csv_text([*header, *format_rows(values)])
 
 
-def _checked(values, first):
-    """(values as C-contiguous float64, first as a list of str or None),
-    or DimensionError."""
+def _checked(values):
+    """values as a C-contiguous float64 array, or DimensionError."""
     values = np.ascontiguousarray(values, dtype=np.float64)
     if values.ndim != 2:
         raise DimensionError(f"values must be 2-D, got shape {values.shape}")
-    lead = None if first is None else [str(i) for i in first]
-    if lead is not None and len(lead) != len(values):
-        raise DimensionError(f"first has {len(lead)} items, values has {len(values)} rows")
-    return values, lead
+    return values
 
 
 def csv_text(lines):

@@ -348,13 +348,12 @@ PyObject *reprfmt_format_text(PyObject *self, PyObject *args, PyObject *kwargs);
 PyObject *reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs);
 
 PyDoc_STRVAR(format_text_doc,
-"format_text(prefix, values, lead, sep)\n--\n\n"
+"format_text(prefix, values)\n--\n\n"
 "prefix, then every row of values, each followed by CRLF, as one str.\n"
-"A row is its sep-joined cells, each equal to repr(float(x)), led by\n"
-"lead[i] when lead is a list of str (one per row) rather than None.\n"
-"values must be a C-contiguous 2-d float64 array; prefix, sep and every\n"
-"lead item must be ASCII.  The rows are formatted on two threads with\n"
-"the GIL released.  See equilab._csvfmt.format_csv for the contract.");
+"Row i is str(i), then its cells, each equal to repr(float(x)) after a\n"
+"comma.  values must be a C-contiguous 2-d float64 array and prefix an\n"
+"ASCII str.  The rows are formatted on two threads with the GIL\n"
+"released.  See equilab._csvfmt.format_csv for the contract.");
 
 PyDoc_STRVAR(format_points_doc,
 "format_points(xs, ys)\n--\n\n"

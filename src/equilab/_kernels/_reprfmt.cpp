@@ -1,15 +1,16 @@
 /* Compiled text formatters: the trace-CSV writer format_text and the SVG
  * polyline writer format_points.
  *
- * format_text writes a prefix, then the rows of a float64 matrix, every
- * cell byte-identical to Python's repr(float(x)) and every row ended by
- * CRLF, into one str.  The str is allocated at an upper bound and shrunk
- * in place, so a file's text exists once, with no row list and no join.
- * Its rows are formatted on two threads with the GIL released: the first
- * half on the calling thread, right after the prefix, the second half on
- * a second thread, into the tail of the upper-bound str; after the join
- * the tail is moved down behind the first half.  The lead items are
- * read, and held, before the GIL is released.
+ * format_text writes a prefix, then the rows of a float64 matrix into one
+ * str: each row is its 0-based index, then its cells, each after a comma
+ * and byte-identical to Python's repr(float(x)), then CRLF.  The str is
+ * allocated at an upper bound and shrunk in place, so a file's text exists
+ * once, with no row list and no join.  Its rows are formatted on two
+ * threads with the GIL released: the first half on the calling thread,
+ * right after the prefix, the second half on a second thread, into the
+ * tail of the upper-bound str; after the join the tail is moved down
+ * behind the first half.  With the GIL released they read only the
+ * matrix's buffer and write only the new str.
  *
  * The digits come from std::to_chars(double, chars_format::scientific)
  * with no precision, the shortest string that round-trips (Ryu-class,
@@ -37,7 +38,6 @@
 #include <cstring>
 #include <exception>
 #include <thread>
-#include <vector>
 
 #if !defined(__cpp_lib_to_chars) || __cpp_lib_to_chars < 201611L
 #error "floating-point std::to_chars is required (GCC >= 11)"
@@ -111,24 +111,14 @@ write_repr(double x, char *out)
     return out;
 }
 
-/* Write one row at out: lead (unless NULL), then the n_cols cells, each
- * after sep unless it is the row's first item; return the end. */
-char *
-write_row(char *out, const double *cells, Py_ssize_t n_cols, const char *lead,
-          Py_ssize_t lead_len, const char *sep, Py_ssize_t sep_len)
+/* Decimal digits of n >= 0. */
+int
+digits_of(Py_ssize_t n)
 {
-    if (lead != NULL) {
-        std::memcpy(out, lead, lead_len);
-        out += lead_len;
-    }
-    for (Py_ssize_t j = 0; j < n_cols; j++) {
-        if (j > 0 || lead != NULL) {
-            std::memcpy(out, sep, sep_len);
-            out += sep_len;
-        }
-        out = write_repr(cells[j], out);
-    }
-    return out;
+    int d = 1;
+    for (; n >= 10; n /= 10)
+        d++;
+    return d;
 }
 
 /* The bytes of str obj if it is ASCII, or NULL with ValueError (TypeError
@@ -149,67 +139,46 @@ ascii_of(PyObject *obj, const char *name, Py_ssize_t *len)
     return reinterpret_cast<const char *>(PyUnicode_1BYTE_DATA(obj));
 }
 
-/* The rows of one matrix and how to lay them out. */
+/* The rows of one matrix; index_digits bounds the digits of a row index. */
 struct Rows {
     const double *v;
     Py_ssize_t n_cols;
-    const char *const *lead;      /* one item per row, or NULL */
-    const Py_ssize_t *lead_len;
-    const char *sep;
-    Py_ssize_t sep_len;
+    int index_digits;
 };
 
-/* Write rows [lo, hi), each ended by CRLF, at out; return the end. */
+/* Write rows [lo, hi) at out, each as its index, its comma-led cells and
+ * CRLF; return the end. */
 char *
 write_rows(const Rows &rows, Py_ssize_t lo, Py_ssize_t hi, char *out)
 {
     for (Py_ssize_t i = lo; i < hi; i++) {
-        out = write_row(out, rows.v + i * rows.n_cols, rows.n_cols,
-                        rows.lead == NULL ? NULL : rows.lead[i],
-                        rows.lead == NULL ? 0 : rows.lead_len[i], rows.sep, rows.sep_len);
+        out = std::to_chars(out, out + rows.index_digits, i).ptr;
+        const double *cells = rows.v + i * rows.n_cols;
+        for (Py_ssize_t j = 0; j < rows.n_cols; j++) {
+            *out++ = ',';
+            out = write_repr(cells[j], out);
+        }
         *out++ = '\r';
         *out++ = '\n';
     }
     return out;
 }
 
-/* prefix, then every row of the checked matrix ended by CRLF, as one str;
- * held is a tuple of the lead items (which keeps them alive while the GIL
- * is released) or Py_None. */
+/* prefix, then every row of the checked matrix as write_rows lays it out,
+ * as one str. */
 PyObject *
-format_matrix_text(const double *v, Py_ssize_t n_rows, Py_ssize_t n_cols, PyObject *held,
-                   const char *sep, Py_ssize_t sep_len, const char *prefix,
+format_matrix_text(const double *v, Py_ssize_t n_rows, Py_ssize_t n_cols, const char *prefix,
                    Py_ssize_t prefix_len)
 {
-    std::vector<const char *> lead;
-    std::vector<Py_ssize_t> lead_len;
-    try {
-        if (held != Py_None) {
-            lead.resize(n_rows);
-            lead_len.resize(n_rows);
-        }
-    } catch (const std::exception &) {
+    /* upper bound: the prefix, and per row its index, its cells with their
+     * commas and the line end */
+    if (n_cols > (PY_SSIZE_T_MAX / 2) / (MAX_CELL + 1))
         return PyErr_NoMemory();
-    }
-    /* lead bytes of the first and of the second half of the rows */
-    Py_ssize_t half = n_rows / 2, lead_bytes[2] = {0, 0};
-    for (Py_ssize_t i = 0; held != Py_None && i < n_rows; i++) {
-        lead[i] = ascii_of(PyTuple_GET_ITEM(held, i), "every lead item", &lead_len[i]);
-        if (lead[i] == NULL)
-            return NULL;
-        if (lead_len[i] > PY_SSIZE_T_MAX - lead_bytes[0] - lead_bytes[1])
-            return PyErr_NoMemory();
-        lead_bytes[i >= half] += lead_len[i];
-    }
-    /* upper bound: the prefix, every lead, and per row its cells, their
-     * separators and the line end */
-    if (n_cols > (PY_SSIZE_T_MAX / 2) / (MAX_CELL + sep_len))
+    const Rows rows = {v, n_cols, digits_of(n_rows > 0 ? n_rows - 1 : 0)};
+    Py_ssize_t row_max = rows.index_digits + n_cols * (MAX_CELL + 1) + 2;
+    if (n_rows > 0 && row_max > (PY_SSIZE_T_MAX - prefix_len) / n_rows)
         return PyErr_NoMemory();
-    Py_ssize_t row_max = n_cols * (MAX_CELL + sep_len) + 2;
-    Py_ssize_t all_leads = lead_bytes[0] + lead_bytes[1];
-    if (n_rows > 0 && row_max > (PY_SSIZE_T_MAX - prefix_len - all_leads) / n_rows)
-        return PyErr_NoMemory();
-    Py_ssize_t size = prefix_len + all_leads + n_rows * row_max;
+    Py_ssize_t size = prefix_len + n_rows * row_max, half = n_rows / 2;
     PyObject *text = PyUnicode_New(size, 127);
     if (text == NULL)
         return NULL;
@@ -217,10 +186,8 @@ format_matrix_text(const double *v, Py_ssize_t n_rows, Py_ssize_t n_cols, PyObje
     std::memcpy(start, prefix, prefix_len);
     /* the first half ends at most where the second half's bound begins */
     char *out = start + prefix_len;
-    char *tail = start + size - (lead_bytes[1] + (n_rows - half) * row_max);
+    char *tail = start + size - (n_rows - half) * row_max;
     char *tail_end = tail;
-    const Rows rows = {v, n_cols, held == Py_None ? NULL : lead.data(),
-                       held == Py_None ? NULL : lead_len.data(), sep, sep_len};
     Py_BEGIN_ALLOW_THREADS
     std::thread second;
     try {
@@ -271,10 +238,10 @@ checked_vector(PyObject *obj, const char *name, Py_buffer *view)
     return -1;
 }
 
-/* Parse and check (values, lead, sep): fills view (released by the
- * caller) and returns 0, or returns -1 with an exception set. */
+/* Fill view (released by the caller) from a C-contiguous 2-d float64
+ * buffer and return 0, or return -1 with an exception set. */
 int
-checked_matrix(PyObject *values_obj, PyObject *lead, Py_buffer *view)
+checked_matrix(PyObject *values_obj, Py_buffer *view)
 {
     if (PyObject_GetBuffer(values_obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
@@ -284,12 +251,6 @@ checked_matrix(PyObject *values_obj, PyObject *lead, Py_buffer *view)
         PyErr_SetString(PyExc_ValueError, "values must hold float64");
     else if (!PyBuffer_IsContiguous(view, 'C'))
         PyErr_SetString(PyExc_ValueError, "values must be C-contiguous");
-    else if (lead != Py_None && !PyList_Check(lead))
-        PyErr_Format(PyExc_TypeError, "lead must be a list or None, got %s",
-                     Py_TYPE(lead)->tp_name);
-    else if (lead != Py_None && PyList_GET_SIZE(lead) != view->shape[0])
-        PyErr_Format(PyExc_ValueError, "lead has %zd items, values has %zd rows",
-                     PyList_GET_SIZE(lead), view->shape[0]);
     else
         return 0;
     PyBuffer_Release(view);
@@ -301,27 +262,20 @@ checked_matrix(PyObject *values_obj, PyObject *lead, Py_buffer *view)
 extern "C" PyObject *
 reprfmt_format_text(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static const char *kwlist[] = {"prefix", "values", "lead", "sep", NULL};
-    PyObject *prefix_obj, *values_obj, *lead, *sep_obj;
+    static const char *kwlist[] = {"prefix", "values", NULL};
+    PyObject *prefix_obj, *values_obj;
     Py_buffer view;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOOO:format_text",
-                                     const_cast<char **>(kwlist),
-                                     &prefix_obj, &values_obj, &lead, &sep_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:format_text",
+                                     const_cast<char **>(kwlist), &prefix_obj, &values_obj))
         return NULL;
-    Py_ssize_t prefix_len, sep_len;
+    Py_ssize_t prefix_len;
     const char *prefix = ascii_of(prefix_obj, "prefix", &prefix_len);
-    if (prefix == NULL)
+    if (prefix == NULL || checked_matrix(values_obj, &view) < 0)
         return NULL;
-    const char *sep = ascii_of(sep_obj, "sep", &sep_len);
-    if (sep == NULL || checked_matrix(values_obj, lead, &view) < 0)
-        return NULL;
-    PyObject *held = lead == Py_None ? Py_NewRef(Py_None) : PyList_AsTuple(lead);
-    PyObject *result = held == NULL ? NULL : format_matrix_text(
-        static_cast<const double *>(view.buf), view.shape[0], view.shape[1], held, sep,
-        sep_len, prefix, prefix_len);
-    Py_XDECREF(held);
+    PyObject *result = format_matrix_text(static_cast<const double *>(view.buf), view.shape[0],
+                                          view.shape[1], prefix, prefix_len);
     PyBuffer_Release(&view);
     return result;
 }

@@ -237,8 +237,7 @@ def run_train_compare(cfg: ExperimentConfig, out_dir, manifest):
         done = t.epochs_completed
         manifest.wall_time_per_step[arm] = float(np.mean(t.step_times)) if done else None
         manifest.notes.setdefault("step_time_s", {})[arm] = _step_time_quantiles(t.step_times)
-        epochs = np.arange(done, dtype=float)
-        series.append(LineSeries(arm, tuple(epochs), tuple(float(v) for v in t.train_loss)))
+        series.append(LineSeries(arm, np.arange(done, dtype=float), t.train_loss))
         reach = _first_epoch_at(t.train_loss, plain_final) if plain_final is not None else None
         # an arm that diverged in its first epoch leaves these cells empty
         finals = ([repr(float(t.train_loss[-1])), repr(float(t.eval_loss[-1]))]
@@ -376,7 +375,7 @@ def run_quad(cfg: ExperimentConfig, out_dir, manifest):
                     f"{iters_to},{float(excess[-1])!r}")
         manifest.diverged[name] = bool(trace.diverged)
         _emit(manifest, out_dir, f"quad_{_arm_filename(name)}.csv", trace.to_csv())
-        series.append(LineSeries(name, tuple(range(len(excess))), tuple(excess.tolist())))
+        series.append(LineSeries(name, np.arange(len(excess), dtype=float), excess))
     _emit_csv(manifest, out_dir, "summary.csv", rows)
     _emit(manifest, out_dir, "quad_excess.svg",
           emit_svg(series, title="excess loss under GD", xlabel="iteration",

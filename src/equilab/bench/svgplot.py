@@ -32,13 +32,18 @@ def _escape(text):
     return text.replace("&", "&amp;").replace(">", "&gt;").replace("<", "&lt;")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, eq=False)
 class LineSeries:
+    """One labelled line; xs and ys are held as float64 arrays of one
+    length.  Compared by identity, as arrays have no single truth value."""
+
     label: str
-    xs: tuple
-    ys: tuple
+    xs: np.ndarray
+    ys: np.ndarray
 
     def __post_init__(self):
+        object.__setattr__(self, "xs", np.asarray(self.xs, dtype=np.float64))
+        object.__setattr__(self, "ys", np.asarray(self.ys, dtype=np.float64))
         if len(self.xs) != len(self.ys):
             raise DimensionError("xs and ys must have equal length")
 
@@ -72,8 +77,7 @@ def _plotted_points(s, log_y):
     """The (x, y) arrays of a series that the plot draws, y as plotted
     (log10 on a log axis): non-finite points, and non-positive y on a log
     axis, are dropped."""
-    xs = np.asarray(s.xs, dtype=np.float64)
-    ys = np.asarray(s.ys, dtype=np.float64)
+    xs, ys = s.xs, s.ys
     keep = np.isfinite(xs) & np.isfinite(ys)
     if log_y:
         keep &= ys > 0.0

@@ -119,10 +119,10 @@ class TrainTrace:
         """CSV text, one row per completed epoch (CRLF line ends).
 
         Every float cell is its shortest round-trip `repr`.  The whole
-        text comes from one `_csvfmt.format_csv` call: on the compiled
-        backend the extension writes it in place into one str, on the
-        numpy fallback `repr` runs once per distinct value per block of
-        rows.
+        text comes from one `_csvfmt.format_csv` call, which writes each
+        row's index as its epoch: on the compiled backend the extension
+        writes it in place into one str, on the numpy fallback `repr`
+        runs once per distinct value per block of rows.
         """
         n_layers = self.kappa_weights.shape[1]
         cols = ["epoch", "train_loss", "eval_loss"]
@@ -133,7 +133,7 @@ class TrainTrace:
         cols += [f"kappa_w{i}" for i in range(n_layers)]
         cols += [f"kappa_eff{i}" for i in range(n_layers)]
         values = np.column_stack([*columns, self.kappa_weights, self.kappa_effective])
-        return format_csv([",".join(cols)], values, first=range(self.epochs_completed))
+        return format_csv([",".join(cols)], values)
 
 
 class _History:

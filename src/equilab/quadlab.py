@@ -174,20 +174,20 @@ class GDTrace:
         ends): iter, then the table's row.
 
         Every float, sigma included, is its shortest round-trip `repr`.
-        The text comes from `_csvfmt.format_csv`, sigma's cells inside the
-        comment line from a second, one-row call: on the compiled backend
-        the extension writes the text in place into one str, on the numpy
-        fallback `repr` runs once per distinct value per block of rows.
+        The text comes from `_csvfmt.format_csv`, which writes each row's
+        index: on the compiled backend the extension writes the text in
+        place into one str, on the numpy fallback `repr` runs once per
+        distinct value per block of rows.
         """
         meta = "# eta=%r kappa=%r diverged=%s sigma=[%s]" % (
             self.eta,
             self.kappa,
             self.diverged,
-            format_csv([], self.sigma[None, :], sep=" ")[:-2],
+            " ".join(map(repr, self.sigma.tolist())),
         )
         n_modes = self.table.shape[1] - 2
         header = "iter,loss,theta_norm" + "".join(f",mode_{i}" for i in range(n_modes))
-        return format_csv([meta, header], self.table, first=range(len(self.table)))
+        return format_csv([meta, header], self.table)
 
 
 def run_gd(problem, theta0, eta, iters):

@@ -164,6 +164,12 @@ class TestSvgPlot:
         with pytest.raises(DimensionError):
             svgplot.LineSeries("x", [0, 1], [1.0])
 
+    def test_series_holds_float64_arrays(self):
+        ys = np.array([1.0, 2.0, 3.0])
+        s = svgplot.LineSeries("x", range(3), ys)
+        assert s.xs.dtype == s.ys.dtype == np.float64
+        assert s.xs.tolist() == [0.0, 1.0, 2.0] and s.ys is ys
+
 
 S = manifest.WRITE_SLICE_CHARS
 

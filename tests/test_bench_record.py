@@ -139,6 +139,21 @@ def test_same_label_on_both_sides_exits_before_any_run(bench_record, paired,
     assert calls == []
 
 
+@pytest.mark.parametrize("taken", ["base", "checkout"])
+def test_existing_record_exits_before_any_run(bench_record, paired, monkeypatch, taken):
+    base, head, out, calls = paired
+    monkeypatch.delenv("EQUILAB_PURE_PYTHON", raising=False)
+    label = bench_record.git(base, "rev-parse", "HEAD")[:7] if taken == "base" else "new"
+    earlier = out / f"BENCH_{label}.json"
+    earlier.write_text('{"label": "earlier"}\n', encoding="utf-8")
+    with pytest.raises(SystemExit, match="already recorded") as exc:
+        bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
+    assert str(earlier) in str(exc.value.code)
+    assert calls == []
+    assert list(out.iterdir()) == [earlier]
+    assert earlier.read_text(encoding="utf-8") == '{"label": "earlier"}\n'
+
+
 @pytest.mark.parametrize("pure, suffix", [("", ""), ("0", ""), ("1", "-python")])
 def test_default_label_names_the_forced_fallback(bench_record, paired, monkeypatch,
                                                   pure, suffix):

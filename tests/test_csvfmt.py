@@ -68,15 +68,11 @@ ADVERSARIAL = np.concatenate([
 ADVERSARIAL = np.concatenate([ADVERSARIAL, -ADVERSARIAL])
 
 
-def reference_rows(values, first=None, sep=","):
-    """The per-cell formatting `format_rows` must reproduce byte for byte."""
-    rows = []
-    for r, row in enumerate(np.asarray(values, dtype=np.float64)):
-        cells = [repr(float(x)) for x in row]
-        if first is not None:
-            cells.insert(0, str(first[r]))
-        rows.append(sep.join(cells))
-    return rows
+def reference_rows(values):
+    """The per-cell formatting `format_rows` must reproduce byte for byte:
+    str(i), then each cell's repr after a comma."""
+    return [",".join([str(i), *(repr(float(x)) for x in row)])
+            for i, row in enumerate(np.asarray(values, dtype=np.float64))]
 
 
 def matrix(palette, n_rows, n_cols, seed):
@@ -87,21 +83,21 @@ def matrix(palette, n_rows, n_cols, seed):
     return keys.view(np.float64)
 
 
-# The checks below take a formatter fmt(values, lead, sep), where lead is
-# None or one str per row, and raise AssertionError on a wrong result.
+# The checks below take a formatter fmt(values) that returns the rows, and
+# raise AssertionError on a wrong result.
 # They are module-level functions so that a fresh interpreter can import
 # this module and run them on the compiled formatter (run_compiled, which
 # hands them `text_rows(format_text)`).
 
 def text_rows(format_text):
-    """fmt(values, lead, sep) over the compiled one-text writer: its text
-    with no prefix, split at the line ends."""
-    return lambda values, lead, sep: format_text("", values, lead, sep).split("\r\n")[:-1]
+    """fmt(values) over the compiled one-text writer: its text with no
+    prefix, split at the line ends."""
+    return lambda values: format_text("", values).split("\r\n")[:-1]
 
 
 def check_property(fmt):
     """Hypothesis: matrices of special, random and repeated bit patterns,
-    across the fallback's block boundaries, with and without lead."""
+    across the fallback's block boundaries."""
     @settings(max_examples=150, deadline=None)
     @given(n_rows=st.sampled_from(ROW_COUNTS), n_cols=st.integers(0, 5),
            palette=st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), INT64,
@@ -111,9 +107,7 @@ def check_property(fmt):
     @example(n_rows=B + 1, n_cols=3, palette=[bits(0.0), bits(-0.0)], seed=0)
     def equals_per_cell_repr(n_rows, n_cols, palette, seed):
         values = matrix(palette, n_rows, n_cols, seed)
-        lead = [str(i) for i in range(7, 7 + n_rows)]
-        assert fmt(values, lead, ",") == reference_rows(values, first=lead)
-        assert fmt(values, None, " ") == reference_rows(values, sep=" ")
+        assert fmt(values) == reference_rows(values)
 
     equals_per_cell_repr()
 
@@ -165,44 +159,60 @@ def check_sweep(fmt, n_cols=64):
     keys = sweep_bits()
     keys = np.concatenate([keys, np.zeros(-len(keys) % n_cols, dtype=np.int64)])
     values = keys.view(np.float64).reshape(-1, n_cols)
-    got = fmt(values, None, ",")
+    got = fmt(values)
     assert len(got) == len(values)
     for r, (row, cells) in enumerate(zip(got, values.tolist())):
-        want = ",".join(map(repr, cells))
-        if row != want:
-            bad = next(j for j, (a, b) in enumerate(zip(row.split(","), want.split(",")))
-                       if a != b)
+        index, *got_cells = row.split(",")
+        assert index == str(r), (r, index)
+        want = list(map(repr, cells))
+        if got_cells != want:
+            bad = next(j for j, (a, b) in enumerate(zip(got_cells, want)) if a != b)
             raise AssertionError(f"bits {int(keys[r * n_cols + bad]):#x}: "
-                                 f"{row.split(',')[bad]!r} != {want.split(',')[bad]!r}")
+                                 f"{got_cells[bad]!r} != {want[bad]!r}")
 
 
 def check_text(fmt):
-    """fmt(header, values, lead, sep) equals csv_text of the header lines
-    and the per-cell rows, for the ADVERSARIAL cells in several shapes,
-    with and without lead, under several headers and separators."""
+    """fmt(header, values) equals csv_text of the header lines and the
+    per-cell rows, for the ADVERSARIAL cells in several shapes, under
+    several headers."""
     n = len(ADVERSARIAL)
     shapes = [ADVERSARIAL.reshape(1, n), ADVERSARIAL.reshape(n // 4, 4),
               ADVERSARIAL.reshape(n, 1), np.zeros((3, 0)), np.zeros((0, 5))]
     for values in shapes:
         for header in ([], ["iter,a,b"], ["# meta x=[1.0 -0.0]", "iter,a,b"]):
-            for lead in (None, [str(i) for i in range(7, 7 + len(values))]):
-                for sep in (",", " ", ", "):
-                    want = _csvfmt.csv_text([*header, *reference_rows(values, lead, sep)])
-                    got = fmt(header, values, lead, sep)
-                    assert got == want, (values.shape, header, lead is None, sep)
+            want = _csvfmt.csv_text([*header, *reference_rows(values)])
+            assert fmt(header, values) == want, (values.shape, header)
 
 
 def check_compiled_text(format_text):
     """check_text on the compiled one-text writer, given csv_text's prefix."""
-    check_text(lambda header, values, lead, sep:
-               format_text(_csvfmt.csv_text(header), values, lead, sep))
+    check_text(lambda header, values: format_text(_csvfmt.csv_text(header), values))
+
+
+# row counts whose last index has one more digit than the one before, and
+# their neighbours: the upper bound counts the digits of the last index
+INDEX_ROW_COUNTS = (0, 1, 9, 10, 11, 99, 100, 1001, 10001)
+
+
+def check_index_widths(fmt):
+    """fmt(values) writes each row's index at every digit width of the
+    upper bound, with no cells, with one and with three; returns how many
+    matrices were checked."""
+    rng = np.random.default_rng(27)
+    checked = 0
+    for n_rows in INDEX_ROW_COUNTS:
+        for n_cols in (0, 1, 3):
+            values = rng.choice(ADVERSARIAL, size=(n_rows, n_cols))
+            assert fmt(values) == reference_rows(values), (n_rows, n_cols)
+            checked += 1
+    return checked
 
 
 def check_halves(format_text):
     """format_text, which formats the second half of the rows on a second
     thread, equals repr and the numpy fallback's rows on random matrices:
-    row counts that split evenly, unevenly or leave a half empty, leads of
-    uneven lengths, a prefix; returns how many matrices were checked."""
+    row counts that split evenly, unevenly or leave a half empty, a
+    prefix; returns how many matrices were checked."""
     rng = np.random.default_rng(26)
     checked = 0
     for n_rows in (0, 1, 2, 3, 4, 5, 33, 1001):
@@ -211,86 +221,65 @@ def check_halves(format_text):
                 -30, 30, size=(n_rows, n_cols))
             keys = rng.integers(-(2**63), 2**63 - 1, size=(n_rows, n_cols), endpoint=True)
             for values in (cells, keys.view(np.float64)):
-                for lead in (None, [str(7**(i % 23)) for i in range(n_rows)]):
-                    header = ["# eta=0.5", "iter,a"]
-                    got = format_text(_csvfmt.csv_text(header), values, lead, ",")
-                    assert got == _csvfmt.csv_text([*header, *reference_rows(values, lead)])
-                    assert got == _csvfmt.csv_text(
-                        [*header, *_csvfmt.format_rows(values, lead)])
-                    checked += 1
+                header = ["# eta=0.5", "iter,a"]
+                got = format_text(_csvfmt.csv_text(header), values)
+                assert got == _csvfmt.csv_text([*header, *reference_rows(values)])
+                assert got == _csvfmt.csv_text([*header, *_csvfmt.format_rows(values)])
+                checked += 1
     return checked
 
 
 def check_concurrent_calls(format_text):
     """Six Python threads (more than the host's cores) call format_text at
-    once, with a short switch interval, while a seventh keeps replacing
-    the items of one thread's lead list by equal new strings: the calls
-    run with the GIL released, and each must hold its lead items, not
-    borrow them.  Every text must equal its reference; returns the number
-    of calls."""
+    once, with a short switch interval: the calls run with the GIL
+    released, each on two threads of its own.  Every text must equal its
+    reference; returns the number of calls."""
     import sys
     import threading
 
     rng = np.random.default_rng(7)
     mats = [rng.standard_normal((257 + i, 5)) for i in range(6)]
-    leads = [[str(j) for j in range(len(m))] for m in mats]
-    want = [_csvfmt.csv_text(reference_rows(m, lead)) for m, lead in zip(mats, leads)]
-    shared = leads[0]
-    stop = threading.Event()
+    want = [_csvfmt.csv_text(reference_rows(m)) for m in mats]
     wrong = []
-
-    def replace_leads():
-        while not stop.is_set():
-            for j in range(len(shared)):
-                shared[j] = str(j)
 
     def work(i):
         for _ in range(40):
-            if format_text("", mats[i], leads[i], ",") != want[i]:
+            if format_text("", mats[i]) != want[i]:
                 wrong.append(i)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
-    mutator = threading.Thread(target=replace_leads)
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-5)
     try:
-        mutator.start()
         for t in threads:
             t.start()
         for t in threads:
             t.join(timeout=60)
     finally:
-        stop.set()
-        mutator.join(timeout=60)
         sys.setswitchinterval(interval)
-    assert not any(t.is_alive() for t in [*threads, mutator])
+    assert not any(t.is_alive() for t in threads)
     assert wrong == [], wrong
     return 6 * 40
 
 
-# bad (values, lead, sep) for the compiled formatter
+# bad values for the compiled formatter
 REJECTED = {
-    "1-d values": (np.zeros(3), None, ","),
-    "3-d values": (np.zeros((2, 2, 2)), None, ","),
-    "float32 values": (np.zeros((2, 2), dtype=np.float32), None, ","),
-    "int64 values": (np.zeros((2, 2), dtype=np.int64), None, ","),
-    "big-endian values": (np.zeros((2, 2), dtype=">f8"), None, ","),
-    "non-contiguous values": (np.zeros((4, 4))[:, ::2], None, ","),
-    "values without a buffer": ([[1.0, 2.0]], None, ","),
-    "lead too short": (np.zeros((3, 2)), ["0", "1"], ","),
-    "lead too long": (np.zeros((3, 2)), ["0", "1", "2", "3"], ","),
-    "lead not a list": (np.zeros((3, 2)), ("0", "1", "2"), ","),
-    "lead item not str": (np.zeros((3, 2)), ["0", 1, "2"], ","),
-    "sep not str": (np.zeros((3, 2)), None, b","),
+    "1-d values": np.zeros(3),
+    "3-d values": np.zeros((2, 2, 2)),
+    "float32 values": np.zeros((2, 2), dtype=np.float32),
+    "int64 values": np.zeros((2, 2), dtype=np.int64),
+    "big-endian values": np.zeros((2, 2), dtype=">f8"),
+    "non-contiguous values": np.zeros((4, 4))[:, ::2],
+    "values without a buffer": [[1.0, 2.0]],
 }
 
 
 def check_rejections(fmt):
     """Each bad input raises ValueError or TypeError, and the interpreter
     survives; returns how many cases were checked."""
-    for name, (values, lead, sep) in REJECTED.items():
+    for name, values in REJECTED.items():
         try:
-            fmt(values, lead, sep)
+            fmt(values)
         except (ValueError, TypeError):
             continue
         raise AssertionError(f"{name}: no ValueError or TypeError")
@@ -298,27 +287,28 @@ def check_rejections(fmt):
 
 
 def check_text_rejections(format_text):
-    """format_text rejects a prefix that is not a str, and (ValueError) a
-    prefix, sep or lead item that is not ASCII, which its 1-byte str
-    cannot hold; returns how many cases were checked."""
+    """format_text rejects (ValueError) a prefix that is not ASCII, which
+    its 1-byte str cannot hold, and (TypeError) a prefix that is not a str
+    or any argument beyond (prefix, values); returns how many cases were
+    checked."""
     values = np.zeros((3, 2))
-    non_ascii = {
-        "prefix": ("iter,\u00e9\r\n", values, None, ","),
-        "prefix (4-byte)": ("\U0001f600\r\n", values, None, ","),
-        "sep": ("", values, None, "\u00e9"),
-        "lead item": ("", values, ["0", "\u00e9", "2"], ","),
-    }
-    for name, args in non_ascii.items():
+    non_ascii = {"prefix": "iter,\u00e9\r\n", "prefix (4-byte)": "\U0001f600\r\n"}
+    for name, prefix in non_ascii.items():
         try:
-            format_text(*args)
+            format_text(prefix, values)
         except ValueError:
             continue
         raise AssertionError(f"non-ASCII {name}: no ValueError")
-    try:
-        format_text(b"x", values, None, ",")
-    except TypeError:
-        return len(non_ascii) + 1
-    raise AssertionError("prefix not str: no TypeError")
+    bad_calls = {"prefix not str": lambda: format_text(b"x", values),
+                 "a third argument": lambda: format_text("", values, None),
+                 "a keyword beyond values": lambda: format_text("", values, sep=",")}
+    for name, call in bad_calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        raise AssertionError(f"{name}: no TypeError")
+    return len(non_ascii) + len(bad_calls)
 
 
 def run_compiled(check, rows=True):
@@ -336,8 +326,7 @@ def run_compiled(check, rows=True):
 
 def test_numpy_fallback_equals_per_cell_repr(monkeypatch):
     monkeypatch.setattr(_csvfmt, "_compiled_format_text", None)
-    check_property(lambda values, lead, sep: _csvfmt.format_csv(
-        [], values, first=lead, sep=sep).split("\r\n")[:-1])
+    check_property(lambda values: _csvfmt.format_csv([], values).split("\r\n")[:-1])
 
 
 @needs_compiled
@@ -356,7 +345,7 @@ def test_compiled_sweep_equals_repr():
 def test_compiled_rejects_bad_input():
     proc = run_compiled(check_rejections)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "12", proc.stdout
+    assert proc.stdout.strip() == str(len(REJECTED)), proc.stdout
 
 
 @needs_compiled
@@ -369,7 +358,7 @@ def test_compiled_text_equals_csv_text_of_rows():
 def test_compiled_text_halves_equal_repr_and_fallback():
     proc = run_compiled(check_halves, rows=False)
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "96", proc.stdout
+    assert proc.stdout.strip() == "48", proc.stdout
 
 
 @needs_compiled
@@ -386,6 +375,13 @@ def test_compiled_text_rejects_bad_input():
     assert proc.stdout.strip() == "5", proc.stdout
 
 
+@needs_compiled
+def test_compiled_index_column_at_every_digit_width():
+    proc = run_compiled(check_index_widths)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(3 * len(INDEX_ROW_COUNTS)), proc.stdout
+
+
 class TestFormatRows:
     """The row formatter, numpy on both backends."""
 
@@ -394,26 +390,27 @@ class TestFormatRows:
 
     def test_signed_zeros_keep_their_sign(self):
         values = np.array([[0.0, -0.0], [-0.0, 0.0]])
-        assert _csvfmt.format_rows(values, first=range(2)) == ["0,0.0,-0.0", "1,-0.0,0.0"]
+        assert _csvfmt.format_rows(values) == ["0,0.0,-0.0", "1,-0.0,0.0"]
 
     def test_nan_payloads_all_print_nan(self):
         keys = np.array([NAN_BITS], dtype=np.int64)
-        assert _csvfmt.format_rows(keys.view(np.float64)) == [",".join(["nan"] * len(NAN_BITS))]
+        assert _csvfmt.format_rows(keys.view(np.float64)) == [
+            ",".join(["0"] + ["nan"] * len(NAN_BITS))]
 
     def test_no_rows(self):
-        assert _csvfmt.format_rows(np.zeros((0, 4)), first=range(0)) == []
+        assert _csvfmt.format_rows(np.zeros((0, 4))) == []
 
     def test_converts_to_float64(self):
-        assert _csvfmt.format_rows(np.arange(4).reshape(2, 2)[:, ::-1]) == ["1.0,0.0", "3.0,2.0"]
+        assert _csvfmt.format_rows(np.arange(4).reshape(2, 2)[:, ::-1]) == ["0,1.0,0.0",
+                                                                              "1,3.0,2.0"]
 
-    @pytest.mark.parametrize("values, first", [(np.zeros(3), None),
-                                               (np.zeros((1, 1, 1)), None),
-                                               (np.zeros((3, 2)), range(2)),
-                                               (np.zeros((3, 2)), range(4))],
-                             ids=["1-d", "3-d", "first short", "first long"])
-    def test_rejects_bad_shapes(self, values, first):
+    def test_index_column_at_every_digit_width(self):
+        assert check_index_widths(_csvfmt.format_rows) == 3 * len(INDEX_ROW_COUNTS)
+
+    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((1, 1, 1))], ids=["1-d", "3-d"])
+    def test_rejects_bad_shapes(self, values):
         with pytest.raises(DimensionError):
-            _csvfmt.format_rows(values, first=first)
+            _csvfmt.format_rows(values)
 
 
 @pytest.fixture(params=["active", "fallback"])
@@ -424,36 +421,48 @@ def backend(request, monkeypatch):
     return request.param
 
 
+# 2-D values that the compiled extension rejects (see REJECTED) and that
+# format_csv converts to C-contiguous float64 before it hands them over
+CONVERTED = {
+    "float32 values": np.arange(6, dtype=np.float32).reshape(3, 2) / 3,
+    "int64 values": np.arange(6).reshape(3, 2) - 3,
+    "big-endian values": (np.arange(6.0).reshape(3, 2) / 7).astype(">f8"),
+    "non-contiguous values": (np.arange(12.0).reshape(3, 4) / 7)[:, ::-2],
+    "values without a buffer": [[0.1, -0.0], [1e300, 2.5]],
+}
+
+
 class TestFormatCsv:
     """The one-text function, on the active backend and on the fallback."""
 
     def test_equals_csv_text_of_format_rows(self, backend):
-        check_text(lambda header, values, lead, sep: _csvfmt.format_csv(
-            header, values, first=lead, sep=sep))
+        check_text(_csvfmt.format_csv)
         values = np.arange(6.0).reshape(3, 2)
-        assert _csvfmt.format_csv(["a,b"], values, first=range(3)) == _csvfmt.csv_text(
-            ["a,b", *_csvfmt.format_rows(values, first=range(3))])
+        assert _csvfmt.format_csv(["a,b"], values) == _csvfmt.csv_text(
+            ["a,b", *_csvfmt.format_rows(values)])
 
-    @pytest.mark.parametrize("header, sep, first", [
-        (["it\u00e9r,a"], ",", None),
-        (["iter,a", "\U0001f600"], ",", None),
-        (["iter,a"], "\u00e9", None),
-        (["iter,a"], ",", ["0", "\u00e9"]),
-    ], ids=["header", "header 4-byte", "sep", "first"])
-    def test_rejects_non_ascii(self, backend, header, sep, first):
+    @pytest.mark.parametrize("header", [["it\u00e9r,a"], ["iter,a", "\U0001f600"]],
+                             ids=["header", "header 4-byte"])
+    def test_rejects_non_ascii(self, backend, header):
         with pytest.raises(ValueError, match="ASCII"):
-            _csvfmt.format_csv(header, np.zeros((2, 2)), first=first, sep=sep)
+            _csvfmt.format_csv(header, np.zeros((2, 2)))
+
+    @pytest.mark.parametrize("name", list(CONVERTED))
+    def test_converts_what_the_extension_rejects(self, backend, name):
+        values = CONVERTED[name]
+        assert _csvfmt.format_csv(["a,b"], values) == _csvfmt.csv_text(
+            ["a,b", *reference_rows(values)])
 
     def test_rejects_bad_shapes(self, backend):
         with pytest.raises(DimensionError):
             _csvfmt.format_csv([], np.zeros(3))
         with pytest.raises(DimensionError):
-            _csvfmt.format_csv([], np.zeros((3, 2)), first=range(2))
+            _csvfmt.format_csv([], np.zeros((1, 1, 1)))
 
 
-def reference_csv(header, values, first=None, sep=","):
+def reference_csv(header, values):
     """The file text `format_csv` must reproduce byte for byte."""
-    return _csvfmt.csv_text([*header, *reference_rows(values, first, sep)])
+    return _csvfmt.csv_text([*header, *reference_rows(values)])
 
 
 def per_cell_outputs(tmp_path, monkeypatch, cfg, name):

@@ -36,7 +36,9 @@ before writing any file.
 The checkout's label is LABEL; the base's, and the checkout's without
 --label, is the short commit id, marked "-dirty" when its src/ or
 perfbench/ has uncommitted changes and "-python" when EQUILAB_PURE_PYTHON
-selects the numpy fallback.  The file is a record, not a gate.
+selects the numpy fallback.  The file is a record, not a gate: if a
+BENCH_<label>.json the invocation would write already exists, it exits
+before the first run and overwrites nothing.
 """
 
 import argparse
@@ -179,6 +181,10 @@ def main(argv=None):
         if sides[0].label == sides[1].label:
             raise SystemExit(f"both checkouts would be labelled {sides[0].label}; "
                              "pass --label")
+    outs = [ROOT / f"BENCH_{s.label}.json" for s in sides]
+    taken = [str(out) for out in outs if out.exists()]
+    if taken:
+        raise SystemExit(f"already recorded, move away first: {', '.join(taken)}")
     # the recorded checkout's BENCHMARK.json sets the workloads of both sides
     bench = json.loads((sides[-1].checkout / "BENCHMARK.json").read_text(encoding="utf-8"))
     names = [w["name"] for w in bench["workloads"]]
@@ -205,8 +211,7 @@ def main(argv=None):
         for rec, partner in zip(records, sides[::-1]):
             rec["partner"] = partner.label
             rec["session"] = session
-    for rec in records:
-        out = ROOT / f"BENCH_{rec['label']}.json"
+    for out, rec in zip(outs, records):
         out.write_text(json.dumps(rec, indent=1) + "\n", encoding="utf-8")
         print(out)
 
