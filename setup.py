@@ -8,12 +8,14 @@ Both kernels live in src/equilab/_kernels/_jacobi.c, one hand-written C
 file that reads its arrays through the buffer protocol.  The text
 formatters live in src/equilab/_kernels/_reprfmt.cpp and need
 floating-point std::to_chars (GCC >= 11, libstdc++ >= 11):
-format_text(prefix, values) writes a trace CSV (the prefix, then each
-row's index and comma-led cells, CRLF-ended) in place into one str,
-formatting the second half of the rows on a second thread
-(std::thread, hence -pthread) while the GIL is released, and
+format_ranges(values, start, mid, stop) writes two ranges of a trace
+table's rows (each row's index, its comma-led cells, CRLF) as two strs,
+the second range on a second thread (std::thread, hence -pthread) while
+the GIL is released; equilab._csvfmt.csv_blocks calls it on the two
+halves of each 128-row block, and each str goes to its file before the
+next call.
 format_points writes an SVG polyline's "x,y" points as "%.6g" does.  The
-extension's entry points are therefore jacobi_sweeps, qrcp, format_text
+extension's entry points are therefore jacobi_sweeps, qrcp, format_ranges
 and format_points.  A build needs both compilers and the Python headers,
 nothing else; if either source fails to compile, the whole extension is
 skipped, so the kernels and the formatters fall back together.  Edit the

@@ -1,6 +1,7 @@
 /* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
- * module's method table, which also lists the text formatters format_text
- * (trace CSVs) and format_points (SVG polylines) of _reprfmt.cpp.
+ * module's method table, which also lists the text formatters format_ranges
+ * (trace CSVs, a block of rows per call) and format_points (SVG
+ * polylines) of _reprfmt.cpp.
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -344,16 +345,20 @@ done:
 }
 
 /* Defined in _reprfmt.cpp. */
-PyObject *reprfmt_format_text(PyObject *self, PyObject *args, PyObject *kwargs);
+PyObject *reprfmt_format_ranges(PyObject *self, PyObject *args, PyObject *kwargs);
 PyObject *reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs);
 
-PyDoc_STRVAR(format_text_doc,
-"format_text(prefix, values)\n--\n\n"
-"prefix, then every row of values, each followed by CRLF, as one str.\n"
-"Row i is str(i), then its cells, each equal to repr(float(x)) after a\n"
-"comma.  values must be a C-contiguous 2-d float64 array and prefix an\n"
-"ASCII str.  The rows are formatted on two threads with the GIL\n"
-"released.  See equilab._csvfmt.format_csv for the contract.");
+PyDoc_STRVAR(format_ranges_doc,
+"format_ranges(values, start, mid, stop)\n--\n\n"
+"Rows [start, mid) and rows [mid, stop) of values as a tuple of two\n"
+"strs, each row followed by CRLF.  Row i is str(i), its index in values,\n"
+"then its cells, each equal to repr(float(x)) after a comma.  values\n"
+"must be a C-contiguous 2-d float64 array and 0 <= start <= mid <= stop\n"
+"<= len(values).  The second range is formatted on a second thread, the\n"
+"GIL released, while the calling thread formats the first; an empty\n"
+"second range starts no thread.  equilab._csvfmt.csv_blocks calls it on\n"
+"the two halves of one block of rows at a time, so a file's whole text\n"
+"is never built.");
 
 PyDoc_STRVAR(format_points_doc,
 "format_points(xs, ys)\n--\n\n"
@@ -367,8 +372,8 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, jacobi_sweeps_doc},
     {"qrcp", (PyCFunction)(void (*)(void))qrcp,
      METH_VARARGS | METH_KEYWORDS, qrcp_doc},
-    {"format_text", (PyCFunction)(void (*)(void))reprfmt_format_text,
-     METH_VARARGS | METH_KEYWORDS, format_text_doc},
+    {"format_ranges", (PyCFunction)(void (*)(void))reprfmt_format_ranges,
+     METH_VARARGS | METH_KEYWORDS, format_ranges_doc},
     {"format_points", (PyCFunction)(void (*)(void))reprfmt_format_points,
      METH_VARARGS | METH_KEYWORDS, format_points_doc},
     {NULL, NULL, 0, NULL}

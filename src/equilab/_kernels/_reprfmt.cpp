@@ -1,16 +1,18 @@
-/* Compiled text formatters: the trace-CSV writer format_text and the SVG
- * polyline writer format_points.
+/* Compiled text formatters: the trace-CSV row writer format_ranges and
+ * the SVG polyline writer format_points.
  *
- * format_text writes a prefix, then the rows of a float64 matrix into one
- * str: each row is its 0-based index, then its cells, each after a comma
- * and byte-identical to Python's repr(float(x)), then CRLF.  The str is
- * allocated at an upper bound and shrunk in place, so a file's text exists
- * once, with no row list and no join.  Its rows are formatted on two
- * threads with the GIL released: the first half on the calling thread,
- * right after the prefix, the second half on a second thread, into the
- * tail of the upper-bound str; after the join the tail is moved down
- * behind the first half.  With the GIL released they read only the
- * matrix's buffer and write only the new str.
+ * format_ranges writes two ranges of rows of a float64 matrix, [start,
+ * mid) and [mid, stop), as two strs: each row is its 0-based index in the
+ * whole matrix, then its cells, each after a comma and byte-identical to
+ * Python's repr(float(x)), then CRLF.  equilab._csvfmt.csv_blocks calls it
+ * once per block of rows, split in halves, and each str goes to the file
+ * before the next call, so a trace file's whole text never exists.  The
+ * second range is formatted on a second thread while the calling thread
+ * formats the first, both with the GIL released; an empty second range
+ * starts no thread.  Each range is written into its part of one scratch
+ * buffer, sized at an upper bound, and copied into an exact-size str after
+ * the join.  With the GIL released the threads read only the matrix's
+ * buffer and write only the scratch buffer.
  *
  * The digits come from std::to_chars(double, chars_format::scientific)
  * with no precision, the shortest string that round-trips (Ryu-class,
@@ -121,24 +123,6 @@ digits_of(Py_ssize_t n)
     return d;
 }
 
-/* The bytes of str obj if it is ASCII, or NULL with ValueError (TypeError
- * if it is no str) naming it: format_text writes into a 1-byte-kind str,
- * where any other byte would be a wrong character. */
-const char *
-ascii_of(PyObject *obj, const char *name, Py_ssize_t *len)
-{
-    if (!PyUnicode_Check(obj)) {
-        PyErr_Format(PyExc_TypeError, "%s must be str, got %s", name, Py_TYPE(obj)->tp_name);
-        return NULL;
-    }
-    if (!PyUnicode_IS_ASCII(obj)) {
-        PyErr_Format(PyExc_ValueError, "%s must be ASCII", name);
-        return NULL;
-    }
-    *len = PyUnicode_GET_LENGTH(obj);
-    return reinterpret_cast<const char *>(PyUnicode_1BYTE_DATA(obj));
-}
-
 /* The rows of one matrix; index_digits bounds the digits of a row index. */
 struct Rows {
     const double *v;
@@ -164,49 +148,61 @@ write_rows(const Rows &rows, Py_ssize_t lo, Py_ssize_t hi, char *out)
     return out;
 }
 
-/* prefix, then every row of the checked matrix as write_rows lays it out,
- * as one str. */
+/* The ASCII bytes [start, end) as an exact-size str. */
 PyObject *
-format_matrix_text(const double *v, Py_ssize_t n_rows, Py_ssize_t n_cols, const char *prefix,
-                   Py_ssize_t prefix_len)
+ascii_text(const char *start, const char *end)
 {
-    /* upper bound: the prefix, and per row its index, its cells with their
-     * commas and the line end */
+    PyObject *text = PyUnicode_New(end - start, 127);
+    if (text != NULL)
+        std::memcpy(PyUnicode_1BYTE_DATA(text), start, end - start);
+    return text;
+}
+
+/* (rows [start, mid), rows [mid, stop)) of the checked matrix, as
+ * write_rows lays them out, as a tuple of two strs; 0 <= start <= mid <=
+ * stop.  The second range is written on a second thread when it is not
+ * empty. */
+PyObject *
+format_row_ranges(const double *v, Py_ssize_t n_cols, Py_ssize_t start, Py_ssize_t mid,
+                  Py_ssize_t stop)
+{
+    /* upper bound per row: its index, its cells with their commas and the
+     * line end */
     if (n_cols > (PY_SSIZE_T_MAX / 2) / (MAX_CELL + 1))
         return PyErr_NoMemory();
-    const Rows rows = {v, n_cols, digits_of(n_rows > 0 ? n_rows - 1 : 0)};
+    const Rows rows = {v, n_cols, digits_of(stop > 0 ? stop - 1 : 0)};
     Py_ssize_t row_max = rows.index_digits + n_cols * (MAX_CELL + 1) + 2;
-    if (n_rows > 0 && row_max > (PY_SSIZE_T_MAX - prefix_len) / n_rows)
+    if (stop > start && row_max > PY_SSIZE_T_MAX / (stop - start))
         return PyErr_NoMemory();
-    Py_ssize_t size = prefix_len + n_rows * row_max, half = n_rows / 2;
-    PyObject *text = PyUnicode_New(size, 127);
-    if (text == NULL)
-        return NULL;
-    char *start = reinterpret_cast<char *>(PyUnicode_1BYTE_DATA(text));
-    std::memcpy(start, prefix, prefix_len);
-    /* the first half ends at most where the second half's bound begins */
-    char *out = start + prefix_len;
-    char *tail = start + size - (n_rows - half) * row_max;
-    char *tail_end = tail;
+    char *first = static_cast<char *>(PyMem_Malloc((stop - start) * row_max));
+    if (first == NULL)
+        return PyErr_NoMemory();
+    char *second = first + (mid - start) * row_max;
+    char *first_end = first, *second_end = second;
     Py_BEGIN_ALLOW_THREADS
-    std::thread second;
-    try {
-        second = std::thread([&] { tail_end = write_rows(rows, half, n_rows, tail); });
-    } catch (const std::exception &) {
-        /* no second thread: this one writes both halves, to the same bytes */
+    std::thread worker;
+    if (stop > mid) {
+        try {
+            worker = std::thread([&] { second_end = write_rows(rows, mid, stop, second); });
+        } catch (const std::exception &) {
+            /* no second thread: this one writes both ranges, to the same bytes */
+        }
     }
-    out = write_rows(rows, 0, half, out);
-    if (second.joinable())
-        second.join();
+    first_end = write_rows(rows, start, mid, first);
+    if (worker.joinable())
+        worker.join();
     else
-        tail_end = write_rows(rows, half, n_rows, tail);
+        second_end = write_rows(rows, mid, stop, second);
     Py_END_ALLOW_THREADS
-    std::memmove(out, tail, tail_end - tail);
-    out += tail_end - tail;
-    /* a fresh str with one reference: PyUnicode_Resize shrinks it in place */
-    if (PyUnicode_Resize(&text, out - start) < 0)
-        return NULL;
-    return text;
+    PyObject *texts = NULL;
+    PyObject *head = ascii_text(first, first_end);
+    PyObject *tail = head != NULL ? ascii_text(second, second_end) : NULL;
+    PyMem_Free(first);
+    if (tail != NULL)
+        texts = PyTuple_Pack(2, head, tail);
+    Py_XDECREF(head);
+    Py_XDECREF(tail);
+    return texts;
 }
 
 /* Longest "%.6g" of a double: "-1.23457e-308" (13 characters). */
@@ -260,22 +256,28 @@ checked_matrix(PyObject *values_obj, Py_buffer *view)
 }  // namespace
 
 extern "C" PyObject *
-reprfmt_format_text(PyObject *self, PyObject *args, PyObject *kwargs)
+reprfmt_format_ranges(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static const char *kwlist[] = {"prefix", "values", NULL};
-    PyObject *prefix_obj, *values_obj;
+    static const char *kwlist[] = {"values", "start", "mid", "stop", NULL};
+    PyObject *values_obj;
+    Py_ssize_t start, mid, stop;
     Py_buffer view;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:format_text",
-                                     const_cast<char **>(kwlist), &prefix_obj, &values_obj))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Onnn:format_ranges",
+                                     const_cast<char **>(kwlist), &values_obj, &start, &mid,
+                                     &stop))
         return NULL;
-    Py_ssize_t prefix_len;
-    const char *prefix = ascii_of(prefix_obj, "prefix", &prefix_len);
-    if (prefix == NULL || checked_matrix(values_obj, &view) < 0)
+    if (checked_matrix(values_obj, &view) < 0)
         return NULL;
-    PyObject *result = format_matrix_text(static_cast<const double *>(view.buf), view.shape[0],
-                                          view.shape[1], prefix, prefix_len);
+    PyObject *result = NULL;
+    if (0 <= start && start <= mid && mid <= stop && stop <= view.shape[0])
+        result = format_row_ranges(static_cast<const double *>(view.buf), view.shape[1], start,
+                                   mid, stop);
+    else
+        PyErr_Format(PyExc_ValueError,
+                     "rows must satisfy 0 <= start <= mid <= stop <= %zd, got %zd, %zd, %zd",
+                     view.shape[0], start, mid, stop);
     PyBuffer_Release(&view);
     return result;
 }

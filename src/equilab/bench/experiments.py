@@ -3,7 +3,8 @@
 `run_experiment` owns a run's lifecycle: it creates the RunManifest, times
 the kind's runner and writes manifest.json.  A runner takes the resolved
 ExperimentConfig, the output directory and that manifest, and writes every
-CSV/SVG file through `_emit` (atomic rename, then listed in the manifest).
+CSV/SVG file through `_emit`, or `_emit_trace` for a trace CSV, which
+streams it block by block (atomic rename, then listed in the manifest).
 Determinism contract: rerunning with the same (config, seed) reproduces all
 CSV and SVG files byte for byte.  Wall-clock numbers therefore never enter
 those files; they are reported in the manifest only.
@@ -24,7 +25,7 @@ from equilab import densela, precond, quadlab
 from equilab import hesslab
 from equilab._csvfmt import csv_text
 from equilab.bench.config import ExperimentConfig, file_sha256
-from equilab.bench.manifest import RunManifest, atomic_write_text
+from equilab.bench.manifest import RunManifest, atomic_write_chunks, atomic_write_text
 from equilab.bench.svgplot import LineSeries, emit_svg
 from equilab.errors import ArmMismatchError, ConfigError, EquilabError, RankDeficientError
 from equilab.net.data import teacher_student_regression, two_moons
@@ -59,6 +60,13 @@ def _arm_filename(arm):
 def _emit(manifest, out_dir, name, text):
     """Write one output file atomically and list it in the manifest."""
     atomic_write_text(os.path.join(out_dir, name), text)
+    manifest.add_file(name)
+
+
+def _emit_trace(manifest, out_dir, name, trace):
+    """Write a trace's CSV one block of rows at a time (`csv_blocks`), so
+    its whole text never exists, atomically, and list it in the manifest."""
+    atomic_write_chunks(os.path.join(out_dir, name), trace.csv_blocks())
     manifest.add_file(name)
 
 
@@ -232,7 +240,7 @@ def run_train_compare(cfg: ExperimentConfig, out_dir, manifest):
         plain_final = float(traces["none"].train_loss[-1])
     for arm in p["arms"]:
         t = traces[arm]
-        _emit(manifest, out_dir, f"train_{_arm_filename(arm)}.csv", t.to_csv())
+        _emit_trace(manifest, out_dir, f"train_{_arm_filename(arm)}.csv", t)
         manifest.diverged[arm] = bool(t.diverged)
         done = t.epochs_completed
         manifest.wall_time_per_step[arm] = float(np.mean(t.step_times)) if done else None
@@ -374,7 +382,7 @@ def run_quad(cfg: ExperimentConfig, out_dir, manifest):
         rows.append(f"{name},{prob.kappa!r},{eta!r},{str(trace.diverged).lower()},"
                     f"{iters_to},{float(excess[-1])!r}")
         manifest.diverged[name] = bool(trace.diverged)
-        _emit(manifest, out_dir, f"quad_{_arm_filename(name)}.csv", trace.to_csv())
+        _emit_trace(manifest, out_dir, f"quad_{_arm_filename(name)}.csv", trace)
         series.append(LineSeries(name, np.arange(len(excess), dtype=float), excess))
     _emit_csv(manifest, out_dir, "summary.csv", rows)
     _emit(manifest, out_dir, "quad_excess.svg",

@@ -37,27 +37,39 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
 WRITE_SLICE_CHARS = 1 << 16
 
 
-def atomic_write_text(path, text):
-    """Write text to path as UTF-8, via a temp file and rename in the same
-    directory.
+def atomic_write_chunks(path, chunks):
+    """Write the strs of the iterable `chunks` to path as UTF-8, one after
+    another, via a temp file and rename in the same directory.
 
-    The text is encoded and written WRITE_SLICE_CHARS characters at a
-    time, so no encoded copy of the whole text exists; slicing a str by
-    characters never splits one, so the bytes equal text.encode("utf-8").
-    Line ends are written as given.
+    Each chunk is encoded and written before the next is read, so a
+    caller that makes its text a piece at a time (`_csvfmt.csv_blocks`)
+    never holds the whole text or its encoding.  If reading or writing
+    raises, the temp file is removed, path is left as it was, and the
+    error propagates.  Line ends are written as given.
     """
     directory = os.path.dirname(os.path.abspath(path))
     os.makedirs(directory, exist_ok=True)
     fd, tmp = tempfile.mkstemp(dir=directory, suffix=".tmp")
     try:
         with os.fdopen(fd, "wb") as fh:
-            for start in range(0, len(text), WRITE_SLICE_CHARS):
-                fh.write(text[start:start + WRITE_SLICE_CHARS].encode("utf-8"))
+            for chunk in chunks:
+                fh.write(chunk.encode("utf-8"))
         os.replace(tmp, path)
     except BaseException:
         if os.path.exists(tmp):
             os.unlink(tmp)
         raise
+
+
+def atomic_write_text(path, text):
+    """Write the str text to path as UTF-8, atomically: atomic_write_chunks
+    of its WRITE_SLICE_CHARS-character slices.
+
+    Slicing a str by characters never splits one, so the bytes equal
+    text.encode("utf-8"), and no encoded copy of the whole text exists.
+    """
+    atomic_write_chunks(path, (text[start:start + WRITE_SLICE_CHARS]
+                               for start in range(0, len(text), WRITE_SLICE_CHARS)))
 
 
 @functools.cache

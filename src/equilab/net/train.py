@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equilab._csvfmt import format_csv
+from equilab._csvfmt import csv_blocks
 from equilab._heap import keep_freed_heap
 from equilab.errors import DimensionError, NonFiniteError
 
@@ -115,14 +115,14 @@ class TrainTrace:
     def epochs_completed(self):
         return len(self.train_loss)
 
-    def to_csv(self):
-        """CSV text, one row per completed epoch (CRLF line ends).
+    def csv_blocks(self):
+        """CSV text as `_csvfmt.csv_blocks` strs, one row per completed
+        epoch (CRLF line ends).
 
-        Every float cell is its shortest round-trip `repr`.  The whole
-        text comes from one `_csvfmt.format_csv` call, which writes each
-        row's index as its epoch: on the compiled backend the extension
-        writes it in place into one str, on the numpy fallback `repr`
-        runs once per distinct value per block of rows.
+        Every float cell is its shortest round-trip `repr`; each row's
+        index is its epoch.  The rows come a block at a time: on the
+        compiled backend the extension formats them, on the numpy
+        fallback `repr` runs once per distinct value per block of rows.
         """
         n_layers = self.kappa_weights.shape[1]
         cols = ["epoch", "train_loss", "eval_loss"]
@@ -133,7 +133,11 @@ class TrainTrace:
         cols += [f"kappa_w{i}" for i in range(n_layers)]
         cols += [f"kappa_eff{i}" for i in range(n_layers)]
         values = np.column_stack([*columns, self.kappa_weights, self.kappa_effective])
-        return format_csv([",".join(cols)], values)
+        return csv_blocks([",".join(cols)], values)
+
+    def to_csv(self):
+        """The CSV text of `csv_blocks` as one str."""
+        return "".join(self.csv_blocks())
 
 
 class _History:

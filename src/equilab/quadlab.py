@@ -22,7 +22,7 @@ from functools import cached_property
 import numpy as np
 
 from equilab import densela
-from equilab._csvfmt import format_csv
+from equilab._csvfmt import csv_blocks
 from equilab.errors import (
     DimensionError,
     InaccurateSolveError,
@@ -169,14 +169,14 @@ class GDTrace:
     def kappa(self):
         return float(self.sigma[0] / self.sigma[-1])
 
-    def to_csv(self):
-        """CSV text: a metadata comment line, then RFC-4180 rows (CRLF line
-        ends): iter, then the table's row.
+    def csv_blocks(self):
+        """CSV text as `_csvfmt.csv_blocks` strs: a metadata comment line,
+        then RFC-4180 rows (CRLF line ends): iter, then the table's row.
 
         Every float, sigma included, is its shortest round-trip `repr`.
-        The text comes from `_csvfmt.format_csv`, which writes each row's
-        index: on the compiled backend the extension writes the text in
-        place into one str, on the numpy fallback `repr` runs once per
+        The rows come a block at a time, so a writer can put each str in
+        its file before the next is made: on the compiled backend the
+        extension formats them, on the numpy fallback `repr` runs once per
         distinct value per block of rows.
         """
         meta = "# eta=%r kappa=%r diverged=%s sigma=[%s]" % (
@@ -187,7 +187,11 @@ class GDTrace:
         )
         n_modes = self.table.shape[1] - 2
         header = "iter,loss,theta_norm" + "".join(f",mode_{i}" for i in range(n_modes))
-        return format_csv([meta, header], self.table)
+        return csv_blocks([meta, header], self.table)
+
+    def to_csv(self):
+        """The CSV text of `csv_blocks` as one str."""
+        return "".join(self.csv_blocks())
 
 
 def run_gd(problem, theta0, eta, iters):

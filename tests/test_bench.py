@@ -19,6 +19,7 @@ from equilab.bench.manifest import atomic_write_text, load_manifest
 from equilab.errors import ConfigError, DimensionError
 from equilab.net import DenseSpec, Network
 from equilab.net.train import train
+from test_kernels import needs_compiled
 
 
 def read_all(out_dir):
@@ -194,16 +195,46 @@ class TestManifest:
         assert p.read_bytes() == text.encode("utf-8")
         assert os.listdir(tmp_path) == ["f.txt"]
 
-    def test_trace_file_text_exists_once(self, tmp_path):
-        """Writing a GD trace's CSV holds about one copy of its text.
+    @pytest.mark.parametrize("text", ["", "a,b\r\n", "x" * (3 * S), "\u00e9\U0001f600"],
+                             ids=["empty", "short", "long", "multi-byte"])
+    def test_chunked_write_equals_joined_encoding(self, tmp_path, text):
+        p = tmp_path / "f.txt"
+        chunks = [text[i:i + 7] for i in range(0, len(text), 7)]
+        manifest.atomic_write_chunks(p, chunks)
+        assert p.read_bytes() == "".join(chunks).encode("utf-8")
+        assert os.listdir(tmp_path) == ["f.txt"]
 
-        tracemalloc peak over len(text), 2000 steps x 64 dims (2.75M chars):
-        before the one-text formatter and the sliced write, 2.44 on both
-        backends (rows and their join, then the whole text encoded); then
-        1.64 compiled (the text's upper-bound allocation, about 1.2, plus
-        a cell matrix stacked from the trace's columns) and 2.48 on the
-        numpy fallback (its rows and their join).  Since the trace is its
-        table, no cell matrix is stacked: 1.26 compiled, 2.09 fallback.
+    @pytest.mark.parametrize("existing", [False, True], ids=["new", "replacing"])
+    def test_failing_chunk_source_leaves_no_file(self, tmp_path, existing):
+        """A chunk source that raises after its first block: the error
+        propagates, and neither the target nor a temp file is left; a file
+        already at the target keeps its bytes."""
+        p = tmp_path / "quad.csv"
+        if existing:
+            p.write_bytes(b"earlier\r\n")
+
+        def blocks():
+            yield "iter,loss\r\n"
+            yield "0,1.0\r\n"
+            raise RuntimeError("source failed")
+
+        with pytest.raises(RuntimeError, match="source failed"):
+            manifest.atomic_write_chunks(p, blocks())
+        assert os.listdir(tmp_path) == (["quad.csv"] if existing else [])
+        if existing:
+            assert p.read_bytes() == b"earlier\r\n"
+
+    def test_trace_file_write_holds_blocks_not_the_text(self, tmp_path):
+        """Writing a GD trace's CSV block by block holds a block's text,
+        not the file's.
+
+        tracemalloc peak over the file's length, 2000 steps x 64 dims
+        (2.75M chars), when the whole text was made first and written in
+        slices: 2.44 on both backends for rows, their join and the whole
+        encoding; 1.26 compiled and 2.09 fallback for one text.  Streamed
+        in 128-row blocks: 0.18 compiled (a block's scratch buffer, its two
+        half-block strs and one encoded half) and 0.42 fallback (one
+        block's cell strings).
         """
         rng = np.random.default_rng(0)
         q, _ = np.linalg.qr(rng.standard_normal((64, 64)))
@@ -214,11 +245,11 @@ class TestManifest:
         n_chars = len(trace.to_csv())
         tracemalloc.start()
         try:
-            atomic_write_text(tmp_path / "quad.csv", trace.to_csv())
+            manifest.atomic_write_chunks(tmp_path / "quad.csv", trace.csv_blocks())
             peak = tracemalloc.get_traced_memory()[1]
         finally:
             tracemalloc.stop()
-        bound = 1.45 if _kernels.BACKEND == "compiled" else 2.3
+        bound = 0.25 if _kernels.BACKEND == "compiled" else 0.5
         assert peak < bound * n_chars, (peak, n_chars)
 
     def test_env_names_the_backend_and_versions(self, tmp_path, monkeypatch):
@@ -690,3 +721,40 @@ class TestCli:
         rc = cli.main(["train", "--config", str(p), "--out", str(tmp_path / "o")])
         assert rc == 1
         assert capsys.readouterr().err.startswith("error: batch norm")
+
+
+# Writes a 20,001-row, 66-column GD trace (about 26 MB of text) the way a
+# run writes its trace files, and prints the backend, how much the
+# process's peak RSS grew meanwhile and the file's size, in bytes.
+STREAMED_TRACE_SCRIPT = """
+import os, resource, sys
+import numpy as np
+from equilab import _kernels, quadlab
+from equilab.bench.manifest import atomic_write_chunks
+
+table = np.random.default_rng(5).standard_normal((20001, 66))
+trace = quadlab.GDTrace(table, 0.5, np.geomspace(1e3, 1.0, 64), False)
+before = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss
+atomic_write_chunks(sys.argv[1], trace.csv_blocks())
+grown = resource.getrusage(resource.RUSAGE_SELF).ru_maxrss - before
+print(_kernels.BACKEND, grown * 1024, os.path.getsize(sys.argv[1]))
+"""
+
+
+@pytest.mark.parametrize("backend", [
+    pytest.param("compiled", marks=needs_compiled), "python"])
+def test_streamed_trace_write_peak_rss_stays_far_below_its_text(tmp_path, backend):
+    """In a fresh interpreter, writing a trace whose text is about 26 MB
+    raises the peak RSS by less than a quarter of the file's size; a whole
+    text of the file, made before the write, alone exceeds it."""
+    env = dict(os.environ, EQUILAB_PURE_PYTHON="1" if backend == "python" else "")
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(equilab.__file__).parents[1]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run([sys.executable, "-c", STREAMED_TRACE_SCRIPT,
+                           str(tmp_path / "trace.csv")],
+                          env=env, capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    ran_on, grown, size = proc.stdout.split()
+    assert ran_on == backend
+    assert int(size) > 25_000_000
+    assert int(grown) < int(size) / 4, (grown, size)

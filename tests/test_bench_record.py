@@ -71,7 +71,7 @@ def make_checkout(path, monkeypatch):
 @pytest.fixture
 def paired(bench_record, tmp_path, monkeypatch):
     """(base, checkout, output directory, list of run_once calls); run_once
-    is replaced by a fake that records (checkout name, workload)."""
+    is replaced by a fake that records (checkout name, workload, seed)."""
     base = make_checkout(tmp_path / "base", monkeypatch)
     head = make_checkout(tmp_path / "head", monkeypatch)
     out = tmp_path / "out"
@@ -80,7 +80,7 @@ def paired(bench_record, tmp_path, monkeypatch):
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
-        calls.append((checkout.name, workload))
+        calls.append((checkout.name, workload, seed))
         summary = {"metrics": {"run_s": {"value": float(len(calls))}},
                    "correct": True, "failed": 0, "attempted": 3}
         return {"env": {"kernel_backend": checkout.name}}, summary
@@ -97,8 +97,9 @@ def test_base_and_checkout_alternate_abba(bench_record, paired, monkeypatch):
     runs = bench_record.RUNS
     assert len(calls) == 2 * 2 * runs
     for workload in ("w1", "w2"):
-        order = "".join("A" if c == "base" else "B" for c, w in calls if w == workload)
+        order = "".join("A" if c == "base" else "B" for c, w, _ in calls if w == workload)
         assert order == "ABBA" * (runs // 2) + "AB" * (runs % 2)
+    assert {seed for _, _, seed in calls} == {bench_record.SEED}
     old = json.loads((out / f"BENCH_{old_label}.json").read_text(encoding="utf-8"))
     new = json.loads((out / "BENCH_new.json").read_text(encoding="utf-8"))
     assert (old["partner"], new["partner"]) == ("new", old_label)
@@ -107,7 +108,34 @@ def test_base_and_checkout_alternate_abba(bench_record, paired, monkeypatch):
     assert (old["env"]["kernel_backend"], new["env"]["kernel_backend"]) == ("base", "head")
     # each side's samples are its own runs, in order
     samples = new["workloads"]["w1"]["metrics"]["run_s"]["samples"]
-    assert samples == [float(i + 1) for i, c in enumerate(calls) if c == ("head", "w1")]
+    assert samples == [float(i + 1) for i, c in enumerate(calls) if c[:2] == ("head", "w1")]
+    assert (new["runs"], new["seed"]) == (old["runs"], old["seed"]) == (5, 1)
+
+
+def test_runs_and_seed_set_the_rounds_and_are_recorded(bench_record, paired, monkeypatch):
+    base, head, out, calls = paired
+    monkeypatch.delenv("EQUILAB_PURE_PYTHON", raising=False)
+    bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base),
+                       "--runs", "10", "--seed", "3"])
+    assert len(calls) == 2 * 2 * 10
+    assert {seed for _, _, seed in calls} == {3}
+    for workload in ("w1", "w2"):
+        order = "".join("A" if c == "base" else "B" for c, w, _ in calls if w == workload)
+        assert order == "ABBA" * 5
+    old_label = bench_record.git(base, "rev-parse", "HEAD")[:7] + "-seed3"
+    for label in ("new", old_label):
+        rec = json.loads((out / f"BENCH_{label}.json").read_text(encoding="utf-8"))
+        assert (rec["runs"], rec["seed"]) == (10, 3)
+        assert len(rec["workloads"]["w2"]["metrics"]["run_s"]["samples"]) == 10
+
+
+def test_fewer_than_two_runs_exit_before_any_run(bench_record, paired):
+    base, head, out, calls = paired
+    with pytest.raises(SystemExit) as exc:
+        bench_record.main(["--checkout", str(head), "--label", "new", "--runs", "1"])
+    assert exc.value.code == 2
+    assert calls == []
+    assert list(out.iterdir()) == []
 
 
 @pytest.mark.parametrize("failing", ["base", "head"])
@@ -162,6 +190,8 @@ def test_default_label_names_the_forced_fallback(bench_record, paired, monkeypat
     commit = bench_record.git(base, "rev-parse", "HEAD")
     assert bench_record.side(base).label == commit[:7] + suffix
     assert bench_record.side(base, "x").label == "x"
+    assert bench_record.side(base, seed=3).label == commit[:7] + suffix + "-seed3"
+    assert bench_record.side(base, seed=bench_record.SEED).label == commit[:7] + suffix
 
 
 @pytest.mark.parametrize("flag, barred", [("1", True), ("", False)])
@@ -177,7 +207,7 @@ def test_record_counts_current_bytecode_after_the_runs(bench_record, paired, mon
     fake = bench_record.run_once
 
     def run_once(checkout, workload, seed, seconds):
-        if checkout.name == "head" and not any(c == "head" for c, _ in calls):
+        if checkout.name == "head" and not any(c == "head" for c, _, _ in calls):
             # the first run builds: a checked-hash and a timestamp .pyc that
             # match their sources, a stale one, and none for d
             checked = py_compile.PycInvalidationMode.CHECKED_HASH

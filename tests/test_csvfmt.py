@@ -1,8 +1,8 @@
 """The trace-CSV formatters against one `repr(float(x))` call per cell:
-`_csvfmt.format_rows` (the numpy fallback's rows), and `_csvfmt.format_csv`
-on both of its backends, the compiled one-text writer
-(`_jacobi.format_text`) and the numpy fallback, against `csv_text` of the
-per-cell rows.
+`_csvfmt.format_rows` (the numpy fallback's rows), and
+`_csvfmt.csv_blocks`/`format_csv` on both of their backends, the compiled
+block writer (`_jacobi.format_ranges`) and the numpy fallback, against
+`csv_text` of the per-cell rows, and streamed to a file block by block.
 
 The compiled formatter is also checked on its own in fresh interpreters,
 so that a fault fails one test instead of ending the session; those tests
@@ -83,21 +83,22 @@ def matrix(palette, n_rows, n_cols, seed):
     return keys.view(np.float64)
 
 
-# The checks below take a formatter fmt(values) that returns the rows, and
-# raise AssertionError on a wrong result.
+# The checks below take a formatter fmt(values) that returns the rows, or
+# the compiled format_ranges itself, and raise AssertionError on a wrong
+# result.
 # They are module-level functions so that a fresh interpreter can import
 # this module and run them on the compiled formatter (run_compiled, which
-# hands them `text_rows(format_text)`).
+# puts format_ranges behind _csvfmt and hands them `csv_rows` or it).
 
-def text_rows(format_text):
-    """fmt(values) over the compiled one-text writer: its text with no
-    prefix, split at the line ends."""
-    return lambda values: format_text("", values).split("\r\n")[:-1]
+def csv_rows(values):
+    """fmt(values) over format_csv on the active formatter: its text with
+    no header, split at the line ends."""
+    return _csvfmt.format_csv([], values).split("\r\n")[:-1]
 
 
 def check_property(fmt):
     """Hypothesis: matrices of special, random and repeated bit patterns,
-    across the fallback's block boundaries."""
+    across the block boundaries."""
     @settings(max_examples=150, deadline=None)
     @given(n_rows=st.sampled_from(ROW_COUNTS), n_cols=st.integers(0, 5),
            palette=st.lists(st.one_of(st.sampled_from(SPECIAL_BITS), INT64,
@@ -184,11 +185,6 @@ def check_text(fmt):
             assert fmt(header, values) == want, (values.shape, header)
 
 
-def check_compiled_text(format_text):
-    """check_text on the compiled one-text writer, given csv_text's prefix."""
-    check_text(lambda header, values: format_text(_csvfmt.csv_text(header), values))
-
-
 # row counts whose last index has one more digit than the one before, and
 # their neighbours: the upper bound counts the digits of the last index
 INDEX_ROW_COUNTS = (0, 1, 9, 10, 11, 99, 100, 1001, 10001)
@@ -208,30 +204,74 @@ def check_index_widths(fmt):
     return checked
 
 
-def check_halves(format_text):
-    """format_text, which formats the second half of the rows on a second
-    thread, equals repr and the numpy fallback's rows on random matrices:
-    row counts that split evenly, unevenly or leave a half empty, a
-    prefix; returns how many matrices were checked."""
+def check_ranges(format_ranges):
+    """format_ranges, which formats its second range of rows on a second
+    thread, equals repr and the numpy fallback's rows with absolute row
+    indices: ranges that split evenly, unevenly, leave one empty or start
+    inside the matrix, and edges at the 99/100 and 999/1000 index widths;
+    returns how many calls were checked."""
     rng = np.random.default_rng(26)
     checked = 0
     for n_rows in (0, 1, 2, 3, 4, 5, 33, 1001):
+        ranges = {(0, n_rows // 2, n_rows), (0, n_rows, n_rows), (0, 0, n_rows),
+                  (n_rows // 3, n_rows // 2, n_rows), (n_rows // 2, n_rows // 2, n_rows // 2)}
+        if n_rows == 1001:
+            ranges |= {(0, 100, 228), (100, 100, 1001), (872, 1000, 1001), (900, 999, 1000),
+                       (99, 228, 356), (999, 1000, 1000)}
         for n_cols in (0, 1, 7):
             cells = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
                 -30, 30, size=(n_rows, n_cols))
             keys = rng.integers(-(2**63), 2**63 - 1, size=(n_rows, n_cols), endpoint=True)
             for values in (cells, keys.view(np.float64)):
-                header = ["# eta=0.5", "iter,a"]
-                got = format_text(_csvfmt.csv_text(header), values)
-                assert got == _csvfmt.csv_text([*header, *reference_rows(values)])
-                assert got == _csvfmt.csv_text([*header, *_csvfmt.format_rows(values)])
-                checked += 1
+                want = reference_rows(values)
+                assert want == _csvfmt.format_rows(values)
+                for start, mid, stop in sorted(ranges):
+                    got = format_ranges(values, start, mid, stop)
+                    assert got == (_csvfmt.csv_text(want[start:mid]),
+                                   _csvfmt.csv_text(want[mid:stop])), (start, mid, stop)
+                    checked += 1
     return checked
 
 
-def check_concurrent_calls(format_text):
-    """Six Python threads (more than the host's cores) call format_text at
-    once, with a short switch interval: the calls run with the GIL
+# row counts of the streamed-file check: a block's edges and the index's
+# digit widths, where a 99/100 or 999/1000 change falls inside a block or
+# at the table's end
+STREAM_ROW_COUNTS = (0, 1, 99, 100, 101, B - 1, B, B + 1, 2 * B, 2 * B + 1, 999, 1000, 1001,
+                     2001)
+
+
+def check_streamed_files():
+    """A file written block by block (`atomic_write_chunks` of
+    `csv_blocks`) equals `format_csv`, its per-cell reference and, for a GD
+    trace's table, `GDTrace.to_csv`, on the active formatter; returns how
+    many files were checked."""
+    import tempfile
+
+    from equilab.bench.manifest import atomic_write_chunks
+
+    rng = np.random.default_rng(28)
+    checked = 0
+    with tempfile.TemporaryDirectory() as tmp:
+        path = Path(tmp) / "trace.csv"
+        for n_rows in STREAM_ROW_COUNTS:
+            for n_cols in (0, 1, 66):
+                values = rng.choice(ADVERSARIAL, size=(n_rows, n_cols))
+                header = ["# eta=0.5", "iter" + ",x" * n_cols]
+                atomic_write_chunks(path, _csvfmt.csv_blocks(header, values))
+                got = path.read_bytes()
+                assert got == _csvfmt.format_csv(header, values).encode(), (n_rows, n_cols)
+                assert got == _csvfmt.csv_text([*header, *reference_rows(values)]).encode()
+                checked += 1
+            trace = quadlab.GDTrace(values, 0.5, np.geomspace(1e3, 1.0, 64), False)
+            atomic_write_chunks(path, trace.csv_blocks())
+            assert path.read_bytes() == trace.to_csv().encode(), n_rows
+            checked += 1
+    return checked
+
+
+def check_concurrent_calls(format_ranges):
+    """Six Python threads (more than the host's cores) call format_ranges
+    at once, with a short switch interval: the calls run with the GIL
     released, each on two threads of its own.  Every text must equal its
     reference; returns the number of calls."""
     import sys
@@ -243,8 +283,9 @@ def check_concurrent_calls(format_text):
     wrong = []
 
     def work(i):
+        n = len(mats[i])
         for _ in range(40):
-            if format_text("", mats[i]) != want[i]:
+            if "".join(format_ranges(mats[i], 0, n // 2, n)) != want[i]:
                 wrong.append(i)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
@@ -274,59 +315,62 @@ REJECTED = {
 }
 
 
-def check_rejections(fmt):
+def check_rejections(format_ranges):
     """Each bad input raises ValueError or TypeError, and the interpreter
     survives; returns how many cases were checked."""
     for name, values in REJECTED.items():
         try:
-            fmt(values)
+            format_ranges(values, 0, 0, 0)
         except (ValueError, TypeError):
             continue
         raise AssertionError(f"{name}: no ValueError or TypeError")
     return len(REJECTED)
 
 
-def check_text_rejections(format_text):
-    """format_text rejects (ValueError) a prefix that is not ASCII, which
-    its 1-byte str cannot hold, and (TypeError) a prefix that is not a str
-    or any argument beyond (prefix, values); returns how many cases were
+def check_range_rejections(format_ranges):
+    """format_ranges rejects (ValueError) a row range outside 0 <= start <=
+    mid <= stop <= len(values), and (TypeError) a missing or non-integer
+    bound or a keyword it does not take; returns how many cases were
     checked."""
     values = np.zeros((3, 2))
-    non_ascii = {"prefix": "iter,\u00e9\r\n", "prefix (4-byte)": "\U0001f600\r\n"}
-    for name, prefix in non_ascii.items():
+    bad_ranges = [(-1, 0, 0), (2, 1, 3), (0, 2, 1), (0, 1, 4), (4, 4, 4)]
+    for start, mid, stop in bad_ranges:
         try:
-            format_text(prefix, values)
+            format_ranges(values, start, mid, stop)
         except ValueError:
             continue
-        raise AssertionError(f"non-ASCII {name}: no ValueError")
-    bad_calls = {"prefix not str": lambda: format_text(b"x", values),
-                 "a third argument": lambda: format_text("", values, None),
-                 "a keyword beyond values": lambda: format_text("", values, sep=",")}
+        raise AssertionError(f"rows {start}, {mid}, {stop}: no ValueError")
+    bad_calls = {"no stop": lambda: format_ranges(values, 0, 1),
+                 "a float bound": lambda: format_ranges(values, 0, 1.0, 2),
+                 "a keyword beyond stop": lambda: format_ranges(values, 0, 1, 2, sep=",")}
     for name, call in bad_calls.items():
         try:
             call()
         except TypeError:
             continue
         raise AssertionError(f"{name}: no TypeError")
-    return len(non_ascii) + len(bad_calls)
+    return len(bad_ranges) + len(bad_calls)
 
 
-def run_compiled(check, rows=True):
-    """Run check in a fresh interpreter that imports the compiled extension
-    found here and this module: on text_rows(_jacobi.format_text), or on
-    format_text itself when rows is False."""
-    arg = "test_csvfmt.text_rows(format_text)" if rows else "format_text"
+def run_compiled(check, arg="test_csvfmt.csv_rows"):
+    """Run check(arg) in a fresh interpreter that imports this module and
+    the compiled extension found here and puts its format_ranges behind
+    _csvfmt: arg is csv_rows (format_csv's rows) by default, an
+    expression such as "format_ranges", or "" for a check with no
+    argument."""
     script = ("import sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "import test_csvfmt\n"
-              "from equilab._kernels._jacobi import format_text\n"
+              "from equilab import _csvfmt\n"
+              "from equilab._kernels._jacobi import format_ranges\n"
+              "_csvfmt._compiled_format_ranges = format_ranges\n"
               f"print(test_csvfmt.{check.__name__}({arg}))\n")
     return _run_compiled(script, str(Path(__file__).parent))
 
 
 def test_numpy_fallback_equals_per_cell_repr(monkeypatch):
-    monkeypatch.setattr(_csvfmt, "_compiled_format_text", None)
-    check_property(lambda values: _csvfmt.format_csv([], values).split("\r\n")[:-1])
+    monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
+    check_property(csv_rows)
 
 
 @needs_compiled
@@ -343,36 +387,36 @@ def test_compiled_sweep_equals_repr():
 
 @needs_compiled
 def test_compiled_rejects_bad_input():
-    proc = run_compiled(check_rejections)
+    proc = run_compiled(check_rejections, "format_ranges")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(len(REJECTED)), proc.stdout
 
 
 @needs_compiled
 def test_compiled_text_equals_csv_text_of_rows():
-    proc = run_compiled(check_compiled_text, rows=False)
+    proc = run_compiled(check_text, "_csvfmt.format_csv")
     assert proc.returncode == 0, proc.stderr
 
 
 @needs_compiled
-def test_compiled_text_halves_equal_repr_and_fallback():
-    proc = run_compiled(check_halves, rows=False)
+def test_compiled_ranges_equal_repr_and_fallback():
+    proc = run_compiled(check_ranges, "format_ranges")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "48", proc.stdout
+    assert proc.stdout.strip() == "234", proc.stdout
 
 
 @needs_compiled
 def test_compiled_text_concurrent_calls():
-    proc = run_compiled(check_concurrent_calls, rows=False)
+    proc = run_compiled(check_concurrent_calls, "format_ranges")
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "240", proc.stdout
 
 
 @needs_compiled
 def test_compiled_text_rejects_bad_input():
-    proc = run_compiled(check_text_rejections, rows=False)
+    proc = run_compiled(check_range_rejections, "format_ranges")
     assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "5", proc.stdout
+    assert proc.stdout.strip() == "8", proc.stdout
 
 
 @needs_compiled
@@ -380,6 +424,21 @@ def test_compiled_index_column_at_every_digit_width():
     proc = run_compiled(check_index_widths)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == str(3 * len(INDEX_ROW_COUNTS)), proc.stdout
+
+
+N_STREAMED = 4 * len(STREAM_ROW_COUNTS)
+
+
+@needs_compiled
+def test_compiled_streamed_file_equals_text_at_block_edges():
+    proc = run_compiled(check_streamed_files, "")
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == str(N_STREAMED), proc.stdout
+
+
+def test_fallback_streamed_file_equals_text_at_block_edges(monkeypatch):
+    monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
+    assert check_streamed_files() == N_STREAMED
 
 
 class TestFormatRows:
@@ -417,7 +476,7 @@ class TestFormatRows:
 def backend(request, monkeypatch):
     """The active backend's formatter, or the numpy fallback's."""
     if request.param == "fallback":
-        monkeypatch.setattr(_csvfmt, "_compiled_format_text", None)
+        monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
     return request.param
 
 
@@ -433,7 +492,7 @@ CONVERTED = {
 
 
 class TestFormatCsv:
-    """The one-text function, on the active backend and on the fallback."""
+    """The joined text, on the active backend and on the fallback."""
 
     def test_equals_csv_text_of_format_rows(self, backend):
         check_text(_csvfmt.format_csv)
@@ -465,14 +524,19 @@ def reference_csv(header, values):
     return _csvfmt.csv_text([*header, *reference_rows(values)])
 
 
+def reference_blocks(header, values):
+    """`csv_blocks` as one per-cell reference text."""
+    return [reference_csv(header, values)]
+
+
 def per_cell_outputs(tmp_path, monkeypatch, cfg, name):
     """Run cfg twice, with the formatters and with the per-cell references
     patched in; return both runs' non-manifest files as {name: bytes}."""
     out = {}
     for label in ("formatted", "per_cell"):
         if label == "per_cell":
-            monkeypatch.setattr(quadlab, "format_csv", reference_csv)
-            monkeypatch.setattr(train_module, "format_csv", reference_csv)
+            monkeypatch.setattr(quadlab, "csv_blocks", reference_blocks)
+            monkeypatch.setattr(train_module, "csv_blocks", reference_blocks)
         run_dir = tmp_path / f"{name}_{label}"
         run_experiment(cfg, run_dir)
         out[label] = {p.name: p.read_bytes() for p in run_dir.iterdir()

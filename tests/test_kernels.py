@@ -276,7 +276,7 @@ def test_pure_python_env_selects_fallback():
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "from equilab import _kernels, densela; print(densela.KERNEL_BACKEND, _kernels.format_text)"],
+         "from equilab import _kernels, densela; print(densela.KERNEL_BACKEND, _kernels.format_ranges)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     # the kernels and the CSV formatter switch together

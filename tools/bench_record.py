@@ -1,9 +1,11 @@
 """Record the benchmark's end-to-end metrics as BENCH_<label>.json.
 
     python3 tools/bench_record.py [--checkout DIR] [--label LABEL] [--base DIR]
+                                  [--runs N] [--seed S]
 
 Runs the unchanged `perfbench/run.py` of a source checkout (by default the
-one this script lives in) RUNS (5) times per workload at seed SEED (1),
+one this script lives in) N times (default 5) per workload at seed S
+(default 1),
 taking the workloads, the run length and the end-to-end metric names from
 that checkout's BENCHMARK.json.  The workloads take turns, one run each per round, so slow
 spells of a shared host spread over all of them.  The file is written at
@@ -15,6 +17,7 @@ the root of the repository this script lives in and holds:
              whether src/ or perfbench/ differ from it; a commit that is
              later squashed or rebased gets a new id but keeps its tree,
              so the tree still names the code that ran
+  runs, seed the N and S of the invocation
   env        the first run's environment block (kernel backend, Python,
              NumPy, platform, CPU count, thread settings)
   bytecode   whether PYTHONDONTWRITEBYTECODE was set, and how many of the
@@ -35,8 +38,9 @@ before writing any file.
 
 The checkout's label is LABEL; the base's, and the checkout's without
 --label, is the short commit id, marked "-dirty" when its src/ or
-perfbench/ has uncommitted changes and "-python" when EQUILAB_PURE_PYTHON
-selects the numpy fallback.  The file is a record, not a gate: if a
+perfbench/ has uncommitted changes, "-python" when EQUILAB_PURE_PYTHON
+selects the numpy fallback and "-seed<S>" for a seed other than 1, so
+records of one commit at two seeds do not collide.  The file is a record, not a gate: if a
 BENCH_<label>.json the invocation would write already exists, it exits
 before the first run and overwrites nothing.
 """
@@ -121,9 +125,9 @@ def summarize(samples):
     return {"median": median, "q1": q1, "q3": q3, "samples": samples}
 
 
-def record(side, bench, results, env):
-    """The BENCH_<label>.json payload of one checkout's runs, made after
-    them, so the bytecode state is the one the runs left."""
+def record(side, bench, results, env, runs, seed):
+    """The BENCH_<label>.json payload of one checkout's runs at seed, made
+    after them, so the bytecode state is the one the runs left."""
     metrics = {m["name"]: m["unit"] for m in bench["end_to_end"]}
     return {
         "label": side.label,
@@ -131,9 +135,9 @@ def record(side, bench, results, env):
         "checkout_tree": side.tree,
         "uncommitted_changes": side.dirty,
         "command": bench["command"],
-        "seed": SEED,
+        "seed": seed,
         "run_seconds": bench["run_seconds"],
-        "runs": RUNS,
+        "runs": runs,
         "env": env,
         "bytecode": bytecode_state(side.checkout),
         "workloads": {
@@ -157,14 +161,15 @@ class Side(NamedTuple):
     label: str
 
 
-def side(path, label=None):
-    """A checkout to record, its git state read before any run."""
+def side(path, label=None, seed=SEED):
+    """A checkout to record at seed, its git state read before any run."""
     checkout = path.resolve()
     commit, dirty = git_state(checkout)
     tree = git(checkout, "rev-parse", commit + "^{tree}")
     if label is None:
         pure = os.environ.get("EQUILAB_PURE_PYTHON", "") not in ("", "0")
-        label = commit[:7] + ("-dirty" if dirty else "") + ("-python" if pure else "")
+        label = (commit[:7] + ("-dirty" if dirty else "") + ("-python" if pure else "")
+                 + (f"-seed{seed}" if seed != SEED else ""))
     return Side(checkout, commit, tree, dirty, label)
 
 
@@ -174,10 +179,16 @@ def main(argv=None):
     parser.add_argument("--label")
     parser.add_argument("--base", type=Path,
                         help="a second checkout, recorded in the same session")
+    parser.add_argument("--runs", type=int, default=RUNS,
+                        help=f"runs per workload and checkout (default {RUNS}, at least 2)")
+    parser.add_argument("--seed", type=int, default=SEED,
+                        help=f"the seed of every run (default {SEED})")
     args = parser.parse_args(argv)
-    sides = [side(args.checkout, args.label)]
+    if args.runs < 2:
+        parser.error("--runs must be at least 2, for the quartiles")
+    sides = [side(args.checkout, args.label, args.seed)]
     if args.base is not None:
-        sides.insert(0, side(args.base))
+        sides.insert(0, side(args.base, seed=args.seed))
         if sides[0].label == sides[1].label:
             raise SystemExit(f"both checkouts would be labelled {sides[0].label}; "
                              "pass --label")
@@ -192,19 +203,20 @@ def main(argv=None):
 
     env = [None] * len(sides)
     results = [{name: [] for name in names} for _ in sides]
-    for r in range(RUNS):
+    for r in range(args.runs):
         for name in names:
             # each workload's runs go base, checkout, checkout, base, ...
             for i in (range(len(sides)) if r % 2 == 0 else reversed(range(len(sides)))):
-                report, summary = run_once(sides[i].checkout, name, SEED,
+                report, summary = run_once(sides[i].checkout, name, args.seed,
                                            bench["run_seconds"])
                 env[i] = env[i] or report["env"]
                 results[i][name].append(summary)
-                print(f"round {r + 1}/{RUNS} {name} {sides[i].label}: run_s "
+                print(f"round {r + 1}/{args.runs} {name} {sides[i].label}: run_s "
                       f"{summary['metrics']['run_s']['value']:.4g} s, correct "
                       f"{summary['correct']}", file=sys.stderr)
 
-    records = [record(s, bench, res, e) for s, res, e in zip(sides, results, env)]
+    records = [record(s, bench, res, e, args.runs, args.seed)
+               for s, res, e in zip(sides, results, env)]
     if len(records) == 2:
         session = {"started": started, "order": "ABBA",
                    "base": sides[0].label, "checkout": sides[1].label}
