@@ -9,8 +9,7 @@ CRLF after every line.  A row is its 0-based index, then its cells, each
 after a comma: the one row shape every trace file has.  The run writers
 hand each str to the file as it comes
 (`bench.manifest.atomic_write_chunks`), so no trace file's whole text is
-ever held, whatever the trace's length; `format_csv` joins the same strs
-for a caller that wants the text.
+ever held, whatever the trace's length.
 
 On the compiled backend the extension's `format_ranges`
 (`_kernels/_reprfmt.cpp`) formats one block per call as two halves, the
@@ -49,25 +48,11 @@ from equilab.errors import DimensionError
 BLOCK_ROWS = 128
 
 
-def format_rows(values):
-    """Rows of the 2-D float64 `values` as text: each row's 0-based index,
-    then its cells, each `repr(float(x))` after a comma.
-
-    Returns one string per row, with no line ends: the numpy fallback's
-    rows, with one `repr` call per distinct float64 bit pattern in each
-    block of BLOCK_ROWS rows.  Raises DimensionError when `values` is not
-    2-D.
-    """
-    keys = _checked(values).view(np.int64)
-    rows = []
-    for start in range(0, len(keys), BLOCK_ROWS):
-        rows += _block_rows(keys, start)
-    return rows
-
-
 def _block_rows(keys, start):
-    """format_rows's rows start to start + BLOCK_ROWS of the float64 bit
-    patterns `keys` (2-D int64)."""
+    """The numpy fallback's rows start to start + BLOCK_ROWS of the float64
+    bit patterns `keys` (2-D int64): each row's 0-based index, then its
+    cells, each `repr(float(x))` after a comma, with one `repr` call per
+    distinct bit pattern in the block; no line ends."""
     block = keys[start:start + BLOCK_ROWS]
     # 1-D input: NumPy 2.0 gives an n-d input's inverse the input's shape
     uniq, inverse = np.unique(block.ravel(), return_inverse=True)
@@ -80,12 +65,12 @@ def _block_rows(keys, start):
 
 def csv_blocks(header, values):
     """The text of a CSV file as an iterator of strs: the `header` lines,
-    then the rows of the 2-D float64 `values` as `format_rows` writes them,
-    at most BLOCK_ROWS rows per str after the header's; CRLF after every
-    line.
+    then the rows of the 2-D float64 `values`, at most BLOCK_ROWS rows per
+    str after the header's; CRLF after every line.  A row is its 0-based
+    index, then its cells, each `repr(float(x))` after a comma.
 
     The rows are formatted a block at a time, as the iterator is read.
-    Raises DimensionError as `format_rows` does, and ValueError when a
+    Raises DimensionError when `values` is not 2-D, and ValueError when a
     header line is not ASCII, both before the first str.
     """
     values = _checked(values)
@@ -109,13 +94,6 @@ def _blocks(head, values):
         # a table of one block, such as a short training trace, starts no thread
         mid = (start + stop) // 2 if n_rows > BLOCK_ROWS else stop
         yield from _compiled_format_ranges(values, start, mid, stop)
-
-
-def format_csv(header, values):
-    """The text of a CSV file as one str: the join of `csv_blocks(header,
-    values)`, equal to `csv_text([*header, *format_rows(values)])`.
-    Raises as `csv_blocks` does."""
-    return "".join(csv_blocks(header, values))
 
 
 def _checked(values):

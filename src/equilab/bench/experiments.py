@@ -169,7 +169,8 @@ def _distinct_lrs(lr_grid):
 def _train_arm(cfg, data, arm, lead, grid):
     """Train one arm from its shared init at the rates `lead` followed by
     the rates `grid`, as one parameter stack (net.train).  Only the first
-    lead rate records kappa.
+    lead rate records eval loss, accuracy and kappa; without a lead rate
+    no member evaluates.
 
     Returns every rate's trace, the largest grid rate whose full run stayed
     finite (None if none did) and the arm's shared-init digest.
@@ -180,7 +181,7 @@ def _train_arm(cfg, data, arm, lead, grid):
     lrs = [*lead, *grid]
     traces = train(net, x, y, loss=loss, lr=lrs, momentum=p["momentum"],
                    epochs=p["epochs"], batch_size=p["batch_size"], seed=cfg.seed,
-                   record_kappa=bool(lead))
+                   record=bool(lead))
     best = max((lr for lr, t in zip(grid, traces[len(lead):])
                 if not t.diverged and np.isfinite(t.train_loss[-1])), default=None)
     return traces, best, shared

@@ -295,8 +295,7 @@ def compare_curvature_sweep(specs, x, y, *, n_points=40, seed=0,
         done = 0
         for m_i, mark in enumerate(SNAPSHOT_EPOCHS):
             train(net_r, x, y, lr=0.05, epochs=mark - done,
-                  batch_size=16, seed=run_seed + m_i,
-                  record_kappa=False)
+                  batch_size=16, seed=run_seed + m_i, record=False)
             thetas.append(("snapshot", run * len(SNAPSHOT_EPOCHS) + m_i,
                            net_r.get_params_vector()))
             collected += 1

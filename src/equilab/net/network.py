@@ -231,20 +231,18 @@ class Network:
 
     def weight_condition_numbers(self):
         """(raw, effective): per-layer kappa of the weight and of the
-        effective weight, in the output-major view; of the first member
-        while a parameter stack is set.
+        effective weight, in the output-major view, of a net with unstacked
+        parameters (a stack raises DimensionError).
 
         A layer without a weight transform has one matrix for both, so its
         raw kappa is reused.  Numerically rank deficient entries (at
         densela.RANK_TOL, 1e-12) come back as nan.
         """
-        first = (0,) if self._stack else ()
         raw, effective = [], []
         for layer in self.layers:
-            k = _kappa(layer._output_major(layer.w)[first])
+            k = _kappa(layer._output_major(layer.w))
             raw.append(k)
-            effective.append(_kappa(layer.effective_weight()[first])
-                             if layer.transforms_weight else k)
+            effective.append(_kappa(layer.effective_weight()) if layer.transforms_weight else k)
         return raw, effective
 
 

@@ -95,10 +95,12 @@ def loss_and_gradients(net, x, y, loss="mse", training=True):
 class TrainTrace:
     """Per-epoch history of one training run.
 
-    Arrays all have length epochs_completed; kappa columns are nan where a
-    weight matrix was numerically rank deficient.  step_times holds every
-    completed step's time, in order; it is measured and therefore excluded
-    from to_csv output.
+    Arrays all have length epochs_completed.  eval_loss, accuracy and the
+    kappa columns come from a recording run (train's `record`, which
+    records the first rate of a stack only) and are nan in every other
+    trace; a kappa entry is also nan where a weight matrix was numerically
+    rank deficient.  step_times holds every completed step's time, in
+    order; it is measured and therefore excluded from the CSV text.
     """
 
     train_loss: np.ndarray
@@ -135,42 +137,64 @@ class TrainTrace:
         values = np.column_stack([*columns, self.kappa_weights, self.kappa_effective])
         return csv_blocks([",".join(cols)], values)
 
-    def to_csv(self):
-        """The CSV text of `csv_blocks` as one str."""
-        return "".join(self.csv_blocks())
-
 
 class _History:
-    """One run's records while it trains."""
+    """The records of a stack's members while they train: member r's
+    epoch train losses are row r of train_loss, and the recorded columns
+    are the first member's."""
 
-    def __init__(self):
-        self.train_loss, self.eval_loss, self.accuracy = [], [], []
+    def __init__(self, n_members, epochs, n_batches):
+        self.train_loss = np.empty((n_members, epochs))
+        # row r: member r's losses of the current epoch's batches
+        self.batch_losses = np.empty((n_members, n_batches))
+        self.step_times = []  # the stacked steps' times
+        self.left = {}        # member -> (epoch it diverged in, its steps, data digest)
+        self.eval_loss, self.accuracy = [], []
         self.kappa_weights, self.kappa_effective = [], []
-        self.step_times, self.batch_losses = [], []
-        self.diverged_at = None
-        self.data_digest = None
 
-    def end_epoch(self, batch_sizes, eval_loss, accuracy, kappas):
-        self.train_loss.append(float(np.average(self.batch_losses, weights=batch_sizes)))
-        self.batch_losses = []
+    def leave(self, members, epoch, digest):
+        for r in members.tolist():
+            self.left[r] = (epoch, len(self.step_times), digest)
+
+    def end_epoch(self, epoch, alive, batch_sizes):
+        """Each alive member's train loss of the epoch: its batch losses
+        averaged with the weights batch_sizes, as np.average does, each
+        member's sum along its own contiguous row."""
+        w = np.array(batch_sizes, dtype=np.float64)
+        rows = self.batch_losses[alive, :len(w)]
+        self.train_loss[alive, epoch] = (rows * w).sum(axis=1) / w.sum()
+
+    def record(self, eval_loss, accuracy, kappas):
         self.eval_loss.append(eval_loss)
-        if accuracy is not None:
-            self.accuracy.append(accuracy)
+        self.accuracy.append(accuracy)
         self.kappa_weights.append(kappas[0])
         self.kappa_effective.append(kappas[1])
 
-    def trace(self, loss, n_layers):
-        empty = np.zeros((0, n_layers))
+    def trace(self, r, loss, n_layers, epochs, digest):
+        """Member r's TrainTrace; digest is the data digest of a member
+        that did not leave."""
+        diverged_at, steps, digest = self.left.get(r, (None, len(self.step_times), digest))
+        done = epochs if diverged_at is None else diverged_at
+        if r == 0 and self.eval_loss:
+            eval_loss = np.array(self.eval_loss)
+            accuracy = np.array(self.accuracy) if loss == "bce" else None
+            kappa_w = np.array(self.kappa_weights)
+            kappa_eff = np.array(self.kappa_effective)
+        else:
+            eval_loss = np.full(done, np.nan)
+            accuracy = np.full(done, np.nan) if loss == "bce" else None
+            kappa_w = np.full((done, n_layers), np.nan)
+            kappa_eff = np.full((done, n_layers), np.nan)
         return TrainTrace(
-            train_loss=np.array(self.train_loss),
-            eval_loss=np.array(self.eval_loss),
-            accuracy=np.array(self.accuracy) if loss == "bce" else None,
-            step_times=np.array(self.step_times),
-            kappa_weights=np.array(self.kappa_weights) if self.kappa_weights else empty,
-            kappa_effective=np.array(self.kappa_effective) if self.kappa_effective else empty,
-            diverged=self.diverged_at is not None,
-            diverged_at=self.diverged_at,
-            data_digest=self.data_digest,
+            train_loss=self.train_loss[r, :done].copy(),
+            eval_loss=eval_loss,
+            accuracy=accuracy,
+            step_times=np.array(self.step_times[:steps]),
+            kappa_weights=kappa_w,
+            kappa_effective=kappa_eff,
+            diverged=diverged_at is not None,
+            diverged_at=diverged_at,
+            data_digest=digest,
         )
 
 
@@ -188,27 +212,31 @@ def _batches(x, y, seed, epoch, batch_size, has_bn, data_hash):
 
 
 def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
-          batch_size=32, seed=0, record_kappa=True):
+          batch_size=32, seed=0, record=True):
     """Train net in place with minibatch SGD; returns a TrainTrace, or a
     list of them, one per rate, when lr is a sequence.
-
-    The per-epoch eval loss is the full-batch eval-mode loss on (x, y).
 
     Every call trains a parameter stack, one member per rate (a single
     rate is a one-member stack): one forward/backward per batch covers
     every member, and each member's trace has the bits of a call at its
-    rate alone, except that its step_times are the times of the stacked
-    steps.  net must hold unstacked parameters (DimensionError otherwise)
-    and ends unstacked, as a call at the first rate alone would leave it,
-    also when training raises.  A batch-norm net skips a singleton
-    remainder batch, and raises DimensionError up front when every batch
-    would be a singleton (batch_size 1 or one sample).  Each step's time
-    covers its forward/backward pass and its update, the first step
-    included.  Divergence (non-finite activations/loss, or a parameter
-    beyond 1e12 in absolute value or non-finite) takes a member out of the
-    stack at the end of the offending batch and flags its trace instead of
-    raising.  Only the first rate records kappa; the other members' kappa
-    columns are nan.
+    rate alone that records only for the first rate, except that its
+    step_times are the times of the stacked steps.  net must hold
+    unstacked parameters (DimensionError otherwise) and ends unstacked,
+    as a call at the first rate alone would leave it, also when training
+    raises.  A batch-norm net skips a singleton remainder batch, and
+    raises DimensionError up front when every batch would be a singleton
+    (batch_size 1 or one sample).  Each step's time covers its
+    forward/backward pass and its update, the first step included.
+    Divergence (non-finite activations/loss, or a parameter beyond 1e12
+    in absolute value or non-finite) takes a member out of the stack at
+    the end of the offending batch and flags its trace instead of raising.
+
+    With record set, the first rate records, at every epoch end, the
+    full-batch eval-mode loss on (x, y), the accuracy for bce and the
+    weight condition numbers: its parameters and batch-norm buffers are
+    copied into one unstacked clone of net, made once per call, which
+    evaluates them.  Every other trace, and every trace without record,
+    has nan in those columns, and such a member runs no eval forward.
     """
     if loss not in LOSSES:
         raise DimensionError(f"unknown loss {loss!r}")
@@ -236,15 +264,13 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
         raise DimensionError(f"batch norm needs batches of at least 2 samples; "
                              f"{n} samples in batches of {batch_size} give none")
     keep_freed_heap()
+    twin = net.clone() if record else None
     stack = _RateStack(net, rates.reshape(-1), momentum)
-    histories = [_History() for _ in range(rates.size)]
+    history = _History(rates.size, epochs, -(-n // batch_size))
     data_hash = hashlib.sha256()
-    nan_kappas = ([float("nan")] * len(net.layers),) * 2
 
     def leave(mask, epoch):
-        for r in stack.alive[mask]:
-            histories[r].diverged_at = epoch
-            histories[r].data_digest = data_hash.hexdigest()
+        history.leave(stack.alive[mask], epoch, data_hash.hexdigest())
         stack.drop(mask)
 
     try:
@@ -261,10 +287,8 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
                         break
                     val, g = val[finite], g[finite]
                 stack.step(g)
-                dt = time.perf_counter() - t0
-                for r, v in zip(stack.alive, val.tolist()):
-                    histories[r].step_times.append(dt)
-                    histories[r].batch_losses.append(v)
+                history.step_times.append(time.perf_counter() - t0)
+                history.batch_losses[stack.alive, len(batch_sizes)] = val
                 batch_sizes.append(len(xb))
                 too_large = stack.too_large()
                 if too_large is not None:
@@ -273,18 +297,15 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
                         break
             if not stack.alive.size:
                 break
-            ev, a = evaluate(net, x, y, loss=loss)
-            kappas = (net.weight_condition_numbers() if record_kappa and stack.alive[0] == 0
-                      else nan_kappas)
-            for j, r in enumerate(stack.alive):
-                histories[r].end_epoch(batch_sizes, float(ev[j]),
-                                       None if a is None else float(a[j]),
-                                       kappas if r == 0 else nan_kappas)
+            history.end_epoch(epoch, stack.alive, batch_sizes)
+            if twin is not None and stack.alive[0] == 0:
+                _load_state(twin, _member_state(net, 0))
+                history.record(*evaluate(twin, x, y, loss=loss),
+                               twin.weight_condition_numbers())
     finally:
         stack.finish()
-    for r in stack.alive:
-        histories[r].data_digest = data_hash.hexdigest()
-    traces = [h.trace(loss, len(net.layers)) for h in histories]
+    digest = data_hash.hexdigest()
+    traces = [history.trace(r, loss, len(net.layers), epochs, digest) for r in range(rates.size)]
     return traces if rates.ndim else traces[0]
 
 

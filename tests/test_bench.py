@@ -482,7 +482,7 @@ class TestTrainCompare:
                 net, _ = experiments._arm_network(cfg, arm, out_act)
                 trace = train(net, x, y, loss=loss, lr=lr, momentum=p["momentum"],
                               epochs=p["epochs"], batch_size=p["batch_size"],
-                              seed=cfg.seed, record_kappa=False)
+                              seed=cfg.seed, record=False)
                 if not trace.diverged and np.isfinite(trace.train_loss[-1]):
                     return lr
             return None

@@ -71,7 +71,8 @@ def make_checkout(path, monkeypatch):
 @pytest.fixture
 def paired(bench_record, tmp_path, monkeypatch):
     """(base, checkout, output directory, list of run_once calls); run_once
-    is replaced by a fake that records (checkout name, workload, seed)."""
+    is replaced by a fake that records (checkout name, workload, seed) and
+    reports the compiled backend and its checkout's name."""
     base = make_checkout(tmp_path / "base", monkeypatch)
     head = make_checkout(tmp_path / "head", monkeypatch)
     out = tmp_path / "out"
@@ -83,7 +84,7 @@ def paired(bench_record, tmp_path, monkeypatch):
         calls.append((checkout.name, workload, seed))
         summary = {"metrics": {"run_s": {"value": float(len(calls))}},
                    "correct": True, "failed": 0, "attempted": 3}
-        return {"env": {"kernel_backend": checkout.name}}, summary
+        return {"env": {"kernel_backend": "compiled", "checkout": checkout.name}}, summary
 
     monkeypatch.setattr(bench_record, "run_once", run_once)
     return base, head, out, calls
@@ -105,7 +106,7 @@ def test_base_and_checkout_alternate_abba(bench_record, paired, monkeypatch):
     assert (old["partner"], new["partner"]) == ("new", old_label)
     assert old["session"] == new["session"]
     assert (old["session"]["base"], old["session"]["checkout"]) == (old_label, "new")
-    assert (old["env"]["kernel_backend"], new["env"]["kernel_backend"]) == ("base", "head")
+    assert (old["env"]["checkout"], new["env"]["checkout"]) == ("base", "head")
     # each side's samples are its own runs, in order
     samples = new["workloads"]["w1"]["metrics"]["run_s"]["samples"]
     assert samples == [float(i + 1) for i, c in enumerate(calls) if c[:2] == ("head", "w1")]
@@ -154,6 +155,30 @@ def test_a_failed_run_on_either_side_writes_nothing(bench_record, paired, monkey
     with pytest.raises(SystemExit):
         bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
     assert list(out.iterdir()) == []
+
+
+@pytest.mark.parametrize("stale, from_call", [("head", 6), ("base", 0)],
+                         ids=["within a side", "across sides"])
+def test_mixed_kernel_backends_write_nothing(bench_record, paired, monkeypatch, stale,
+                                             from_call):
+    # a stale in-place build puts one side's runs on the fallback: the
+    # checkout's from its fourth run on, or every run of the base
+    base, head, out, calls = paired
+    fake = bench_record.run_once
+
+    def run_once(checkout, workload, seed, seconds):
+        report, summary = fake(checkout, workload, seed, seconds)
+        if checkout.name == stale and len(calls) > from_call:
+            report["env"]["kernel_backend"] = "python"
+        return report, summary
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    with pytest.raises(SystemExit, match="kernel backend") as exc:
+        bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
+    assert "python" in exc.value.code and "compiled" in exc.value.code
+    assert list(out.iterdir()) == []
+    # the session stops at the first run on another backend
+    assert len(calls) == (from_call + 1 if stale == "head" else 2)
 
 
 def test_same_label_on_both_sides_exits_before_any_run(bench_record, paired,

@@ -1,7 +1,6 @@
-"""The trace-CSV formatters against one `repr(float(x))` call per cell:
-`_csvfmt.format_rows` (the numpy fallback's rows), and
-`_csvfmt.csv_blocks`/`format_csv` on both of their backends, the compiled
-block writer (`_jacobi.format_ranges`) and the numpy fallback, against
+"""The trace-CSV formatter against one `repr(float(x))` call per cell:
+`_csvfmt.csv_blocks`, joined, on both of its backends, the compiled block
+writer (`_jacobi.format_ranges`) and the numpy fallback, against
 `csv_text` of the per-cell rows, and streamed to a file block by block.
 
 The compiled formatter is also checked on its own in fresh interpreters,
@@ -69,7 +68,7 @@ ADVERSARIAL = np.concatenate([ADVERSARIAL, -ADVERSARIAL])
 
 
 def reference_rows(values):
-    """The per-cell formatting `format_rows` must reproduce byte for byte:
+    """The per-cell formatting the rows must reproduce byte for byte:
     str(i), then each cell's repr after a comma."""
     return [",".join([str(i), *(repr(float(x)) for x in row)])
             for i, row in enumerate(np.asarray(values, dtype=np.float64))]
@@ -90,10 +89,25 @@ def matrix(palette, n_rows, n_cols, seed):
 # this module and run them on the compiled formatter (run_compiled, which
 # puts format_ranges behind _csvfmt and hands them `csv_rows` or it).
 
+def csv_text(header, values):
+    """The file text of `csv_blocks(header, values)` as one str."""
+    return "".join(_csvfmt.csv_blocks(header, values))
+
+
 def csv_rows(values):
-    """fmt(values) over format_csv on the active formatter: its text with
+    """fmt(values) over csv_blocks on the active formatter: its text with
     no header, split at the line ends."""
-    return _csvfmt.format_csv([], values).split("\r\n")[:-1]
+    return csv_text([], values).split("\r\n")[:-1]
+
+
+def fallback_rows(values):
+    """csv_rows on the numpy fallback, whatever the active formatter."""
+    active = _csvfmt._compiled_format_ranges
+    _csvfmt._compiled_format_ranges = None
+    try:
+        return csv_rows(values)
+    finally:
+        _csvfmt._compiled_format_ranges = active
 
 
 def check_property(fmt):
@@ -224,7 +238,7 @@ def check_ranges(format_ranges):
             keys = rng.integers(-(2**63), 2**63 - 1, size=(n_rows, n_cols), endpoint=True)
             for values in (cells, keys.view(np.float64)):
                 want = reference_rows(values)
-                assert want == _csvfmt.format_rows(values)
+                assert want == fallback_rows(values)
                 for start, mid, stop in sorted(ranges):
                     got = format_ranges(values, start, mid, stop)
                     assert got == (_csvfmt.csv_text(want[start:mid]),
@@ -242,9 +256,9 @@ STREAM_ROW_COUNTS = (0, 1, 99, 100, 101, B - 1, B, B + 1, 2 * B, 2 * B + 1, 999,
 
 def check_streamed_files():
     """A file written block by block (`atomic_write_chunks` of
-    `csv_blocks`) equals `format_csv`, its per-cell reference and, for a GD
-    trace's table, `GDTrace.to_csv`, on the active formatter; returns how
-    many files were checked."""
+    `csv_blocks`) equals the joined blocks, its per-cell reference and,
+    for a GD trace's table, `GDTrace.to_csv`, on the active formatter;
+    returns how many files were checked."""
     import tempfile
 
     from equilab.bench.manifest import atomic_write_chunks
@@ -259,7 +273,7 @@ def check_streamed_files():
                 header = ["# eta=0.5", "iter" + ",x" * n_cols]
                 atomic_write_chunks(path, _csvfmt.csv_blocks(header, values))
                 got = path.read_bytes()
-                assert got == _csvfmt.format_csv(header, values).encode(), (n_rows, n_cols)
+                assert got == csv_text(header, values).encode(), (n_rows, n_cols)
                 assert got == _csvfmt.csv_text([*header, *reference_rows(values)]).encode()
                 checked += 1
             trace = quadlab.GDTrace(values, 0.5, np.geomspace(1e3, 1.0, 64), False)
@@ -355,7 +369,7 @@ def check_range_rejections(format_ranges):
 def run_compiled(check, arg="test_csvfmt.csv_rows"):
     """Run check(arg) in a fresh interpreter that imports this module and
     the compiled extension found here and puts its format_ranges behind
-    _csvfmt: arg is csv_rows (format_csv's rows) by default, an
+    _csvfmt: arg is csv_rows (the joined csv_blocks' rows) by default, an
     expression such as "format_ranges", or "" for a check with no
     argument."""
     script = ("import sys\n"
@@ -394,7 +408,7 @@ def test_compiled_rejects_bad_input():
 
 @needs_compiled
 def test_compiled_text_equals_csv_text_of_rows():
-    proc = run_compiled(check_text, "_csvfmt.format_csv")
+    proc = run_compiled(check_text, "test_csvfmt.csv_text")
     assert proc.returncode == 0, proc.stderr
 
 
@@ -441,37 +455,6 @@ def test_fallback_streamed_file_equals_text_at_block_edges(monkeypatch):
     assert check_streamed_files() == N_STREAMED
 
 
-class TestFormatRows:
-    """The row formatter, numpy on both backends."""
-
-    def test_equals_per_cell_repr(self):
-        check_property(_csvfmt.format_rows)
-
-    def test_signed_zeros_keep_their_sign(self):
-        values = np.array([[0.0, -0.0], [-0.0, 0.0]])
-        assert _csvfmt.format_rows(values) == ["0,0.0,-0.0", "1,-0.0,0.0"]
-
-    def test_nan_payloads_all_print_nan(self):
-        keys = np.array([NAN_BITS], dtype=np.int64)
-        assert _csvfmt.format_rows(keys.view(np.float64)) == [
-            ",".join(["0"] + ["nan"] * len(NAN_BITS))]
-
-    def test_no_rows(self):
-        assert _csvfmt.format_rows(np.zeros((0, 4))) == []
-
-    def test_converts_to_float64(self):
-        assert _csvfmt.format_rows(np.arange(4).reshape(2, 2)[:, ::-1]) == ["0,1.0,0.0",
-                                                                              "1,3.0,2.0"]
-
-    def test_index_column_at_every_digit_width(self):
-        assert check_index_widths(_csvfmt.format_rows) == 3 * len(INDEX_ROW_COUNTS)
-
-    @pytest.mark.parametrize("values", [np.zeros(3), np.zeros((1, 1, 1))], ids=["1-d", "3-d"])
-    def test_rejects_bad_shapes(self, values):
-        with pytest.raises(DimensionError):
-            _csvfmt.format_rows(values)
-
-
 @pytest.fixture(params=["active", "fallback"])
 def backend(request, monkeypatch):
     """The active backend's formatter, or the numpy fallback's."""
@@ -480,8 +463,30 @@ def backend(request, monkeypatch):
     return request.param
 
 
+class TestRows:
+    """The rows of csv_blocks, on the active backend and on the fallback."""
+
+    def test_signed_zeros_keep_their_sign(self, backend):
+        values = np.array([[0.0, -0.0], [-0.0, 0.0]])
+        assert csv_rows(values) == ["0,0.0,-0.0", "1,-0.0,0.0"]
+
+    def test_nan_payloads_all_print_nan(self, backend):
+        keys = np.array([NAN_BITS], dtype=np.int64)
+        assert csv_rows(keys.view(np.float64)) == [",".join(["0"] + ["nan"] * len(NAN_BITS))]
+
+    def test_no_rows(self, backend):
+        assert csv_rows(np.zeros((0, 4))) == []
+
+    def test_converts_to_float64(self, backend):
+        assert csv_rows(np.arange(4).reshape(2, 2)[:, ::-1]) == ["0,1.0,0.0", "1,3.0,2.0"]
+
+    def test_fallback_index_column_at_every_digit_width(self, monkeypatch):
+        monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
+        assert check_index_widths(csv_rows) == 3 * len(INDEX_ROW_COUNTS)
+
+
 # 2-D values that the compiled extension rejects (see REJECTED) and that
-# format_csv converts to C-contiguous float64 before it hands them over
+# csv_blocks converts to C-contiguous float64 before it hands them over
 CONVERTED = {
     "float32 values": np.arange(6, dtype=np.float32).reshape(3, 2) / 3,
     "int64 values": np.arange(6).reshape(3, 2) - 3,
@@ -491,36 +496,34 @@ CONVERTED = {
 }
 
 
-class TestFormatCsv:
+class TestCsvBlocks:
     """The joined text, on the active backend and on the fallback."""
 
-    def test_equals_csv_text_of_format_rows(self, backend):
-        check_text(_csvfmt.format_csv)
+    def test_equals_csv_text_of_rows(self, backend):
+        check_text(csv_text)
         values = np.arange(6.0).reshape(3, 2)
-        assert _csvfmt.format_csv(["a,b"], values) == _csvfmt.csv_text(
-            ["a,b", *_csvfmt.format_rows(values)])
+        assert csv_text(["a,b"], values) == _csvfmt.csv_text(["a,b", *fallback_rows(values)])
 
     @pytest.mark.parametrize("header", [["it\u00e9r,a"], ["iter,a", "\U0001f600"]],
                              ids=["header", "header 4-byte"])
     def test_rejects_non_ascii(self, backend, header):
         with pytest.raises(ValueError, match="ASCII"):
-            _csvfmt.format_csv(header, np.zeros((2, 2)))
+            _csvfmt.csv_blocks(header, np.zeros((2, 2)))
 
     @pytest.mark.parametrize("name", list(CONVERTED))
     def test_converts_what_the_extension_rejects(self, backend, name):
         values = CONVERTED[name]
-        assert _csvfmt.format_csv(["a,b"], values) == _csvfmt.csv_text(
-            ["a,b", *reference_rows(values)])
+        assert csv_text(["a,b"], values) == _csvfmt.csv_text(["a,b", *reference_rows(values)])
 
     def test_rejects_bad_shapes(self, backend):
         with pytest.raises(DimensionError):
-            _csvfmt.format_csv([], np.zeros(3))
+            _csvfmt.csv_blocks([], np.zeros(3))
         with pytest.raises(DimensionError):
-            _csvfmt.format_csv([], np.zeros((1, 1, 1)))
+            _csvfmt.csv_blocks([], np.zeros((1, 1, 1)))
 
 
 def reference_csv(header, values):
-    """The file text `format_csv` must reproduce byte for byte."""
+    """The file text the joined `csv_blocks` must reproduce byte for byte."""
     return _csvfmt.csv_text([*header, *reference_rows(values)])
 
 

@@ -183,8 +183,7 @@ class TestFdHessianReference:
         specs, x, y = _hess121_fixture()
         net = Network(specs, seed=0)
         snap = Network(specs, seed=0)
-        train(snap, x, y, lr=0.05, epochs=10, batch_size=16, seed=0,
-              record_kappa=False)
+        train(snap, x, y, lr=0.05, epochs=10, batch_size=16, seed=0, record=False)
         if conditioned:
             net = net.with_conditioning("equilibrate_reparam", which="all")
         loss_fn, grad_fn = hesslab.net_loss_functions(net, x, y)

@@ -1,4 +1,5 @@
 import importlib
+import tracemalloc
 
 import numpy as np
 import pytest
@@ -215,7 +216,7 @@ class TestTrain:
 
         monkeypatch.setattr(train_module, "loss_and_gradients", counted)
         monkeypatch.setattr(Network, "clone", no_clone)
-        tr = train(fresh_net(), x, y, epochs=2, batch_size=8, record_kappa=False)
+        tr = train(fresh_net(), x, y, epochs=2, batch_size=8, record=False)
         assert calls == [8, 8, 4] * 2
         assert len(tr.step_times) == len(calls)
 
@@ -323,7 +324,7 @@ class TestFlatStepMatchesPerArrayLoop:
         ref = arm_net()
         ref_losses, ref_diverged_at = per_array_sgd(ref, x, y, **kw)
         net = arm_net()
-        tr = train(net, x, y, record_kappa=False, **kw)
+        tr = train(net, x, y, record=False, **kw)
         assert not tr.diverged and ref_diverged_at is None
         np.testing.assert_array_equal(tr.train_loss, ref_losses)
         np.testing.assert_array_equal(net.get_params_vector(), ref.get_params_vector())
@@ -346,7 +347,7 @@ def assert_members_match_reference(arm_net, x, y, rates, **kw):
     for i, lr in enumerate(rates):
         ref = arm_net()
         ref_losses, ref_diverged_at = per_array_sgd(
-            ref, x, y, lr=lr, **{k: v for k, v in kw.items() if k != "record_kappa"})
+            ref, x, y, lr=lr, **{k: v for k, v in kw.items() if k != "record"})
         np.testing.assert_array_equal(traces[i].train_loss, ref_losses)
         assert traces[i].diverged_at == ref_diverged_at
         if i == 0:
@@ -354,7 +355,7 @@ def assert_members_match_reference(arm_net, x, y, rates, **kw):
             for mine, theirs in zip(net.layers, ref.layers):
                 for (_, a), (_, b) in zip(mine.buffer_items(), theirs.buffer_items()):
                     np.testing.assert_array_equal(a, b)
-        want = train(arm_net(), x, y, lr=lr, **{**kw, "record_kappa": i == 0})
+        want = train(arm_net(), x, y, lr=lr, **{**kw, "record": i == 0})
         for field in TRACE_FIELDS:
             np.testing.assert_array_equal(getattr(traces[i], field), getattr(want, field))
         assert len(traces[i].step_times) == len(want.step_times)
@@ -439,11 +440,99 @@ class TestRateStack:
         assert all(len(t.step_times) == len(calls) for t in traces)
 
 
+class TestRecording:
+    """record: the first rate's eval loss, accuracy and kappa come from an
+    unstacked clone of the net; every other member evaluates nothing."""
+
+    @pytest.mark.parametrize("momentum", [0.0, 0.9])
+    @pytest.mark.parametrize("loss", ["mse", "bce"])
+    @pytest.mark.parametrize("arm", [*ARMS, CONV_ARM])
+    def test_recorded_member_equals_solo_call(self, arm, loss, momentum):
+        arm_net, x, y = arm_fixture(arm, loss, hidden=(6,))
+        kw = dict(loss=loss, momentum=momentum, epochs=3, batch_size=4, seed=2)
+        net = arm_net()
+        first, second = train(net, x, y, lr=[0.1, 0.3], **kw)
+        solo = train(arm_net(), x, y, lr=0.1, **kw)
+        for field in TRACE_FIELDS:
+            np.testing.assert_array_equal(getattr(first, field), getattr(solo, field))
+        assert len(first.step_times) == len(solo.step_times)
+        # the last record is the final net's, evaluated on its own
+        ev, acc = evaluate(net, x, y, loss=loss)
+        assert first.eval_loss[-1] == ev
+        assert (first.accuracy is None) == (acc is None)
+        if acc is not None:
+            assert first.accuracy[-1] == acc
+        raw, eff = net.weight_condition_numbers()
+        np.testing.assert_array_equal(first.kappa_weights[-1], raw)
+        np.testing.assert_array_equal(first.kappa_effective[-1], eff)
+        # the second rate records nothing, over every epoch it completed
+        assert not np.isnan(first.eval_loss).any()
+        for col in (second.eval_loss, second.kappa_weights, second.kappa_effective,
+                    *([] if loss == "mse" else [second.accuracy])):
+            assert len(col) == second.epochs_completed == 3 and np.isnan(col).all()
+
+    @pytest.mark.parametrize("record", [False, True])
+    def test_eval_forwards_only_for_the_recording_member(self, monkeypatch, record):
+        arm_net, x, y = arm_fixture("bn+e", "bce", hidden=(6,))
+        forward = Network.forward
+        evals = []
+
+        def counted(self, xb, training=False):
+            if not training:
+                evals.append(len(xb))
+            return forward(self, xb, training)
+
+        monkeypatch.setattr(Network, "forward", counted)
+        traces = train(arm_net(), x, y, loss="bce", lr=[0.1, 1e4, 0.3], epochs=3,
+                       batch_size=4, seed=2, record=record)
+        assert not traces[0].diverged
+        # one full-batch forward per epoch end of the first rate, or none
+        assert evals == ([len(x)] * 3 if record else [])
+        if not record:
+            assert all(np.isnan(t.eval_loss).all() and np.isnan(t.accuracy).all()
+                       for t in traces)
+
+    def test_records_fresh_values_after_a_later_member_leaves(self):
+        # the 1e30 member leaves at the first batch, which rebuilds the
+        # stack's parameter and batch-norm buffers; the first rate's records
+        # must follow the new buffers
+        x = np.random.default_rng(3).standard_normal((37, 16))
+        y = np.sin(x[:, :1])
+        net = conv_net("batch_norm", "equilibrate_reparam")
+        first, gone = train(net, x, y, lr=[0.05, 1e30], momentum=0.9, epochs=4,
+                            batch_size=4, seed=2)
+        assert gone.diverged_at == 0 and not first.diverged
+        solo = train(conv_net("batch_norm", "equilibrate_reparam"), x, y, lr=0.05,
+                     momentum=0.9, epochs=4, batch_size=4, seed=2)
+        for field in ("eval_loss", "kappa_weights", "kappa_effective"):
+            np.testing.assert_array_equal(getattr(first, field), getattr(solo, field))
+        assert len(set(first.eval_loss.tolist())) == 4
+        assert first.eval_loss[-1] == evaluate(net, x, y)[0]
+
+    def test_rate_stack_holds_no_stacked_eval(self):
+        # a stacked full-batch eval forward of ten batch-norm members holds
+        # several (10, 512, 64) float64 arrays, 2.6 MB each, and peaked at
+        # 22 MB; training the stack with one unstacked eval peaks near 3.4 MB
+        x, y = two_moons(512, noise=0.2, seed=0)
+        net = Network([DenseSpec(2, 64, activation="tanh", normalization="batch_norm"),
+                       DenseSpec(64, 64, activation="relu", normalization="batch_norm"),
+                       DenseSpec(64, 1, activation="sigmoid_output")], seed=0)
+        tracemalloc.start()
+        try:
+            traces = train(net, x, y, loss="bce", lr=np.geomspace(0.01, 0.1, 10), epochs=2,
+                           batch_size=16)
+            peak = tracemalloc.get_traced_memory()[1]
+        finally:
+            tracemalloc.stop()
+        assert not any(t.diverged for t in traces)
+        assert peak < 8e6, peak
+
+
 class TestTraceCsv:
     def test_csv_shape_and_no_timings(self):
         x, y, _ = teacher_student_regression(64, seed=0)
         tr = train(fresh_net(), x, y, lr=0.05, epochs=4, seed=0)
-        text = tr.to_csv()
+        text = "".join(tr.csv_blocks())
         lines = text.split("\r\n")
         assert lines[0] == ("epoch,train_loss,eval_loss,"
                             "kappa_w0,kappa_w1,kappa_eff0,kappa_eff1")
@@ -455,7 +544,7 @@ class TestTraceCsv:
 
         def run():
             tr = train(fresh_net(), x, y, lr=0.05, epochs=3, seed=2)
-            return tr.to_csv()
+            return "".join(tr.csv_blocks())
 
         assert run() == run()
 
@@ -463,4 +552,4 @@ class TestTraceCsv:
         x, y = two_moons(64, seed=0)
         net = fresh_net(out_act="sigmoid_output")
         tr = train(net, x, y, loss="bce", lr=0.1, epochs=2, seed=0)
-        assert tr.to_csv().split("\r\n")[0].split(",")[3] == "accuracy"
+        assert "".join(tr.csv_blocks()).split("\r\n")[0].split(",")[3] == "accuracy"

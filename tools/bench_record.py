@@ -19,7 +19,8 @@ the root of the repository this script lives in and holds:
              so the tree still names the code that ran
   runs, seed the N and S of the invocation
   env        the first run's environment block (kernel backend, Python,
-             NumPy, platform, CPU count, thread settings)
+             NumPy, platform, CPU count, thread settings); every run of
+             the session reports the same kernel backend
   bytecode   whether PYTHONDONTWRITEBYTECODE was set, and how many of the
              checkout's src/equilab modules had a .pyc that matches their
              source after the runs (the in-place build writes them); a
@@ -33,8 +34,10 @@ in the same invocation, so the pair shares the host's drift: each round
 runs every workload on both checkouts back to back, base first in even
 rounds and checkout first in odd ones, so each workload's runs go in
 ABBA order.  One file is written per checkout; each names its partner and
-the shared session.  If a run fails on either side, the script exits
-before writing any file.
+the shared session.  If a run fails on either side, or reports another
+kernel backend than the session's first run (a stale or missing in-place
+build can put one side on the numpy fallback), the script exits before
+writing any file.
 
 The checkout's label is LABEL; the base's, and the checkout's without
 --label, is the short commit id, marked "-dirty" when its src/ or
@@ -202,6 +205,7 @@ def main(argv=None):
     started = time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 
     env = [None] * len(sides)
+    session_backend = None
     results = [{name: [] for name in names} for _ in sides]
     for r in range(args.runs):
         for name in names:
@@ -210,6 +214,12 @@ def main(argv=None):
                 report, summary = run_once(sides[i].checkout, name, args.seed,
                                            bench["run_seconds"])
                 env[i] = env[i] or report["env"]
+                backend = report["env"]["kernel_backend"]
+                session_backend = session_backend or backend
+                if backend != session_backend:
+                    raise SystemExit(f"round {r + 1} {name} {sides[i].label} ran on the "
+                                     f"{backend} kernel backend, the session's first run on "
+                                     f"{session_backend}; nothing written")
                 results[i][name].append(summary)
                 print(f"round {r + 1}/{args.runs} {name} {sides[i].label}: run_s "
                       f"{summary['metrics']['run_s']['value']:.4g} s, correct "
