@@ -1,6 +1,6 @@
 """Build script: compiles the extension equilab._kernels._jacobi when C and
 C++17 compilers are available, otherwise installs pure-Python only (the
-package falls back to the numpy kernels and formatter at import time).
+package falls back to the numpy kernels and formatters at import time).
 
 Every Jacobi SVD sorts the rows by decreasing norm, takes a Householder QR
 with column pivoting (qrcp) and runs the Jacobi sweep (jacobi_sweeps) on R.
@@ -8,20 +8,22 @@ Both kernels live in src/equilab/_kernels/_jacobi.c, one hand-written C
 file that reads its arrays through the buffer protocol.  The text
 formatters live in src/equilab/_kernels/_reprfmt.cpp and need
 floating-point std::to_chars (GCC >= 11, libstdc++ >= 11):
-format_ranges(values, start, mid, stop) writes two ranges of a trace
-table's rows (each row's index, its comma-led cells, CRLF) as two strs,
-the second range on a second thread (std::thread, hence -pthread) while
-the GIL is released; equilab._csvfmt.csv_blocks calls it on the two
-halves of each 128-row block, and each str goes to its file before the
-next call.
+format_rows(values, start, stop) writes a range of a trace table's rows
+(each row's index, its comma-led cells, CRLF) as two strs, its halves,
+the second on a second thread (std::thread, hence -pthread) while the GIL
+is released, unless the range is the whole table;
+equilab._csvfmt.csv_blocks calls it once per 128-row block, and each str
+goes to its file before the next call.
 format_points writes an SVG polyline's "x,y" points as "%.6g" does.  The
-extension's entry points are therefore jacobi_sweeps, qrcp, format_ranges
-and format_points.  A build needs both compilers and the Python headers,
-nothing else; if either source fails to compile, the whole extension is
-skipped, so the kernels and the formatters fall back together.  Edit the
-sources directly; tests/test_kernels.py, tests/test_csvfmt.py and
-tests/test_svgplot.py compare the built functions with the numpy
-reference, with repr and with "%.6g".  After an edit, rebuild an
+extension's entry points are therefore jacobi_sweeps, qrcp, format_rows
+and format_points, each with the signature of its numpy fallback in
+src/equilab/_kernels/jacobi_py.py or reprfmt_py.py; equilab._kernels
+picks one backend for all four.  A build needs both compilers and the
+Python headers, nothing else; if either source fails to compile, the
+whole extension is skipped, so the kernels and the formatters fall back
+together.  Edit the sources directly; tests/test_kernels.py,
+tests/test_csvfmt.py and tests/test_svgplot.py compare the built
+functions with the numpy fallbacks, with repr and with "%.6g".  After an edit, rebuild an
 in-place build with `python setup.py build_ext --inplace --force`: an
 older build lacks the newer entry points, and equilab would fall back to
 the numpy kernels (tests/test_kernels.py fails on that).

@@ -11,28 +11,16 @@ hand each str to the file as it comes
 (`bench.manifest.atomic_write_chunks`), so no trace file's whole text is
 ever held, whatever the trace's length.
 
-On the compiled backend the extension's `format_ranges`
-(`_kernels/_reprfmt.cpp`) formats one block per call as two halves, the
-second half on a second thread, both with the GIL released, and returns
-each half as a str; a table of one block is formatted whole on the
-calling thread and starts no thread.  It takes each cell's digits, and
-each row index, from `std::to_chars` and lays the cells out as `repr`
-does, byte for byte, without reading the locale.  A trace file is ASCII,
-as its cells are, so a header that is not ASCII is rejected, on either
-backend.
-
-On the numpy fallback, where that conversion is one `repr` call per cell,
-each block's rows come from one pass of `_block_rows` and are joined.
-Trace matrices repeat values a lot (a GD trace that has converged or
-cycles repeats whole rows), so `repr` runs once per distinct float64 bit
-pattern within a block and the rows are built by indexing.  Keying on
-bits, not on values, keeps -0.0 apart from 0.0; every NaN prints as `nan`
-whatever its payload.
+A block is one `_kernels.format_rows` call, on whichever backend
+`_kernels` picked: two halves from the compiled `_reprfmt.cpp` (the second
+on a second thread, unless the table is one block), one str from the
+numpy `reprfmt_py`, to the same bytes.  A trace file is ASCII, as its
+cells are, so a header that is not ASCII is rejected, on either backend.
 """
 
 import numpy as np
 
-from equilab._kernels import format_ranges as _compiled_format_ranges
+from equilab._kernels import format_rows
 from equilab.errors import DimensionError
 
 # Rows per block of text, on both backends.  On the numpy fallback a block
@@ -46,21 +34,6 @@ from equilab.errors import DimensionError
 # per call and 43.8-44.0 MB with one, against 46.7 MB for one whole text
 # per trace.
 BLOCK_ROWS = 128
-
-
-def _block_rows(keys, start):
-    """The numpy fallback's rows start to start + BLOCK_ROWS of the float64
-    bit patterns `keys` (2-D int64): each row's 0-based index, then its
-    cells, each `repr(float(x))` after a comma, with one `repr` call per
-    distinct bit pattern in the block; no line ends."""
-    block = keys[start:start + BLOCK_ROWS]
-    # 1-D input: NumPy 2.0 gives an n-d input's inverse the input's shape
-    uniq, inverse = np.unique(block.ravel(), return_inverse=True)
-    texts = np.array(list(map(repr, uniq.view(np.float64).tolist())), dtype=object)
-    cells = texts[inverse].reshape(block.shape).tolist()
-    for i, row in enumerate(cells, start):
-        row.insert(0, str(i))
-    return list(map(",".join, cells))
 
 
 def csv_blocks(header, values):
@@ -83,17 +56,9 @@ def csv_blocks(header, values):
 def _blocks(head, values):
     """csv_blocks's strs, after its checks."""
     yield head
-    n_rows = len(values)
-    if _compiled_format_ranges is None:
-        keys = values.view(np.int64)
-        for start in range(0, n_rows, BLOCK_ROWS):
-            yield csv_text(_block_rows(keys, start))
-        return
-    for start in range(0, n_rows, BLOCK_ROWS):
-        stop = min(start + BLOCK_ROWS, n_rows)
-        # a table of one block, such as a short training trace, starts no thread
-        mid = (start + stop) // 2 if n_rows > BLOCK_ROWS else stop
-        yield from _compiled_format_ranges(values, start, mid, stop)
+    n = len(values)
+    for start in range(0, n, BLOCK_ROWS):
+        yield from format_rows(values, start, min(start + BLOCK_ROWS, n))
 
 
 def _checked(values):

@@ -1,7 +1,8 @@
 /* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
- * module's method table, which also lists the text formatters format_ranges
+ * module's method table, which also lists the text formatters format_rows
  * (trace CSVs, a block of rows per call) and format_points (SVG
- * polylines) of _reprfmt.cpp.
+ * polylines) of _reprfmt.cpp.  Each docstring's first line is the
+ * signature of the entry point's numpy fallback (jacobi_py, reprfmt_py).
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -345,35 +346,33 @@ done:
 }
 
 /* Defined in _reprfmt.cpp. */
-PyObject *reprfmt_format_ranges(PyObject *self, PyObject *args, PyObject *kwargs);
+PyObject *reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs);
 PyObject *reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs);
 
-PyDoc_STRVAR(format_ranges_doc,
-"format_ranges(values, start, mid, stop)\n--\n\n"
-"Rows [start, mid) and rows [mid, stop) of values as a tuple of two\n"
-"strs, each row followed by CRLF.  Row i is str(i), its index in values,\n"
-"then its cells, each equal to repr(float(x)) after a comma.  values\n"
-"must be a C-contiguous 2-d float64 array and 0 <= start <= mid <= stop\n"
-"<= len(values).  The second range is formatted on a second thread, the\n"
-"GIL released, while the calling thread formats the first; an empty\n"
-"second range starts no thread.  equilab._csvfmt.csv_blocks calls it on\n"
-"the two halves of one block of rows at a time, so a file's whole text\n"
-"is never built.");
+PyDoc_STRVAR(format_rows_doc,
+"format_rows(values, start, stop)\n--\n\n"
+"Rows [start, stop) of values as a tuple of two strs, split at start +\n"
+"(stop - start) // 2, each row followed by CRLF.  Row i is str(i), its\n"
+"index in values, then its cells, each equal to repr(float(x)) after a\n"
+"comma.  values must be a C-contiguous 2-d float64 array and 0 <= start\n"
+"<= stop <= len(values).  The second half is formatted on a second\n"
+"thread, the GIL released; a call on the whole of values returns (text,\n"
+"\"\") and starts no thread.  See reprfmt_py.format_rows for the fallback.");
 
 PyDoc_STRVAR(format_points_doc,
 "format_points(xs, ys)\n--\n\n"
 "The points of an SVG polyline as one str: \"x,y\" per point, joined by\n"
 "single spaces, each coordinate equal to \"%.6g\" % x (a NaN prints\n"
 "\"nan\").  xs and ys must be C-contiguous 1-d float64 arrays of one\n"
-"length.  See equilab.bench.svgplot.");
+"length.  See reprfmt_py.format_points for the fallback.");
 
 static PyMethodDef methods[] = {
     {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
      METH_VARARGS | METH_KEYWORDS, jacobi_sweeps_doc},
     {"qrcp", (PyCFunction)(void (*)(void))qrcp,
      METH_VARARGS | METH_KEYWORDS, qrcp_doc},
-    {"format_ranges", (PyCFunction)(void (*)(void))reprfmt_format_ranges,
-     METH_VARARGS | METH_KEYWORDS, format_ranges_doc},
+    {"format_rows", (PyCFunction)(void (*)(void))reprfmt_format_rows,
+     METH_VARARGS | METH_KEYWORDS, format_rows_doc},
     {"format_points", (PyCFunction)(void (*)(void))reprfmt_format_points,
      METH_VARARGS | METH_KEYWORDS, format_points_doc},
     {NULL, NULL, 0, NULL}

@@ -1,18 +1,19 @@
-/* Compiled text formatters: the trace-CSV row writer format_ranges and
- * the SVG polyline writer format_points.
+/* Compiled text formatters, with the signatures and bytes of their numpy
+ * fallback equilab._kernels.reprfmt_py: the trace-CSV row writer
+ * format_rows and the SVG polyline writer format_points.
  *
- * format_ranges writes two ranges of rows of a float64 matrix, [start,
- * mid) and [mid, stop), as two strs: each row is its 0-based index in the
- * whole matrix, then its cells, each after a comma and byte-identical to
- * Python's repr(float(x)), then CRLF.  equilab._csvfmt.csv_blocks calls it
- * once per block of rows, split in halves, and each str goes to the file
- * before the next call, so a trace file's whole text never exists.  The
- * second range is formatted on a second thread while the calling thread
- * formats the first, both with the GIL released; an empty second range
- * starts no thread.  Each range is written into its part of one scratch
- * buffer, sized at an upper bound, and copied into an exact-size str after
- * the join.  With the GIL released the threads read only the matrix's
- * buffer and write only the scratch buffer.
+ * format_rows writes rows [start, stop) of a float64 matrix as two strs,
+ * its halves: each row is its 0-based index in the whole matrix, then its
+ * cells, each after a comma and byte-identical to Python's
+ * repr(float(x)), then CRLF.  equilab._csvfmt.csv_blocks calls it once per
+ * block of rows, and each str goes to the file before the next call, so a
+ * trace file's whole text never exists.  The second half is formatted on
+ * a second thread while the calling thread formats the first, both with
+ * the GIL released; a call on the whole matrix (a table of one block) is
+ * not split and starts no thread.  Each half is written into its part of
+ * one scratch buffer, sized at an upper bound, and copied into an
+ * exact-size str after the join.  With the GIL released the threads read
+ * only the matrix's buffer and write only the scratch buffer.
  *
  * The digits come from std::to_chars(double, chars_format::scientific)
  * with no precision, the shortest string that round-trips (Ryu-class,
@@ -256,28 +257,31 @@ checked_matrix(PyObject *values_obj, Py_buffer *view)
 }  // namespace
 
 extern "C" PyObject *
-reprfmt_format_ranges(PyObject *self, PyObject *args, PyObject *kwargs)
+reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs)
 {
-    static const char *kwlist[] = {"values", "start", "mid", "stop", NULL};
+    static const char *kwlist[] = {"values", "start", "stop", NULL};
     PyObject *values_obj;
-    Py_ssize_t start, mid, stop;
+    Py_ssize_t start, stop;
     Py_buffer view;
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Onnn:format_ranges",
-                                     const_cast<char **>(kwlist), &values_obj, &start, &mid,
-                                     &stop))
+    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Onn:format_rows",
+                                     const_cast<char **>(kwlist), &values_obj, &start, &stop))
         return NULL;
     if (checked_matrix(values_obj, &view) < 0)
         return NULL;
     PyObject *result = NULL;
-    if (0 <= start && start <= mid && mid <= stop && stop <= view.shape[0])
+    Py_ssize_t n_rows = view.shape[0];
+    if (0 <= start && start <= stop && stop <= n_rows) {
+        /* the whole matrix, such as a table of one block, starts no thread */
+        Py_ssize_t mid = start == 0 && stop == n_rows ? stop : start + (stop - start) / 2;
         result = format_row_ranges(static_cast<const double *>(view.buf), view.shape[1], start,
                                    mid, stop);
+    }
     else
         PyErr_Format(PyExc_ValueError,
-                     "rows must satisfy 0 <= start <= mid <= stop <= %zd, got %zd, %zd, %zd",
-                     view.shape[0], start, mid, stop);
+                     "rows must satisfy 0 <= start <= stop <= %zd, got %zd, %zd", n_rows,
+                     start, stop);
     PyBuffer_Release(&view);
     return result;
 }

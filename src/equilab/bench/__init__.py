@@ -1,7 +1,7 @@
 """Config-driven experiment harness (CSV + SVG artifacts)."""
 
 from equilab.bench.config import ExperimentConfig, default_config, load_config
-from equilab.bench.experiments import ARMS, list_arms, run_experiment
+from equilab.bench.experiments import ARMS, run_experiment
 from equilab.bench.manifest import RunManifest, load_manifest
 
 __all__ = [
@@ -9,7 +9,6 @@ __all__ = [
     "ExperimentConfig",
     "RunManifest",
     "default_config",
-    "list_arms",
     "load_config",
     "load_manifest",
     "run_experiment",

@@ -12,7 +12,7 @@ import argparse
 import sys
 
 from equilab.bench.config import default_config, load_config
-from equilab.bench.experiments import list_arms, run_experiment
+from equilab.bench.experiments import ARMS, run_experiment
 from equilab.errors import EquilabError
 
 _KIND_FOR = {
@@ -45,7 +45,7 @@ def main(argv=None):
     parser = build_parser()
     args = parser.parse_args(argv)
     if args.list_arms:
-        for arm in list_arms():
+        for arm in ARMS:
             print(arm)
         return 0
     if args.command is None:

@@ -45,10 +45,6 @@ ARMS = {
 }
 
 
-def list_arms():
-    return tuple(ARMS)
-
-
 def _now():
     return time.strftime("%Y-%m-%dT%H:%M:%SZ", time.gmtime())
 

@@ -7,10 +7,10 @@ platforms that agree on binary64 arithmetic.
 
 A series' plot coordinates are computed as numpy arrays, with the IEEE
 operations of the scalar formulas in the same order (a log axis takes
-`math.log10` per point).  Its polyline's "x,y x,y ..." text comes from the
-compiled `format_points` on the compiled backend (std::to_chars, which is
-printf's %.6g) and from "%.6g" % per coordinate on the fallback; both give
-the same bytes.
+`math.log10` per point).  Its polyline's "x,y x,y ..." text comes from
+`_kernels.format_points`, whichever backend `_kernels` picked: the
+compiled one writes std::to_chars, which is printf's %.6g, and the numpy
+fallback "%.6g" % per coordinate, to the same bytes.
 """
 
 import math
@@ -18,7 +18,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from equilab._kernels import format_points as _compiled_format_points
+from equilab._kernels import format_points
 from equilab.errors import DimensionError
 
 PALETTE = ("#1f77b4", "#d62728", "#2ca02c", "#9467bd", "#ff7f0e", "#8c564b")
@@ -83,13 +83,6 @@ def _plotted_points(s, log_y):
         keep &= ys > 0.0
         return xs[keep], np.array([math.log10(y) for y in ys[keep].tolist()], dtype=np.float64)
     return xs[keep], ys[keep]
-
-
-def _points_text(px, py):
-    """'x,y x,y ...' of the plot coordinates px and py, each "%.6g"."""
-    if _compiled_format_points is not None:
-        return _compiled_format_points(px, py)
-    return " ".join([f"{_fmt(x)},{_fmt(y)}" for x, y in zip(px.tolist(), py.tolist())])
 
 
 def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
@@ -173,10 +166,10 @@ def emit_svg(series, *, title="", xlabel="", ylabel="", log_y=False):
     for i, (s, (xs, ys)) in enumerate(zip(series, points)):
         color = PALETTE[i % len(PALETTE)]
         if xs.size == 1:
-            x0, y0 = _points_text(px(xs), py(ys)).split(",")
+            x0, y0 = format_points(px(xs), py(ys)).split(",")
             out.append(f'<circle cx="{x0}" cy="{y0}" r="2.5" fill="{color}"/>')
         elif xs.size:
-            out.append(f'<polyline points="{_points_text(px(xs), py(ys))}" fill="none" '
+            out.append(f'<polyline points="{format_points(px(xs), py(ys))}" fill="none" '
                        f'stroke="{color}" stroke-width="1.5"/>')
         # legend swatch
         ly = MARGIN_T + 10 + 14 * i

@@ -219,39 +219,71 @@ def test_default_label_names_the_forced_fallback(bench_record, paired, monkeypat
     assert bench_record.side(base, seed=bench_record.SEED).label == commit[:7] + suffix
 
 
+CHECKED = py_compile.PycInvalidationMode.CHECKED_HASH
+TIMESTAMP = py_compile.PycInvalidationMode.TIMESTAMP
+
+
+def build_on_first_run(bench_record, monkeypatch, checkout, modules, edited=()):
+    """Give checkout a src/equilab package of the named modules; its first
+    run writes each module's .pyc, in the module's invalidation mode (None
+    writes none), then edits the sources of the `edited` modules.  Returns
+    the package directory."""
+    package = checkout / "src" / "equilab"
+    package.mkdir(parents=True)
+    for name in modules:
+        (package / f"{name}.py").write_text(f"{name} = 1\n", encoding="utf-8")
+    fake = bench_record.run_once
+    built = []
+
+    def run_once(checkout_, workload, seed, seconds):
+        if checkout_ == checkout and not built:
+            for name, mode in modules.items():
+                if mode is not None:
+                    py_compile.compile(package / f"{name}.py", doraise=True,
+                                       invalidation_mode=mode)
+            for name in edited:
+                (package / f"{name}.py").write_text(f"{name} = 2\n", encoding="utf-8")
+            built.append(checkout)
+        return fake(checkout_, workload, seed, seconds)
+
+    monkeypatch.setattr(bench_record, "run_once", run_once)
+    return package
+
+
 @pytest.mark.parametrize("flag, barred", [("1", True), ("", False)])
 def test_record_counts_current_bytecode_after_the_runs(bench_record, paired, monkeypatch,
                                                        flag, barred):
     base, head, out, calls = paired
     monkeypatch.delenv("EQUILAB_PURE_PYTHON", raising=False)
     monkeypatch.setenv("PYTHONDONTWRITEBYTECODE", flag)
-    package = head / "src" / "equilab"
-    package.mkdir(parents=True)
-    for name in "abcd":
-        (package / f"{name}.py").write_text(f"{name} = 1\n", encoding="utf-8")
-    fake = bench_record.run_once
-
-    def run_once(checkout, workload, seed, seconds):
-        if checkout.name == "head" and not any(c == "head" for c, _, _ in calls):
-            # the first run builds: a checked-hash and a timestamp .pyc that
-            # match their sources, a stale one, and none for d
-            checked = py_compile.PycInvalidationMode.CHECKED_HASH
-            py_compile.compile(package / "a.py", doraise=True, invalidation_mode=checked)
-            py_compile.compile(package / "b.py", doraise=True,
-                               invalidation_mode=py_compile.PycInvalidationMode.TIMESTAMP)
-            py_compile.compile(package / "c.py", doraise=True, invalidation_mode=checked)
-            (package / "c.py").write_text("c = 2\n", encoding="utf-8")
-        return fake(checkout, workload, seed, seconds)
-
-    monkeypatch.setattr(bench_record, "run_once", run_once)
+    # checked-hash and timestamp .pyc files both count when they match
+    build_on_first_run(bench_record, monkeypatch, head, {"a": CHECKED, "b": TIMESTAMP,
+                                                         "c": CHECKED})
     bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
     old_label = bench_record.git(base, "rev-parse", "HEAD")[:7]
     new = json.loads((out / "BENCH_new.json").read_text(encoding="utf-8"))
     old = json.loads((out / f"BENCH_{old_label}.json").read_text(encoding="utf-8"))
     assert new["bytecode"] == {"PYTHONDONTWRITEBYTECODE": barred,
-                               "package_modules": 4, "current_pyc": 2}
+                               "package_modules": 3, "current_pyc": 3}
     assert old["bytecode"] == {"PYTHONDONTWRITEBYTECODE": barred,
                                "package_modules": 0, "current_pyc": 0}
+
+
+@pytest.mark.parametrize("fault", ["stale", "missing"])
+@pytest.mark.parametrize("faulty", ["base", "head"])
+def test_module_without_current_bytecode_writes_nothing(bench_record, paired, monkeypatch,
+                                                        fault, faulty):
+    # a checked-hash .pyc whose source was edited after the build, or a
+    # module the build never compiled, on either side
+    base, head, out, calls = paired
+    modules = {"a": CHECKED, "b": TIMESTAMP, "c": CHECKED if fault == "stale" else None}
+    package = build_on_first_run(bench_record, monkeypatch, base if faulty == "base" else head,
+                                 modules, edited="c" if fault == "stale" else ())
+    with pytest.raises(SystemExit, match="current bytecode") as exc:
+        bench_record.main(["--checkout", str(head), "--label", "new", "--base", str(base)])
+    assert f"2 of 3 modules under {package}" in exc.value.code
+    assert list(out.iterdir()) == []
+    assert len(calls) == 2 * 2 * bench_record.RUNS
 
 
 def test_record_names_the_tree_a_squash_keeps(bench_record, paired, monkeypatch):

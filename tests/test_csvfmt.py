@@ -1,12 +1,13 @@
 """The trace-CSV formatter against one `repr(float(x))` call per cell:
-`_csvfmt.csv_blocks`, joined, on both of its backends, the compiled block
-writer (`_jacobi.format_ranges`) and the numpy fallback, against
-`csv_text` of the per-cell rows, and streamed to a file block by block.
+`_csvfmt.csv_blocks`, joined, on each implementation of the block writer
+`format_rows` (the compiled `_kernels._jacobi` and the numpy fallback
+`_kernels.reprfmt_py`), against `csv_text` of the per-cell rows, and
+streamed to a file block by block; and each `format_rows` on its own.
 
-The compiled formatter is also checked on its own in fresh interpreters,
-so that a fault fails one test instead of ending the session; those tests
-skip while the extension is not built (`python3 setup.py build_ext
---inplace` builds it).
+The checks take the implementation as a parameter.  The compiled one is
+checked in fresh interpreters, so that a fault fails one test instead of
+ending the session; those tests skip while the extension is not built
+(`python3 setup.py build_ext --inplace` builds it).
 """
 
 import importlib
@@ -83,11 +84,12 @@ def matrix(palette, n_rows, n_cols, seed):
 
 
 # The checks below take a formatter fmt(values) that returns the rows, or
-# the compiled format_ranges itself, and raise AssertionError on a wrong
-# result.
+# an implementation's format_rows itself, and raise AssertionError on a
+# wrong result.
 # They are module-level functions so that a fresh interpreter can import
-# this module and run them on the compiled formatter (run_compiled, which
-# puts format_ranges behind _csvfmt and hands them `csv_rows` or it).
+# this module and run them on the compiled formatter (run_check, which
+# puts an implementation's format_rows behind _csvfmt and hands them
+# `csv_rows` or that format_rows).
 
 def csv_text(header, values):
     """The file text of `csv_blocks(header, values)` as one str."""
@@ -95,19 +97,9 @@ def csv_text(header, values):
 
 
 def csv_rows(values):
-    """fmt(values) over csv_blocks on the active formatter: its text with
-    no header, split at the line ends."""
+    """fmt(values) over csv_blocks: its text with no header, split at the
+    line ends."""
     return csv_text([], values).split("\r\n")[:-1]
-
-
-def fallback_rows(values):
-    """csv_rows on the numpy fallback, whatever the active formatter."""
-    active = _csvfmt._compiled_format_ranges
-    _csvfmt._compiled_format_ranges = None
-    try:
-        return csv_rows(values)
-    finally:
-        _csvfmt._compiled_format_ranges = active
 
 
 def check_property(fmt):
@@ -218,32 +210,55 @@ def check_index_widths(fmt):
     return checked
 
 
-def check_ranges(format_ranges):
-    """format_ranges, which formats its second range of rows on a second
-    thread, equals repr and the numpy fallback's rows with absolute row
-    indices: ranges that split evenly, unevenly, leave one empty or start
-    inside the matrix, and edges at the 99/100 and 999/1000 index widths;
-    returns how many calls were checked."""
+def check_ranges(format_rows):
+    """format_rows equals repr with absolute row indices, as a tuple of
+    strs, on ranges that cover the whole matrix, its first half, start
+    inside it, end inside it or are empty, and on edges at the 99/100 and
+    999/1000 index widths; returns how many calls were checked."""
     rng = np.random.default_rng(26)
     checked = 0
     for n_rows in (0, 1, 2, 3, 4, 5, 33, 1001):
-        ranges = {(0, n_rows // 2, n_rows), (0, n_rows, n_rows), (0, 0, n_rows),
-                  (n_rows // 3, n_rows // 2, n_rows), (n_rows // 2, n_rows // 2, n_rows // 2)}
+        ranges = {(0, n_rows // 2), (0, n_rows), (n_rows // 3, n_rows),
+                  (n_rows // 3, n_rows // 2), (n_rows // 2, n_rows // 2)}
         if n_rows == 1001:
-            ranges |= {(0, 100, 228), (100, 100, 1001), (872, 1000, 1001), (900, 999, 1000),
-                       (99, 228, 356), (999, 1000, 1000)}
+            ranges |= {(0, 100), (0, 228), (100, 1001), (872, 1001), (900, 1000),
+                       (99, 356), (999, 1000), (1000, 1000)}
         for n_cols in (0, 1, 7):
             cells = rng.standard_normal((n_rows, n_cols)) * 10.0 ** rng.integers(
                 -30, 30, size=(n_rows, n_cols))
             keys = rng.integers(-(2**63), 2**63 - 1, size=(n_rows, n_cols), endpoint=True)
             for values in (cells, keys.view(np.float64)):
                 want = reference_rows(values)
-                assert want == fallback_rows(values)
-                for start, mid, stop in sorted(ranges):
-                    got = format_ranges(values, start, mid, stop)
-                    assert got == (_csvfmt.csv_text(want[start:mid]),
-                                   _csvfmt.csv_text(want[mid:stop])), (start, mid, stop)
+                for start, stop in sorted(ranges):
+                    got = format_rows(values, start, stop)
+                    assert type(got) is tuple and all(type(t) is str for t in got), got
+                    assert "".join(got) == _csvfmt.csv_text(want[start:stop]), (start, stop)
                     checked += 1
+    return checked
+
+
+def check_split_rule(format_rows):
+    """The compiled format_rows returns a call on the whole matrix as
+    (text, "") and splits any other range of at least 2 rows into two
+    non-empty halves at start + (stop - start) // 2; returns how many
+    calls were checked."""
+    rng = np.random.default_rng(29)
+    checked = 0
+    for n_rows in (1, 2, 3, B, B + 1, 1001):
+        values = rng.standard_normal((n_rows, 3))
+        want = reference_rows(values)
+        assert format_rows(values, 0, n_rows) == (_csvfmt.csv_text(want), ""), n_rows
+        checked += 1
+        for start, stop in sorted({(0, n_rows - 1), (1, n_rows), (0, min(B, n_rows - 1)),
+                                   (n_rows // 3, n_rows - n_rows // 3)}):
+            if stop - start < 2 or stop - start == n_rows:
+                continue
+            mid = start + (stop - start) // 2
+            got = format_rows(values, start, stop)
+            assert got == (_csvfmt.csv_text(want[start:mid]),
+                           _csvfmt.csv_text(want[mid:stop])), (n_rows, start, stop)
+            assert all(got), (n_rows, start, stop)
+            checked += 1
     return checked
 
 
@@ -257,8 +272,8 @@ STREAM_ROW_COUNTS = (0, 1, 99, 100, 101, B - 1, B, B + 1, 2 * B, 2 * B + 1, 999,
 def check_streamed_files():
     """A file written block by block (`atomic_write_chunks` of
     `csv_blocks`) equals the joined blocks, its per-cell reference and,
-    for a GD trace's table, `GDTrace.to_csv`, on the active formatter;
-    returns how many files were checked."""
+    for a GD trace's table, `GDTrace.to_csv`; returns how many files were
+    checked."""
     import tempfile
 
     from equilab.bench.manifest import atomic_write_chunks
@@ -283,23 +298,23 @@ def check_streamed_files():
     return checked
 
 
-def check_concurrent_calls(format_ranges):
-    """Six Python threads (more than the host's cores) call format_ranges
-    at once, with a short switch interval: the calls run with the GIL
-    released, each on two threads of its own.  Every text must equal its
-    reference; returns the number of calls."""
+def check_concurrent_calls(format_rows):
+    """Six Python threads (more than the host's cores) call format_rows at
+    once, with a short switch interval, each on all rows but the first:
+    compiled, the calls run with the GIL released, and a range that is not
+    the whole matrix is formatted on two threads of its own.  Every text
+    must equal its reference; returns the number of calls."""
     import sys
     import threading
 
     rng = np.random.default_rng(7)
     mats = [rng.standard_normal((257 + i, 5)) for i in range(6)]
-    want = [_csvfmt.csv_text(reference_rows(m)) for m in mats]
+    want = [_csvfmt.csv_text(reference_rows(m)[1:]) for m in mats]
     wrong = []
 
     def work(i):
-        n = len(mats[i])
         for _ in range(40):
-            if "".join(format_ranges(mats[i], 0, n // 2, n)) != want[i]:
+            if "".join(format_rows(mats[i], 1, len(mats[i]))) != want[i]:
                 wrong.append(i)
 
     threads = [threading.Thread(target=work, args=(i,)) for i in range(6)]
@@ -317,7 +332,7 @@ def check_concurrent_calls(format_ranges):
     return 6 * 40
 
 
-# bad values for the compiled formatter
+# bad values for format_rows
 REJECTED = {
     "1-d values": np.zeros(3),
     "3-d values": np.zeros((2, 2, 2)),
@@ -329,34 +344,33 @@ REJECTED = {
 }
 
 
-def check_rejections(format_ranges):
+def check_rejections(format_rows):
     """Each bad input raises ValueError or TypeError, and the interpreter
     survives; returns how many cases were checked."""
     for name, values in REJECTED.items():
         try:
-            format_ranges(values, 0, 0, 0)
+            format_rows(values, 0, 0)
         except (ValueError, TypeError):
             continue
         raise AssertionError(f"{name}: no ValueError or TypeError")
     return len(REJECTED)
 
 
-def check_range_rejections(format_ranges):
-    """format_ranges rejects (ValueError) a row range outside 0 <= start <=
-    mid <= stop <= len(values), and (TypeError) a missing or non-integer
-    bound or a keyword it does not take; returns how many cases were
-    checked."""
+def check_range_rejections(format_rows):
+    """format_rows rejects (ValueError) a row range outside 0 <= start <=
+    stop <= len(values), and (TypeError) a missing or non-integer bound or
+    a keyword it does not take; returns how many cases were checked."""
     values = np.zeros((3, 2))
-    bad_ranges = [(-1, 0, 0), (2, 1, 3), (0, 2, 1), (0, 1, 4), (4, 4, 4)]
-    for start, mid, stop in bad_ranges:
+    bad_ranges = [(-1, 0), (-1, -1), (2, 1), (0, -1), (0, 4), (4, 4)]
+    for start, stop in bad_ranges:
         try:
-            format_ranges(values, start, mid, stop)
+            format_rows(values, start, stop)
         except ValueError:
             continue
-        raise AssertionError(f"rows {start}, {mid}, {stop}: no ValueError")
-    bad_calls = {"no stop": lambda: format_ranges(values, 0, 1),
-                 "a float bound": lambda: format_ranges(values, 0, 1.0, 2),
-                 "a keyword beyond stop": lambda: format_ranges(values, 0, 1, 2, sep=",")}
+        raise AssertionError(f"rows {start}, {stop}: no ValueError")
+    bad_calls = {"no stop": lambda: format_rows(values, 0),
+                 "a float bound": lambda: format_rows(values, 0, 2.0),
+                 "a keyword beyond stop": lambda: format_rows(values, 0, 2, sep=",")}
     for name, call in bad_calls.items():
         try:
             call()
@@ -366,105 +380,102 @@ def check_range_rejections(format_ranges):
     return len(bad_ranges) + len(bad_calls)
 
 
-def run_compiled(check, arg="test_csvfmt.csv_rows"):
-    """Run check(arg) in a fresh interpreter that imports this module and
-    the compiled extension found here and puts its format_ranges behind
-    _csvfmt: arg is csv_rows (the joined csv_blocks' rows) by default, an
-    expression such as "format_ranges", or "" for a check with no
-    argument."""
+def run_here(impl, check, arg):
+    """check (a name in this module) on the format_rows of
+    equilab._kernels.<impl>, put behind _csvfmt for the call: check(arg)
+    for arg "format_rows" (that function) or the name of a function here
+    (such as csv_rows), check() for arg None."""
+    format_rows = importlib.import_module(f"equilab._kernels.{impl}").format_rows
+    active, _csvfmt.format_rows = _csvfmt.format_rows, format_rows
+    try:
+        args = [] if arg is None else [format_rows if arg == "format_rows" else globals()[arg]]
+        return globals()[check](*args)
+    finally:
+        _csvfmt.format_rows = active
+
+
+def run_check(impl, check, arg="csv_rows"):
+    """run_here's result as a str: in this interpreter for the numpy
+    fallback, in a fresh one for the compiled extension found here."""
+    if impl == "reprfmt_py":
+        return str(run_here(impl, check.__name__, arg))
     script = ("import sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "import test_csvfmt\n"
-              "from equilab import _csvfmt\n"
-              "from equilab._kernels._jacobi import format_ranges\n"
-              "_csvfmt._compiled_format_ranges = format_ranges\n"
-              f"print(test_csvfmt.{check.__name__}({arg}))\n")
-    return _run_compiled(script, str(Path(__file__).parent))
-
-
-def test_numpy_fallback_equals_per_cell_repr(monkeypatch):
-    monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
-    check_property(csv_rows)
-
-
-@needs_compiled
-def test_compiled_equals_per_cell_repr():
-    proc = run_compiled(check_property)
+              f"print(test_csvfmt.run_here({impl!r}, {check.__name__!r}, {arg!r}))\n")
+    proc = _run_compiled(script, str(Path(__file__).parent))
     assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+# each implementation of format_rows, as its module in equilab._kernels
+IMPLS = [pytest.param("reprfmt_py", id="python"),
+         pytest.param("_jacobi", id="compiled", marks=needs_compiled)]
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_equals_per_cell_repr(impl):
+    run_check(impl, check_property)
 
 
 @needs_compiled
 def test_compiled_sweep_equals_repr():
-    proc = run_compiled(check_sweep)
-    assert proc.returncode == 0, proc.stderr
+    # on the fallback the sweep would compare repr with itself
+    run_check("_jacobi", check_sweep)
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_rejects_bad_input(impl):
+    assert run_check(impl, check_rejections, "format_rows") == str(len(REJECTED))
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_text_equals_csv_text_of_rows(impl):
+    run_check(impl, check_text, "csv_text")
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_ranges_equal_repr(impl):
+    assert run_check(impl, check_ranges, "format_rows") == "228"
 
 
 @needs_compiled
-def test_compiled_rejects_bad_input():
-    proc = run_compiled(check_rejections, "format_ranges")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(len(REJECTED)), proc.stdout
+def test_compiled_splits_all_but_the_whole_matrix():
+    assert run_check("_jacobi", check_split_rule, "format_rows") == "18"
 
 
-@needs_compiled
-def test_compiled_text_equals_csv_text_of_rows():
-    proc = run_compiled(check_text, "test_csvfmt.csv_text")
-    assert proc.returncode == 0, proc.stderr
+@pytest.mark.parametrize("impl", IMPLS)
+def test_concurrent_calls(impl):
+    assert run_check(impl, check_concurrent_calls, "format_rows") == "240"
 
 
-@needs_compiled
-def test_compiled_ranges_equal_repr_and_fallback():
-    proc = run_compiled(check_ranges, "format_ranges")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "234", proc.stdout
+@pytest.mark.parametrize("impl", IMPLS)
+def test_rejects_bad_ranges(impl):
+    assert run_check(impl, check_range_rejections, "format_rows") == "9"
 
 
-@needs_compiled
-def test_compiled_text_concurrent_calls():
-    proc = run_compiled(check_concurrent_calls, "format_ranges")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "240", proc.stdout
-
-
-@needs_compiled
-def test_compiled_text_rejects_bad_input():
-    proc = run_compiled(check_range_rejections, "format_ranges")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == "8", proc.stdout
-
-
-@needs_compiled
-def test_compiled_index_column_at_every_digit_width():
-    proc = run_compiled(check_index_widths)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(3 * len(INDEX_ROW_COUNTS)), proc.stdout
+@pytest.mark.parametrize("impl", IMPLS)
+def test_index_column_at_every_digit_width(impl):
+    assert run_check(impl, check_index_widths) == str(3 * len(INDEX_ROW_COUNTS))
 
 
 N_STREAMED = 4 * len(STREAM_ROW_COUNTS)
 
 
-@needs_compiled
-def test_compiled_streamed_file_equals_text_at_block_edges():
-    proc = run_compiled(check_streamed_files, "")
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(N_STREAMED), proc.stdout
+@pytest.mark.parametrize("impl", IMPLS)
+def test_streamed_file_equals_text_at_block_edges(impl):
+    assert run_check(impl, check_streamed_files, None) == str(N_STREAMED)
 
 
-def test_fallback_streamed_file_equals_text_at_block_edges(monkeypatch):
-    monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
-    assert check_streamed_files() == N_STREAMED
-
-
-@pytest.fixture(params=["active", "fallback"])
+@pytest.fixture(params=IMPLS)
 def backend(request, monkeypatch):
-    """The active backend's formatter, or the numpy fallback's."""
-    if request.param == "fallback":
-        monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
-    return request.param
+    """csv_blocks on each implementation of format_rows in turn."""
+    module = importlib.import_module(f"equilab._kernels.{request.param}")
+    monkeypatch.setattr(_csvfmt, "format_rows", module.format_rows)
 
 
 class TestRows:
-    """The rows of csv_blocks, on the active backend and on the fallback."""
+    """The rows of csv_blocks, on each implementation."""
 
     def test_signed_zeros_keep_their_sign(self, backend):
         values = np.array([[0.0, -0.0], [-0.0, 0.0]])
@@ -480,12 +491,8 @@ class TestRows:
     def test_converts_to_float64(self, backend):
         assert csv_rows(np.arange(4).reshape(2, 2)[:, ::-1]) == ["0,1.0,0.0", "1,3.0,2.0"]
 
-    def test_fallback_index_column_at_every_digit_width(self, monkeypatch):
-        monkeypatch.setattr(_csvfmt, "_compiled_format_ranges", None)
-        assert check_index_widths(csv_rows) == 3 * len(INDEX_ROW_COUNTS)
 
-
-# 2-D values that the compiled extension rejects (see REJECTED) and that
+# 2-D values that format_rows rejects (see REJECTED) and that
 # csv_blocks converts to C-contiguous float64 before it hands them over
 CONVERTED = {
     "float32 values": np.arange(6, dtype=np.float32).reshape(3, 2) / 3,
@@ -497,12 +504,19 @@ CONVERTED = {
 
 
 class TestCsvBlocks:
-    """The joined text, on the active backend and on the fallback."""
+    """The strs and the joined text, on each implementation."""
 
-    def test_equals_csv_text_of_rows(self, backend):
-        check_text(csv_text)
-        values = np.arange(6.0).reshape(3, 2)
-        assert csv_text(["a,b"], values) == _csvfmt.csv_text(["a,b", *fallback_rows(values)])
+    @pytest.mark.parametrize("n_rows", ROW_COUNTS)
+    def test_each_block_is_one_format_rows_call(self, backend, n_rows):
+        # the writer holds one str at a time: after the header, the strs of
+        # one call per block of at most BLOCK_ROWS rows, as it returns them
+        values = np.random.default_rng(n_rows).standard_normal((n_rows, 3))
+        calls = [_csvfmt.format_rows(values, start, min(start + B, n_rows))
+                 for start in range(0, n_rows, B)]
+        assert list(_csvfmt.csv_blocks(["a,b,c"], values)) == [
+            "a,b,c\r\n", *(text for call in calls for text in call)]
+        assert "".join(text for call in calls for text in call) == _csvfmt.csv_text(
+            reference_rows(values))
 
     @pytest.mark.parametrize("header", [["it\u00e9r,a"], ["iter,a", "\U0001f600"]],
                              ids=["header", "header 4-byte"])

@@ -1,8 +1,9 @@
 """Kernel backends: the compiled QRCP and Jacobi sweep agree with the
 numpy reference and reject buffers they cannot use, each backend's QRCP
 factors its input and gives the same R without Q, each backend's sweep
-without vt (singular values only) leaves bt as the full sweep does, and
-EQUILAB_PURE_PYTHON selects the fallback kernels and CSV formatter.
+without vt (singular values only) leaves bt as the full sweep does, every
+entry point has one signature on both backends, and EQUILAB_PURE_PYTHON
+selects the fallback kernels and formatters.
 
 The agreement tests are what catch _jacobi.c and jacobi_py.py drifting
 apart; the compiled-kernel tests run in subprocesses and skip when the
@@ -276,8 +277,43 @@ def test_pure_python_env_selects_fallback():
         p for p in (str(SRC), env.get("PYTHONPATH")) if p)
     proc = subprocess.run(
         [sys.executable, "-c",
-         "from equilab import _kernels, densela; print(densela.KERNEL_BACKEND, _kernels.format_ranges)"],
+         "from equilab import _csvfmt, _kernels, densela\n"
+         "from equilab.bench import svgplot\n"
+         "print(densela.KERNEL_BACKEND, _kernels.jacobi_sweeps.__module__,\n"
+         "      _csvfmt.format_rows.__module__, svgplot.format_points.__module__)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the kernels and the CSV formatter switch together
-    assert proc.stdout.strip() == "python None"
+    # the kernels and the formatters switch together
+    assert proc.stdout.split() == ["python", "equilab._kernels.jacobi_py",
+                                   "equilab._kernels.reprfmt_py", "equilab._kernels.reprfmt_py"]
+
+
+@needs_compiled
+def test_entry_points_have_one_signature_on_both_backends():
+    # a C function's signature is the first line of its docstring, so a
+    # docstring that names another function or other parameters fails here
+    from equilab import _kernels
+    from equilab._kernels import jacobi_py, reprfmt_py
+
+    entry_points = [name for name in _kernels.__all__ if name != "BACKEND"]
+    assert sorted(entry_points) == sorted(n for n in vars(_jacobi) if not n.startswith("_"))
+    for name in entry_points:
+        fallback = getattr(jacobi_py, name, None) or getattr(reprfmt_py, name)
+        assert (list(inspect.signature(getattr(_jacobi, name)).parameters)
+                == list(inspect.signature(fallback).parameters)), name
+
+
+@needs_compiled
+def test_compiled_backend_imports_no_fallback():
+    env = {k: v for k, v in os.environ.items() if k != "EQUILAB_PURE_PYTHON"}
+    env["PYTHONPATH"] = os.pathsep.join(
+        p for p in (str(Path(_jacobi.__file__).parents[2]), env.get("PYTHONPATH")) if p)
+    proc = subprocess.run(
+        [sys.executable, "-c",
+         "import sys\n"
+         "import equilab.bench.experiments\n"
+         "from equilab import _kernels\n"
+         "print(_kernels.BACKEND, sorted(m for m in sys.modules if m.endswith('_py')))"],
+        env=env, capture_output=True, text=True, timeout=120)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "compiled []"

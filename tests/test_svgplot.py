@@ -1,12 +1,14 @@
-"""The SVG plots' polyline text: the compiled `format_points` against
-"%.6g" % per coordinate, and `emit_svg`'s bytes on the active backend
-against the fallback's and against the per-point formulas of a scalar
-loop.
+"""The SVG plots' polyline text: each implementation of `format_points`
+(the compiled `_kernels._jacobi` and the numpy fallback
+`_kernels.reprfmt_py`) against "%.6g" % per coordinate, and `emit_svg`'s
+bytes on each against the per-point formulas of a scalar loop.
 
-The compiled formatter is checked on its own in fresh interpreters, as in
-test_csvfmt.py; those tests skip while the extension is not built.
+The checks take the implementation as a parameter.  The compiled one is
+checked on its own in fresh interpreters, as in test_csvfmt.py; those
+tests skip while the extension is not built.
 """
 
+import importlib
 import math
 from pathlib import Path
 
@@ -58,7 +60,7 @@ def check_points(format_points):
     return len(xs)
 
 
-# bad (xs, ys) for the compiled formatter
+# bad (xs, ys) for format_points
 REJECTED = {
     "2-d xs": (np.zeros((2, 2)), np.zeros(2)),
     "float32 ys": (np.zeros(2), np.zeros(2, dtype=np.float32)),
@@ -80,27 +82,44 @@ def check_rejections(format_points):
     return len(REJECTED)
 
 
-def run_compiled(check):
+def run_check(impl, check):
+    """check(format_points) on equilab._kernels.<impl>'s, as a str: in this
+    interpreter for the numpy fallback, in a fresh one for the compiled
+    extension found here."""
+    if impl == "reprfmt_py":
+        return str(check(importlib.import_module("equilab._kernels.reprfmt_py").format_points))
     script = ("import sys\n"
               "sys.path.insert(0, sys.argv[1])\n"
               "import test_svgplot\n"
-              "from equilab._kernels._jacobi import format_points\n"
+              f"from equilab._kernels.{impl} import format_points\n"
               f"print(test_svgplot.{check.__name__}(format_points))\n")
-    return _run_compiled(script, str(Path(__file__).parent))
+    proc = _run_compiled(script, str(Path(__file__).parent))
+    assert proc.returncode == 0, proc.stderr
+    return proc.stdout.strip()
+
+
+# each implementation of format_points, as its module in equilab._kernels
+IMPLS = [pytest.param("reprfmt_py", id="python"),
+         pytest.param("_jacobi", id="compiled", marks=needs_compiled)]
 
 
 @needs_compiled
 def test_compiled_points_equal_percent_g():
-    proc = run_compiled(check_points)
-    assert proc.returncode == 0, proc.stderr
-    assert int(proc.stdout) > 500_000, proc.stdout
+    # on the fallback the sweep would compare "%.6g" with itself
+    assert int(run_check("_jacobi", check_points)) > 500_000
 
 
-@needs_compiled
-def test_compiled_points_reject_bad_input():
-    proc = run_compiled(check_rejections)
-    assert proc.returncode == 0, proc.stderr
-    assert proc.stdout.strip() == str(len(REJECTED)), proc.stdout
+@pytest.mark.parametrize("impl", IMPLS)
+def test_points_reject_bad_input(impl):
+    assert run_check(impl, check_rejections) == str(len(REJECTED))
+
+
+@pytest.fixture(params=IMPLS)
+def impl(request, monkeypatch):
+    """emit_svg on each implementation of format_points in turn."""
+    module = importlib.import_module(f"equilab._kernels.{request.param}")
+    monkeypatch.setattr(svgplot, "format_points", module.format_points)
+    return request.param
 
 
 def reference_points(series, log_y):
@@ -162,18 +181,15 @@ def assert_points_drawn(out, series, log_y):
 
 @pytest.mark.parametrize("log_y", [False, True], ids=["linear", "log"])
 @pytest.mark.parametrize("seed", range(12))
-def test_svg_bytes_equal_fallback_and_per_point_loop(monkeypatch, log_y, seed):
+def test_svg_points_equal_per_point_loop(impl, log_y, seed):
     rng = np.random.default_rng(seed)
     series = random_series(rng, 1 + seed % 4, log_y)
-    kwargs = dict(title="t", xlabel="x", ylabel="y", log_y=log_y)
-    active = svgplot.emit_svg(series, **kwargs)
-    assert_points_drawn(active, series, log_y)
-    monkeypatch.setattr(svgplot, "_compiled_format_points", None)
-    assert svgplot.emit_svg(series, **kwargs).encode() == active.encode()
+    out = svgplot.emit_svg(series, title="t", xlabel="x", ylabel="y", log_y=log_y)
+    assert_points_drawn(out, series, log_y)
 
 
 @pytest.mark.parametrize("log_y", [False, True], ids=["linear", "log"])
-def test_svg_edge_cases_equal_fallback(monkeypatch, log_y):
+def test_svg_edge_cases_equal_per_point_loop(impl, log_y):
     cases = {
         "empty plot": [],
         "empty series": [svgplot.LineSeries("a", (), ())],
@@ -183,12 +199,9 @@ def test_svg_edge_cases_equal_fallback(monkeypatch, log_y):
         "signed zeros": [svgplot.LineSeries("a", (-0.0, 0.0, 1.0), (1.0, 1.0, 1.0)),
                          svgplot.LineSeries("b", (0.0, -0.0), (2.0, 3.0))],
     }
-    active = {name: svgplot.emit_svg(s, log_y=log_y) for name, s in cases.items()}
+    out = {name: svgplot.emit_svg(s, log_y=log_y) for name, s in cases.items()}
     for name, series in cases.items():
-        assert_points_drawn(active[name], series, log_y)
-    assert '<circle cx="' in active["one point"] and "<polyline" not in active["one point"]
-    assert '<circle cx="' in active["one point left"]
-    assert "<polyline" not in active["all dropped"] and "<circle" not in active["all dropped"]
-    monkeypatch.setattr(svgplot, "_compiled_format_points", None)
-    for name, series in cases.items():
-        assert svgplot.emit_svg(series, log_y=log_y) == active[name], name
+        assert_points_drawn(out[name], series, log_y)
+    assert '<circle cx="' in out["one point"] and "<polyline" not in out["one point"]
+    assert '<circle cx="' in out["one point left"]
+    assert "<polyline" not in out["all dropped"] and "<circle" not in out["all dropped"]

@@ -25,7 +25,8 @@ the root of the repository this script lives in and holds:
              checkout's src/equilab modules had a .pyc that matches their
              source after the runs (the in-place build writes them); a
              process that may not write bytecode compiles every module
-             without one, which moves setup_s and peak_rss_mb
+             without one, which moves setup_s and peak_rss_mb, so every
+             module must have one
   workloads  per workload and metric: median, quartiles (inclusive
              method), every sample, and how many runs were correct
 
@@ -36,8 +37,10 @@ rounds and checkout first in odd ones, so each workload's runs go in
 ABBA order.  One file is written per checkout; each names its partner and
 the shared session.  If a run fails on either side, or reports another
 kernel backend than the session's first run (a stale or missing in-place
-build can put one side on the numpy fallback), the script exits before
-writing any file.
+build can put one side on the numpy fallback), or a side's src/equilab
+has a module whose .pyc is missing or stale after the runs (a source
+edited after the checkout was built; rebuild it with `python setup.py
+build_ext --inplace --force`), the script exits before writing any file.
 
 The checkout's label is LABEL; the base's, and the checkout's without
 --label, is the short commit id, marked "-dirty" when its src/ or
@@ -227,6 +230,13 @@ def main(argv=None):
 
     records = [record(s, bench, res, e, args.runs, args.seed)
                for s, res, e in zip(sides, results, env)]
+    for s, rec in zip(sides, records):
+        code = rec["bytecode"]
+        if code["current_pyc"] < code["package_modules"]:
+            raise SystemExit(f"{s.label}: {code['current_pyc']} of {code['package_modules']} "
+                             f"modules under {s.checkout / 'src' / 'equilab'} have current "
+                             "bytecode; rebuild with `python setup.py build_ext --inplace "
+                             "--force`; nothing written")
     if len(records) == 2:
         session = {"started": started, "order": "ABBA",
                    "base": sides[0].label, "checkout": sides[1].label}
