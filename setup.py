@@ -11,19 +11,32 @@ floating-point std::to_chars (GCC >= 11, libstdc++ >= 11):
 format_rows(values, start, stop) writes a range of a trace table's rows
 (each row's index, its comma-led cells, CRLF) as two strs, its halves,
 the second on a second thread (std::thread, hence -pthread) while the GIL
-is released, unless the range is the whole table;
-equilab._csvfmt.csv_blocks calls it once per 128-row block, and each str
-goes to its file before the next call.
-format_points writes an SVG polyline's "x,y" points as "%.6g" does.  The
-extension's entry points are therefore jacobi_sweeps, qrcp, format_rows
-and format_points, each with the signature of its numpy fallback in
-src/equilab/_kernels/jacobi_py.py or reprfmt_py.py; equilab._kernels
-picks one backend for all four.  A build needs both compilers and the
-Python headers, nothing else; if either source fails to compile, the
-whole extension is skipped, so the kernels and the formatters fall back
-together.  Edit the sources directly; tests/test_kernels.py,
-tests/test_csvfmt.py and tests/test_svgplot.py compare the built
-functions with the numpy fallbacks, with repr and with "%.6g".  After an edit, rebuild an
+is released, unless the range is the whole table or has fewer than 2
+rows; equilab._csvfmt.csv_blocks calls it once per 128-row block, and
+each str goes to its file before the next call.
+format_points writes an SVG polyline's "x,y" points as "%.6g" does.
+Batch norm lives in src/equilab/_kernels/_batchnorm.c:
+batch_norm(x, gamma, beta, running_mean, running_var, training) returns
+(out, xhat, s), batch_norm_vjp(g, xhat, s, gamma, training) returns
+(dx, dgamma, dbeta), and row_sums(x) is a bias gradient's
+x.sum(axis=-2).  They keep numpy's bits: only + - * / and sqrt, in the
+fallback's order, and every sum over rows in numpy's order for
+x.sum(axis=-2) on a C-contiguous input, from +0.0: the rows in order
+for two or more features, numpy's pairwise sum (8 accumulators, blocks
+of 128) for one.  Every source is compiled with -ffp-contract=off:
+without it, a -march with FMA would let the compiler fuse gamma * xhat +
+beta (or a Jacobi rotation's c * x - s * y) into one rounding and move
+the bits.  The extension's entry points are therefore jacobi_sweeps,
+qrcp, format_rows, format_points, batch_norm, batch_norm_vjp and
+row_sums, each with the signature of its numpy fallback in
+src/equilab/_kernels/jacobi_py.py, reprfmt_py.py or batchnorm_py.py;
+equilab._kernels picks one backend for all seven.  A build needs both
+compilers and the Python headers, nothing else; if any source fails to
+compile, the whole extension is skipped, so the kernels and the
+formatters fall back together.  Edit the sources directly;
+tests/test_kernels.py, tests/test_csvfmt.py and tests/test_svgplot.py
+compare the built functions with the numpy fallbacks, with repr and with
+"%.6g".  After an edit, rebuild an
 in-place build with `python setup.py build_ext --inplace --force`: an
 older build lacks the newer entry points, and equilab would fall back to
 the numpy kernels (tests/test_kernels.py fails on that).
@@ -80,8 +93,9 @@ def compile_package():
 setup(
     ext_modules=[Extension("equilab._kernels._jacobi",
                            sources=["src/equilab/_kernels/_jacobi.c",
-                                    "src/equilab/_kernels/_reprfmt.cpp"],
-                           extra_compile_args=["-pthread"],
+                                    "src/equilab/_kernels/_reprfmt.cpp",
+                                    "src/equilab/_kernels/_batchnorm.c"],
+                           extra_compile_args=["-pthread", "-ffp-contract=off"],
                            extra_link_args=["-pthread"],
                            language="c++")],
     cmdclass={"build_ext": OptionalBuildExt},

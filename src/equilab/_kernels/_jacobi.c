@@ -1,8 +1,10 @@
 /* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
  * module's method table, which also lists the text formatters format_rows
  * (trace CSVs, a block of rows per call) and format_points (SVG
- * polylines) of _reprfmt.cpp.  Each docstring's first line is the
- * signature of the entry point's numpy fallback (jacobi_py, reprfmt_py).
+ * polylines) of _reprfmt.cpp, and batch norm (batch_norm, batch_norm_vjp)
+ * and the bias gradient's row_sums of _batchnorm.c.  Each docstring's
+ * first line is the signature of the entry point's numpy fallback
+ * (jacobi_py, reprfmt_py, batchnorm_py).
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -356,8 +358,9 @@ PyDoc_STRVAR(format_rows_doc,
 "index in values, then its cells, each equal to repr(float(x)) after a\n"
 "comma.  values must be a C-contiguous 2-d float64 array and 0 <= start\n"
 "<= stop <= len(values).  The second half is formatted on a second\n"
-"thread, the GIL released; a call on the whole of values returns (text,\n"
-"\"\") and starts no thread.  See reprfmt_py.format_rows for the fallback.");
+"thread, the GIL released; a call on the whole of values or on fewer\n"
+"than 2 rows returns (text, \"\") and starts no thread.  See\n"
+"reprfmt_py.format_rows for the fallback.");
 
 PyDoc_STRVAR(format_points_doc,
 "format_points(xs, ys)\n--\n\n"
@@ -365,6 +368,36 @@ PyDoc_STRVAR(format_points_doc,
 "single spaces, each coordinate equal to \"%.6g\" % x (a NaN prints\n"
 "\"nan\").  xs and ys must be C-contiguous 1-d float64 arrays of one\n"
 "length.  See reprfmt_py.format_points for the fallback.");
+
+/* Defined in _batchnorm.c. */
+PyObject *batchnorm_batch_norm(PyObject *self, PyObject *const *args, Py_ssize_t nargs);
+PyObject *batchnorm_batch_norm_vjp(PyObject *self, PyObject *const *args, Py_ssize_t nargs);
+PyObject *batchnorm_row_sums(PyObject *self, PyObject *x);
+
+PyDoc_STRVAR(batch_norm_doc,
+"batch_norm(x, gamma, beta, running_mean, running_var, training, /)\n--\n\n"
+"Batch norm of each feature of x over its rows: (out, xhat, s), with s of\n"
+"shape x.shape[:-2] + (1, features).  x is a C-contiguous (rows,\n"
+"features) float64 array or a (k, rows, features) stack of them; gamma,\n"
+"beta and the running buffers are (features,) or (k, features) float64\n"
+"arrays of any strides.  In training the batch statistics normalize and\n"
+"the running buffers are updated in place; in eval the running\n"
+"statistics normalize.  Every sum over rows takes numpy's order, so the\n"
+"bits equal batchnorm_py.batch_norm's, the fallback.");
+
+PyDoc_STRVAR(batch_norm_vjp_doc,
+"batch_norm_vjp(g, xhat, s, gamma, training, /)\n--\n\n"
+"(dx, dgamma, dbeta) of batch_norm from the gradient g of its output and\n"
+"its xhat and s.  g and xhat are C-contiguous float64 arrays of x's\n"
+"shape, s is batch_norm's, gamma as there.  The bits equal\n"
+"batchnorm_py.batch_norm_vjp's, the fallback.");
+
+PyDoc_STRVAR(row_sums_doc,
+"row_sums(x, /)\n--\n\n"
+"x.sum(axis=-2) of a C-contiguous float64 array of 2 or more dims, with\n"
+"numpy's bits: rows added in order from +0.0 for two or more features,\n"
+"+0.0 plus numpy's pairwise sum of the column for one.  See\n"
+"batchnorm_py.row_sums for the fallback.");
 
 static PyMethodDef methods[] = {
     {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
@@ -375,14 +408,20 @@ static PyMethodDef methods[] = {
      METH_VARARGS | METH_KEYWORDS, format_rows_doc},
     {"format_points", (PyCFunction)(void (*)(void))reprfmt_format_points,
      METH_VARARGS | METH_KEYWORDS, format_points_doc},
+    {"batch_norm", (PyCFunction)(void (*)(void))batchnorm_batch_norm, METH_FASTCALL,
+     batch_norm_doc},
+    {"batch_norm_vjp", (PyCFunction)(void (*)(void))batchnorm_batch_norm_vjp, METH_FASTCALL,
+     batch_norm_vjp_doc},
+    {"row_sums", batchnorm_row_sums, METH_O, row_sums_doc},
     {NULL, NULL, 0, NULL}
 };
 
 static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_jacobi",
-    .m_doc = "Compiled QRCP and one-sided Jacobi sweep kernels, and the\n"
-              "trace-CSV and SVG-polyline formatters.",
+    .m_doc = "Compiled QRCP and one-sided Jacobi sweep kernels, the\n"
+              "trace-CSV and SVG-polyline formatters, and batch norm and\n"
+              "row sums with numpy's bits.",
     .m_size = -1,
     .m_methods = methods,
 };

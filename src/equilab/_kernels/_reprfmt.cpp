@@ -9,10 +9,10 @@
  * block of rows, and each str goes to the file before the next call, so a
  * trace file's whole text never exists.  The second half is formatted on
  * a second thread while the calling thread formats the first, both with
- * the GIL released; a call on the whole matrix (a table of one block) is
- * not split and starts no thread.  Each half is written into its part of
- * one scratch buffer, sized at an upper bound, and copied into an
- * exact-size str after the join.  With the GIL released the threads read
+ * the GIL released; a call on the whole matrix (a table of one block) or
+ * on fewer than 2 rows is not split and starts no thread.  Each half is
+ * written into its part of one scratch buffer, sized at an upper bound,
+ * and copied into an exact-size str after the join.  With the GIL released the threads read
  * only the matrix's buffer and write only the scratch buffer.
  *
  * The digits come from std::to_chars(double, chars_format::scientific)
@@ -273,8 +273,12 @@ reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs)
     PyObject *result = NULL;
     Py_ssize_t n_rows = view.shape[0];
     if (0 <= start && start <= stop && stop <= n_rows) {
-        /* the whole matrix, such as a table of one block, starts no thread */
-        Py_ssize_t mid = start == 0 && stop == n_rows ? stop : start + (stop - start) / 2;
+        /* the whole matrix, such as a table of one block, and a range of
+         * fewer than 2 rows, such as the last block of a table of 128k + 1
+         * rows, start no thread */
+        Py_ssize_t mid = (start == 0 && stop == n_rows) || stop - start < 2
+                             ? stop
+                             : start + (stop - start) / 2;
         result = format_row_ranges(static_cast<const double *>(view.buf), view.shape[1], start,
                                    mid, stop);
     }

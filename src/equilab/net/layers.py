@@ -13,7 +13,12 @@ while equilibration normalizes the rows of W itself, one per *input* unit
 (its outgoing weights).  Conv equilibration is per *output* unit (filter).
 
 Everything is float64 and handwritten numpy; backward passes return exact
-vector-Jacobian products of the forward graph.
+vector-Jacobian products of the forward graph.  Batch norm
+(`_kernels.batch_norm`, `batch_norm_vjp`) and a bias gradient's sum over
+rows (`_kernels.row_sums`) run on the kernel backend, compiled or numpy
+with the same bits: every sum over rows takes numpy's order for
+x.sum(axis=-2), the rows in order from +0.0 for two or more features and
++0.0 plus numpy's pairwise sum for one.
 
 Parameters of either kind may carry a leading stack axis: w of shape
 (k, in_dim, out_dim) for dense or (k, out_c, in_c, kh, kw) for conv, and
@@ -34,12 +39,11 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
+from equilab._kernels import BN_EPS, BN_MOMENTUM, batch_norm, batch_norm_vjp, row_sums
 from equilab.errors import DimensionError, NonFiniteActivationError
 
 log = logging.getLogger(__name__)
 
-BN_EPS = 1e-5
-BN_MOMENTUM = 0.1
 WS_EPS = 1e-5
 NORM_FLOOR = 1e-12
 
@@ -168,45 +172,22 @@ def bn_forward(x, gamma, beta, running_mean, running_var, training):
     in both the normalization and the running buffers, and BN_EPS inside
     the sqrt.  Training requires at least 2 rows; eval uses the running
     stats.  Running buffers are updated in place during training, with
-    momentum BN_MOMENTUM.
+    momentum BN_MOMENTUM.  The arithmetic is `_kernels.batch_norm` (and
+    `batch_norm_vjp` for bn_vjp), compiled or numpy with the same bits.
     """
     if x.ndim not in (2, 3):
         raise DimensionError(f"batch norm expects 2-d (rows, features) input or a 3-d "
                              f"stack of them, got {x.ndim}-d")
-    if training:
-        m = x.shape[-2]
-        if m < 2:
-            raise DimensionError("batch norm needs at least 2 rows in training")
-        # the sums over m rows that x.mean and x.var compute, without
-        # their Python-level wrappers
-        mu = x.sum(axis=-2) / m
-        xc = x - mu[..., None, :]
-        var = (xc * xc).sum(axis=-2) / m
-        running_mean *= 1.0 - BN_MOMENTUM
-        running_mean += BN_MOMENTUM * mu
-        running_var *= 1.0 - BN_MOMENTUM
-        running_var += BN_MOMENTUM * var
-    else:
-        xc, var = x - running_mean[..., None, :], running_var
-    s = np.sqrt(var + BN_EPS)[..., None, :]
-    xhat = xc / s
-    out = gamma[..., None, :] * xhat + beta[..., None, :]
+    if training and x.shape[-2] < 2:
+        raise DimensionError("batch norm needs at least 2 rows in training")
+    out, xhat, s = batch_norm(x, gamma, beta, running_mean, running_var, training)
     return out, (xhat, s, gamma, training)
 
 
 def bn_vjp(cache, g):
+    """(dx, dgamma, dbeta) from the gradient g of bn_forward's output."""
     xhat, s, gamma, training = cache
-    dgamma = (g * xhat).sum(axis=-2)
-    dbeta = g.sum(axis=-2)
-    gi = g * gamma[..., None, :]
-    if training:
-        m = g.shape[-2]
-        gm = gi.sum(axis=-2, keepdims=True) / m
-        gx = (gi * xhat).sum(axis=-2, keepdims=True) / m
-        dx = (gi - gm - xhat * gx) / s
-    else:
-        dx = gi / s
-    return dx, dgamma, dbeta
+    return batch_norm_vjp(g, xhat, s, gamma, training)
 
 
 # ---------------------------------------------------------------------------
@@ -353,7 +334,7 @@ class _LayerBase:
         grads = {}
         if bncache is not None:
             dz, grads["gamma"], grads["beta"] = bn_vjp(bncache, dz)
-        grads["b"] = dz.sum(axis=-2)
+        grads["b"] = row_sums(dz)
         dweff_om = dz.swapaxes(-1, -2) @ rows
         dx = self._input_rows_vjp(dz @ w_eff_om, view) if need_dx else None
         grads["w"], dg = self._weight_vjp(dweff_om, wcaches)

@@ -302,3 +302,48 @@ def test_record_names_the_tree_a_squash_keeps(bench_record, paired, monkeypatch)
     old_label = bench_record.git(base, "rev-parse", "HEAD")[:7]
     old = json.loads((out / f"BENCH_{old_label}.json").read_text(encoding="utf-8"))
     assert old["checkout_tree"] == bench_record.git(base, "rev-parse", "HEAD^{tree}")
+
+
+def synthetic_record(label, backend, medians, **extra):
+    """A BENCH record whose workloads map to (run_s, peak_rss_mb, setup_s)
+    medians."""
+    return {"label": label, "seed": 1, "env": {"kernel_backend": backend}, **extra,
+            "workloads": {w: {"metrics": {m: {"median": v, "samples": [v]} for m, v in
+                                          zip(("run_s", "peak_rss_mb", "setup_s"), values)}}
+                          for w, values in medians.items()}}
+
+
+def test_table_prints_each_record_in_the_order_history_added_it(bench_record, tmp_path,
+                                                                 monkeypatch, capsys):
+    monkeypatch.setenv("GIT_CEILING_DIRECTORIES", str(tmp_path.parent))
+    monkeypatch.setattr(bench_record, "ROOT", tmp_path)
+    calls = []
+    monkeypatch.setattr(bench_record, "run_once", lambda *args: calls.append(args))
+    records = {"BENCH_zz.json": synthetic_record("zz", "compiled",
+                                                 {"w1": (0.25, 40.5, 0.16),
+                                                  "w2": (0.0031, 39.125, 0.2)},
+                                                 partner="aa-python"),
+               "BENCH_aa-python.json": synthetic_record("aa-python", "python",
+                                                        {"w1": (0.5, 41.0, 0.1875)})}
+    rows = {"zz": "| zz | aa-python | 1 | compiled | 0.25 / 40.50 / 0.160 | "
+                  "0.0031 / 39.12 / 0.200 |",
+            "aa-python": "| aa-python | - | 1 | python | 0.5 / 41.00 / 0.188 | - |"}
+    header = ["| label | partner | seed | backend | w1: run_s / peak_rss_mb / setup_s | "
+              "w2: run_s / peak_rss_mb / setup_s |", "|---|---|---|---|---|---|"]
+    for name, rec in records.items():
+        (tmp_path / name).write_text(json.dumps(rec), encoding="utf-8")
+    # not a git checkout: by name
+    bench_record.main(["--table"])
+    assert capsys.readouterr().out.splitlines() == header + [rows["aa-python"], rows["zz"]]
+    # zz committed first, aa-python then; an uncommitted record comes last
+    for args in (["init", "-q"], ["add", "BENCH_zz.json"], ["commit", "-q", "-m", "zz"],
+                 ["add", "BENCH_aa-python.json"], ["commit", "-q", "-m", "aa"]):
+        subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
+                        "-c", "commit.gpgsign=false", *args],
+                       cwd=tmp_path, check=True, capture_output=True)
+    (tmp_path / "BENCH_new.json").write_text(json.dumps(synthetic_record(
+        "new", "compiled", {"w2": (1.0, 2.0, 3.0)})), encoding="utf-8")
+    bench_record.main(["--table"])
+    assert capsys.readouterr().out.splitlines() == header + [
+        rows["zz"], rows["aa-python"], "| new | - | 1 | compiled | - | 1 / 2.00 / 3.000 |"]
+    assert calls == []

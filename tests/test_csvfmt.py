@@ -238,8 +238,8 @@ def check_ranges(format_rows):
 
 
 def check_split_rule(format_rows):
-    """The compiled format_rows returns a call on the whole matrix as
-    (text, "") and splits any other range of at least 2 rows into two
+    """The compiled format_rows returns a call on the whole matrix or on
+    fewer than 2 rows as (text, "") and splits any other range into two
     non-empty halves at start + (stop - start) // 2; returns how many
     calls were checked."""
     rng = np.random.default_rng(29)
@@ -249,9 +249,16 @@ def check_split_rule(format_rows):
         want = reference_rows(values)
         assert format_rows(values, 0, n_rows) == (_csvfmt.csv_text(want), ""), n_rows
         checked += 1
+        # the last block of a table of B + 1 rows is one row, (B, B + 1)
         for start, stop in sorted({(0, n_rows - 1), (1, n_rows), (0, min(B, n_rows - 1)),
-                                   (n_rows // 3, n_rows - n_rows // 3)}):
-            if stop - start < 2 or stop - start == n_rows:
+                                   (n_rows // 3, n_rows - n_rows // 3), (0, 1),
+                                   (n_rows - 1, n_rows), (B, min(B + 1, n_rows))}):
+            if stop - start == n_rows or start > stop:
+                continue
+            if stop - start < 2:
+                assert format_rows(values, start, stop) == (
+                    _csvfmt.csv_text(want[start:stop]), ""), (n_rows, start, stop)
+                checked += 1
                 continue
             mid = start + (stop - start) // 2
             got = format_rows(values, start, stop)
@@ -441,7 +448,7 @@ def test_ranges_equal_repr(impl):
 
 @needs_compiled
 def test_compiled_splits_all_but_the_whole_matrix():
-    assert run_check("_jacobi", check_split_rule, "format_rows") == "18"
+    assert run_check("_jacobi", check_split_rule, "format_rows") == "33"
 
 
 @pytest.mark.parametrize("impl", IMPLS)

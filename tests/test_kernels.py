@@ -1,9 +1,11 @@
 """Kernel backends: the compiled QRCP and Jacobi sweep agree with the
 numpy reference and reject buffers they cannot use, each backend's QRCP
 factors its input and gives the same R without Q, each backend's sweep
-without vt (singular values only) leaves bt as the full sweep does, every
-entry point has one signature on both backends, and EQUILAB_PURE_PYTHON
-selects the fallback kernels and formatters.
+without vt (singular values only) leaves bt as the full sweep does, the
+compiled batch norm and row sums equal the numpy ones bit for bit and
+numpy still sums rows in the order they copy, every entry point has one
+signature on both backends, and EQUILAB_PURE_PYTHON selects the fallback
+kernels and formatters.
 
 The agreement tests are what catch _jacobi.c and jacobi_py.py drifting
 apart; the compiled-kernel tests run in subprocesses and skip when the
@@ -279,13 +281,17 @@ def test_pure_python_env_selects_fallback():
         [sys.executable, "-c",
          "from equilab import _csvfmt, _kernels, densela\n"
          "from equilab.bench import svgplot\n"
+         "from equilab.net import layers\n"
          "print(densela.KERNEL_BACKEND, _kernels.jacobi_sweeps.__module__,\n"
-         "      _csvfmt.format_rows.__module__, svgplot.format_points.__module__)"],
+         "      _csvfmt.format_rows.__module__, svgplot.format_points.__module__,\n"
+         "      layers.batch_norm.__module__, layers.row_sums.__module__)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the kernels and the formatters switch together
+    # the kernels, the formatters and batch norm switch together
     assert proc.stdout.split() == ["python", "equilab._kernels.jacobi_py",
-                                   "equilab._kernels.reprfmt_py", "equilab._kernels.reprfmt_py"]
+                                   "equilab._kernels.reprfmt_py", "equilab._kernels.reprfmt_py",
+                                   "equilab._kernels.batchnorm_py",
+                                   "equilab._kernels.batchnorm_py"]
 
 
 @needs_compiled
@@ -293,14 +299,16 @@ def test_entry_points_have_one_signature_on_both_backends():
     # a C function's signature is the first line of its docstring, so a
     # docstring that names another function or other parameters fails here
     from equilab import _kernels
-    from equilab._kernels import jacobi_py, reprfmt_py
+    from equilab._kernels import batchnorm_py, jacobi_py, reprfmt_py
 
     entry_points = [name for name in _kernels.__all__ if name != "BACKEND"]
     assert sorted(entry_points) == sorted(n for n in vars(_jacobi) if not n.startswith("_"))
     for name in entry_points:
-        fallback = getattr(jacobi_py, name, None) or getattr(reprfmt_py, name)
-        assert (list(inspect.signature(getattr(_jacobi, name)).parameters)
-                == list(inspect.signature(fallback).parameters)), name
+        fallback, = [getattr(m, name) for m in (jacobi_py, reprfmt_py, batchnorm_py)
+                     if hasattr(m, name)]
+        compiled = inspect.signature(getattr(_jacobi, name)).parameters
+        assert ([(p.name, p.kind) for p in compiled.values()]
+                == [(p.name, p.kind) for p in inspect.signature(fallback).parameters.values()]), name
 
 
 @needs_compiled
@@ -317,3 +325,155 @@ def test_compiled_backend_imports_no_fallback():
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "compiled []"
+
+
+def _pairwise(a):
+    """numpy's pairwise sum of the list a: 8 accumulators up to 128
+    items, halves cut to a multiple of 8 above."""
+    n = len(a)
+    if n < 8:
+        res = 0.0
+        for v in a:
+            res += v
+        return res
+    if n <= 128:
+        r = a[:8]
+        i = 8
+        while i < n - n % 8:
+            r = [acc + v for acc, v in zip(r, a[i:i + 8])]
+            i += 8
+        res = ((r[0] + r[1]) + (r[2] + r[3])) + ((r[4] + r[5]) + (r[6] + r[7]))
+        for v in a[i:]:
+            res += v
+        return res
+    n2 = n // 2
+    n2 -= n2 % 8
+    return _pairwise(a[:n2]) + _pairwise(a[n2:])
+
+
+@pytest.mark.parametrize("features", [1, 2, 3, 16])
+def test_numpy_row_sums_take_the_order_the_compiled_kernels_copy(features):
+    # _batchnorm.c keeps numpy's bits by copying the order of
+    # x.sum(axis=-2) on a C-contiguous input; a numpy that sums otherwise
+    # fails here, with or without a build
+    import numpy as np
+
+    rng = np.random.default_rng(features)
+    for rows in (1, 2, 7, 8, 9, 16, 17, 127, 128, 129, 136, 257, 1152, 4099):
+        for lead in ((), (3,)):
+            x = rng.standard_normal(lead + (rows, features)) * 10.0 ** rng.uniform(
+                -6, 6, lead + (rows, features))
+            x[..., 0] = -0.0  # a -0.0 column sums to +0.0
+            got = x.sum(axis=-2)
+            want = np.empty(lead + (features,))
+            for i in np.ndindex(lead):
+                if features == 1:
+                    want[i] = 0.0 + _pairwise(x[i][:, 0].tolist())
+                else:
+                    acc = np.zeros(features)
+                    for row in x[i]:
+                        acc = acc + row
+                    want[i] = acc
+            assert got.tobytes() == want.tobytes(), (lead, rows, features)
+            assert not np.signbit(got[..., 0]).any()
+
+
+# Both backends on every (stack, rows, features, mode) case, gamma, beta and
+# the running buffers as column slices of a wider buffer (every other
+# entry when unstacked); every output and running buffer must be equal bit
+# for bit, and each case runs again with feature 0 of x and g all -0.0.
+_BATCH_NORM_AGREEMENT = """
+import itertools
+import numpy as np
+from equilab._kernels import _jacobi, batchnorm_py
+
+def params(values, lead, f):
+    if lead:
+        return [values[:, 1 + i * f:1 + (i + 1) * f] for i in range(4)]
+    return [values[1 + i:1 + i + 8 * f:8] for i in range(4)]
+
+def bits(arrays):
+    return [(a.shape, a.dtype.str, np.ascontiguousarray(a).tobytes()) for a in arrays]
+
+checked = 0
+for k, m, f, training, zero in itertools.product(
+        (None, 1, 3, 8), (2, 7, 8, 9, 16, 17, 127, 128, 129, 257, 1152), (1, 2, 4, 16),
+        (True, False), (False, True)):
+    lead = () if k is None else (k,)
+    rng = np.random.default_rng([m, f, len(lead) and k])
+    x = rng.standard_normal(lead + (m, f)) * 10.0 ** rng.uniform(-3, 3, lead + (1, f)) + 2.0
+    g = rng.standard_normal(lead + (m, f))
+    if zero:
+        x[..., 0] = -0.0
+        g[..., 0] = -0.0
+    values = rng.standard_normal(lead + (8 * f + 2,))
+    var = params(values, lead, f)[3]
+    var[...] = np.abs(var) + 0.5
+    out = []
+    for kernel in (batchnorm_py, _jacobi):
+        gamma, beta, mean, var = params(values.copy(), lead, f)
+        y, xhat, s = kernel.batch_norm(x, gamma, beta, mean, var, training)
+        grads = kernel.batch_norm_vjp(g, xhat, s, gamma, training)
+        out.append(bits([y, xhat, s, mean, var, *grads, kernel.row_sums(x), kernel.row_sums(g)]))
+    assert out[0] == out[1], (k, m, f, training, zero)
+    checked += 1
+x = np.random.default_rng(1).standard_normal((2, 3, 9, 4))
+assert _jacobi.row_sums(x).tobytes() == batchnorm_py.row_sums(x).tobytes()
+print(checked)
+"""
+
+
+@needs_compiled
+def test_compiled_batch_norm_and_row_sums_equal_the_fallback():
+    proc = _run_compiled(_BATCH_NORM_AGREEMENT)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(4 * 11 * 4 * 2 * 2)]
+
+
+# Each case must raise before the kernel reads or writes a buffer.
+_BAD_BATCH_NORM_INPUTS = """
+import numpy as np
+from equilab._kernels._jacobi import batch_norm, batch_norm_vjp, row_sums
+
+x, v, s = np.ones((4, 3)), np.ones(3), np.ones((1, 3))
+read_only = np.ones(3)
+read_only.flags.writeable = False
+cases = {
+    "float32 x": lambda: batch_norm(x.astype(np.float32), v, v, v.copy(), v.copy(), True),
+    "non-contiguous x": lambda: batch_norm(np.ones((4, 6))[:, ::2], v, v, v.copy(), v.copy(),
+                                           True),
+    "1-d x": lambda: batch_norm(v, v, v, v.copy(), v.copy(), True),
+    "4-d x": lambda: batch_norm(np.ones((2, 2, 4, 3)), v, v, v.copy(), v.copy(), True),
+    "short gamma": lambda: batch_norm(x, v[:2], v, v.copy(), v.copy(), True),
+    "stacked gamma, 2-d x": lambda: batch_norm(x, np.ones((1, 3)), v, v.copy(), v.copy(), True),
+    "gamma of another stack": lambda: batch_norm(np.ones((2, 4, 3)), np.ones((3, 3)),
+                                                 np.ones((2, 3)), np.ones((2, 3)),
+                                                 np.ones((2, 3)), True),
+    "read-only running_var": lambda: batch_norm(x, v, v, v.copy(), read_only, True),
+    "xhat of another shape": lambda: batch_norm_vjp(x, np.ones((5, 3)), s, v, True),
+    "s with two rows": lambda: batch_norm_vjp(x, x, np.ones((2, 3)), v, True),
+    "float32 gamma": lambda: batch_norm_vjp(x, x, s, v.astype(np.float32), True),
+    "1-d row_sums": lambda: row_sums(v),
+    "non-contiguous row_sums": lambda: row_sums(np.ones((4, 6))[:, ::2]),
+}
+for name, call in cases.items():
+    try:
+        call()
+    except ValueError as exc:
+        print(f"{name}: {exc}")
+    else:
+        raise SystemExit(f"{name}: no ValueError")
+try:
+    batch_norm(x, v, v, v.copy(), v.copy())
+except TypeError:
+    pass
+else:
+    raise SystemExit("five arguments: no TypeError")
+"""
+
+
+@needs_compiled
+def test_compiled_batch_norm_rejects_bad_buffers():
+    proc = _run_compiled(_BAD_BATCH_NORM_INPUTS)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 13, proc.stdout

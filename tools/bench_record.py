@@ -2,6 +2,7 @@
 
     python3 tools/bench_record.py [--checkout DIR] [--label LABEL] [--base DIR]
                                   [--runs N] [--seed S]
+    python3 tools/bench_record.py --table
 
 Runs the unchanged `perfbench/run.py` of a source checkout (by default the
 one this script lives in) N times (default 5) per workload at seed S
@@ -49,6 +50,12 @@ selects the numpy fallback and "-seed<S>" for a seed other than 1, so
 records of one commit at two seeds do not collide.  The file is a record, not a gate: if a
 BENCH_<label>.json the invocation would write already exists, it exits
 before the first run and overwrites nothing.
+
+With --table it runs nothing and prints the trajectory of the records at
+the root of the repository, one markdown table row per BENCH_*.json in
+the order git history added them (files it has not committed last, by
+name): the label, partner, seed and kernel backend, then per workload
+the medians of run_s, peak_rss_mb and setup_s.
 """
 
 import argparse
@@ -159,6 +166,47 @@ def record(side, bench, results, env, runs, seed):
     }
 
 
+# the end-to-end metrics of a --table cell, with their formats
+TABLE_METRICS = (("run_s", ".4g"), ("peak_rss_mb", ".2f"), ("setup_s", ".3f"))
+
+
+def committed_order(root):
+    """The BENCH_*.json names under root in the order git history added
+    them, oldest first; empty when root is not a git checkout."""
+    try:
+        names = git(root, "log", "--reverse", "--diff-filter=A", "--format=", "--name-only",
+                    "--", "BENCH_*.json")
+    except (OSError, subprocess.CalledProcessError):
+        return []
+    return [name for name in names.splitlines() if name]
+
+
+def trajectory_table(root):
+    """The markdown table of the BENCH_*.json records at root (see the
+    module docstring for its rows and order)."""
+    order = {name: i for i, name in enumerate(committed_order(root))}
+    paths = sorted(root.glob("BENCH_*.json"), key=lambda p: (order.get(p.name, len(order)),
+                                                             p.name))
+    records = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
+    workloads = list(dict.fromkeys(w for rec in records for w in rec["workloads"]))
+    cell = " / ".join(name for name, _ in TABLE_METRICS)
+    lines = ["| label | partner | seed | backend | "
+             + " | ".join(f"{w}: {cell}" for w in workloads) + " |",
+             "|" + "---|" * (4 + len(workloads))]
+    for rec in records:
+        cells = [rec["label"], rec.get("partner", "-"), str(rec.get("seed", "-")),
+                 rec["env"]["kernel_backend"]]
+        for w in workloads:
+            if w not in rec["workloads"]:
+                cells.append("-")
+                continue
+            metrics = rec["workloads"][w]["metrics"]
+            cells.append(" / ".join(format(metrics[m]["median"], fmt)
+                                    for m, fmt in TABLE_METRICS))
+        lines.append("| " + " | ".join(cells) + " |")
+    return "\n".join(lines)
+
+
 class Side(NamedTuple):
     checkout: Path
     commit: str
@@ -189,7 +237,12 @@ def main(argv=None):
                         help=f"runs per workload and checkout (default {RUNS}, at least 2)")
     parser.add_argument("--seed", type=int, default=SEED,
                         help=f"the seed of every run (default {SEED})")
+    parser.add_argument("--table", action="store_true",
+                        help="run nothing; print the trajectory of the BENCH_*.json records")
     args = parser.parse_args(argv)
+    if args.table:
+        print(trajectory_table(ROOT))
+        return
     if args.runs < 2:
         parser.error("--runs must be at least 2, for the quartiles")
     sides = [side(args.checkout, args.label, args.seed)]
