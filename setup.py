@@ -30,7 +30,17 @@ the bits.  The extension's entry points are therefore jacobi_sweeps,
 qrcp, format_rows, format_points, batch_norm, batch_norm_vjp and
 row_sums, each with the signature of its numpy fallback in
 src/equilab/_kernels/jacobi_py.py, reprfmt_py.py or batchnorm_py.py;
-equilab._kernels picks one backend for all seven.  A build needs both
+equilab._kernels picks one backend for all seven.  Each source defines
+its own entry points, with their docstrings and one method table:
+_jacobi.c holds jacobi_sweeps and qrcp and creates the module, adding
+_reprfmt.cpp's and _batchnorm.c's tables to its own.  They share one
+argument contract, in src/equilab/_kernels/_buffer.h: every argument is
+positional only, and every array is checked by one helper, get_array,
+for float64, C-contiguous, a number of dims and, where the kernel writes
+it, writability, with a ValueError that names the argument (only batch
+norm's strided parameter rows have their own check).  The header is
+listed in the extension's depends, so a build_ext after editing it
+recompiles the sources.  A build needs both
 compilers and the Python headers, nothing else; if any source fails to
 compile, the whole extension is skipped, so the kernels and the
 formatters fall back together.  Edit the sources directly;
@@ -95,6 +105,7 @@ setup(
                            sources=["src/equilab/_kernels/_jacobi.c",
                                     "src/equilab/_kernels/_reprfmt.cpp",
                                     "src/equilab/_kernels/_batchnorm.c"],
+                           depends=["src/equilab/_kernels/_buffer.h"],
                            extra_compile_args=["-pthread", "-ffp-contract=off"],
                            extra_link_args=["-pthread"],
                            language="c++")],

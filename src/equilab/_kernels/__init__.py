@@ -9,8 +9,16 @@ missing or EQUILAB_PURE_PYTHON is set to a non-empty value other than
 "0".  batch_norm, batch_norm_vjp and row_sums give the same bits on both
 backends: every sum over rows takes numpy's order for x.sum(axis=-2),
 the rows in order from +0.0 for two or more features and +0.0 plus
-numpy's pairwise sum for one.  An in-place build older than its sources
-lacks a newer entry point, fails this import and so selects the
+numpy's pairwise sum for one.
+
+Each entry point of the extension is defined in the source of its group:
+jacobi_sweeps and qrcp in _jacobi.c, format_rows and format_points in
+_reprfmt.cpp, batch_norm, batch_norm_vjp and row_sums in _batchnorm.c.
+On both backends every argument is positional only; the compiled entry
+points check each array with _buffer.h's get_array (float64,
+C-contiguous, its number of dims, writable where the kernel writes) and
+raise ValueError naming the argument.  An in-place build older than its
+sources lacks a newer entry point, fails this import and so selects the
 fallback; tests/test_kernels.py fails loudly on that.
 """
 

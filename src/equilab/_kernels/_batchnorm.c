@@ -1,7 +1,7 @@
 /* Compiled batch norm (forward and vector-Jacobian product) and the row
  * sums of a bias gradient, with the bits of their numpy fallback
- * equilab._kernels.batchnorm_py.  The method table and the docstrings are
- * in _jacobi.c.
+ * equilab._kernels.batchnorm_py.  batchnorm_methods, at the end, lists
+ * them for _jacobi.c's module.
  *
  * Only + - * / and sqrt go into the results, each correctly rounded, one
  * operation per numpy ufunc of the fallback, in the fallback's order (the
@@ -24,10 +24,9 @@
  * arrays, made by numpy.empty.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_buffer.h"
+
 #include <math.h>
-#include <string.h>
 
 /* equilab._kernels.BN_EPS and BN_MOMENTUM; tests/test_kernels.py compares
  * this backend's bits with the fallback's, which read those names */
@@ -94,39 +93,21 @@ typedef struct {
 
 #define AT(v, r, j) ((v).base[(r) * (v).row + (j) * (v).col])
 
-/* The (k, m, f) layout of a C-contiguous float64 x of 2 or more dims (k
- * is the product of the leading dims, 1 for 2-d x), or ValueError naming
- * it.  view is released on error. */
-static int
-get_stack(PyObject *obj, const char *name, int max_ndim, Py_buffer *view,
-          Py_ssize_t *k, Py_ssize_t *m, Py_ssize_t *f)
+/* get_array's x of 2 or more dims as a (k, m, f) stack: k is the product
+ * of the leading dims, 1 for 2-d x. */
+static void
+stack_shape(const Py_buffer *x, Py_ssize_t *k, Py_ssize_t *m, Py_ssize_t *f)
 {
-    const char *problem = NULL;
-
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
-        return -1;
-    if (view->ndim < 2 || view->ndim > max_ndim)
-        problem = max_ndim == 3 ? "must be 2-d or 3-d" : "must have 2 or more dims";
-    else if (view->format == NULL || strcmp(view->format, "d") != 0)
-        problem = "must hold float64";
-    else if (!PyBuffer_IsContiguous(view, 'C'))
-        problem = "must be C-contiguous";
-    if (problem != NULL) {
-        PyErr_Format(PyExc_ValueError, "%s %s", name, problem);
-        PyBuffer_Release(view);
-        return -1;
-    }
     *k = 1;
-    for (int d = 0; d < view->ndim - 2; d++)
-        *k *= view->shape[d];
-    *m = view->shape[view->ndim - 2];
-    *f = view->shape[view->ndim - 1];
-    return 0;
+    for (int d = 0; d < x->ndim - 2; d++)
+        *k *= x->shape[d];
+    *m = x->shape[x->ndim - 2];
+    *f = x->shape[x->ndim - 1];
 }
 
 /* Fill rows with obj's float64 buffer, which must have shape
- * x.shape[:-2] + (f,), or raise ValueError naming it.  view is released
- * on error. */
+ * x.shape[:-2] + (f,), any float64-aligned strides and be writable if
+ * asked, or raise ValueError naming it.  view is left empty on error. */
 static int
 get_rows(PyObject *obj, const char *name, int writable, const Py_buffer *x, Py_ssize_t f,
          Py_buffer *view, Rows *rows)
@@ -134,7 +115,7 @@ get_rows(PyObject *obj, const char *name, int writable, const Py_buffer *x, Py_s
     const char *problem = NULL;
     int lead = x->ndim - 2;
 
-    if (PyObject_GetBuffer(obj, view, writable ? PyBUF_RECORDS : PyBUF_RECORDS_RO) < 0)
+    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
         return -1;
     if (view->format == NULL || strcmp(view->format, "d") != 0)
         problem = "must hold float64";
@@ -145,6 +126,8 @@ get_rows(PyObject *obj, const char *name, int writable, const Py_buffer *x, Py_s
              || view->strides[lead] % (Py_ssize_t)sizeof(double) != 0
              || (lead && view->strides[0] % (Py_ssize_t)sizeof(double) != 0))
         problem = "must be float64-aligned";
+    else if (writable && view->readonly)
+        problem = "must be writable";
     if (problem != NULL) {
         PyErr_Format(PyExc_ValueError, "%s %s", name, problem);
         PyBuffer_Release(view);
@@ -208,10 +191,20 @@ check_nargs(const char *name, Py_ssize_t nargs, Py_ssize_t want)
     return -1;
 }
 
-PyObject *
-batchnorm_batch_norm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+PyDoc_STRVAR(batch_norm_doc,
+"batch_norm(x, gamma, beta, running_mean, running_var, training, /)\n--\n\n"
+"Batch norm of each feature of x over its rows: (out, xhat, s), with s of\n"
+"shape x.shape[:-2] + (1, features).  x is a C-contiguous (rows,\n"
+"features) float64 array or a (k, rows, features) stack of them; gamma,\n"
+"beta and the running buffers are (features,) or (k, features) float64\n"
+"arrays of any strides.  In training the batch statistics normalize and\n"
+"the running buffers are updated in place; in eval the running\n"
+"statistics normalize.  Every sum over rows takes numpy's order, so the\n"
+"bits equal batchnorm_py.batch_norm's, the fallback.");
+
+static PyObject *
+batch_norm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
-    /* a view without an exporter (obj NULL) releases as a no-op */
     Py_buffer x = {0}, gamma_v = {0}, beta_v = {0}, mean_v = {0}, var_v = {0};
     Rows gamma, beta, mean, var;
     Py_ssize_t k, m, f;
@@ -220,10 +213,11 @@ batchnorm_batch_norm(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
     int training;
 
     (void)self;
-    if (check_nargs("batch_norm", nargs, 6) < 0 || (training = PyObject_IsTrue(args[5])) < 0)
-        return NULL;
-    if (get_stack(args[0], "x", 3, &x, &k, &m, &f) < 0
-        || get_rows(args[1], "gamma", 0, &x, f, &gamma_v, &gamma) < 0
+    if (check_nargs("batch_norm", nargs, 6) < 0 || (training = PyObject_IsTrue(args[5])) < 0
+        || get_array(args[0], "x", 2, 3, 0, &x) < 0)
+        goto done;
+    stack_shape(&x, &k, &m, &f);
+    if (get_rows(args[1], "gamma", 0, &x, f, &gamma_v, &gamma) < 0
         || get_rows(args[2], "beta", 0, &x, f, &beta_v, &beta) < 0
         || get_rows(args[3], "running_mean", training, &x, f, &mean_v, &mean) < 0
         || get_rows(args[4], "running_var", training, &x, f, &var_v, &var) < 0)
@@ -296,31 +290,38 @@ done:
     return result;
 }
 
-PyObject *
-batchnorm_batch_norm_vjp(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
+PyDoc_STRVAR(batch_norm_vjp_doc,
+"batch_norm_vjp(g, xhat, s, gamma, training, /)\n--\n\n"
+"(dx, dgamma, dbeta) of batch_norm from the gradient g of its output and\n"
+"its xhat and s.  g and xhat are C-contiguous float64 arrays of x's\n"
+"shape, s is batch_norm's, gamma as there.  The bits equal\n"
+"batchnorm_py.batch_norm_vjp's, the fallback.");
+
+static PyObject *
+batch_norm_vjp(PyObject *self, PyObject *const *args, Py_ssize_t nargs)
 {
     Py_buffer g = {0}, xhat = {0}, s = {0}, gamma_v = {0};
     Rows gamma;
-    Py_ssize_t k, m, f, k2, m2, f2;
+    Py_ssize_t k, m, f;
     PyObject *dx = NULL, *dgamma = NULL, *dbeta = NULL, *result = NULL;
     double *dxd, *dgd, *dbd, *sums = NULL;
     int training;
 
     (void)self;
     if (check_nargs("batch_norm_vjp", nargs, 5) < 0
-        || (training = PyObject_IsTrue(args[4])) < 0)
-        return NULL;
-    if (get_stack(args[0], "g", 3, &g, &k, &m, &f) < 0
-        || get_stack(args[1], "xhat", 3, &xhat, &k2, &m2, &f2) < 0)
+        || (training = PyObject_IsTrue(args[4])) < 0
+        || get_array(args[0], "g", 2, 3, 0, &g) < 0
+        || get_array(args[1], "xhat", 2, 3, 0, &xhat) < 0)
         goto done;
+    stack_shape(&g, &k, &m, &f);
     if (xhat.ndim != g.ndim || memcmp(xhat.shape, g.shape, g.ndim * sizeof(Py_ssize_t))) {
         PyErr_SetString(PyExc_ValueError, "xhat must have the shape of g");
         goto done;
     }
-    if (get_stack(args[2], "s", 3, &s, &k2, &m2, &f2) < 0)
+    if (get_array(args[2], "s", 2, 3, 0, &s) < 0)
         goto done;
-    if (s.ndim != g.ndim || k2 != k || m2 != 1 || f2 != f
-        || (g.ndim == 3 && s.shape[0] != g.shape[0])) {
+    if (s.ndim != g.ndim || memcmp(s.shape, g.shape, (g.ndim - 2) * sizeof(Py_ssize_t))
+        || s.shape[g.ndim - 2] != 1 || s.shape[g.ndim - 1] != f) {
         PyErr_SetString(PyExc_ValueError, "s must have the shape of g with one row");
         goto done;
     }
@@ -391,23 +392,41 @@ done:
     return result;
 }
 
-PyObject *
-batchnorm_row_sums(PyObject *self, PyObject *x_obj)
+PyDoc_STRVAR(row_sums_doc,
+"row_sums(x, /)\n--\n\n"
+"x.sum(axis=-2) of a C-contiguous float64 array of 2 or more dims, with\n"
+"numpy's bits: rows added in order from +0.0 for two or more features,\n"
+"+0.0 plus numpy's pairwise sum of the column for one.  See\n"
+"batchnorm_py.row_sums for the fallback.");
+
+static PyObject *
+row_sums(PyObject *self, PyObject *x_obj)
 {
-    Py_buffer x;
+    Py_buffer x = {0};
     Py_ssize_t k, m, f, shape[PyBUF_MAX_NDIM];
     double *out;
-    PyObject *result;
+    PyObject *result = NULL;
 
     (void)self;
-    if (get_stack(x_obj, "x", PyBUF_MAX_NDIM, &x, &k, &m, &f) < 0)
-        return NULL;
+    if (get_array(x_obj, "x", 2, PyBUF_MAX_NDIM, 0, &x) < 0)
+        goto done;
+    stack_shape(&x, &k, &m, &f);
     memcpy(shape, x.shape, (x.ndim - 2) * sizeof(Py_ssize_t));
     shape[x.ndim - 2] = f;
     result = new_array(x.ndim - 1, shape, &out);
     if (result != NULL)
         for (Py_ssize_t r = 0; r < k; r++)
             column_sums((const double *)x.buf + r * m * f, m, f, out + r * f);
+
+done:
     PyBuffer_Release(&x);
     return result;
 }
+
+PyMethodDef batchnorm_methods[] = {
+    {"batch_norm", (PyCFunction)(void (*)(void))batch_norm, METH_FASTCALL, batch_norm_doc},
+    {"batch_norm_vjp", (PyCFunction)(void (*)(void))batch_norm_vjp, METH_FASTCALL,
+     batch_norm_vjp_doc},
+    {"row_sums", row_sums, METH_O, row_sums_doc},
+    {NULL, NULL, 0, NULL}
+};

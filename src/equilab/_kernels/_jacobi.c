@@ -1,10 +1,10 @@
 /* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
- * module's method table, which also lists the text formatters format_rows
- * (trace CSVs, a block of rows per call) and format_points (SVG
- * polylines) of _reprfmt.cpp, and batch norm (batch_norm, batch_norm_vjp)
- * and the bias gradient's row_sums of _batchnorm.c.  Each docstring's
- * first line is the signature of the entry point's numpy fallback
- * (jacobi_py, reprfmt_py, batchnorm_py).
+ * module _jacobi, which adds the method tables of _reprfmt.cpp (the text
+ * formatters format_rows and format_points) and _batchnorm.c (batch_norm,
+ * batch_norm_vjp and row_sums) to its own.  Each source defines its entry
+ * points and their docstrings, whose first line is the signature of the
+ * entry point's numpy fallback (jacobi_py, reprfmt_py, batchnorm_py);
+ * _buffer.h holds the argument contract they share.
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -16,34 +16,9 @@
  * headers, nothing else.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_buffer.h"
+
 #include <math.h>
-#include <string.h>
-
-/* Take a writable, C-contiguous, 2-d float64 buffer from obj, or raise
- * ValueError naming the argument. */
-static int
-get_matrix(PyObject *obj, const char *name, Py_buffer *view)
-{
-    const char *problem = NULL;
-
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
-        return -1;
-    if (view->ndim != 2)
-        problem = "must be 2-d";
-    else if (view->format == NULL || strcmp(view->format, "d") != 0)
-        problem = "must hold float64";
-    else if (!PyBuffer_IsContiguous(view, 'C'))
-        problem = "must be C-contiguous";
-    else if (view->readonly)
-        problem = "must be writable";
-    if (problem == NULL)
-        return 0;
-    PyErr_Format(PyExc_ValueError, "%s %s", name, problem);
-    PyBuffer_Release(view);
-    return -1;
-}
 
 /* Apply the plane rotation (c, s) to rows xs and ys of length len. */
 static void
@@ -58,7 +33,7 @@ rotate(double *xs, double *ys, Py_ssize_t len, double c, double s)
 }
 
 PyDoc_STRVAR(jacobi_sweeps_doc,
-"jacobi_sweeps(bt, vt, rel_tol, abs_tol, max_sweeps)\n--\n\n"
+"jacobi_sweeps(bt, vt, rel_tol, abs_tol, max_sweeps, /)\n--\n\n"
 "Orthogonalize the rows of bt in place; accumulate rotations in vt.\n\n"
 "Returns (sweeps_done, converged).  See jacobi_py.jacobi_sweeps for the\n"
 "contract; bt rows are the working columns of the matrix under\n"
@@ -68,34 +43,24 @@ PyDoc_STRVAR(jacobi_sweeps_doc,
 "the run with vt.");
 
 static PyObject *
-jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
+jacobi_sweeps(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"bt", "vt", "rel_tol", "abs_tol", "max_sweeps", NULL};
-    PyObject *bt_obj, *vt_obj;
+    PyObject *bt_obj, *vt_obj, *result = NULL;
     double rel_tol, abs_tol;
     int max_sweeps;
-    Py_buffer bt, vt;
-    int have_vt;
+    Py_buffer bt = {0}, vt = {0};
 
     (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOddi:jacobi_sweeps", kwlist,
-                                     &bt_obj, &vt_obj, &rel_tol, &abs_tol, &max_sweeps))
-        return NULL;
-    if (get_matrix(bt_obj, "bt", &bt) < 0)
-        return NULL;
-    have_vt = vt_obj != Py_None;
-    if (have_vt) {
-        if (get_matrix(vt_obj, "vt", &vt) < 0) {
-            PyBuffer_Release(&bt);
-            return NULL;
-        }
-        if (vt.shape[0] != bt.shape[0]) {
-            PyErr_Format(PyExc_ValueError, "vt has %zd rows, bt has %zd",
-                         vt.shape[0], bt.shape[0]);
-            PyBuffer_Release(&bt);
-            PyBuffer_Release(&vt);
-            return NULL;
-        }
+    if (!PyArg_ParseTuple(args, "OOddi:jacobi_sweeps", &bt_obj, &vt_obj, &rel_tol, &abs_tol,
+                          &max_sweeps)
+        || get_array(bt_obj, "bt", 2, 2, 1, &bt) < 0
+        || (vt_obj != Py_None && get_array(vt_obj, "vt", 2, 2, 1, &vt) < 0))
+        goto done;
+    int have_vt = vt_obj != Py_None;
+    if (have_vt && vt.shape[0] != bt.shape[0]) {
+        PyErr_Format(PyExc_ValueError, "vt has %zd rows, bt has %zd", vt.shape[0],
+                     bt.shape[0]);
+        goto done;
     }
 
     Py_ssize_t m = bt.shape[0], n = bt.shape[1], mv = have_vt ? vt.shape[1] : 0;
@@ -139,10 +104,12 @@ jacobi_sweeps(PyObject *self, PyObject *args, PyObject *kwargs)
             break;
         }
     }
+    result = Py_BuildValue("(iO)", sweeps_done, converged ? Py_True : Py_False);
+
+done:
     PyBuffer_Release(&bt);
-    if (have_vt)
-        PyBuffer_Release(&vt);
-    return Py_BuildValue("(iO)", sweeps_done, converged ? Py_True : Py_False);
+    PyBuffer_Release(&vt);
+    return result;
 }
 
 /* Stable merge sort of idx[0:n] by decreasing key; tmp holds n entries.
@@ -192,7 +159,7 @@ reflect(double **rows, double *const *vrows, Py_ssize_t p, Py_ssize_t n,
 }
 
 PyDoc_STRVAR(qrcp_doc,
-"qrcp(a, r, q)\n--\n\n"
+"qrcp(a, r, q, /)\n--\n\n"
 "Row-sorted Householder QR with column pivoting: a[:, perm] = q @ r.\n\n"
 "Returns perm, the column permutation as a list.  See jacobi_py.qrcp for\n"
 "the contract.  a (p x n, p >= n) is overwritten as scratch, r (n x n)\n"
@@ -201,34 +168,22 @@ PyDoc_STRVAR(qrcp_doc,
 "writable, C-contiguous 2-d float64 arrays.");
 
 static PyObject *
-qrcp(PyObject *self, PyObject *args, PyObject *kwargs)
+qrcp(PyObject *self, PyObject *args)
 {
-    static char *kwlist[] = {"a", "r", "q", NULL};
     PyObject *a_obj, *r_obj, *q_obj, *result = NULL;
-    Py_buffer a, r, q;
-    int have_q;
-
-    (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OOO:qrcp", kwlist,
-                                     &a_obj, &r_obj, &q_obj))
-        return NULL;
-    if (get_matrix(a_obj, "a", &a) < 0)
-        return NULL;
-    if (get_matrix(r_obj, "r", &r) < 0) {
-        PyBuffer_Release(&a);
-        return NULL;
-    }
-    have_q = q_obj != Py_None;
-    if (have_q && get_matrix(q_obj, "q", &q) < 0) {
-        PyBuffer_Release(&a);
-        PyBuffer_Release(&r);
-        return NULL;
-    }
-
-    Py_ssize_t p = a.shape[0], n = a.shape[1];
+    Py_buffer a = {0}, r = {0}, q = {0};
     Py_ssize_t *order = NULL, *perm = NULL;
     double **rows = NULL, **qrows = NULL, *norm2 = NULL, *cn = NULL, *tau = NULL, *w = NULL;
 
+    (void)self;
+    if (!PyArg_ParseTuple(args, "OOO:qrcp", &a_obj, &r_obj, &q_obj)
+        || get_array(a_obj, "a", 2, 2, 1, &a) < 0
+        || get_array(r_obj, "r", 2, 2, 1, &r) < 0
+        || (q_obj != Py_None && get_array(q_obj, "q", 2, 2, 1, &q) < 0))
+        goto done;
+
+    int have_q = q_obj != Py_None;
+    Py_ssize_t p = a.shape[0], n = a.shape[1];
     if (p < n)
         PyErr_Format(PyExc_ValueError, "a must not be wide, got %zd x %zd", p, n);
     else if (r.shape[0] != n || r.shape[1] != n)
@@ -342,77 +297,13 @@ done:
     PyMem_Free(norm2);
     PyBuffer_Release(&a);
     PyBuffer_Release(&r);
-    if (have_q)
-        PyBuffer_Release(&q);
+    PyBuffer_Release(&q);
     return result;
 }
 
-/* Defined in _reprfmt.cpp. */
-PyObject *reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs);
-PyObject *reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs);
-
-PyDoc_STRVAR(format_rows_doc,
-"format_rows(values, start, stop)\n--\n\n"
-"Rows [start, stop) of values as a tuple of two strs, split at start +\n"
-"(stop - start) // 2, each row followed by CRLF.  Row i is str(i), its\n"
-"index in values, then its cells, each equal to repr(float(x)) after a\n"
-"comma.  values must be a C-contiguous 2-d float64 array and 0 <= start\n"
-"<= stop <= len(values).  The second half is formatted on a second\n"
-"thread, the GIL released; a call on the whole of values or on fewer\n"
-"than 2 rows returns (text, \"\") and starts no thread.  See\n"
-"reprfmt_py.format_rows for the fallback.");
-
-PyDoc_STRVAR(format_points_doc,
-"format_points(xs, ys)\n--\n\n"
-"The points of an SVG polyline as one str: \"x,y\" per point, joined by\n"
-"single spaces, each coordinate equal to \"%.6g\" % x (a NaN prints\n"
-"\"nan\").  xs and ys must be C-contiguous 1-d float64 arrays of one\n"
-"length.  See reprfmt_py.format_points for the fallback.");
-
-/* Defined in _batchnorm.c. */
-PyObject *batchnorm_batch_norm(PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-PyObject *batchnorm_batch_norm_vjp(PyObject *self, PyObject *const *args, Py_ssize_t nargs);
-PyObject *batchnorm_row_sums(PyObject *self, PyObject *x);
-
-PyDoc_STRVAR(batch_norm_doc,
-"batch_norm(x, gamma, beta, running_mean, running_var, training, /)\n--\n\n"
-"Batch norm of each feature of x over its rows: (out, xhat, s), with s of\n"
-"shape x.shape[:-2] + (1, features).  x is a C-contiguous (rows,\n"
-"features) float64 array or a (k, rows, features) stack of them; gamma,\n"
-"beta and the running buffers are (features,) or (k, features) float64\n"
-"arrays of any strides.  In training the batch statistics normalize and\n"
-"the running buffers are updated in place; in eval the running\n"
-"statistics normalize.  Every sum over rows takes numpy's order, so the\n"
-"bits equal batchnorm_py.batch_norm's, the fallback.");
-
-PyDoc_STRVAR(batch_norm_vjp_doc,
-"batch_norm_vjp(g, xhat, s, gamma, training, /)\n--\n\n"
-"(dx, dgamma, dbeta) of batch_norm from the gradient g of its output and\n"
-"its xhat and s.  g and xhat are C-contiguous float64 arrays of x's\n"
-"shape, s is batch_norm's, gamma as there.  The bits equal\n"
-"batchnorm_py.batch_norm_vjp's, the fallback.");
-
-PyDoc_STRVAR(row_sums_doc,
-"row_sums(x, /)\n--\n\n"
-"x.sum(axis=-2) of a C-contiguous float64 array of 2 or more dims, with\n"
-"numpy's bits: rows added in order from +0.0 for two or more features,\n"
-"+0.0 plus numpy's pairwise sum of the column for one.  See\n"
-"batchnorm_py.row_sums for the fallback.");
-
 static PyMethodDef methods[] = {
-    {"jacobi_sweeps", (PyCFunction)(void (*)(void))jacobi_sweeps,
-     METH_VARARGS | METH_KEYWORDS, jacobi_sweeps_doc},
-    {"qrcp", (PyCFunction)(void (*)(void))qrcp,
-     METH_VARARGS | METH_KEYWORDS, qrcp_doc},
-    {"format_rows", (PyCFunction)(void (*)(void))reprfmt_format_rows,
-     METH_VARARGS | METH_KEYWORDS, format_rows_doc},
-    {"format_points", (PyCFunction)(void (*)(void))reprfmt_format_points,
-     METH_VARARGS | METH_KEYWORDS, format_points_doc},
-    {"batch_norm", (PyCFunction)(void (*)(void))batchnorm_batch_norm, METH_FASTCALL,
-     batch_norm_doc},
-    {"batch_norm_vjp", (PyCFunction)(void (*)(void))batchnorm_batch_norm_vjp, METH_FASTCALL,
-     batch_norm_vjp_doc},
-    {"row_sums", batchnorm_row_sums, METH_O, row_sums_doc},
+    {"jacobi_sweeps", jacobi_sweeps, METH_VARARGS, jacobi_sweeps_doc},
+    {"qrcp", qrcp, METH_VARARGS, qrcp_doc},
     {NULL, NULL, 0, NULL}
 };
 
@@ -429,5 +320,10 @@ static struct PyModuleDef module = {
 PyMODINIT_FUNC
 PyInit__jacobi(void)
 {
-    return PyModule_Create(&module);
+    PyObject *m = PyModule_Create(&module);
+
+    if (m != NULL && (PyModule_AddFunctions(m, reprfmt_methods) < 0
+                      || PyModule_AddFunctions(m, batchnorm_methods) < 0))
+        Py_CLEAR(m);
+    return m;
 }

@@ -29,12 +29,11 @@
  * format_points writes the "x,y x,y ..." points of an SVG polyline, each
  * coordinate as Python's "%.6g" % x: std::to_chars(chars_format::general,
  * 6) is printf's %.6g, which is what CPython's %-format computes, except
- * that a NaN of either sign prints "nan".  Both functions are listed in
- * _jacobi.c's method table.
+ * that a NaN of either sign prints "nan".  reprfmt_methods, at the end,
+ * lists both functions for _jacobi.c's module.
  */
 
-#define PY_SSIZE_T_CLEAN
-#include <Python.h>
+#include "_buffer.h"
 
 #include <charconv>
 #include <cmath>
@@ -220,58 +219,28 @@ write_g6(double x, char *out)
     return std::to_chars(out, out + MAX_G6, x, std::chars_format::general, 6).ptr;
 }
 
-/* Fill view (released by the caller) from a C-contiguous 1-d float64
- * buffer and return 0, or return -1 with ValueError naming it. */
-int
-checked_vector(PyObject *obj, const char *name, Py_buffer *view)
+PyDoc_STRVAR(format_rows_doc,
+"format_rows(values, start, stop, /)\n--\n\n"
+"Rows [start, stop) of values as a tuple of two strs, split at start +\n"
+"(stop - start) // 2, each row followed by CRLF.  Row i is str(i), its\n"
+"index in values, then its cells, each equal to repr(float(x)) after a\n"
+"comma.  values must be a C-contiguous 2-d float64 array and 0 <= start\n"
+"<= stop <= len(values).  The second half is formatted on a second\n"
+"thread, the GIL released; a call on the whole of values or on fewer\n"
+"than 2 rows returns (text, \"\") and starts no thread.  See\n"
+"reprfmt_py.format_rows for the fallback.");
+
+PyObject *
+format_rows(PyObject *, PyObject *args)
 {
-    if (PyObject_GetBuffer(obj, view, PyBUF_RECORDS_RO) < 0)
-        return -1;
-    if (view->ndim == 1 && view->format != NULL && std::strcmp(view->format, "d") == 0
-            && PyBuffer_IsContiguous(view, 'C'))
-        return 0;
-    PyErr_Format(PyExc_ValueError, "%s must be a C-contiguous 1-d float64 array", name);
-    PyBuffer_Release(view);
-    return -1;
-}
+    PyObject *values_obj, *result = NULL;
+    Py_ssize_t start, stop, n_rows;
+    Py_buffer values = {};
 
-/* Fill view (released by the caller) from a C-contiguous 2-d float64
- * buffer and return 0, or return -1 with an exception set. */
-int
-checked_matrix(PyObject *values_obj, Py_buffer *view)
-{
-    if (PyObject_GetBuffer(values_obj, view, PyBUF_RECORDS_RO) < 0)
-        return -1;
-    if (view->ndim != 2)
-        PyErr_SetString(PyExc_ValueError, "values must be 2-d");
-    else if (view->format == NULL || std::strcmp(view->format, "d") != 0)
-        PyErr_SetString(PyExc_ValueError, "values must hold float64");
-    else if (!PyBuffer_IsContiguous(view, 'C'))
-        PyErr_SetString(PyExc_ValueError, "values must be C-contiguous");
-    else
-        return 0;
-    PyBuffer_Release(view);
-    return -1;
-}
-
-}  // namespace
-
-extern "C" PyObject *
-reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static const char *kwlist[] = {"values", "start", "stop", NULL};
-    PyObject *values_obj;
-    Py_ssize_t start, stop;
-    Py_buffer view;
-
-    (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "Onn:format_rows",
-                                     const_cast<char **>(kwlist), &values_obj, &start, &stop))
-        return NULL;
-    if (checked_matrix(values_obj, &view) < 0)
-        return NULL;
-    PyObject *result = NULL;
-    Py_ssize_t n_rows = view.shape[0];
+    if (!PyArg_ParseTuple(args, "Onn:format_rows", &values_obj, &start, &stop)
+        || get_array(values_obj, "values", 2, 2, 0, &values) < 0)
+        goto done;
+    n_rows = values.shape[0];
     if (0 <= start && start <= stop && stop <= n_rows) {
         /* the whole matrix, such as a table of one block, and a range of
          * fewer than 2 rows, such as the last block of a table of 128k + 1
@@ -279,36 +248,38 @@ reprfmt_format_rows(PyObject *self, PyObject *args, PyObject *kwargs)
         Py_ssize_t mid = (start == 0 && stop == n_rows) || stop - start < 2
                              ? stop
                              : start + (stop - start) / 2;
-        result = format_row_ranges(static_cast<const double *>(view.buf), view.shape[1], start,
-                                   mid, stop);
+        result = format_row_ranges(static_cast<const double *>(values.buf), values.shape[1],
+                                   start, mid, stop);
     }
     else
         PyErr_Format(PyExc_ValueError,
                      "rows must satisfy 0 <= start <= stop <= %zd, got %zd, %zd", n_rows,
                      start, stop);
-    PyBuffer_Release(&view);
+
+done:
+    PyBuffer_Release(&values);
     return result;
 }
 
-extern "C" PyObject *
-reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs)
-{
-    static const char *kwlist[] = {"xs", "ys", NULL};
-    PyObject *xs_obj, *ys_obj;
-    Py_buffer xs, ys;
+PyDoc_STRVAR(format_points_doc,
+"format_points(xs, ys, /)\n--\n\n"
+"The points of an SVG polyline as one str: \"x,y\" per point, joined by\n"
+"single spaces, each coordinate equal to \"%.6g\" % x (a NaN prints\n"
+"\"nan\").  xs and ys must be C-contiguous 1-d float64 arrays of one\n"
+"length.  See reprfmt_py.format_points for the fallback.");
 
-    (void)self;
-    if (!PyArg_ParseTupleAndKeywords(args, kwargs, "OO:format_points",
-                                     const_cast<char **>(kwlist), &xs_obj, &ys_obj))
-        return NULL;
-    if (checked_vector(xs_obj, "xs", &xs) < 0)
-        return NULL;
-    if (checked_vector(ys_obj, "ys", &ys) < 0) {
-        PyBuffer_Release(&xs);
-        return NULL;
-    }
-    PyObject *text = NULL;
-    Py_ssize_t n = xs.shape[0];
+PyObject *
+format_points(PyObject *, PyObject *args)
+{
+    PyObject *xs_obj, *ys_obj, *text = NULL;
+    Py_ssize_t n;
+    Py_buffer xs = {}, ys = {};
+
+    if (!PyArg_ParseTuple(args, "OO:format_points", &xs_obj, &ys_obj)
+        || get_array(xs_obj, "xs", 1, 1, 0, &xs) < 0
+        || get_array(ys_obj, "ys", 1, 1, 0, &ys) < 0)
+        goto done;
+    n = xs.shape[0];
     /* per point: two cells, the comma between them and a space after */
     if (ys.shape[0] != n)
         PyErr_Format(PyExc_ValueError, "xs has %zd items, ys has %zd", n, ys.shape[0]);
@@ -332,7 +303,17 @@ reprfmt_format_points(PyObject *self, PyObject *args, PyObject *kwargs)
         if (PyUnicode_Resize(&text, out - start) < 0)
             text = NULL;
     }
+
+done:
     PyBuffer_Release(&xs);
     PyBuffer_Release(&ys);
     return text;
 }
+
+}  // namespace
+
+PyMethodDef reprfmt_methods[] = {
+    {"format_rows", format_rows, METH_VARARGS, format_rows_doc},
+    {"format_points", format_points, METH_VARARGS, format_points_doc},
+    {NULL, NULL, 0, NULL}
+};

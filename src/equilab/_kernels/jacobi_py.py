@@ -14,7 +14,7 @@ import math
 import numpy as np
 
 
-def jacobi_sweeps(bt, vt, rel_tol, abs_tol, max_sweeps):
+def jacobi_sweeps(bt, vt, rel_tol, abs_tol, max_sweeps, /):
     """Orthogonalize the rows of bt in place by cyclic Jacobi rotations.
 
     bt holds the working columns of the matrix being factored, one per row
@@ -68,7 +68,7 @@ def _reflect(x, v, tau):
     x -= np.outer(v, w)
 
 
-def qrcp(a, r, q):
+def qrcp(a, r, q, /):
     """Row-sorted Householder QR with column pivoting: a[:, perm] = q @ r.
 
     a is a tall p x n matrix (p >= n), used as scratch: its contents on

@@ -16,7 +16,7 @@ def _checked(obj, ndim, name):
     return np.asarray(view)
 
 
-def format_rows(values, start, stop):
+def format_rows(values, start, stop, /):
     """Rows [start, stop) of values as a one-str tuple, CRLF after each
     row: str(i), its index in values, then each cell's repr(float(x))
     after a comma.  Trace tables repeat values a lot, so repr runs once per
@@ -37,7 +37,7 @@ def format_rows(values, start, stop):
     return ("\r\n".join([*map(",".join, cells), ""]),)
 
 
-def format_points(xs, ys):
+def format_points(xs, ys, /):
     """The points of an SVG polyline as one str: "x,y" per point, joined by
     single spaces, each coordinate "%.6g" % x."""
     xs, ys = _checked(xs, 1, "xs"), _checked(ys, 1, "ys")

@@ -28,15 +28,6 @@ THREAD_VARS = ("OMP_NUM_THREADS", "OPENBLAS_NUM_THREADS", "MKL_NUM_THREADS",
                "BLIS_NUM_THREADS", "VECLIB_MAXIMUM_THREADS", "NUMEXPR_NUM_THREADS")
 
 
-# Characters encoded per write.  Encoding a whole trace file at once held
-# a second copy of its text as bytes (2.8 MB per quad64 arm).  Measured on
-# a 2.8 MB ASCII text (2 vCPU, Python 3.11, 30 writes each): whole 2.7-3.0
-# ms at a 2743 KiB tracemalloc peak; 2**15 chars 3.3 ms at 69 KiB; 2**16
-# 2.8-3.0 ms at 133 KiB; 2**17 2.9 ms at 261 KiB; 2**18 4.6 ms; 2**20
-# 5.6 ms.
-WRITE_SLICE_CHARS = 1 << 16
-
-
 def atomic_write_chunks(path, chunks):
     """Write the strs of the iterable `chunks` to path as UTF-8, one after
     another, via a temp file and rename in the same directory.
@@ -63,13 +54,12 @@ def atomic_write_chunks(path, chunks):
 
 def atomic_write_text(path, text):
     """Write the str text to path as UTF-8, atomically: atomic_write_chunks
-    of its WRITE_SLICE_CHARS-character slices.
+    of the text as one chunk.
 
-    Slicing a str by characters never splits one, so the bytes equal
-    text.encode("utf-8"), and no encoded copy of the whole text exists.
+    Trace files stream through atomic_write_chunks, so the texts written
+    here are small (an SVG plot, a summary CSV, the manifest).
     """
-    atomic_write_chunks(path, (text[start:start + WRITE_SLICE_CHARS]
-                               for start in range(0, len(text), WRITE_SLICE_CHARS)))
+    atomic_write_chunks(path, (text,))
 
 
 @functools.cache

@@ -168,9 +168,7 @@ def svd(a):
     # T P = Q R and the sweep gives R^T = W diag(sigma) J with J = vt, so
     # T = (Q J^T) diag(sigma) (P W)^T
     bt, vt, q, perm, transposed = _jacobi(a, with_vectors=True)
-    sig = np.sqrt(np.einsum("ij,ij->i", bt, bt))
-    order = np.argsort(-sig, kind="stable")
-    sig = sig[order]
+    sig, order = _sorted_norms(bt)
     safe = np.where(sig > 0.0, sig, 1.0)
     w = _complete_zero_columns((bt[order] / safe[:, None]).T, sig)
     v_t = np.empty_like(w)  # (k, k), columns are right singular vectors of T
@@ -201,11 +199,18 @@ def _canonical_signs(u, vt):
     u[:, flip] = -u[:, flip]
 
 
+def _sorted_norms(bt):
+    """(sigma, order): the row norms of the swept bt, which are the
+    singular values, in descending order, and the stable order of bt's
+    rows that sorts them."""
+    sig = np.sqrt(np.einsum("ij,ij->i", bt, bt))
+    order = np.argsort(-sig, kind="stable")
+    return sig[order], order
+
+
 def _singular_values(a):
     """svd(a).sigma, bit for bit, from a sweep that builds no vectors."""
-    bt = _jacobi(a, with_vectors=False)[0]
-    sig = np.sqrt(np.einsum("ij,ij->i", bt, bt))
-    return sig[np.argsort(-sig, kind="stable")]
+    return _sorted_norms(_jacobi(a, with_vectors=False)[0])[0]
 
 
 def condition_number(a):

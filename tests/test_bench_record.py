@@ -70,14 +70,15 @@ def make_checkout(path, monkeypatch):
 
 @pytest.fixture
 def paired(bench_record, tmp_path, monkeypatch):
-    """(base, checkout, output directory, list of run_once calls); run_once
+    """(base, checkout, records directory, list of run_once calls); run_once
     is replaced by a fake that records (checkout name, workload, seed) and
     reports the compiled backend and its checkout's name."""
     base = make_checkout(tmp_path / "base", monkeypatch)
     head = make_checkout(tmp_path / "head", monkeypatch)
-    out = tmp_path / "out"
-    out.mkdir()
-    monkeypatch.setattr(bench_record, "ROOT", out)
+    root = tmp_path / "out"
+    out = root / bench_record.RECORDS
+    out.mkdir(parents=True)
+    monkeypatch.setattr(bench_record, "ROOT", root)
     calls = []
 
     def run_once(checkout, workload, seed, seconds):
@@ -319,31 +320,59 @@ def test_table_prints_each_record_in_the_order_history_added_it(bench_record, tm
     monkeypatch.setattr(bench_record, "ROOT", tmp_path)
     calls = []
     monkeypatch.setattr(bench_record, "run_once", lambda *args: calls.append(args))
-    records = {"BENCH_zz.json": synthetic_record("zz", "compiled",
-                                                 {"w1": (0.25, 40.5, 0.16),
-                                                  "w2": (0.0031, 39.125, 0.2)},
-                                                 partner="aa-python"),
-               "BENCH_aa-python.json": synthetic_record("aa-python", "python",
-                                                        {"w1": (0.5, 41.0, 0.1875)})}
+    records = tmp_path / bench_record.RECORDS
+    records.mkdir()
+    contents = {"BENCH_zz.json": synthetic_record("zz", "compiled",
+                                                  {"w1": (0.25, 40.5, 0.16),
+                                                   "w2": (0.0031, 39.125, 0.2)},
+                                                  partner="aa-python"),
+                "BENCH_aa-python.json": synthetic_record("aa-python", "python",
+                                                         {"w1": (0.5, 41.0, 0.1875)}),
+                "BENCH_a0.json": synthetic_record("a0", "compiled", {"w2": (2.0, 3.0, 4.0)})}
     rows = {"zz": "| zz | aa-python | 1 | compiled | 0.25 / 40.50 / 0.160 | "
                   "0.0031 / 39.12 / 0.200 |",
-            "aa-python": "| aa-python | - | 1 | python | 0.5 / 41.00 / 0.188 | - |"}
+            "aa-python": "| aa-python | - | 1 | python | 0.5 / 41.00 / 0.188 | - |",
+            "a0": "| a0 | - | 1 | compiled | - | 2 / 3.00 / 4.000 |",
+            "new": "| new | - | 1 | compiled | - | 1 / 2.00 / 3.000 |"}
     header = ["| label | partner | seed | backend | w1: run_s / peak_rss_mb / setup_s | "
               "w2: run_s / peak_rss_mb / setup_s |", "|---|---|---|---|---|---|"]
-    for name, rec in records.items():
-        (tmp_path / name).write_text(json.dumps(rec), encoding="utf-8")
-    # not a git checkout: by name
-    bench_record.main(["--table"])
-    assert capsys.readouterr().out.splitlines() == header + [rows["aa-python"], rows["zz"]]
-    # zz committed first, aa-python then; an uncommitted record comes last
-    for args in (["init", "-q"], ["add", "BENCH_zz.json"], ["commit", "-q", "-m", "zz"],
-                 ["add", "BENCH_aa-python.json"], ["commit", "-q", "-m", "aa"]):
+
+    def git(*args):
         subprocess.run(["git", "-c", "user.name=t", "-c", "user.email=t@t",
                         "-c", "commit.gpgsign=false", *args],
                        cwd=tmp_path, check=True, capture_output=True)
-    (tmp_path / "BENCH_new.json").write_text(json.dumps(synthetic_record(
+
+    def table():
+        bench_record.main(["--table"])
+        return capsys.readouterr().out.splitlines()[2:]
+
+    for name in ("BENCH_zz.json", "BENCH_aa-python.json"):
+        (records / name).write_text(json.dumps(contents[name]), encoding="utf-8")
+    # not a git checkout: by name
+    assert table() == [rows["aa-python"], rows["zz"]]
+    # the records start at the root, as they did before the layout change:
+    # zz committed first, aa-python then; the table reads only the directory
+    for name in ("BENCH_zz.json", "BENCH_aa-python.json"):
+        (records / name).rename(tmp_path / name)
+    git("init", "-q")
+    git("add", "BENCH_zz.json")
+    git("commit", "-q", "-m", "zz")
+    git("add", "BENCH_aa-python.json")
+    git("commit", "-q", "-m", "aa")
+    assert table() == []
+    # one commit moves both into the directory, and a0 is committed after
+    # the move: the order stays the one history first added each name in
+    git("mv", "BENCH_zz.json", "BENCH_aa-python.json", bench_record.RECORDS)
+    git("commit", "-q", "-m", "move")
+    assert table() == [rows["zz"], rows["aa-python"]]
+    (records / "BENCH_a0.json").write_text(json.dumps(contents["BENCH_a0.json"]),
+                                           encoding="utf-8")
+    git("add", "-A")
+    git("commit", "-q", "-m", "a0")
+    # an uncommitted record comes last
+    (records / "BENCH_new.json").write_text(json.dumps(synthetic_record(
         "new", "compiled", {"w2": (1.0, 2.0, 3.0)})), encoding="utf-8")
     bench_record.main(["--table"])
     assert capsys.readouterr().out.splitlines() == header + [
-        rows["zz"], rows["aa-python"], "| new | - | 1 | compiled | - | 1 / 2.00 / 3.000 |"]
+        rows["zz"], rows["aa-python"], rows["a0"], rows["new"]]
     assert calls == []

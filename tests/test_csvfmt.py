@@ -366,7 +366,8 @@ def check_rejections(format_rows):
 def check_range_rejections(format_rows):
     """format_rows rejects (ValueError) a row range outside 0 <= start <=
     stop <= len(values), and (TypeError) a missing or non-integer bound or
-    a keyword it does not take; returns how many cases were checked."""
+    any keyword, since it takes its arguments by position only; returns
+    how many cases were checked."""
     values = np.zeros((3, 2))
     bad_ranges = [(-1, 0), (-1, -1), (2, 1), (0, -1), (0, 4), (4, 4)]
     for start, stop in bad_ranges:
@@ -377,7 +378,10 @@ def check_range_rejections(format_rows):
         raise AssertionError(f"rows {start}, {stop}: no ValueError")
     bad_calls = {"no stop": lambda: format_rows(values, 0),
                  "a float bound": lambda: format_rows(values, 0, 2.0),
-                 "a keyword beyond stop": lambda: format_rows(values, 0, 2, sep=",")}
+                 "a keyword beyond stop": lambda: format_rows(values, 0, 2, sep=","),
+                 "values by keyword": lambda: format_rows(values=values, start=0, stop=2),
+                 "start by keyword": lambda: format_rows(values, start=0, stop=2),
+                 "stop by keyword": lambda: format_rows(values, 0, stop=2)}
     for name, call in bad_calls.items():
         try:
             call()
@@ -458,7 +462,7 @@ def test_concurrent_calls(impl):
 
 @pytest.mark.parametrize("impl", IMPLS)
 def test_rejects_bad_ranges(impl):
-    assert run_check(impl, check_range_rejections, "format_rows") == "9"
+    assert run_check(impl, check_range_rejections, "format_rows") == "12"
 
 
 @pytest.mark.parametrize("impl", IMPLS)

@@ -175,8 +175,10 @@ def test_compiled_kernel_matches_reference(shape):
     assert proc.returncode == 0, proc.stderr
 
 
-# Each case must raise ValueError before the kernel touches memory.  Without
-# the row check the last one writes past vt and crashes the interpreter.
+# Each case must raise ValueError before the kernel touches memory, with a
+# message that starts with the name of the argument at fault (the case's
+# first word).  Without the row check "vt with fewer rows" writes past vt
+# and crashes the interpreter.
 _BAD_INPUTS = """
 import numpy as np
 from equilab._kernels._jacobi import jacobi_sweeps
@@ -184,25 +186,29 @@ from equilab._kernels._jacobi import jacobi_sweeps
 read_only = np.eye(4)
 read_only.flags.writeable = False
 cases = {
-    "float32 bt": (np.eye(4, dtype=np.float32), np.eye(4)),
-    "non-contiguous bt": (np.eye(8)[::2, ::2], np.eye(4)),
-    "read-only bt": (read_only, np.eye(4)),
-    "3-d vt": (np.eye(4), np.eye(4)[:, :, None]),
+    "bt float32": (np.eye(4, dtype=np.float32), np.eye(4)),
+    "bt non-contiguous": (np.eye(8)[::2, ::2], np.eye(4)),
+    "bt read-only": (read_only, np.eye(4)),
+    "vt 3-d": (np.eye(4), np.eye(4)[:, :, None]),
     "vt with fewer rows": (np.random.default_rng(0).standard_normal((6, 6)), np.eye(2)),
-    "float32 bt, no vt": (np.eye(4, dtype=np.float32), None),
-    "read-only bt, no vt": (read_only, None),
+    "bt float32, no vt": (np.eye(4, dtype=np.float32), None),
+    "bt read-only, no vt": (read_only, None),
 }
 for name, (bt, vt) in cases.items():
     try:
         jacobi_sweeps(bt, vt, 1e-15, 0.0, 60)
     except ValueError as exc:
         print(f"{name}: {exc}")
+        if not str(exc).startswith(name.split()[0] + " "):
+            raise SystemExit(f"{name}: the message names another argument")
     else:
         raise SystemExit(f"{name}: no ValueError")
 """
 
 
-# Each case must raise ValueError before qrcp writes to any buffer.
+# Each case must raise ValueError before qrcp writes to any buffer, with a
+# message that starts with the name of the argument at fault (the case's
+# first word).
 _BAD_QRCP_INPUTS = """
 import numpy as np
 from equilab._kernels._jacobi import qrcp
@@ -210,18 +216,20 @@ from equilab._kernels._jacobi import qrcp
 read_only = np.eye(4)
 read_only.flags.writeable = False
 cases = {
-    "float32 a": (np.eye(4, dtype=np.float32), np.empty((4, 4)), None),
-    "non-contiguous a": (np.eye(8)[::2, ::2], np.empty((4, 4)), None),
-    "read-only a": (read_only, np.empty((4, 4)), None),
+    "a float32": (np.eye(4, dtype=np.float32), np.empty((4, 4)), None),
+    "a non-contiguous": (np.eye(8)[::2, ::2], np.empty((4, 4)), None),
+    "a read-only": (read_only, np.empty((4, 4)), None),
     "r of the wrong shape": (np.ones((6, 4)), np.empty((3, 3)), None),
     "q of the wrong shape": (np.ones((6, 4)), np.empty((4, 4)), np.empty((4, 4))),
-    "wide a": (np.ones((3, 5)), np.empty((5, 5)), np.empty((3, 5))),
+    "a wide": (np.ones((3, 5)), np.empty((5, 5)), np.empty((3, 5))),
 }
 for name, (a, r, q) in cases.items():
     try:
         qrcp(a, r, q)
     except ValueError as exc:
         print(f"{name}: {exc}")
+        if not str(exc).startswith(name.split()[0] + " "):
+            raise SystemExit(f"{name}: the message names another argument")
     else:
         raise SystemExit(f"{name}: no ValueError")
 """
@@ -297,7 +305,8 @@ def test_pure_python_env_selects_fallback():
 @needs_compiled
 def test_entry_points_have_one_signature_on_both_backends():
     # a C function's signature is the first line of its docstring, so a
-    # docstring that names another function or other parameters fails here
+    # docstring that names another function or other parameters fails here;
+    # every entry point takes its arguments by position only
     from equilab import _kernels
     from equilab._kernels import batchnorm_py, jacobi_py, reprfmt_py
 
@@ -309,6 +318,7 @@ def test_entry_points_have_one_signature_on_both_backends():
         compiled = inspect.signature(getattr(_jacobi, name)).parameters
         assert ([(p.name, p.kind) for p in compiled.values()]
                 == [(p.name, p.kind) for p in inspect.signature(fallback).parameters.values()]), name
+        assert all(p.kind is p.POSITIONAL_ONLY for p in compiled.values()), name
 
 
 @needs_compiled
@@ -430,7 +440,9 @@ def test_compiled_batch_norm_and_row_sums_equal_the_fallback():
     assert proc.stdout.split() == [str(4 * 11 * 4 * 2 * 2)]
 
 
-# Each case must raise before the kernel reads or writes a buffer.
+# Each case must raise before the kernel reads or writes a buffer, with a
+# message that starts with the name of the argument at fault (the case's
+# first word).
 _BAD_BATCH_NORM_INPUTS = """
 import numpy as np
 from equilab._kernels._jacobi import batch_norm, batch_norm_vjp, row_sums
@@ -439,28 +451,30 @@ x, v, s = np.ones((4, 3)), np.ones(3), np.ones((1, 3))
 read_only = np.ones(3)
 read_only.flags.writeable = False
 cases = {
-    "float32 x": lambda: batch_norm(x.astype(np.float32), v, v, v.copy(), v.copy(), True),
-    "non-contiguous x": lambda: batch_norm(np.ones((4, 6))[:, ::2], v, v, v.copy(), v.copy(),
+    "x float32": lambda: batch_norm(x.astype(np.float32), v, v, v.copy(), v.copy(), True),
+    "x non-contiguous": lambda: batch_norm(np.ones((4, 6))[:, ::2], v, v, v.copy(), v.copy(),
                                            True),
-    "1-d x": lambda: batch_norm(v, v, v, v.copy(), v.copy(), True),
-    "4-d x": lambda: batch_norm(np.ones((2, 2, 4, 3)), v, v, v.copy(), v.copy(), True),
-    "short gamma": lambda: batch_norm(x, v[:2], v, v.copy(), v.copy(), True),
-    "stacked gamma, 2-d x": lambda: batch_norm(x, np.ones((1, 3)), v, v.copy(), v.copy(), True),
+    "x 1-d": lambda: batch_norm(v, v, v, v.copy(), v.copy(), True),
+    "x 4-d": lambda: batch_norm(np.ones((2, 2, 4, 3)), v, v, v.copy(), v.copy(), True),
+    "gamma short": lambda: batch_norm(x, v[:2], v, v.copy(), v.copy(), True),
+    "gamma stacked, x 2-d": lambda: batch_norm(x, np.ones((1, 3)), v, v.copy(), v.copy(), True),
     "gamma of another stack": lambda: batch_norm(np.ones((2, 4, 3)), np.ones((3, 3)),
                                                  np.ones((2, 3)), np.ones((2, 3)),
                                                  np.ones((2, 3)), True),
-    "read-only running_var": lambda: batch_norm(x, v, v, v.copy(), read_only, True),
+    "running_var read-only": lambda: batch_norm(x, v, v, v.copy(), read_only, True),
     "xhat of another shape": lambda: batch_norm_vjp(x, np.ones((5, 3)), s, v, True),
     "s with two rows": lambda: batch_norm_vjp(x, x, np.ones((2, 3)), v, True),
-    "float32 gamma": lambda: batch_norm_vjp(x, x, s, v.astype(np.float32), True),
-    "1-d row_sums": lambda: row_sums(v),
-    "non-contiguous row_sums": lambda: row_sums(np.ones((4, 6))[:, ::2]),
+    "gamma float32": lambda: batch_norm_vjp(x, x, s, v.astype(np.float32), True),
+    "x 1-d, row_sums": lambda: row_sums(v),
+    "x non-contiguous, row_sums": lambda: row_sums(np.ones((4, 6))[:, ::2]),
 }
 for name, call in cases.items():
     try:
         call()
     except ValueError as exc:
         print(f"{name}: {exc}")
+        if not str(exc).startswith(name.split()[0] + " "):
+            raise SystemExit(f"{name}: the message names another argument")
     else:
         raise SystemExit(f"{name}: no ValueError")
 try:

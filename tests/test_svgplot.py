@@ -82,6 +82,21 @@ def check_rejections(format_points):
     return len(REJECTED)
 
 
+def check_keyword_rejections(format_points):
+    """format_points takes its arguments by position only: each one passed
+    by keyword raises TypeError; returns how many cases were checked."""
+    xs = ys = np.zeros(2)
+    bad_calls = {"xs": lambda: format_points(xs=xs, ys=ys),
+                 "ys": lambda: format_points(xs, ys=ys)}
+    for name, call in bad_calls.items():
+        try:
+            call()
+        except TypeError:
+            continue
+        raise AssertionError(f"{name} by keyword: no TypeError")
+    return len(bad_calls)
+
+
 def run_check(impl, check):
     """check(format_points) on equilab._kernels.<impl>'s, as a str: in this
     interpreter for the numpy fallback, in a fresh one for the compiled
@@ -112,6 +127,11 @@ def test_compiled_points_equal_percent_g():
 @pytest.mark.parametrize("impl", IMPLS)
 def test_points_reject_bad_input(impl):
     assert run_check(impl, check_rejections) == str(len(REJECTED))
+
+
+@pytest.mark.parametrize("impl", IMPLS)
+def test_points_reject_keywords(impl):
+    assert run_check(impl, check_keyword_rejections) == "2"
 
 
 @pytest.fixture(params=IMPLS)

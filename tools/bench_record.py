@@ -1,4 +1,4 @@
-"""Record the benchmark's end-to-end metrics as BENCH_<label>.json.
+"""Record the benchmark's end-to-end metrics as bench_records/BENCH_<label>.json.
 
     python3 tools/bench_record.py [--checkout DIR] [--label LABEL] [--base DIR]
                                   [--runs N] [--seed S]
@@ -9,8 +9,9 @@ one this script lives in) N times (default 5) per workload at seed S
 (default 1),
 taking the workloads, the run length and the end-to-end metric names from
 that checkout's BENCHMARK.json.  The workloads take turns, one run each per round, so slow
-spells of a shared host spread over all of them.  The file is written at
-the root of the repository this script lives in and holds:
+spells of a shared host spread over all of them.  The file is written in
+the bench_records directory of the repository this script lives in and
+holds:
 
   checkout_commit, checkout_tree
              the checkout's HEAD commit and that commit's tree id (`git
@@ -51,11 +52,13 @@ records of one commit at two seeds do not collide.  The file is a record, not a 
 BENCH_<label>.json the invocation would write already exists, it exits
 before the first run and overwrites nothing.
 
-With --table it runs nothing and prints the trajectory of the records at
-the root of the repository, one markdown table row per BENCH_*.json in
-the order git history added them (files it has not committed last, by
-name): the label, partner, seed and kernel backend, then per workload
-the medians of run_s, peak_rss_mb and setup_s.
+With --table it runs nothing and prints the trajectory of the records in
+bench_records, one markdown table row per BENCH_*.json in the order git
+history first added its file name, at the root of the repository (where
+records lived before bench_records) or in bench_records, so the move
+kept their order (files it has not committed last, by name): the label,
+partner, seed and kernel backend, then per workload the medians of
+run_s, peak_rss_mb and setup_s.
 """
 
 import argparse
@@ -71,6 +74,8 @@ from pathlib import Path
 from typing import NamedTuple
 
 ROOT = Path(__file__).resolve().parent.parent
+# the directory under the repository root that holds the records
+RECORDS = "bench_records"
 RUNS = 5
 SEED = 1
 
@@ -171,22 +176,23 @@ TABLE_METRICS = (("run_s", ".4g"), ("peak_rss_mb", ".2f"), ("setup_s", ".3f"))
 
 
 def committed_order(root):
-    """The BENCH_*.json names under root in the order git history added
-    them, oldest first; empty when root is not a git checkout."""
+    """The BENCH_*.json file names of the checkout root in the order git
+    history first added each, at root or under RECORDS, oldest first;
+    empty when root is not a git checkout."""
     try:
-        names = git(root, "log", "--reverse", "--diff-filter=A", "--format=", "--name-only",
-                    "--", "BENCH_*.json")
+        paths = git(root, "log", "--reverse", "--no-renames", "--diff-filter=A", "--format=",
+                    "--name-only", "--", "BENCH_*.json", f"{RECORDS}/BENCH_*.json")
     except (OSError, subprocess.CalledProcessError):
         return []
-    return [name for name in names.splitlines() if name]
+    return list(dict.fromkeys(Path(path).name for path in paths.splitlines() if path))
 
 
 def trajectory_table(root):
-    """The markdown table of the BENCH_*.json records at root (see the
-    module docstring for its rows and order)."""
+    """The markdown table of the BENCH_*.json records in root's RECORDS
+    directory (see the module docstring for its rows and order)."""
     order = {name: i for i, name in enumerate(committed_order(root))}
-    paths = sorted(root.glob("BENCH_*.json"), key=lambda p: (order.get(p.name, len(order)),
-                                                             p.name))
+    paths = sorted((root / RECORDS).glob("BENCH_*.json"),
+                   key=lambda p: (order.get(p.name, len(order)), p.name))
     records = [json.loads(p.read_text(encoding="utf-8")) for p in paths]
     workloads = list(dict.fromkeys(w for rec in records for w in rec["workloads"]))
     cell = " / ".join(name for name, _ in TABLE_METRICS)
@@ -251,7 +257,7 @@ def main(argv=None):
         if sides[0].label == sides[1].label:
             raise SystemExit(f"both checkouts would be labelled {sides[0].label}; "
                              "pass --label")
-    outs = [ROOT / f"BENCH_{s.label}.json" for s in sides]
+    outs = [ROOT / RECORDS / f"BENCH_{s.label}.json" for s in sides]
     taken = [str(out) for out in outs if out.exists()]
     if taken:
         raise SystemExit(f"already recorded, move away first: {', '.join(taken)}")
@@ -296,6 +302,7 @@ def main(argv=None):
         for rec, partner in zip(records, sides[::-1]):
             rec["partner"] = partner.label
             rec["session"] = session
+    outs[0].parent.mkdir(exist_ok=True)
     for out, rec in zip(outs, records):
         out.write_text(json.dumps(rec, indent=1) + "\n", encoding="utf-8")
         print(out)
