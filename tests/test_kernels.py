@@ -4,8 +4,8 @@ factors its input and gives the same R without Q, each backend's sweep
 without vt (singular values only) leaves bt as the full sweep does, the
 compiled batch norm and row sums equal the numpy ones bit for bit and
 numpy still sums rows in the order they copy, every entry point has one
-signature on both backends, and EQUILAB_PURE_PYTHON selects the fallback
-kernels and formatters.
+positional-only signature on both backends, and EQUILAB_PURE_PYTHON
+selects the fallback kernels and formatters.
 
 The agreement tests are what catch _jacobi.c and jacobi_py.py drifting
 apart; the compiled-kernel tests run in subprocesses and skip when the
