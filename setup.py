@@ -19,28 +19,34 @@ Batch norm lives in src/equilab/_kernels/_batchnorm.c:
 batch_norm(x, gamma, beta, running_mean, running_var, training) returns
 (out, xhat, s), batch_norm_vjp(g, xhat, s, gamma, training) returns
 (dx, dgamma, dbeta), and row_sums(x) is a bias gradient's
-x.sum(axis=-2).  They keep numpy's bits: only + - * / and sqrt, in the
-fallback's order, and every sum over rows in numpy's order for
-x.sum(axis=-2) on a C-contiguous input, from +0.0: the rows in order
-for two or more features, numpy's pairwise sum (8 accumulators, blocks
-of 128) for one.  Every source is compiled with -ffp-contract=off:
+x.sum(axis=-2).  The rest of a net's training step around its matmuls
+and transcendentals lives in src/equilab/_kernels/_netstep.c: bias_add,
+relu_vjp, tanh_vjp, the loss tails mse_tail and bce_tail, all_finite and
+sgd_step; src/equilab/_kernels/_buffer.c holds the helpers the two
+sources share.  They keep numpy's bits: only + - * / and sqrt, in the
+fallback's order, and every sum in numpy's order from +0.0: over rows
+for x.sum(axis=-2) on a C-contiguous input, the rows in order for two or
+more features, numpy's pairwise sum (8 accumulators, blocks of 128) for
+one, and a loss tail's member mean as numpy's pairwise sum of the
+member's block.  Every source is compiled with -ffp-contract=off:
 without it, a -march with FMA would let the compiler fuse gamma * xhat +
 beta (or a Jacobi rotation's c * x - s * y) into one rounding and move
 the bits.  The extension's entry points are therefore jacobi_sweeps,
-qrcp, format_rows, format_points, batch_norm, batch_norm_vjp and
-row_sums, each with the signature of its numpy fallback in
-src/equilab/_kernels/jacobi_py.py, reprfmt_py.py or batchnorm_py.py;
-equilab._kernels picks one backend for all seven.  Each source defines
-its own entry points, with their docstrings and one method table:
-_jacobi.c holds jacobi_sweeps and qrcp and creates the module, adding
-_reprfmt.cpp's and _batchnorm.c's tables to its own.  They share one
-argument contract, in src/equilab/_kernels/_buffer.h: every argument is
-positional only, and every array is checked by one helper, get_array,
-for float64, C-contiguous, a number of dims and, where the kernel writes
-it, writability, with a ValueError that names the argument (only batch
-norm's strided parameter rows have their own check).  The header is
-listed in the extension's depends, so a build_ext after editing it
-recompiles the sources.  A build needs both
+qrcp, format_rows, format_points, batch_norm, batch_norm_vjp, row_sums
+and _netstep.c's seven, each with the signature of its numpy fallback in
+src/equilab/_kernels/jacobi_py.py, reprfmt_py.py, batchnorm_py.py or
+netstep_py.py; equilab._kernels picks one backend for all fourteen.
+Each source defines its own entry points, with their docstrings and one
+method table: _jacobi.c holds jacobi_sweeps and qrcp and creates the
+module, adding the tables of _reprfmt.cpp, _batchnorm.c and _netstep.c
+to its own.  They share one argument contract, in
+src/equilab/_kernels/_buffer.h: every argument is positional only, and
+every array is checked by one helper, get_array, for float64,
+C-contiguous, a number of dims and, where the kernel writes it,
+writability, with a ValueError that names the argument (only strided
+parameter rows and all_finite's input, of any strides, have their own
+check).  The header is listed in the extension's depends, so a build_ext
+after editing it recompiles the sources.  A build needs both
 compilers and the Python headers, nothing else; if any source fails to
 compile, the whole extension is skipped, so the kernels and the
 formatters fall back together.  Edit the sources directly;
@@ -104,7 +110,9 @@ setup(
     ext_modules=[Extension("equilab._kernels._jacobi",
                            sources=["src/equilab/_kernels/_jacobi.c",
                                     "src/equilab/_kernels/_reprfmt.cpp",
-                                    "src/equilab/_kernels/_batchnorm.c"],
+                                    "src/equilab/_kernels/_batchnorm.c",
+                                    "src/equilab/_kernels/_netstep.c",
+                                    "src/equilab/_kernels/_buffer.c"],
                            depends=["src/equilab/_kernels/_buffer.h"],
                            extra_compile_args=["-pthread", "-ffp-contract=off"],
                            extra_link_args=["-pthread"],

@@ -1,10 +1,12 @@
 /* Compiled kernels of the preconditioned one-sided Jacobi SVD, and the
  * module _jacobi, which adds the method tables of _reprfmt.cpp (the text
- * formatters format_rows and format_points) and _batchnorm.c (batch_norm,
- * batch_norm_vjp and row_sums) to its own.  Each source defines its entry
- * points and their docstrings, whose first line is the signature of the
- * entry point's numpy fallback (jacobi_py, reprfmt_py, batchnorm_py);
- * _buffer.h holds the argument contract they share.
+ * formatters format_rows and format_points), _batchnorm.c (batch_norm,
+ * batch_norm_vjp and row_sums) and _netstep.c (bias_add, relu_vjp,
+ * tanh_vjp, mse_tail, bce_tail, all_finite and sgd_step) to its own.  Each
+ * source defines its entry points and their docstrings, whose first line
+ * is the signature of the entry point's numpy fallback (jacobi_py,
+ * reprfmt_py, batchnorm_py, netstep_py); _buffer.h holds the argument
+ * contract they share.
  *
  * Each factorization sorts the rows of the (tall) matrix by decreasing
  * norm, takes a Householder QR with column pivoting (qrcp), then runs the
@@ -311,8 +313,8 @@ static struct PyModuleDef module = {
     PyModuleDef_HEAD_INIT,
     .m_name = "_jacobi",
     .m_doc = "Compiled QRCP and one-sided Jacobi sweep kernels, the\n"
-              "trace-CSV and SVG-polyline formatters, and batch norm and\n"
-              "row sums with numpy's bits.",
+              "trace-CSV and SVG-polyline formatters, and batch norm, row\n"
+              "sums and a net step's elementwise work with numpy's bits.",
     .m_size = -1,
     .m_methods = methods,
 };
@@ -323,7 +325,8 @@ PyInit__jacobi(void)
     PyObject *m = PyModule_Create(&module);
 
     if (m != NULL && (PyModule_AddFunctions(m, reprfmt_methods) < 0
-                      || PyModule_AddFunctions(m, batchnorm_methods) < 0))
+                      || PyModule_AddFunctions(m, batchnorm_methods) < 0
+                      || PyModule_AddFunctions(m, netstep_methods) < 0))
         Py_CLEAR(m);
     return m;
 }

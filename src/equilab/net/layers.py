@@ -12,13 +12,17 @@ standardization/normalization act per output column, i.e. on rows of W^T,
 while equilibration normalizes the rows of W itself, one per *input* unit
 (its outgoing weights).  Conv equilibration is per *output* unit (filter).
 
-Everything is float64 and handwritten numpy; backward passes return exact
-vector-Jacobian products of the forward graph.  Batch norm
-(`_kernels.batch_norm`, `batch_norm_vjp`) and a bias gradient's sum over
-rows (`_kernels.row_sums`) run on the kernel backend, compiled or numpy
-with the same bits: every sum over rows takes numpy's order for
-x.sum(axis=-2), the rows in order from +0.0 for two or more features and
-+0.0 plus numpy's pairwise sum for one.
+Everything is float64; backward passes return exact vector-Jacobian
+products of the forward graph.  The matmuls, im2col/col2im, the weight
+transforms and the activations themselves (np.maximum, np.tanh) are
+numpy.  The rest of a layer's per-step arithmetic runs on the kernel
+backend, compiled or numpy with the same bits: the bias add
+(`_kernels.bias_add`, in place on the matmul's output), batch norm
+(`batch_norm`, `batch_norm_vjp`), the relu and tanh vjps (`relu_vjp`,
+`tanh_vjp`), a bias gradient's sum over rows (`row_sums`) and the
+finiteness test of check_finite (`all_finite`).  Every sum over rows
+takes numpy's order for x.sum(axis=-2), the rows in order from +0.0 for
+two or more features and +0.0 plus numpy's pairwise sum for one.
 
 Parameters of either kind may carry a leading stack axis: w of shape
 (k, in_dim, out_dim) for dense or (k, out_c, in_c, kh, kw) for conv, and
@@ -39,7 +43,8 @@ from dataclasses import dataclass
 import numpy as np
 from numpy.lib.stride_tricks import as_strided
 
-from equilab._kernels import BN_EPS, BN_MOMENTUM, batch_norm, batch_norm_vjp, row_sums
+from equilab._kernels import (BN_EPS, BN_MOMENTUM, all_finite, batch_norm, batch_norm_vjp,
+                              bias_add, relu_vjp, row_sums, tanh_vjp)
 from equilab.errors import DimensionError, NonFiniteActivationError
 
 log = logging.getLogger(__name__)
@@ -90,10 +95,12 @@ def apply_activation(name, z):
 
 
 def activation_vjp(name, z, out, grad):
+    """The gradient grad through the activation at its input z and output
+    out: `_kernels.relu_vjp` or `tanh_vjp`, which take them C-contiguous."""
     if name == "relu":
-        return grad * (z > 0.0)
+        return relu_vjp(z, grad)
     if name == "tanh":
-        return grad * (1.0 - out * out)
+        return tanh_vjp(out, grad)
     return grad
 
 
@@ -318,7 +325,9 @@ class _LayerBase:
     def forward(self, x, training):
         rows, view = self._input_rows(x)
         w_eff_om, wcaches = self._effective_output_major()
-        z = rows @ w_eff_om.swapaxes(-1, -2) + self.b[..., None, :]
+        # matmul allocates z C-contiguous; the bias goes in in place
+        z = rows @ w_eff_om.swapaxes(-1, -2)
+        bias_add(z, self.b)
         bncache = None
         if self.batch_norm:
             z, bncache = bn_forward(z, self.gamma, self.beta,
@@ -512,7 +521,9 @@ class Conv2dLayer(_LayerBase):
 
     def _output_rows(self, grad):
         rows = np.moveaxis(grad, -3, -1)
-        return rows.reshape(rows.shape[:-4] + (-1, self.spec.out_channels))
+        # the reshape copies unless one channel or position lets it view
+        # grad, whose strides may then be a padded slice's
+        return np.ascontiguousarray(rows.reshape(rows.shape[:-4] + (-1, self.spec.out_channels)))
 
 
 def build_layer(spec, rng):
@@ -524,5 +535,5 @@ def build_layer(spec, rng):
 
 
 def check_finite(x, layer_index, stage):
-    if not np.isfinite(x).all():
+    if not all_finite(x):
         raise NonFiniteActivationError(layer_index, stage=stage)

@@ -25,6 +25,7 @@ import dataclasses
 import numpy as np
 
 from equilab import densela
+from equilab._kernels import all_finite
 from equilab.errors import DimensionError, RankDeficientError
 from equilab.net import layers as L
 
@@ -135,7 +136,7 @@ class Network:
             x, cache = layer.forward(x, training)
             if not (training and self._stack):
                 L.check_finite(x, i, "activation")
-            elif not np.isfinite(x).all():
+            elif not all_finite(x):
                 bad = ~np.isfinite(x).reshape(len(x), -1).all(axis=1)
                 # the later layers have not run yet, so these are the old values
                 kept += [(arr, bad, arr[bad]) for later in self.layers[i + 1:]

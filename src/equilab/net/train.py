@@ -9,10 +9,14 @@ instead of assumed.
 
 Wall-clock timings live only on the in-memory trace (and in run
 manifests); CSV output is fully deterministic for a given config/seed.
+
+The loss tails (`_kernels.mse_tail`, `bce_tail`), the test that every
+member's loss is finite (`all_finite`) and the SGD update with its
+divergence test (`sgd_step`) run on the kernel backend, compiled or numpy
+with the same bits; exp and log1p of the BCE loss stay numpy's.
 """
 
 import hashlib
-import math
 import time
 from dataclasses import dataclass
 
@@ -20,20 +24,11 @@ import numpy as np
 
 from equilab._csvfmt import csv_blocks
 from equilab._heap import keep_freed_heap
+from equilab._kernels import all_finite, bce_tail, mse_tail, sgd_step
 from equilab.errors import DimensionError, NonFiniteError
 
 LOSSES = ("mse", "bce")
 DIVERGENCE_NORM = 1e12
-
-
-def _member_mean(v, y_ndim):
-    """Mean of v over its trailing y_ndim axes: a float, or a (k,) array of
-    member means when v carries a leading stack axis (each member's sum
-    runs over its own contiguous row, as the float's does)."""
-    if v.ndim == y_ndim:
-        return float(v.sum() / v.size)
-    rows = v.reshape(len(v), -1)
-    return rows.sum(axis=1) / rows.shape[1]
 
 
 def mse_loss(pred, y):
@@ -42,28 +37,24 @@ def mse_loss(pred, y):
     pred may carry a leading stack axis over y's shape (a Network holding a
     parameter stack); the loss is then a (k,) array and dpred holds each
     member's gradient, each with the bits of a call on that member alone.
+    The arithmetic is `_kernels.mse_tail`.
     """
-    d = pred - y
-    sq = d * d
-    return _member_mean(sq, np.ndim(y)), 2.0 * d / math.prod(d.shape[d.ndim - np.ndim(y):])
+    return mse_tail(np.asarray(pred, dtype=np.float64, order="C"),
+                    np.asarray(y, dtype=np.float64, order="C"))
 
 
 def bce_loss(z, y):
     """Binary cross entropy on logits, in the stable max(z,0)-z*y+log1p(exp(-|z|))
     form; returns (loss, dz), per member for a stack as in mse_loss.
 
-    With m = min(z, 0) and p = max(z, 0), m - p is -|z| exactly, so
-    e = exp(m - p) = exp(-|z|), and the sigmoid is exp(m)/(1+e): 1/(1+e)
-    for z >= 0 and e/(1+e) below, where exp(m) is e itself.  Neither
-    branch can overflow, and no mask picks between them.
+    e = exp(-|z|) cannot overflow, and the sigmoid is exp(min(z, 0))/(1+e):
+    1/(1+e) for z >= 0 and e/(1+e) below, where exp(min(z, 0)) is e itself,
+    so no branch overflows and no mask picks between them.  exp and log1p
+    are numpy's; the rest is `_kernels.bce_tail`.
     """
-    m = np.minimum(z, 0.0)
-    p = np.maximum(z, 0.0)
-    e = np.exp(m - p)
-    val = p - z * y + np.log1p(e)
-    sig = np.exp(m) / (1.0 + e)
-    y_ndim = np.ndim(y)
-    return _member_mean(val, y_ndim), (sig - y) / math.prod(z.shape[z.ndim - y_ndim:])
+    z = np.asarray(z, dtype=np.float64, order="C")
+    e = np.exp(-np.abs(z))
+    return bce_tail(z, np.asarray(y, dtype=np.float64, order="C"), e, np.log1p(e))
 
 
 def evaluate(net, x, y, loss="mse"):
@@ -73,7 +64,14 @@ def evaluate(net, x, y, loss="mse"):
     if loss == "mse":
         return mse_loss(out, y)[0], None
     val, _ = bce_loss(out, y)
-    return val, _member_mean((out > 0.0) == (y > 0.5), np.ndim(y))
+    # the share of hits as an integer count over the size: hits.mean()
+    # casts the bools through a buffered float reduction, which left about
+    # 140 KB more of the heap resident in a benchmark worker training train7
+    hits = (out > 0.0) == (y > 0.5)
+    if hits.ndim == np.ndim(y):
+        return val, float(hits.sum() / hits.size)
+    rows = hits.reshape(len(hits), -1)
+    return val, rows.sum(axis=1) / rows.shape[1]
 
 
 def loss_and_gradients(net, x, y, loss="mse", training=True):
@@ -280,19 +278,18 @@ def train(net, x, y, *, loss="mse", lr=0.01, momentum=0.0, epochs=10,
                 t0 = time.perf_counter()
                 val, grads = loss_and_gradients(net, xb, yb, loss=loss)
                 g = net.grads_to_vector(grads)
-                finite = np.isfinite(val)
-                if not finite.all():
+                if not all_finite(val):
+                    finite = np.isfinite(val)
                     leave(~finite, epoch)
                     if not stack.alive.size:
                         break
                     val, g = val[finite], g[finite]
-                stack.step(g)
+                within = stack.step(g)
                 history.step_times.append(time.perf_counter() - t0)
                 history.batch_losses[stack.alive, len(batch_sizes)] = val
                 batch_sizes.append(len(xb))
-                too_large = stack.too_large()
-                if too_large is not None:
-                    leave(too_large, epoch)
+                if not within:
+                    leave(stack.too_large(), epoch)
                     if not stack.alive.size:
                         break
             if not stack.alive.size:
@@ -335,27 +332,25 @@ class _RateStack:
     def __init__(self, net, rates, momentum):
         self.net, self.momentum = net, momentum
         self.alive = np.arange(len(rates))
-        self.lr = rates[:, None]
+        self.lr = rates.copy()  # (k,), C-contiguous, as sgd_step takes it
         self.first_state = None
         net.set_params_vector(np.tile(net.param_buffer, (len(rates), 1)))
         self.velocity = np.zeros(net.param_buffer.shape) if momentum else None
 
     def step(self, g):
-        """One SGD update from the (k, n) gradient stack g."""
+        """One SGD update from the (k, n) gradient stack g,
+        `_kernels.sgd_step`; returns whether every parameter is finite and
+        at most DIVERGENCE_NORM in absolute value afterwards."""
         if self.velocity is not None:
             self.velocity *= self.momentum
             self.velocity += g
             g = self.velocity
-        flat = self.net.param_buffer
-        flat -= self.lr * g
+        return sgd_step(self.net.param_buffer, self.lr, g, DIVERGENCE_NORM)
 
     def too_large(self):
         """(k,) mask of the members with a parameter beyond DIVERGENCE_NORM
-        or non-finite, or None when no member has one."""
-        mags = np.abs(self.net.param_buffer)
-        if mags.max() <= DIVERGENCE_NORM:
-            return None
-        return ~(mags.max(axis=1) <= DIVERGENCE_NORM)
+        or non-finite."""
+        return ~(np.abs(self.net.param_buffer).max(axis=1) <= DIVERGENCE_NORM)
 
     def drop(self, leave):
         """Remove the members where the (k,) mask leave is set."""

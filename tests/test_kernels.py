@@ -2,10 +2,12 @@
 numpy reference and reject buffers they cannot use, each backend's QRCP
 factors its input and gives the same R without Q, each backend's sweep
 without vt (singular values only) leaves bt as the full sweep does, the
-compiled batch norm and row sums equal the numpy ones bit for bit and
-numpy still sums rows in the order they copy, every entry point has one
-positional-only signature on both backends, and EQUILAB_PURE_PYTHON
-selects the fallback kernels and formatters.
+compiled batch norm, row sums and net step kernels (bias add, activation
+vjps, loss tails, finiteness test, SGD update) equal the numpy ones bit
+for bit, numpy still sums in the order they copy and the net step's
+fallback still has the bits of the expressions it replaced, every entry
+point has one positional-only signature on both backends, and
+EQUILAB_PURE_PYTHON selects the fallback kernels and formatters.
 
 The agreement tests are what catch _jacobi.c and jacobi_py.py drifting
 apart; the compiled-kernel tests run in subprocesses and skip when the
@@ -13,6 +15,7 @@ extension is not built (`python3 setup.py build_ext --inplace` builds it).
 """
 
 import inspect
+import itertools
 import os
 import subprocess
 import sys
@@ -292,14 +295,16 @@ def test_pure_python_env_selects_fallback():
          "from equilab.net import layers\n"
          "print(densela.KERNEL_BACKEND, _kernels.jacobi_sweeps.__module__,\n"
          "      _csvfmt.format_rows.__module__, svgplot.format_points.__module__,\n"
-         "      layers.batch_norm.__module__, layers.row_sums.__module__)"],
+         "      layers.batch_norm.__module__, layers.row_sums.__module__,\n"
+         "      layers.bias_add.__module__)"],
         env=env, capture_output=True, text=True, timeout=120)
     assert proc.returncode == 0, proc.stderr
-    # the kernels, the formatters and batch norm switch together
+    # the kernels, the formatters, batch norm and the net step switch together
     assert proc.stdout.split() == ["python", "equilab._kernels.jacobi_py",
                                    "equilab._kernels.reprfmt_py", "equilab._kernels.reprfmt_py",
                                    "equilab._kernels.batchnorm_py",
-                                   "equilab._kernels.batchnorm_py"]
+                                   "equilab._kernels.batchnorm_py",
+                                   "equilab._kernels.netstep_py"]
 
 
 @needs_compiled
@@ -308,12 +313,12 @@ def test_entry_points_have_one_signature_on_both_backends():
     # docstring that names another function or other parameters fails here;
     # every entry point takes its arguments by position only
     from equilab import _kernels
-    from equilab._kernels import batchnorm_py, jacobi_py, reprfmt_py
+    from equilab._kernels import batchnorm_py, jacobi_py, netstep_py, reprfmt_py
 
     entry_points = [name for name in _kernels.__all__ if name != "BACKEND"]
     assert sorted(entry_points) == sorted(n for n in vars(_jacobi) if not n.startswith("_"))
     for name in entry_points:
-        fallback, = [getattr(m, name) for m in (jacobi_py, reprfmt_py, batchnorm_py)
+        fallback, = [getattr(m, name) for m in (jacobi_py, reprfmt_py, batchnorm_py, netstep_py)
                      if hasattr(m, name)]
         compiled = inspect.signature(getattr(_jacobi, name)).parameters
         assert ([(p.name, p.kind) for p in compiled.values()]
@@ -491,3 +496,236 @@ def test_compiled_batch_norm_rejects_bad_buffers():
     proc = _run_compiled(_BAD_BATCH_NORM_INPUTS)
     assert proc.returncode == 0, proc.stderr
     assert len(proc.stdout.splitlines()) == 13, proc.stdout
+
+
+# the values a net step must carry through bit for bit: signed zeros, NaN
+# of both signs, infinities, logits whose exp(-|z|) underflows (|z| >= 710)
+# and subnormals
+_SPECIAL = [0.0, -0.0, float("nan"), -float("nan"), float("inf"), -float("inf"), 710.0, -710.0,
+            745.5, -745.5, 5e-324, -5e-324, 2.2e-308, -1e-310, 1e300, -1e300]
+
+
+def _net_values(rng, shape, special):
+    """Normal values over six decades, with the special values spread over
+    random entries when asked."""
+    import numpy as np
+
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-3, 3, shape)
+    if special:
+        flat = v.reshape(-1)
+        at = rng.choice(flat.size, min(flat.size, len(_SPECIAL)), replace=False)
+        flat[at] = [_SPECIAL[i] for i in rng.permutation(len(_SPECIAL))[:len(at)]]
+    return v
+
+
+def _net_bits(*arrays):
+    import numpy as np
+
+    return [(np.shape(a), np.asarray(a).dtype.str, np.ascontiguousarray(a).tobytes())
+            for a in arrays]
+
+
+@pytest.mark.parametrize("special", [False, True], ids=["normal", "special"])
+def test_netstep_fallback_has_the_bits_of_the_expressions_it_replaced(special):
+    # the net's elementwise step before the kernels took it over, kept here
+    # as the reference: netstep_py must give its bits on every backend-free
+    # case, so the compiled kernel, which equals netstep_py, gives them too
+    import math
+
+    import numpy as np
+
+    from equilab._kernels import netstep_py
+
+    def member_mean(v, y_ndim):
+        if v.ndim == y_ndim:
+            return float(v.sum() / v.size)
+        rows = v.reshape(len(v), -1)
+        return rows.sum(axis=1) / rows.shape[1]
+
+    def mse_loss(pred, y):
+        d = pred - y
+        sq = d * d
+        return member_mean(sq, np.ndim(y)), 2.0 * d / math.prod(d.shape[d.ndim - np.ndim(y):])
+
+    def bce_loss(z, y):
+        m = np.minimum(z, 0.0)
+        p = np.maximum(z, 0.0)
+        e = np.exp(m - p)
+        val = p - z * y + np.log1p(e)
+        sig = np.exp(m) / (1.0 + e)
+        y_ndim = np.ndim(y)
+        return member_mean(val, y_ndim), (sig - y) / math.prod(z.shape[z.ndim - y_ndim:])
+
+    rng = np.random.default_rng(7 + special)
+    checked = 0
+    with np.errstate(all="ignore"):
+        for lead, m, f in itertools.product(((), (1,), (3,)), (1, 2, 9, 32, 129, 1152),
+                                            (1, 2, 16)):
+            z = _net_values(rng, lead + (m, f), special)
+            g = _net_values(rng, lead + (m, f), special)
+            b = _net_values(rng, lead + (3 * f,), special)[..., ::3]
+            want = z + b[..., None, :]
+            got = z.copy()
+            netstep_py.bias_add(got, b)
+            assert _net_bits(got) == _net_bits(want)
+            assert (_net_bits(netstep_py.relu_vjp(z, g)) == _net_bits(g * (z > 0.0)))
+            out = np.tanh(z)
+            assert (_net_bits(netstep_py.tanh_vjp(out, g))
+                    == _net_bits(g * (1.0 - out * out)))
+            for y in (_net_values(rng, (m, f), special), (rng.random((m, f)) > 0.5) * 1.0):
+                assert (_net_bits(*netstep_py.mse_tail(z, y)) == _net_bits(*mse_loss(z, y)))
+                e = np.exp(-np.abs(z))
+                assert (_net_bits(*netstep_py.bce_tail(z, y, e, np.log1p(e)))
+                        == _net_bits(*bce_loss(z, y)))
+            assert netstep_py.all_finite(z) == bool(np.isfinite(z).all())
+            if lead:
+                flat, lr = z.reshape(lead[0], -1).copy(), np.abs(b[:, 0])
+                want = flat - lr[:, None] * g.reshape(flat.shape)
+                within = netstep_py.sgd_step(flat, lr, g.reshape(flat.shape), 1e12)
+                assert _net_bits(flat) == _net_bits(want)
+                assert within == (np.abs(want).max() <= 1e12)
+            checked += 1
+    assert checked == 3 * 6 * 3
+
+
+@pytest.mark.parametrize("shape", [(1, 1), (32, 1), (9, 3), (3, 32, 1), (2, 129, 2), (2, 1152, 1)])
+def test_numpy_member_sums_take_the_order_the_compiled_loss_tails_copy(shape):
+    # _netstep.c keeps numpy's bits in a member mean by copying the order of
+    # v.sum() (unstacked) and of v.reshape(k, -1).sum(axis=1) (a stack): +0.0
+    # plus numpy's pairwise sum of the member's contiguous block; a numpy
+    # that sums otherwise fails here, with or without a build
+    import numpy as np
+
+    rng = np.random.default_rng(len(shape) * 1000 + shape[-2])
+    v = rng.standard_normal(shape) * 10.0 ** rng.uniform(-6, 6, shape)
+    v.reshape(-1)[:2] = -0.0
+    assert v.sum().tobytes() == np.float64(0.0 + _pairwise(v.ravel().tolist())).tobytes()
+    rows = v.reshape(shape[0], -1)
+    want = [0.0 + _pairwise(row.tolist()) for row in rows]
+    assert rows.sum(axis=1).tobytes() == np.array(want).tobytes()
+
+
+# Both backends on every (stack, rows, features, values) case, dense rows
+# and a conv layer's (k, n*oh*ow, channels) rows, the bias a column slice of
+# a wider buffer (every third entry when unstacked); every output, every
+# in-place result and every returned flag must be equal bit for bit, except
+# the sign and payload of a NaN where two NaNs meet in a + or *: IEEE 754
+# leaves open which one survives, and C lets the compiler swap the operands
+# (a NaN of either sign prints "nan" in every output file).  relu's product
+# with 1.0 or 0.0 has one NaN operand at most, so it is compared as it is.
+_NETSTEP_AGREEMENT = """
+import itertools
+import sys
+import numpy as np
+sys.path.insert(0, sys.argv[1])
+from test_kernels import _net_bits, _net_values
+from equilab._kernels import _jacobi, netstep_py
+
+def nan_blind(a):
+    a = np.array(a, dtype=np.float64)
+    a[np.isnan(a)] = np.nan
+    return a
+
+checked = 0
+with np.errstate(all="ignore"):
+    for lead, (m, f, conv), special in itertools.product(
+            ((), (1,), (3,)),
+            ((1, 1, 0), (2, 1, 0), (9, 1, 0), (32, 1, 0), (32, 16, 0), (129, 1, 0),
+             (257, 3, 0), (1152, 1, 0), (18, 4, 1), (50, 1, 1)),
+            (False, True)):
+        rng = np.random.default_rng([m, f, len(lead) and lead[0], special])
+        z = _net_values(rng, lead + (m, f), special)
+        g = _net_values(rng, lead + (m, f), special)
+        params = _net_values(rng, lead + (3 * f + 1,), special)
+        b = params[..., 1:1 + f] if lead else params[1::3]
+        ys = (_net_values(rng, (m, f), special), (rng.random((m, f)) > 0.5) * 1.0)
+        grad = _net_values(rng, params.shape, special)
+        out = []
+        for kernel in (netstep_py, _jacobi):
+            zb = z.copy()
+            kernel.bias_add(zb, b)
+            got = [zb, kernel.relu_vjp(z, g), kernel.tanh_vjp(np.tanh(z), g)]
+            for y in ys:
+                e = np.exp(-np.abs(z))
+                got += [*kernel.mse_tail(z, y), *kernel.bce_tail(z, y, e, np.log1p(e))]
+            # conv outputs reach the finiteness test as moveaxis views
+            view = np.moveaxis(z.reshape(lead + (m // 2 if conv else m, -1, f)), -1, -2)
+            finite = [kernel.all_finite(a)
+                      for a in (z, g, view, z[..., ::2, :], np.asarray(z.reshape(-1)[0]))]
+            if lead:
+                flat, lr = params.copy(), np.abs(z[:, 0, 0]).copy()
+                finite += [kernel.sgd_step(flat, lr, grad, bound) for bound in (1e12, 1.0)]
+                got.append(flat)
+            out.append((_net_bits(got[1]), _net_bits(*map(nan_blind, got)), finite))
+        assert out[0] == out[1], (lead, m, f, conv, special)
+        checked += 1
+print(checked)
+"""
+
+
+@needs_compiled
+def test_compiled_netstep_kernels_equal_the_fallback():
+    proc = _run_compiled(_NETSTEP_AGREEMENT, str(Path(__file__).resolve().parent))
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.split() == [str(3 * 10 * 2)]
+
+
+# Each case must raise before the kernel reads or writes a buffer, with a
+# message that starts with the name of the argument at fault (the case's
+# first word).
+_BAD_NETSTEP_INPUTS = """
+import numpy as np
+from equilab._kernels._jacobi import (all_finite, bce_tail, bias_add, mse_tail, relu_vjp,
+                                      sgd_step, tanh_vjp)
+
+z, v, lr = np.ones((4, 3)), np.ones(3), np.ones(4)
+read_only = np.ones((4, 3))
+read_only.flags.writeable = False
+cases = {
+    "z float32": lambda: bias_add(z.astype(np.float32), v),
+    "z read-only": lambda: bias_add(read_only, v),
+    "z non-contiguous": lambda: bias_add(np.ones((4, 6))[:, ::2], v),
+    "z 1-d": lambda: bias_add(v, v),
+    "b short": lambda: bias_add(z.copy(), v[:2]),
+    "b stacked, z 2-d": lambda: bias_add(z.copy(), np.ones((1, 3))),
+    "g of another shape": lambda: relu_vjp(z, np.ones((5, 3))),
+    "z non-contiguous, relu_vjp": lambda: relu_vjp(np.ones((4, 6))[:, ::2], z),
+    "out float32": lambda: tanh_vjp(z.astype(np.float32), z),
+    "pred of another shape": lambda: mse_tail(np.ones((4, 2)), z),
+    "pred of two stack axes": lambda: mse_tail(np.ones((2, 2, 4, 3)), z),
+    "y non-contiguous": lambda: mse_tail(z, np.ones((4, 6))[:, ::2]),
+    "z of another shape, bce_tail": lambda: bce_tail(np.ones((5, 3)), z, z, z),
+    "e of another shape": lambda: bce_tail(z, z, np.ones((5, 3)), z),
+    "log1p_e float32": lambda: bce_tail(z, z, z, z.astype(np.float32)),
+    "x float32": lambda: all_finite(v.astype(np.float32)),
+    "flat read-only": lambda: sgd_step(read_only, lr, z, 1e12),
+    "flat 1-d": lambda: sgd_step(v.copy(), lr, v, 1e12),
+    "lr short": lambda: sgd_step(z.copy(), lr[:2], z, 1e12),
+    "g of another shape, sgd_step": lambda: sgd_step(z.copy(), lr, np.ones((4, 2)), 1e12),
+}
+for name, call in cases.items():
+    try:
+        call()
+    except ValueError as exc:
+        print(f"{name}: {exc}")
+        if not str(exc).startswith(name.split()[0] + " "):
+            raise SystemExit(f"{name}: the message names another argument")
+    else:
+        raise SystemExit(f"{name}: no ValueError")
+for name, call in {"one argument": lambda: relu_vjp(z),
+                   "a keyword": lambda: sgd_step(z.copy(), lr, z, bound=1e12),
+                   "a bound that is no number": lambda: sgd_step(z.copy(), lr, z, "x")}.items():
+    try:
+        call()
+    except TypeError:
+        pass
+    else:
+        raise SystemExit(f"{name}: no TypeError")
+"""
+
+
+@needs_compiled
+def test_compiled_netstep_rejects_bad_buffers():
+    proc = _run_compiled(_BAD_NETSTEP_INPUTS)
+    assert proc.returncode == 0, proc.stderr
+    assert len(proc.stdout.splitlines()) == 20, proc.stdout

@@ -122,6 +122,17 @@ class TestGradients:
         rng = np.random.default_rng(3)
         fd_grad_check(net, rng.standard_normal((6, 2, 5, 5)), rng)
 
+    def test_conv_gradient_through_a_padded_slice(self):
+        # the padded second conv hands the first a gradient that is a slice
+        # of col2im's padded grid; with one output position the first
+        # conv's rows of it are a strided view, which the activation vjp
+        # kernel must not be given as it is
+        net = Network([Conv2dSpec(1, 2, kernel_size=3, activation="tanh"),
+                       Conv2dSpec(2, 2, kernel_size=1, padding=1, activation="tanh"),
+                       DenseSpec(2 * 3 * 3, 1)], seed=6, input_shape=(1, 3, 3))
+        rng = np.random.default_rng(4)
+        fd_grad_check(net, rng.standard_normal((5, 1, 3, 3)), rng)
+
     def test_first_layer_input_gradient_not_computed(self, monkeypatch):
         # conv -> conv -> dense: only the second conv scatters its input
         # gradient back (col2im); the first layer's has no reader
